@@ -1,6 +1,6 @@
 //! Microbenchmarks for the simulator's hot components: event queue,
-//! set-associative cache, coalescer, row-decoder CAM, register cache and
-//! Zipf sampler.
+//! set-associative cache, coalescer, row-decoder CAM, register cache,
+//! SSD page buffer and Zipf sampler.
 //!
 //! Uses a self-contained timing harness (median of several timed rounds
 //! after warmup) instead of an external bench framework, matching the
@@ -13,6 +13,7 @@ use zng_flash::{RegisterCache, RowDecoder};
 use zng_gpu::{CacheGeometry, Coalescer, SetAssocCache};
 use zng_sim::rng::{seeded, Zipf};
 use zng_sim::EventQueue;
+use zng_ssd::PageBuffer;
 use zng_types::{ids::AppId, Cycle};
 
 /// Times `f` (median of `rounds` after warmup) and prints one line.
@@ -90,6 +91,20 @@ fn main() {
             regs.write(k % 700, (k % 64) as usize);
         }
         regs.len()
+    });
+
+    // HybridGPU's default buffer under a working set four times its size:
+    // nearly every access misses and evicts.
+    bench("page_buffer_miss_stream_4k", 10, || {
+        let mut buf = PageBuffer::new(4096);
+        let mut dirty = 0usize;
+        for i in 0..20_000u64 {
+            let ppn = (i * 1_031) % 16_384;
+            if buf.access(ppn, i % 3 == 0).evicted_dirty.is_some() {
+                dirty += 1;
+            }
+        }
+        dirty
     });
 
     let z = Zipf::new(4096, 0.85);

@@ -142,6 +142,11 @@ mod tests {
 
     #[test]
     fn results_dir_is_under_target() {
-        assert!(results_dir().to_string_lossy().contains("target"));
+        let dir = results_dir();
+        assert!(dir.ends_with("zng-results"));
+        match std::env::var_os("CARGO_TARGET_DIR") {
+            Some(target) => assert!(dir.starts_with(target)),
+            None => assert!(dir.to_string_lossy().contains("target")),
+        }
     }
 }

@@ -698,6 +698,32 @@ mod tests {
         let _ = backend(PlatformKind::Ideal);
     }
 
+    /// A page-buffer capacity the buffer cannot hold is a named
+    /// configuration error from `Backend::new`, never a panic.
+    #[test]
+    fn unusable_page_buffer_capacities_are_named_errors() {
+        let mut capacities = vec![0];
+        if let Some(too_big) = PageBuffer::MAX_CAPACITY.checked_add(1) {
+            capacities.push(too_big);
+        }
+        for kind in [PlatformKind::HybridGpu, PlatformKind::Hetero] {
+            for field in ["buffer_pages", "hetero_gpu_mem_pages"] {
+                for &pages in &capacities {
+                    let mut cfg = SimConfig::tiny();
+                    match field {
+                        "buffer_pages" => cfg.buffer_pages = pages,
+                        _ => cfg.hetero_gpu_mem_pages = pages,
+                    }
+                    match Backend::new(kind, &cfg, Freq::default()) {
+                        Err(Error::InvalidConfig { what, .. }) => assert_eq!(what, field),
+                        Err(e) => panic!("{kind} {field}={pages}: unexpected error {e}"),
+                        Ok(_) => panic!("{kind} {field}={pages}: accepted"),
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn ideal_reads_are_fast() {
         let mut b = backend(PlatformKind::Ideal);

@@ -2,6 +2,7 @@
 
 use zng_flash::{FaultConfig, FlashGeometry, RegisterTopology};
 use zng_gpu::{GpuConfig, PrefetchPolicy};
+use zng_ssd::PageBuffer;
 use zng_types::{Error, Result};
 
 use crate::qos::QosConfig;
@@ -734,6 +735,20 @@ impl SimConfig {
                 what: "watchdog".into(),
                 why: "a zero-cycle progress budget would trip immediately".into(),
             });
+        }
+        for (what, pages) in [
+            ("buffer_pages", self.buffer_pages),
+            ("hetero_gpu_mem_pages", self.hetero_gpu_mem_pages),
+        ] {
+            if pages == 0 || pages > PageBuffer::MAX_CAPACITY {
+                return Err(Error::InvalidConfig {
+                    what: what.into(),
+                    why: format!(
+                        "a page buffer holds 1..={} pages, got {pages}",
+                        PageBuffer::MAX_CAPACITY
+                    ),
+                });
+            }
         }
         Ok(())
     }

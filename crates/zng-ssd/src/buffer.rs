@@ -18,6 +18,11 @@ pub struct BufferAccess {
 
 /// A fully-associative LRU page cache with dirty bits.
 ///
+/// [`access`](PageBuffer::access) is O(1): resident pages live in a
+/// fixed-capacity slot array threaded as a doubly linked recency list
+/// (head = most recently used, tail = the next victim), and a hash map
+/// finds a page's slot.
+///
 /// # Examples
 ///
 /// ```
@@ -33,29 +38,58 @@ pub struct BufferAccess {
 #[derive(Debug, Clone)]
 pub struct PageBuffer {
     capacity: usize,
-    /// ppn -> (last_use, dirty). Pre-sized to `capacity` (residency is
-    /// bounded) with the deterministic Fx hasher; LRU victim choice is
-    /// tie-broken on `(last_use, ppn)` and `flush_dirty` sorts, so
-    /// iteration order never leaks.
-    pages: FxHashMap<u64, (u64, bool)>,
-    tick: u64,
+    /// Resident pages, one per slot; slots are appended until the buffer
+    /// is full and reused in place on eviction afterwards.
+    slots: Vec<Slot>,
+    /// ppn -> slot index. Pre-sized to `capacity` (residency is bounded)
+    /// with the deterministic Fx hasher; it is only ever probed by key,
+    /// and `flush_dirty` sorts, so iteration order never leaks.
+    index: FxHashMap<u64, u32>,
+    /// Most recently used slot ([`NIL`] when empty).
+    head: u32,
+    /// Least recently used slot — the next victim ([`NIL`] when empty).
+    tail: u32,
     hits: u64,
     misses: u64,
     writebacks: u64,
 }
 
+/// One resident page and its links in the recency list.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    ppn: u64,
+    dirty: bool,
+    /// Next more recently used slot.
+    prev: u32,
+    /// Next less recently used slot.
+    next: u32,
+}
+
+/// The null slot link.
+const NIL: u32 = u32::MAX;
+
 impl PageBuffer {
+    /// The largest capacity a buffer can address: slot indices are `u32`
+    /// and `u32::MAX` is the null link.
+    pub const MAX_CAPACITY: usize = NIL as usize;
+
     /// Creates a buffer holding `capacity` pages.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or above [`PageBuffer::MAX_CAPACITY`].
     pub fn new(capacity: usize) -> PageBuffer {
         assert!(capacity > 0, "page buffer needs capacity");
+        assert!(
+            capacity <= PageBuffer::MAX_CAPACITY,
+            "page buffer capacity exceeds the slot index range"
+        );
         PageBuffer {
             capacity,
-            pages: FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
-            tick: 0,
+            slots: Vec::with_capacity(capacity),
+            index: FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
+            head: NIL,
+            tail: NIL,
             hits: 0,
             misses: 0,
             writebacks: 0,
@@ -65,10 +99,12 @@ impl PageBuffer {
     /// Touches page `ppn`, marking it dirty if `write`. Inserts on miss,
     /// evicting the LRU page; a dirty eviction is reported for flushing.
     pub fn access(&mut self, ppn: u64, write: bool) -> BufferAccess {
-        self.tick += 1;
-        if let Some((last, dirty)) = self.pages.get_mut(&ppn) {
-            *last = self.tick;
-            *dirty |= write;
+        if let Some(&i) = self.index.get(&ppn) {
+            self.slots[i as usize].dirty |= write;
+            if i != self.head {
+                self.unlink(i);
+                self.push_front(i);
+            }
             self.hits += 1;
             return BufferAccess {
                 hit: true,
@@ -76,43 +112,85 @@ impl PageBuffer {
             };
         }
         self.misses += 1;
+        let page = Slot {
+            ppn,
+            dirty: write,
+            prev: NIL,
+            next: NIL,
+        };
         let mut evicted_dirty = None;
-        if self.pages.len() >= self.capacity {
-            let victim = self
-                .pages
-                .iter()
-                .min_by_key(|(k, (last, _))| (*last, **k))
-                .map(|(k, _)| *k);
-            if let Some(victim) = victim {
-                if let Some((_, true)) = self.pages.remove(&victim) {
-                    self.writebacks += 1;
-                    evicted_dirty = Some(victim);
-                }
+        let i = if self.slots.len() < self.capacity {
+            self.slots.push(page);
+            (self.slots.len() - 1) as u32
+        } else {
+            let i = self.tail;
+            self.unlink(i);
+            let victim = std::mem::replace(&mut self.slots[i as usize], page);
+            self.index.remove(&victim.ppn);
+            if victim.dirty {
+                self.writebacks += 1;
+                evicted_dirty = Some(victim.ppn);
             }
-        }
-        self.pages.insert(ppn, (self.tick, write));
+            i
+        };
+        self.index.insert(ppn, i);
+        self.push_front(i);
         BufferAccess {
             hit: false,
             evicted_dirty,
         }
     }
 
+    /// Detaches slot `i` from the recency list.
+    fn unlink(&mut self, i: u32) {
+        let Slot { prev, next, .. } = self.slots[i as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    /// Links detached slot `i` in as the most recently used.
+    fn push_front(&mut self, i: u32) {
+        let old = self.head;
+        let slot = &mut self.slots[i as usize];
+        slot.prev = NIL;
+        slot.next = old;
+        match old {
+            NIL => self.tail = i,
+            h => self.slots[h as usize].prev = i,
+        }
+        self.head = i;
+    }
+
+    /// Drops every resident page.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.index.clear();
+        self.head = NIL;
+        self.tail = NIL;
+    }
+
     /// Whether `ppn` is resident.
     pub fn contains(&self, ppn: u64) -> bool {
-        self.pages.contains_key(&ppn)
+        self.index.contains_key(&ppn)
     }
 
     /// Drains all dirty pages (flush on shutdown/GC), clearing the buffer.
     pub fn flush_dirty(&mut self) -> Vec<u64> {
         let mut dirty: Vec<u64> = self
-            .pages
+            .slots
             .iter()
-            .filter(|(_, (_, d))| *d)
-            .map(|(k, _)| *k)
+            .filter(|s| s.dirty)
+            .map(|s| s.ppn)
             .collect();
         dirty.sort_unstable();
         self.writebacks += dirty.len() as u64;
-        self.pages.clear();
+        self.clear();
         dirty
     }
 
@@ -121,19 +199,19 @@ impl PageBuffer {
     /// dirty pages lost; those writes were never durable and recovery
     /// must not resurrect them.
     pub fn power_loss(&mut self) -> usize {
-        let lost = self.pages.values().filter(|(_, d)| *d).count();
-        self.pages.clear();
+        let lost = self.slots.iter().filter(|s| s.dirty).count();
+        self.clear();
         lost
     }
 
     /// Resident page count.
     pub fn len(&self) -> usize {
-        self.pages.len()
+        self.slots.len()
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
+        self.slots.is_empty()
     }
 
     /// Capacity in pages.
@@ -246,5 +324,12 @@ mod tests {
     #[should_panic(expected = "needs capacity")]
     fn zero_capacity_rejected() {
         let _ = PageBuffer::new(0);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "slot index range")]
+    fn unaddressable_capacity_rejected() {
+        let _ = PageBuffer::new(PageBuffer::MAX_CAPACITY + 1);
     }
 }

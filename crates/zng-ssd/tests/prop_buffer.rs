@@ -1,12 +1,123 @@
 //! Property tests for the SSD page buffer, alone and mounted in the
-//! NVMe SSD under end-of-life fault injection.
+//! NVMe SSD under end-of-life fault injection, plus a model-equivalence
+//! lane against a scan-based reference LRU.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 use zng_flash::{FaultConfig, FlashGeometry};
-use zng_ssd::{NvmeSsd, PageBuffer, SsdModule};
+use zng_ssd::{BufferAccess, NvmeSsd, PageBuffer, SsdModule};
 use zng_types::{AccessKind, Cycle, Error, Freq};
 
+/// The reference model: a hash map of `ppn -> (last_use, dirty)` whose
+/// victim is found by scanning for the smallest `(last_use, ppn)`.
+/// Obviously LRU, and O(capacity) per miss — `PageBuffer` must make
+/// exactly the same decisions in O(1).
+struct RefBuffer {
+    capacity: usize,
+    pages: HashMap<u64, (u64, bool)>,
+    tick: u64,
+    hits: u64,
+    misses: u64,
+    writebacks: u64,
+}
+
+impl RefBuffer {
+    fn new(capacity: usize) -> RefBuffer {
+        RefBuffer {
+            capacity,
+            pages: HashMap::new(),
+            tick: 0,
+            hits: 0,
+            misses: 0,
+            writebacks: 0,
+        }
+    }
+
+    fn access(&mut self, ppn: u64, write: bool) -> BufferAccess {
+        self.tick += 1;
+        if let Some((last, dirty)) = self.pages.get_mut(&ppn) {
+            *last = self.tick;
+            *dirty |= write;
+            self.hits += 1;
+            return BufferAccess {
+                hit: true,
+                evicted_dirty: None,
+            };
+        }
+        self.misses += 1;
+        let mut evicted_dirty = None;
+        if self.pages.len() >= self.capacity {
+            let victim = self
+                .pages
+                .iter()
+                .min_by_key(|(k, (last, _))| (*last, **k))
+                .map(|(k, _)| *k);
+            if let Some(victim) = victim {
+                if let Some((_, true)) = self.pages.remove(&victim) {
+                    self.writebacks += 1;
+                    evicted_dirty = Some(victim);
+                }
+            }
+        }
+        self.pages.insert(ppn, (self.tick, write));
+        BufferAccess {
+            hit: false,
+            evicted_dirty,
+        }
+    }
+
+    fn flush_dirty(&mut self) -> Vec<u64> {
+        let mut dirty: Vec<u64> = self
+            .pages
+            .iter()
+            .filter(|(_, (_, d))| *d)
+            .map(|(k, _)| *k)
+            .collect();
+        dirty.sort_unstable();
+        self.writebacks += dirty.len() as u64;
+        self.pages.clear();
+        dirty
+    }
+
+    fn power_loss(&mut self) -> usize {
+        let lost = self.pages.values().filter(|(_, d)| *d).count();
+        self.pages.clear();
+        lost
+    }
+}
+
 proptest! {
+    /// Any interleaving of accesses, residency probes, flushes and power
+    /// cuts drives `PageBuffer` and the reference model to the same
+    /// results and counters at every step. Op codes 0..=11 access, 12..=13
+    /// probe, 14 flushes and 15 cuts power, so drains are rare enough for
+    /// the buffer to fill and evict between them.
+    #[test]
+    fn buffer_matches_scan_reference_model(
+        cap in 1usize..16,
+        ops in prop::collection::vec((0u8..16, 0u64..64, any::<bool>()), 1..400),
+    ) {
+        let mut b = PageBuffer::new(cap);
+        let mut r = RefBuffer::new(cap);
+        for (step, &(op, ppn, write)) in ops.iter().enumerate() {
+            match op {
+                0..=11 => {
+                    prop_assert_eq!(b.access(ppn, write), r.access(ppn, write), "step {}", step)
+                }
+                12..=13 => {
+                    prop_assert_eq!(b.contains(ppn), r.pages.contains_key(&ppn), "step {}", step)
+                }
+                14 => prop_assert_eq!(b.flush_dirty(), r.flush_dirty(), "step {}", step),
+                _ => prop_assert_eq!(b.power_loss(), r.power_loss(), "step {}", step),
+            }
+            prop_assert_eq!(b.len(), r.pages.len(), "step {}", step);
+            prop_assert_eq!(b.hits(), r.hits, "step {}", step);
+            prop_assert_eq!(b.misses(), r.misses, "step {}", step);
+            prop_assert_eq!(b.writebacks(), r.writebacks, "step {}", step);
+        }
+    }
+
     #[test]
     fn buffer_never_exceeds_capacity_and_dirty_writebacks_conserve(
         cap in 1usize..16,

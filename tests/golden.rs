@@ -1,5 +1,7 @@
-//! Golden-determinism gate: the default run's JSON output is pinned
-//! byte-for-byte against checked-in golden files.
+//! Golden-determinism gate: default-config runs' JSON output is pinned
+//! byte-for-byte against checked-in golden files — the ZnG platform
+//! with and without opt-in features, and the HybridGPU and Hetero
+//! baselines under working sets that make their page buffers evict.
 //!
 //! Two guarantees ride on this:
 //!
@@ -23,6 +25,10 @@
 //! ./target/release/zng-cli run -p zng -w betw --warps 8 --ops 40 \
 //!     --footprint 128 --json --checkpoint --checkpoint-every 25 \
 //!     --crash-at 100 > tests/golden/run_checkpoint.json
+//! ./target/release/zng-cli run -p hybrid -w betw,back --warps 64 --ops 400 \
+//!     --footprint 16384 --json > tests/golden/run_hybrid.json
+//! ./target/release/zng-cli run -p hetero -w betw,back --warps 32 --ops 200 \
+//!     --footprint 4096 --json > tests/golden/run_hetero.json
 //! ```
 
 use std::path::Path;
@@ -44,9 +50,12 @@ const RUN_ARGS: &[&str] = &[
 ];
 
 fn run_cli(extra: &[&str]) -> Vec<u8> {
+    cli(&[RUN_ARGS, extra].concat())
+}
+
+fn cli(args: &[&str]) -> Vec<u8> {
     let out = Command::new(env!("CARGO_BIN_EXE_zng-cli"))
-        .args(RUN_ARGS)
-        .args(extra)
+        .args(args)
         .output()
         .expect("spawn zng-cli");
     assert!(
@@ -144,4 +153,24 @@ fn checkpointed_crash_run_matches_golden() {
         &golden("run_checkpoint.json"),
         "checkpointed crash run",
     );
+}
+
+/// Pins the HybridGPU baseline, whose SSD module serves every request
+/// through its DRAM page buffer. The footprint far exceeds the buffer,
+/// so the run evicts thousands of pages and writes hundreds of dirty
+/// ones back: the buffer's victim order is in these bytes.
+#[test]
+fn hybrid_run_matches_golden() {
+    let args = "run -p hybrid -w betw,back --warps 64 --ops 400 --footprint 16384 --json";
+    let got = cli(&args.split(' ').collect::<Vec<_>>());
+    assert_bytes_match(&got, &golden("run_hybrid.json"), "HybridGPU run");
+}
+
+/// Pins the Hetero baseline, whose GPU-memory residency tracker is a
+/// page buffer smaller than the footprint, so page faults evict.
+#[test]
+fn hetero_run_matches_golden() {
+    let args = "run -p hetero -w betw,back --warps 32 --ops 200 --footprint 4096 --json";
+    let got = cli(&args.split(' ').collect::<Vec<_>>());
+    assert_bytes_match(&got, &golden("run_hetero.json"), "Hetero run");
 }
