@@ -47,6 +47,35 @@ fn main() {
         n
     });
 
+    // The simulator's steady state: 1 024 pending warps, each step drains
+    // the front cycle and reschedules every drained event. Deltas come
+    // from a fixed mix: half compute-sized, three eighths flash-read-
+    // sized, one eighth past the 65 536-cycle near window (GC and
+    // maintenance stalls).
+    const HOLD_DELTAS: [u64; 16] = [
+        1, 2, 4, 4, 8, 12, 24, 40, 1_500, 3_000, 4_500, 6_000, 9_000, 20_000, 90_000, 1_048_576,
+    ];
+    bench("event_queue_hold_1k", 20, || {
+        let mut q = EventQueue::<u32>::with_capacity(1_025);
+        for i in 0..1_024u32 {
+            q.schedule(Cycle::ZERO, i);
+        }
+        let mut batch = Vec::with_capacity(1_024);
+        let mut k = 1u64;
+        for _ in 0..20_000 {
+            let now = q.peek_time().expect("the hold never empties");
+            batch.clear();
+            q.pop_at(now, &mut batch);
+            for &e in &batch {
+                k = k
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                q.schedule(now + Cycle(HOLD_DELTAS[(k >> 60) as usize]), e);
+            }
+        }
+        q.peek_time()
+    });
+
     let geo = CacheGeometry {
         sets: 1024,
         ways: 8,

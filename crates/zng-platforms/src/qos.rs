@@ -146,10 +146,14 @@ impl Default for QosConfig {
 /// (starvation freedom).
 #[derive(Debug, Clone, Default)]
 pub struct FairShare {
-    /// Requests serviced per app.
-    served: BTreeMap<u16, u64>,
-    /// Apps that still have unfinished warps.
-    active: BTreeMap<u16, u64>,
+    /// Requests serviced per app, indexed by app id; `None` for ids
+    /// that are neither in the mix nor ever credited.
+    served: Vec<Option<u64>>,
+    /// Unfinished warps per app, indexed by app id; `None` once the app
+    /// is no longer active.
+    remaining: Vec<Option<u64>>,
+    /// Apps that still have unfinished warps, ascending.
+    active: Vec<u16>,
     /// Throttle decisions taken.
     throttles: u64,
     /// Largest weighted lead observed between any two active apps.
@@ -159,28 +163,49 @@ pub struct FairShare {
 impl FairShare {
     /// Creates a tracker with `warps_per_app` unfinished warps per app.
     pub fn new(warps_per_app: &BTreeMap<u16, u64>) -> FairShare {
-        FairShare {
-            served: warps_per_app.keys().map(|&a| (a, 0)).collect(),
-            active: warps_per_app.clone(),
+        let slots = warps_per_app.keys().last().map_or(0, |&a| a as usize + 1);
+        let mut f = FairShare {
+            served: vec![None; slots],
+            remaining: vec![None; slots],
+            active: warps_per_app.keys().copied().collect(),
             throttles: 0,
             max_lag: 0,
+        };
+        for (&app, &warps) in warps_per_app {
+            f.served[app as usize] = Some(0);
+            f.remaining[app as usize] = Some(warps);
         }
+        f
     }
 
     /// Credits one serviced request to `app`.
     pub fn record(&mut self, app: u16) {
-        *self.served.entry(app).or_insert(0) += 1;
+        let i = app as usize;
+        if i >= self.served.len() {
+            self.served.resize(i + 1, None);
+        }
+        *self.served[i].get_or_insert(0) += 1;
     }
 
     /// Marks one of `app`'s warps as finished; an app with no unfinished
     /// warps no longer participates in fairness comparisons.
     pub fn warp_done(&mut self, app: u16) {
-        if let Some(n) = self.active.get_mut(&app) {
+        if let Some(Some(n)) = self.remaining.get_mut(app as usize) {
             *n = n.saturating_sub(1);
             if *n == 0 {
-                self.active.remove(&app);
+                self.remaining[app as usize] = None;
+                self.active.retain(|&a| a != app);
             }
         }
+    }
+
+    /// Requests serviced by `app` so far.
+    fn served_by(&self, app: u16) -> u64 {
+        self.served
+            .get(app as usize)
+            .copied()
+            .flatten()
+            .unwrap_or(0)
     }
 
     /// Whether `app` should be throttled at this point: its weighted
@@ -188,18 +213,19 @@ impl FairShare {
     /// `window`. Weighted progress of app `a` is `served[a] / weight[a]`,
     /// compared in integer arithmetic. Counts a throttle when true.
     pub fn should_throttle(&mut self, app: u16, cfg: &QosConfig, window: u64) -> bool {
-        if self.active.len() < 2 || !self.active.contains_key(&app) {
+        let is_active = matches!(self.remaining.get(app as usize), Some(Some(_)));
+        if self.active.len() < 2 || !is_active {
             return false;
         }
-        let my_served = self.served.get(&app).copied().unwrap_or(0);
+        let my_served = self.served_by(app);
         let my_w = cfg.weight_for(AppId(app)) as u64;
         // The furthest-behind active competitor's weighted progress.
         let mut behind: Option<(u64, u64)> = None; // (served, weight)
-        for (&other, _) in self.active.iter() {
+        for &other in &self.active {
             if other == app {
                 continue;
             }
-            let s = self.served.get(&other).copied().unwrap_or(0);
+            let s = self.served_by(other);
             let w = cfg.weight_for(AppId(other)) as u64;
             let is_behind = match behind {
                 None => true,
@@ -238,9 +264,13 @@ impl FairShare {
         self.max_lag
     }
 
-    /// Requests serviced per app.
-    pub fn served(&self) -> &BTreeMap<u16, u64> {
-        &self.served
+    /// Requests serviced per app: every app in the mix, plus any other
+    /// app credited through [`FairShare::record`].
+    pub fn served(&self) -> BTreeMap<u16, u64> {
+        (0u16..)
+            .zip(&self.served)
+            .filter_map(|(app, n)| n.map(|n| (app, n)))
+            .collect()
     }
 }
 
@@ -378,5 +408,86 @@ mod tests {
         }
         // 1600/4 = 400 vs 100: lead 300 > 256.
         assert!(f.should_throttle(0, &cfg, 256));
+    }
+
+    /// The ordered-map tracker the dense one replaced, kept as the
+    /// reference model for `dense_fair_share_matches_ordered_map_model`.
+    #[derive(Default)]
+    struct MapFairShare {
+        served: BTreeMap<u16, u64>,
+        active: BTreeMap<u16, u64>,
+        throttles: u64,
+        max_lag: u64,
+    }
+
+    impl MapFairShare {
+        fn should_throttle(&mut self, app: u16, cfg: &QosConfig, window: u64) -> bool {
+            if self.active.len() < 2 || !self.active.contains_key(&app) {
+                return false;
+            }
+            let my_served = self.served.get(&app).copied().unwrap_or(0);
+            let my_w = cfg.weight_for(AppId(app)) as u64;
+            let mut behind: Option<(u64, u64)> = None;
+            for &other in self.active.keys().filter(|&&a| a != app) {
+                let s = self.served.get(&other).copied().unwrap_or(0);
+                let w = cfg.weight_for(AppId(other)) as u64;
+                if behind.is_none_or(|(bs, bw)| s * bw < bs * w) {
+                    behind = Some((s, w));
+                }
+            }
+            let Some((bs, bw)) = behind else { return false };
+            let lead_lhs = my_served.saturating_mul(bw);
+            let lead_rhs = bs.saturating_mul(my_w) + window.saturating_mul(my_w).saturating_mul(bw);
+            let lag = lead_lhs.saturating_sub(bs.saturating_mul(my_w)) / (my_w * bw).max(1);
+            self.max_lag = self.max_lag.max(lag);
+            self.throttles += u64::from(lead_lhs > lead_rhs);
+            lead_lhs > lead_rhs
+        }
+    }
+
+    proptest::proptest! {
+        /// Arbitrary record / warp-done / throttle interleavings over
+        /// mixes with gaps in their app ids, zero-warp apps and credits
+        /// to apps outside the mix give the same decisions, counters and
+        /// per-app service as the ordered-map model.
+        #[test]
+        fn dense_fair_share_matches_ordered_map_model(
+            mix in proptest::collection::vec((0u16..12, 0u64..4), 1..6),
+            ops in proptest::collection::vec((0u8..3, 0u16..14, 0u64..64), 1..400),
+        ) {
+            let mut cfg = QosConfig::bounded(8);
+            cfg.fair_weights = [1, 3, 1, 2, 1, 1, 5, 1];
+            let warps: BTreeMap<u16, u64> = mix.into_iter().collect();
+            let mut dense = FairShare::new(&warps);
+            let mut map = MapFairShare {
+                served: warps.keys().map(|&a| (a, 0)).collect(),
+                active: warps.clone(),
+                ..MapFairShare::default()
+            };
+            for &(op, app, window) in &ops {
+                match op {
+                    0 => {
+                        dense.record(app);
+                        *map.served.entry(app).or_insert(0) += 1;
+                    }
+                    1 => {
+                        dense.warp_done(app);
+                        if let Some(n) = map.active.get_mut(&app) {
+                            *n = n.saturating_sub(1);
+                            if *n == 0 {
+                                map.active.remove(&app);
+                            }
+                        }
+                    }
+                    _ => proptest::prop_assert_eq!(
+                        dense.should_throttle(app, &cfg, window),
+                        map.should_throttle(app, &cfg, window)
+                    ),
+                }
+            }
+            proptest::prop_assert_eq!(dense.throttles(), map.throttles);
+            proptest::prop_assert_eq!(dense.max_lag(), map.max_lag);
+            proptest::prop_assert_eq!(dense.served(), map.served);
+        }
     }
 }

@@ -231,7 +231,7 @@ impl Simulation {
         }
         let sm_count = self.sms.len();
 
-        // Every warp has at most one pending event, so the heap never
+        // Every warp has at most one pending event, so the queue never
         // outgrows the warp count — pre-sizing it makes the loop
         // allocation-free.
         let mut queue: EventQueue<usize> = EventQueue::with_capacity(warps.len() + 1);
@@ -288,7 +288,7 @@ impl Simulation {
 
         // Same-cycle batch drain: pull every event sharing the front
         // timestamp with one `pop_at` into a reusable scratch buffer
-        // instead of round-tripping the heap per event. Events scheduled
+        // instead of round-tripping the queue per event. Events scheduled
         // mid-batch at the same cycle carry higher sequence numbers than
         // everything already drained, so the next `pop_at` picks them up
         // in exactly the one-at-a-time total order.

@@ -2,8 +2,9 @@
 //!
 //! Three building blocks:
 //!
-//! * [`EventQueue`] — a deterministic time-ordered event heap (FIFO among
-//!   same-cycle events).
+//! * [`EventQueue`] — a deterministic time-ordered event queue (FIFO among
+//!   same-cycle events): a bitmap-indexed timing wheel for the next
+//!   65 536 cycles in front of a binary heap for the far future.
 //! * [`Resource`] / [`Link`] — occupancy-based contention models: shared
 //!   hardware (an L2 bank, an ONFI channel, a flash plane, an SSD-engine
 //!   core) is a set of servers that requests *reserve*; the reservation end

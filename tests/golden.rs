@@ -1,7 +1,8 @@
 //! Golden-determinism gate: default-config runs' JSON output is pinned
 //! byte-for-byte against checked-in golden files — the ZnG platform
 //! with and without opt-in features, and the HybridGPU and Hetero
-//! baselines under working sets that make their page buffers evict.
+//! baselines under working sets that make their page buffers evict, and
+//! a four-app ZnG co-run under bounded admission control.
 //!
 //! Two guarantees ride on this:
 //!
@@ -29,6 +30,8 @@
 //!     --footprint 16384 --json > tests/golden/run_hybrid.json
 //! ./target/release/zng-cli run -p hetero -w betw,back --warps 32 --ops 200 \
 //!     --footprint 4096 --json > tests/golden/run_hetero.json
+//! ./target/release/zng-cli run -p zng -w back,gaus,FDT,gram --warps 32 \
+//!     --ops 60 --footprint 16384 --qos --json > tests/golden/run_qos.json
 //! ```
 
 use std::path::Path;
@@ -173,4 +176,16 @@ fn hetero_run_matches_golden() {
     let args = "run -p hetero -w betw,back --warps 32 --ops 200 --footprint 4096 --json";
     let got = cli(&args.split(' ').collect::<Vec<_>>());
     assert_bytes_match(&got, &golden("run_hetero.json"), "Hetero run");
+}
+
+/// Pins a four-app ZnG co-run under the bounded QoS policy: admission
+/// rejections and retries, GC pacing and tens of thousands of fairness
+/// throttles, each of which re-queues a warp one backoff quantum later,
+/// so the event queue's same-cycle order is in these bytes.
+#[test]
+fn qos_run_matches_golden() {
+    let args =
+        "run -p zng -w back,gaus,FDT,gram --warps 32 --ops 60 --footprint 16384 --qos --json";
+    let got = cli(&args.split(' ').collect::<Vec<_>>());
+    assert_bytes_match(&got, &golden("run_qos.json"), "bounded-QoS run");
 }
