@@ -1,6 +1,6 @@
 //! Microbenchmarks for the simulator's hot components: event queue,
 //! set-associative cache, coalescer, row-decoder CAM, register cache,
-//! SSD page buffer and Zipf sampler.
+//! SSD page buffer, Zipf sampler and warp-trace generation.
 //!
 //! Uses a self-contained timing harness (median of several timed rounds
 //! after warmup) instead of an external bench framework, matching the
@@ -15,6 +15,7 @@ use zng_sim::rng::{seeded, Zipf};
 use zng_sim::EventQueue;
 use zng_ssd::PageBuffer;
 use zng_types::{ids::AppId, Cycle};
+use zng_workloads::{MultiApp, TraceParams};
 
 /// Times `f` (median of `rounds` after warmup) and prints one line.
 fn bench<T>(name: &str, rounds: usize, mut f: impl FnMut() -> T) {
@@ -144,5 +145,20 @@ fn main() {
             acc += z.sample(&mut rng);
         }
         acc
+    });
+
+    // The repository benchmark's `graph-read` mix at its volume (4 apps ×
+    // 256 warps × 1 500 memory ops, 3 072 000 trace ops): generation
+    // time, which includes writing every op into the trace buffers.
+    let params = TraceParams {
+        total_warps: 256,
+        mem_ops_per_warp: 1_500,
+        footprint_pages: 2_048,
+        seed: 42 << 16,
+    };
+    bench("trace_generate_mix", 10, || {
+        MultiApp::from_names(&["betw", "bfs2", "pr", "gc1"], &params)
+            .expect("Table II names")
+            .total_warps()
     });
 }

@@ -92,6 +92,46 @@ impl EnduranceReport {
     }
 }
 
+/// Blocks per erase count, kept current by [`FlashDevice::erase`] so
+/// [`FlashDevice::endurance`] reads its report instead of walking every
+/// block. Erase counts only ever grow by one, so an erase moves one block
+/// up one bucket.
+#[derive(Debug, Clone)]
+struct EraseHistogram {
+    /// `blocks[e]` is how many blocks have been erased exactly `e` times;
+    /// never-touched blocks count at zero. The last bucket is non-empty,
+    /// so its index is the worst block's count.
+    blocks: Vec<u64>,
+    /// Erases across the device.
+    total: u64,
+    /// The first non-empty bucket: the least-worn block's count.
+    min: usize,
+}
+
+impl EraseHistogram {
+    fn new(total_blocks: u64) -> EraseHistogram {
+        EraseHistogram {
+            blocks: vec![total_blocks],
+            total: 0,
+            min: 0,
+        }
+    }
+
+    /// Records that a block's erase count has just reached `erases`.
+    fn record(&mut self, erases: u32) {
+        let e = erases as usize;
+        self.blocks[e - 1] -= 1;
+        if e == self.blocks.len() {
+            self.blocks.push(0);
+        }
+        self.blocks[e] += 1;
+        self.total += 1;
+        if self.blocks[self.min] == 0 {
+            self.min = e;
+        }
+    }
+}
+
 /// What a sudden power loss destroyed (returned by
 /// [`FlashDevice::power_loss`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,6 +185,8 @@ pub struct FlashDevice {
     /// read/program penalties through a cycle window, death at its end.
     /// `None` (the default) performs no draws at all.
     degrade: Option<DegradeState>,
+    /// Erase-count distribution behind [`FlashDevice::endurance`].
+    wear: EraseHistogram,
 }
 
 impl FlashDevice {
@@ -175,6 +217,7 @@ impl FlashDevice {
             })
             .collect();
         let channels = geometry.channels;
+        let wear = EraseHistogram::new(geometry.total_blocks() as u64);
         Ok(FlashDevice {
             geometry,
             cycles,
@@ -190,6 +233,7 @@ impl FlashDevice {
             sdc_at: None,
             disturb_unit: None,
             degrade: None,
+            wear,
         })
     }
 
@@ -794,6 +838,12 @@ impl FlashDevice {
         self.fenced_seq = self.program_seq;
         let mut report =
             self.packages[block.channel.index()].erase_block(now, plane_idx, block.block)?;
+        // A failed erase still counts: the plane charged the wear.
+        let erases = self
+            .block(block)
+            .expect("the plane has just erased this block")
+            .erase_count();
+        self.wear.record(erases);
         // Degrading-die erase penalty, mirroring the program penalty.
         if !report.failed {
             if let Some(st) = self.degrade.as_mut() {
@@ -960,31 +1010,15 @@ impl FlashDevice {
 
     /// Endurance summary across every block ever touched (paper §VI's
     /// lifetime discussion): total erases, the worst-worn block, and how
-    /// evenly wear is spread.
+    /// evenly wear is spread. O(1): read from the erase histogram that
+    /// [`FlashDevice::erase`] maintains.
     pub fn endurance(&self) -> EnduranceReport {
-        let mut total = 0u64;
-        let mut max = 0u32;
-        let mut min = u32::MAX;
-        let mut worn_blocks = 0u64;
         let total_blocks = self.geometry.total_blocks() as u64;
-        for idx in 0..total_blocks {
-            let addr = match self.geometry.block_for_index(idx) {
-                Ok(a) => a,
-                Err(_) => continue,
-            };
-            let e = self.block(addr).map(|b| b.erase_count()).unwrap_or(0);
-            min = min.min(e);
-            if e > 0 {
-                worn_blocks += 1;
-                total += e as u64;
-                max = max.max(e);
-            }
-        }
         EnduranceReport {
-            total_erases: total,
-            max_block_erases: max,
-            min_block_erases: if min == u32::MAX { 0 } else { min },
-            worn_blocks,
+            total_erases: self.wear.total,
+            max_block_erases: (self.wear.blocks.len() - 1) as u32,
+            min_block_erases: self.wear.min as u32,
+            worn_blocks: total_blocks - self.wear.blocks[0],
             total_blocks,
             pe_limit: PE_LIMIT,
         }
@@ -1380,6 +1414,96 @@ mod tests {
             "single worn block must show a spread"
         );
         assert!(e.min_wear_fraction() < e.worst_wear_fraction());
+    }
+
+    /// The walk `endurance` made before the erase histogram: every block
+    /// of the geometry, untouched ones at zero erases.
+    fn endurance_by_scan(d: &FlashDevice) -> EnduranceReport {
+        let total_blocks = d.geometry().total_blocks() as u64;
+        let (mut total, mut max, mut min, mut worn_blocks) = (0u64, 0u32, u32::MAX, 0u64);
+        for idx in 0..total_blocks {
+            let addr = d.geometry().block_for_index(idx).unwrap();
+            let e = d.block(addr).map_or(0, Block::erase_count);
+            min = min.min(e);
+            if e > 0 {
+                worn_blocks += 1;
+                total += u64::from(e);
+                max = max.max(e);
+            }
+        }
+        EnduranceReport {
+            total_erases: total,
+            max_block_erases: max,
+            min_block_erases: if min == u32::MAX { 0 } else { min },
+            worn_blocks,
+            total_blocks,
+            pe_limit: PE_LIMIT,
+        }
+    }
+
+    #[test]
+    fn endurance_matches_a_full_scan_across_erase_sequences() {
+        use rand::Rng;
+        for seed in 0..6u64 {
+            let mut d = device();
+            // Odd seeds wear out: some erases fail verification, and
+            // still count.
+            if seed % 2 == 1 {
+                d.set_fault_config(&FaultConfig::end_of_life().with_seed(seed));
+            }
+            let total = d.geometry().total_blocks() as u64;
+            let mut rng = zng_sim::rng::seeded(seed);
+            let mut refused = 0;
+            for step in 0..600u64 {
+                // Half the erases hit four hot blocks, so counts climb and
+                // the least-worn block changes as the cold ones catch up.
+                let idx = if rng.gen_bool(0.5) {
+                    rng.gen_range(0..4)
+                } else {
+                    rng.gen_range(0..total)
+                };
+                let addr = d.geometry().block_for_index(idx).unwrap();
+                if rng.gen_bool(0.2) {
+                    // A live page makes the erase a protocol error, which
+                    // must not count.
+                    if d.program(Cycle(step), addr, step).is_ok_and(|r| !r.failed) {
+                        refused += u64::from(d.erase(Cycle(step), addr).is_err());
+                    }
+                    let live = d.block(addr).map_or(0, |b| b.programmed_pages());
+                    for page in 0..live {
+                        d.invalidate(addr.page(page));
+                    }
+                }
+                d.erase(Cycle(step), addr).unwrap();
+                assert_eq!(
+                    d.endurance(),
+                    endurance_by_scan(&d),
+                    "seed {seed} step {step}"
+                );
+            }
+            assert!(refused > 0, "seed {seed}: no refused erase exercised");
+            if seed % 2 == 1 {
+                assert!(
+                    d.stats().erase_failures() > 0,
+                    "seed {seed}: no failed erase"
+                );
+            }
+        }
+        // Every block worn at least once moves the minimum off zero.
+        let mut d = device();
+        let total = d.geometry().total_blocks() as u64;
+        for round in 0..3 {
+            for idx in 0..total {
+                let addr = d.geometry().block_for_index(idx).unwrap();
+                d.erase(Cycle(round), addr).unwrap();
+            }
+            let e = d.endurance();
+            assert_eq!(e, endurance_by_scan(&d));
+            assert_eq!(
+                (e.min_block_erases, e.max_block_erases),
+                (round as u32 + 1, round as u32 + 1)
+            );
+        }
     }
 
     #[test]

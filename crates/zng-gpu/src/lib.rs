@@ -43,4 +43,4 @@ pub use mmu::{Mmu, Tlb};
 pub use mshr::Mshr;
 pub use prefetch::{AccessMonitor, Predictor, PrefetchPolicy};
 pub use sm::Sm;
-pub use warp::{AccessPattern, Warp, WarpOp, WarpTrace};
+pub use warp::{AccessPattern, PatternShape, Warp, WarpOp, WarpTrace};

@@ -6,27 +6,96 @@
 //! 128 B requests). Traces are produced by `zng-workloads` to match the
 //! paper's Table II / Fig. 5 statistics.
 
+use std::fmt;
 use std::sync::Arc;
 
 use zng_types::{
     ids::{AppId, Pc, WarpId},
-    AccessKind, Cycle, VirtAddr,
+    AccessKind, Cycle, Error, Result, VirtAddr,
 };
 
 use crate::coalesce::Coalescer;
 
-/// The shape of a warp-wide memory access.
+/// The shape of a warp-wide memory access, unpacked from an
+/// [`AccessPattern`] for matching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessPattern {
+pub enum PatternShape {
     /// All 32 threads in one 128 B sector (unit-stride words).
     Sequential,
-    /// Threads separated by a fixed byte stride.
-    Strided(u32),
+    /// Threads separated by a fixed byte stride (at most
+    /// [`AccessPattern::MAX_STRIDE`]).
+    Strided(u16),
     /// Irregular: `n` distinct sectors, each on its own page.
     Scatter(u8),
 }
 
+/// The shape of a warp-wide memory access, packed into two bytes: a
+/// 2-bit shape tag above a 14-bit payload (the stride in bytes, or the
+/// scatter's sector count). Warp traces hold millions of ops, so the
+/// packing is what keeps a [`WarpOp`] at 16 bytes. Build one with
+/// [`AccessPattern::sequential`], [`AccessPattern::strided`] or
+/// [`AccessPattern::scatter`]; read it back with
+/// [`AccessPattern::shape`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct AccessPattern(u16);
+
+const TAG_SHIFT: u32 = 14;
+const PAYLOAD_MASK: u16 = (1 << TAG_SHIFT) - 1;
+const TAG_SEQUENTIAL: u16 = 0;
+const TAG_STRIDED: u16 = 1;
+const TAG_SCATTER: u16 = 2;
+
 impl AccessPattern {
+    /// The largest stride, in bytes, that [`AccessPattern::strided`]
+    /// accepts: the 14-bit payload's maximum, 16 383 B. Any stride of
+    /// 128 B or more already gives each thread its own sector.
+    pub const MAX_STRIDE: u32 = PAYLOAD_MASK as u32;
+
+    const fn pack(tag: u16, payload: u16) -> AccessPattern {
+        AccessPattern(tag << TAG_SHIFT | payload)
+    }
+
+    /// All 32 threads in one 128 B sector.
+    pub const fn sequential() -> AccessPattern {
+        AccessPattern::pack(TAG_SEQUENTIAL, 0)
+    }
+
+    /// Threads `bytes` apart.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] if `bytes` exceeds
+    /// [`AccessPattern::MAX_STRIDE`].
+    pub fn strided(bytes: u32) -> Result<AccessPattern> {
+        if bytes > AccessPattern::MAX_STRIDE {
+            return Err(Error::invalid_config(
+                "access pattern stride",
+                format!(
+                    "{bytes} B exceeds the {} B limit",
+                    AccessPattern::MAX_STRIDE
+                ),
+            ));
+        }
+        Ok(AccessPattern::pack(TAG_STRIDED, bytes as u16))
+    }
+
+    /// `n` distinct sectors, each on its own page (`0` still touches one).
+    pub const fn scatter(n: u8) -> AccessPattern {
+        AccessPattern::pack(TAG_SCATTER, n as u16)
+    }
+
+    /// The unpacked shape.
+    #[inline]
+    pub const fn shape(self) -> PatternShape {
+        let payload = self.0 & PAYLOAD_MASK;
+        match self.0 >> TAG_SHIFT {
+            TAG_SEQUENTIAL => PatternShape::Sequential,
+            TAG_STRIDED => PatternShape::Strided(payload),
+            // Only the constructors build patterns, so this is TAG_SCATTER.
+            _ => PatternShape::Scatter(payload as u8),
+        }
+    }
+
     /// Expands the pattern into coalesced sector base addresses.
     pub fn sectors(self, base: u64) -> Vec<u64> {
         let mut out = Vec::with_capacity(4);
@@ -38,15 +107,24 @@ impl AccessPattern {
     /// request bases to `out`. The simulator's event loop calls this once
     /// per warp memory op with a reusable scratch buffer.
     pub fn sectors_into(self, base: u64, out: &mut Vec<u64>) {
-        match self {
-            AccessPattern::Sequential => out.push(base - base % 128),
-            AccessPattern::Strided(stride) => Coalescer::strided_into(base, stride as u64, out),
-            AccessPattern::Scatter(n) => Coalescer::scatter_into(base, n.max(1), out),
+        match self.shape() {
+            PatternShape::Sequential => out.push(base - base % 128),
+            PatternShape::Strided(stride) => Coalescer::strided_into(base, u64::from(stride), out),
+            PatternShape::Scatter(n) => Coalescer::scatter_into(base, n.max(1), out),
         }
     }
 }
 
+impl fmt::Debug for AccessPattern {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.shape().fmt(f)
+    }
+}
+
 /// One element of a warp trace.
+///
+/// 16 bytes: the address, a 4-byte PC, the 2-byte pattern and the 1-byte
+/// kind, with the variant tag stored in the kind's unused values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WarpOp {
     /// `n` arithmetic instructions (one issue slot each).
@@ -63,6 +141,8 @@ pub enum WarpOp {
         pc: Pc,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<WarpOp>() == 16);
 
 impl WarpOp {
     /// Instructions this op contributes to IPC (a memory op is one
@@ -213,7 +293,7 @@ mod tests {
         WarpOp::Mem {
             base: VirtAddr(base),
             kind,
-            pattern: AccessPattern::Sequential,
+            pattern: AccessPattern::sequential(),
             pc: Pc(0),
         }
     }
@@ -262,12 +342,21 @@ mod tests {
 
     #[test]
     fn pattern_expansion() {
-        assert_eq!(AccessPattern::Sequential.sectors(130), vec![128]);
-        assert_eq!(AccessPattern::Strided(4).sectors(0).len(), 1);
-        assert_eq!(AccessPattern::Strided(128).sectors(0).len(), 32);
-        assert_eq!(AccessPattern::Scatter(5).sectors(0).len(), 5);
+        let strided = |b| AccessPattern::strided(b).unwrap();
+        assert_eq!(AccessPattern::sequential().sectors(130), vec![128]);
+        assert_eq!(strided(4).sectors(0).len(), 1);
+        assert_eq!(strided(128).sectors(0).len(), 32);
+        assert_eq!(AccessPattern::scatter(5).sectors(0).len(), 5);
         // Scatter(0) still touches one sector.
-        assert_eq!(AccessPattern::Scatter(0).sectors(0).len(), 1);
+        assert_eq!(AccessPattern::scatter(0).sectors(0).len(), 1);
+    }
+
+    #[test]
+    fn pattern_debug_reads_as_its_shape() {
+        let strided = AccessPattern::strided(128).unwrap();
+        assert_eq!(format!("{strided:?}"), "Strided(128)");
+        assert_eq!(format!("{:?}", AccessPattern::scatter(2)), "Scatter(2)");
+        assert_eq!(format!("{:?}", AccessPattern::sequential()), "Sequential");
     }
 
     #[test]

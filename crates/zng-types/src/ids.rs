@@ -86,21 +86,16 @@ id_newtype!(
 ///
 /// The read-prefetch predictor (paper §IV-B) indexes its table by PC: all
 /// memory requests born from the same static load exhibit the same access
-/// pattern.
+/// pattern. Four bytes hold any kernel's static instruction addresses
+/// and keep a `zng_gpu::WarpOp` at 16 bytes.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Pc(pub u64);
+pub struct Pc(pub u32);
 
 impl Pc {
     /// Returns the raw PC value.
     #[inline]
     pub const fn raw(self) -> u64 {
-        self.0
-    }
-}
-
-impl From<u64> for Pc {
-    fn from(v: u64) -> Pc {
-        Pc(v)
+        self.0 as u64
     }
 }
 

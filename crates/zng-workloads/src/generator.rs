@@ -114,7 +114,7 @@ impl GraphZipfs {
 /// PCs are small and shared across warps so the PC-indexed predictor can
 /// learn per-instruction behaviour; one PC group per kernel.
 fn pcs_for_kernel(kernel: u32) -> (Pc, Pc, Pc) {
-    let base = 0x1000 + (kernel as u64 % 8) * 0x40;
+    let base = 0x1000 + (kernel % 8) * 0x40;
     (Pc(base), Pc(base + 8), Pc(base + 16))
 }
 
@@ -175,7 +175,7 @@ fn graph_warp(
                 ops.push(WarpOp::Mem {
                     base: VirtAddr(cursor),
                     kind: AccessKind::Read,
-                    pattern: AccessPattern::Sequential,
+                    pattern: AccessPattern::sequential(),
                     pc: pc_seq,
                 });
                 cursor += 128;
@@ -195,7 +195,7 @@ fn graph_warp(
                 ops.push(WarpOp::Mem {
                     base: VirtAddr(base + page * 4096 + sector * 128),
                     kind: AccessKind::Read,
-                    pattern: AccessPattern::Scatter(2),
+                    pattern: AccessPattern::scatter(2),
                     pc: pc_scatter,
                 });
             }
@@ -209,7 +209,7 @@ fn graph_warp(
             ops.push(WarpOp::Mem {
                 base: VirtAddr(base + page * 4096 + sector * 128),
                 kind: AccessKind::Write,
-                pattern: AccessPattern::Sequential,
+                pattern: AccessPattern::sequential(),
                 pc: pc_write,
             });
         }
@@ -245,6 +245,7 @@ fn scientific_warp(
     let ops_per_kernel = (params.mem_ops_per_warp as u32 / spec.kernels.max(1)).max(64);
     // Reads average 0.95*1 + 0.05*32 = 2.55 sectors per op.
     let p_read = op_read_probability(spec.read_ratio, 2.55);
+    let column = AccessPattern::strided(128).expect("a 128 B stride fits the pattern payload");
 
     for i in 0..params.mem_ops_per_warp {
         let kernel = i as u32 / ops_per_kernel;
@@ -257,7 +258,7 @@ fn scientific_warp(
                 ops.push(WarpOp::Mem {
                     base: VirtAddr(in_cursor),
                     kind: AccessKind::Read,
-                    pattern: AccessPattern::Sequential,
+                    pattern: AccessPattern::sequential(),
                     pc: pc_row,
                 });
                 in_cursor += 128;
@@ -269,7 +270,7 @@ fn scientific_warp(
                 ops.push(WarpOp::Mem {
                     base: VirtAddr(in_cursor),
                     kind: AccessKind::Read,
-                    pattern: AccessPattern::Strided(128),
+                    pattern: column,
                     pc: pc_col,
                 });
             }
@@ -279,7 +280,7 @@ fn scientific_warp(
             ops.push(WarpOp::Mem {
                 base: VirtAddr(out_cursor),
                 kind: AccessKind::Write,
-                pattern: AccessPattern::Sequential,
+                pattern: AccessPattern::sequential(),
                 pc: pc_write,
             });
             out_cursor += 128;

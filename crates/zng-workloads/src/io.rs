@@ -12,12 +12,19 @@
 //!           {"Mem":{"base":8192,"kind":"Write","pattern":{"Strided":128},"pc":9}}]}
 //! ]}
 //! ```
+//!
+//! Loading checks every integer against the width [`WarpOp`] stores it
+//! in: `Compute` and `pc` at most 4 294 967 295 (`u32`), `Scatter` at
+//! most 255 (`u8`), and `Strided` at most 16 383 B
+//! ([`AccessPattern::MAX_STRIDE`]). A larger value is rejected with
+//! [`Error::InvalidConfig`] naming the field and the value, never
+//! truncated.
 
 use std::fs;
 use std::io::{Read as _, Write as _};
 use std::path::Path;
 
-use zng_gpu::{AccessPattern, WarpOp, WarpTrace};
+use zng_gpu::{AccessPattern, PatternShape, WarpOp, WarpTrace};
 use zng_json::Value;
 use zng_types::{ids::Pc, AccessKind, Error, Result, VirtAddr};
 
@@ -83,8 +90,8 @@ impl TraceBundle {
     pub fn from_json(json: &str) -> Result<TraceBundle> {
         let doc =
             Value::parse(json).map_err(|e| Error::invalid_config("trace bundle", e.to_string()))?;
-        let version = field_u64(&doc, "version")? as u32;
-        if version != TRACE_FORMAT_VERSION {
+        let version = field_u64(&doc, "version")?;
+        if version != u64::from(TRACE_FORMAT_VERSION) {
             return Err(Error::invalid_config(
                 "trace bundle",
                 format!("unsupported format version {version} (expected {TRACE_FORMAT_VERSION})"),
@@ -102,7 +109,7 @@ impl TraceBundle {
             .map(trace_from_json)
             .collect::<Result<Vec<WarpTrace>>>()?;
         Ok(TraceBundle {
-            version,
+            version: TRACE_FORMAT_VERSION,
             workload,
             seed,
             traces,
@@ -154,10 +161,10 @@ fn op_to_json(op: &WarpOp) -> Value {
                 AccessKind::Read => "Read",
                 AccessKind::Write => "Write",
             };
-            let pattern = match pattern {
-                AccessPattern::Sequential => Value::from("Sequential"),
-                AccessPattern::Strided(s) => Value::object(vec![("Strided", Value::from(s))]),
-                AccessPattern::Scatter(n) => Value::object(vec![("Scatter", Value::from(n))]),
+            let pattern = match pattern.shape() {
+                PatternShape::Sequential => Value::from("Sequential"),
+                PatternShape::Strided(s) => Value::object(vec![("Strided", Value::from(s))]),
+                PatternShape::Scatter(n) => Value::object(vec![("Scatter", Value::from(n))]),
             };
             Value::object(vec![(
                 "Mem",
@@ -174,6 +181,13 @@ fn op_to_json(op: &WarpOp) -> Value {
 
 fn bad(why: impl Into<String>) -> Error {
     Error::invalid_config("trace bundle", why)
+}
+
+/// The error for an integer `field` whose `value` exceeds `max`.
+fn out_of_range(field: &str, value: u64, max: u64) -> Error {
+    bad(format!(
+        "`{field}` value {value} exceeds its limit of {max}"
+    ))
 }
 
 fn field_u64(v: &Value, key: &str) -> Result<u64> {
@@ -194,7 +208,8 @@ fn trace_from_json(v: &Value) -> Result<WarpTrace> {
 
 fn op_from_json(v: &Value) -> Result<WarpOp> {
     if let Some(n) = v["Compute"].as_u64() {
-        return Ok(WarpOp::Compute(n as u32));
+        let n = u32::try_from(n).map_err(|_| out_of_range("Compute", n, u32::MAX.into()))?;
+        return Ok(WarpOp::Compute(n));
     }
     let mem = &v["Mem"];
     if mem.as_object().is_some() {
@@ -204,11 +219,13 @@ fn op_from_json(v: &Value) -> Result<WarpOp> {
             other => return Err(bad(format!("unknown access kind {other:?}"))),
         };
         let pattern = pattern_from_json(&mem["pattern"])?;
+        let pc = field_u64(mem, "pc")?;
+        let pc = u32::try_from(pc).map_err(|_| out_of_range("pc", pc, u32::MAX.into()))?;
         return Ok(WarpOp::Mem {
             base: VirtAddr(field_u64(mem, "base")?),
             kind,
             pattern,
-            pc: Pc(field_u64(mem, "pc")?),
+            pc: Pc(pc),
         });
     }
     Err(bad("op is neither `Compute` nor `Mem`"))
@@ -216,13 +233,17 @@ fn op_from_json(v: &Value) -> Result<WarpOp> {
 
 fn pattern_from_json(v: &Value) -> Result<AccessPattern> {
     if v.as_str() == Some("Sequential") {
-        return Ok(AccessPattern::Sequential);
+        return Ok(AccessPattern::sequential());
     }
     if let Some(s) = v["Strided"].as_u64() {
-        return Ok(AccessPattern::Strided(s as u32));
+        return u32::try_from(s)
+            .ok()
+            .and_then(|s| AccessPattern::strided(s).ok())
+            .ok_or_else(|| out_of_range("Strided", s, AccessPattern::MAX_STRIDE.into()));
     }
     if let Some(n) = v["Scatter"].as_u64() {
-        return Ok(AccessPattern::Scatter(n as u8));
+        let n = u8::try_from(n).map_err(|_| out_of_range("Scatter", n, u8::MAX.into()))?;
+        return Ok(AccessPattern::scatter(n));
     }
     Err(bad("unknown access pattern"))
 }
@@ -269,6 +290,77 @@ mod tests {
             .unwrap()
             .replace("\"version\":1", "\"version\":99");
         assert!(TraceBundle::from_json(&json).is_err());
+        // 2^32 + 1 would read as version 1 if truncated to 32 bits.
+        let wrapped = one_op(r#"{"Compute":1}"#).replace("\"version\":1", "\"version\":4294967297");
+        assert!(TraceBundle::from_json(&wrapped).is_err());
+    }
+
+    /// A one-op bundle whose op is `op` (JSON).
+    fn one_op(op: &str) -> String {
+        format!(r#"{{"version":1,"workload":"betw","seed":1,"traces":[{{"ops":[{op}]}}]}}"#)
+    }
+
+    fn mem_op(pattern: &str, pc: u64) -> String {
+        one_op(&format!(
+            r#"{{"Mem":{{"base":0,"kind":"Read","pattern":{pattern},"pc":{pc}}}}}"#
+        ))
+    }
+
+    /// Loading `json` fails with a message naming `field` and `value`.
+    fn assert_rejected(json: &str, field: &str, value: &str) {
+        let err = TraceBundle::from_json(json).unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig { .. }), "{err:?}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("`{field}`")) && msg.contains(value),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn compute_wider_than_u32_rejected() {
+        let max = TraceBundle::from_json(&one_op(r#"{"Compute":4294967295}"#)).unwrap();
+        assert_eq!(max.traces[0].ops(), &[WarpOp::Compute(u32::MAX)]);
+        assert_rejected(
+            &one_op(r#"{"Compute":4294967296}"#),
+            "Compute",
+            "4294967296",
+        );
+    }
+
+    #[test]
+    fn scatter_wider_than_u8_rejected() {
+        let max = TraceBundle::from_json(&mem_op(r#"{"Scatter":255}"#, 0)).unwrap();
+        assert!(matches!(
+            max.traces[0].ops()[0],
+            WarpOp::Mem { pattern, .. } if pattern.shape() == PatternShape::Scatter(255)
+        ));
+        assert_rejected(&mem_op(r#"{"Scatter":256}"#, 0), "Scatter", "256");
+    }
+
+    #[test]
+    fn stride_above_limit_rejected() {
+        let max = TraceBundle::from_json(&mem_op(r#"{"Strided":16383}"#, 0)).unwrap();
+        assert!(matches!(
+            max.traces[0].ops()[0],
+            WarpOp::Mem { pattern, .. } if pattern.shape() == PatternShape::Strided(16_383)
+        ));
+        assert_rejected(&mem_op(r#"{"Strided":16384}"#, 0), "Strided", "16384");
+        assert_rejected(
+            &mem_op(r#"{"Strided":4294967424}"#, 0),
+            "Strided",
+            "4294967424",
+        );
+    }
+
+    #[test]
+    fn pc_wider_than_u32_rejected() {
+        let max = TraceBundle::from_json(&mem_op(r#""Sequential""#, u32::MAX.into())).unwrap();
+        assert!(matches!(
+            max.traces[0].ops()[0],
+            WarpOp::Mem { pc, .. } if pc == Pc(u32::MAX)
+        ));
+        assert_rejected(&mem_op(r#""Sequential""#, 1 << 32), "pc", "4294967296");
     }
 
     #[test]
