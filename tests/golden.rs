@@ -189,3 +189,79 @@ fn qos_run_matches_golden() {
     let got = cli(&args.split(' ').collect::<Vec<_>>());
     assert_bytes_match(&got, &golden("run_qos.json"), "bounded-QoS run");
 }
+
+/// The bounded-QoS golden command with `--perf`: its event counters are
+/// deterministic (only the wall-clock keys are not), so they are pinned
+/// here. The fairness gate's re-queues show up in `perf_events` and
+/// `perf_blocked_events`, so an event loop that counts them in bulk
+/// must arrive at exactly these numbers.
+#[test]
+fn qos_run_perf_counters_are_pinned() {
+    let args = "run -p zng -w back,gaus,FDT,gram --warps 32 --ops 60 --footprint 16384 --qos \
+                --json --perf";
+    let got = cli(&args.split_whitespace().collect::<Vec<_>>());
+    let v = zng_json::Value::parse(&String::from_utf8(got).expect("utf8 json")).expect("json");
+    let counter = |key: &str| v[key].as_u64().unwrap_or_else(|| panic!("{key} missing"));
+    for (key, want) in [
+        ("perf_events", 39_591),
+        ("perf_blocked_events", 24_103),
+        ("perf_compute_events", 7_680),
+        ("perf_mem_events", 7_680),
+        ("perf_skipped_events", 128),
+        ("perf_maintenance_events", 0),
+        ("perf_peak_queue_depth", 128),
+    ] {
+        assert_eq!(counter(key), want, "{key}");
+    }
+}
+
+/// Fairness-gate configurations the CLI cannot express: unequal
+/// per-app weights and backoff quanta of 1, 7 and 64 cycles (the quantum
+/// is how far ahead a throttled warp is re-queued). Each case runs the
+/// four-app mix of `qos_run_matches_golden` through the library API; the
+/// golden holds one RunResult per case, keyed by case name.
+///
+/// Regenerate with `ZNG_BLESS=1 cargo test --test golden
+/// qos_library_runs_match_golden`.
+#[test]
+fn qos_library_runs_match_golden() {
+    use zng::{Experiment, PlatformKind, QosConfig, TraceParams};
+    use zng_json::Value;
+
+    let cases: [(&str, [u32; 4], u64); 4] = [
+        ("weights_3121_base_64", [3, 1, 2, 1], 64),
+        ("weights_3121_base_7", [3, 1, 2, 1], 7),
+        ("weights_3121_base_1", [3, 1, 2, 1], 1),
+        ("equal_weights_base_7", [1, 1, 1, 1], 7),
+    ];
+    let runs = cases
+        .iter()
+        .map(|&(name, weights, base)| {
+            let mut qos = QosConfig::bounded(16);
+            qos.fair_weights[..4].copy_from_slice(&weights);
+            qos.backoff_base = zng::Cycle(base);
+            let mut exp = Experiment::standard().with_params(TraceParams {
+                total_warps: 32,
+                mem_ops_per_warp: 60,
+                footprint_pages: 16_384,
+                seed: 42,
+            });
+            exp.config_mut().qos = qos;
+            let r = exp
+                .run(PlatformKind::Zng, &["back", "gaus", "FDT", "gram"])
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            (name, r.to_json_value())
+        })
+        .collect();
+    let mut got = Value::object(runs).to_string_pretty();
+    got.push('\n');
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_qos_library.json");
+    if std::env::var_os("ZNG_BLESS").is_some() {
+        std::fs::write(&path, &got).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    }
+    assert_bytes_match(
+        got.as_bytes(),
+        &golden("run_qos_library.json"),
+        "library bounded-QoS runs",
+    );
+}
