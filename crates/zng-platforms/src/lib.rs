@@ -17,6 +17,7 @@
 
 pub mod backend;
 pub mod config;
+mod lane;
 pub mod metrics;
 pub mod qos;
 pub mod runner;

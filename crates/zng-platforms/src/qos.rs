@@ -19,6 +19,10 @@ use zng_types::{ids::AppId, Cycle, Error, Result};
 /// mixes in the paper run at most four co-runners.
 pub const MAX_QOS_APPS: usize = 8;
 
+/// Largest accepted [`QosConfig::backoff_base`]: the runner keeps one
+/// retry slot per cycle of the base.
+pub const MAX_BACKOFF_BASE: u64 = 65_536;
+
 /// Overload-control policy, plumbed `SimConfig` → `Backend` → runner.
 ///
 /// `QosConfig::default()` is [`QosConfig::unbounded`]: every bound off,
@@ -110,13 +114,22 @@ impl QosConfig {
     ///
     /// # Errors
     ///
-    /// Rejects a zero backoff base (retries would never advance time) and
-    /// a cap below the base.
+    /// Rejects a zero backoff base (retries would never advance time), a
+    /// base above [`MAX_BACKOFF_BASE`] and a cap below the base.
     pub fn validate(&self) -> Result<()> {
         if self.backoff_base == Cycle::ZERO {
             return Err(Error::invalid_config(
                 "qos.backoff_base",
                 "must be positive or retries cannot advance time",
+            ));
+        }
+        if self.backoff_base.raw() > MAX_BACKOFF_BASE {
+            return Err(Error::invalid_config(
+                "qos.backoff_base",
+                format!(
+                    "{} exceeds the limit of {MAX_BACKOFF_BASE} cycles",
+                    self.backoff_base.raw()
+                ),
             ));
         }
         if self.backoff_cap < self.backoff_base {
@@ -144,6 +157,18 @@ impl Default for QosConfig {
 /// weighted progress exceeds the furthest-behind *active* app's by more
 /// than the window, which bounds the service lag any app can accumulate
 /// (starvation freedom).
+///
+/// A throttle decision remembers the furthest-behind app it compared
+/// against as the throttled app's *witness*. Until the throttled app is
+/// credited again, re-checking the gate against the witness alone is
+/// enough: every app's progress only grows and the active set only
+/// shrinks, so the furthest-behind progress never falls, and an app that
+/// still leads its witness by more than the window still leads the
+/// furthest-behind app by more. For the same reason the lag such a
+/// re-check would observe cannot exceed the one already recorded. The
+/// policy passed to [`FairShare::should_throttle`] must therefore stay
+/// the same for the tracker's lifetime (the runner builds one tracker
+/// per run).
 #[derive(Debug, Clone, Default)]
 pub struct FairShare {
     /// Requests serviced per app, indexed by app id; `None` for ids
@@ -154,10 +179,34 @@ pub struct FairShare {
     remaining: Vec<Option<u64>>,
     /// Apps that still have unfinished warps, ascending.
     active: Vec<u16>,
+    /// Per app: the furthest-behind app of its last throttle decision,
+    /// cleared when the app is credited or a decision lets it through.
+    witness: Vec<Option<u16>>,
     /// Throttle decisions taken.
     throttles: u64,
     /// Largest weighted lead observed between any two active apps.
     max_lag: u64,
+}
+
+/// Whether an app with `served` requests at weight `w` leads an app with
+/// `behind_served` at `behind_w` by more than `window` weighted
+/// requests: `served * behind_w > (behind_served + window * behind_w) * w`,
+/// saturating so that a huge window never wraps into a throttle.
+fn leads_by_more_than(served: u64, w: u64, behind_served: u64, behind_w: u64, window: u64) -> bool {
+    let lhs = served.saturating_mul(behind_w);
+    let rhs = behind_served
+        .saturating_mul(w)
+        .saturating_add(window.saturating_mul(w).saturating_mul(behind_w));
+    lhs > rhs
+}
+
+/// A full gate evaluation of one app.
+struct Verdict {
+    throttle: bool,
+    /// The furthest-behind active competitor.
+    behind: u16,
+    /// The app's weighted lead over `behind`, in whole requests.
+    lag: u64,
 }
 
 impl FairShare {
@@ -168,6 +217,7 @@ impl FairShare {
             served: vec![None; slots],
             remaining: vec![None; slots],
             active: warps_per_app.keys().copied().collect(),
+            witness: vec![None; slots],
             throttles: 0,
             max_lag: 0,
         };
@@ -185,6 +235,9 @@ impl FairShare {
             self.served.resize(i + 1, None);
         }
         *self.served[i].get_or_insert(0) += 1;
+        if let Some(w) = self.witness.get_mut(i) {
+            *w = None;
+        }
     }
 
     /// Marks one of `app`'s warps as finished; an app with no unfinished
@@ -208,19 +261,21 @@ impl FairShare {
             .unwrap_or(0)
     }
 
-    /// Whether `app` should be throttled at this point: its weighted
-    /// progress leads the furthest-behind active app by more than
-    /// `window`. Weighted progress of app `a` is `served[a] / weight[a]`,
-    /// compared in integer arithmetic. Counts a throttle when true.
-    pub fn should_throttle(&mut self, app: u16, cfg: &QosConfig, window: u64) -> bool {
-        let is_active = matches!(self.remaining.get(app as usize), Some(Some(_)));
-        if self.active.len() < 2 || !is_active {
-            return false;
+    /// Whether `app` still has unfinished warps.
+    fn is_active(&self, app: u16) -> bool {
+        matches!(self.remaining.get(app as usize), Some(Some(_)))
+    }
+
+    /// Evaluates the gate for `app` against every active competitor;
+    /// `None` when `app` is inactive or has no active competitor.
+    fn evaluate(&self, app: u16, cfg: &QosConfig, window: u64) -> Option<Verdict> {
+        if self.active.len() < 2 || !self.is_active(app) {
+            return None;
         }
         let my_served = self.served_by(app);
         let my_w = cfg.weight_for(AppId(app)) as u64;
         // The furthest-behind active competitor's weighted progress.
-        let mut behind: Option<(u64, u64)> = None; // (served, weight)
+        let mut behind: Option<(u16, u64, u64)> = None; // (app, served, weight)
         for &other in &self.active {
             if other == app {
                 continue;
@@ -230,27 +285,73 @@ impl FairShare {
             let is_behind = match behind {
                 None => true,
                 // s/w < bs/bw  <=>  s*bw < bs*w
-                Some((bs, bw)) => s * bw < bs * w,
+                Some((_, bs, bw)) => s * bw < bs * w,
             };
             if is_behind {
-                behind = Some((s, w));
+                behind = Some((other, s, w));
             }
         }
-        let Some((bs, bw)) = behind else { return false };
+        let (other, bs, bw) = behind?;
         // lead = my_served/my_w - bs/bw, in whole requests of my weight:
-        // throttle when my_served * bw > (bs + window * bw) * my_w
-        // i.e. my weighted progress exceeds theirs by more than `window`
-        // weighted requests.
-        let lead_lhs = my_served.saturating_mul(bw);
-        let lead_rhs = bs.saturating_mul(my_w) + window.saturating_mul(my_w).saturating_mul(bw);
-        let lag = lead_lhs.saturating_sub(bs.saturating_mul(my_w)) / (my_w * bw).max(1);
-        self.max_lag = self.max_lag.max(lag);
-        if lead_lhs > lead_rhs {
+        // throttle when my weighted progress exceeds theirs by more than
+        // `window` weighted requests.
+        let lag = my_served
+            .saturating_mul(bw)
+            .saturating_sub(bs.saturating_mul(my_w))
+            / (my_w * bw).max(1);
+        Some(Verdict {
+            throttle: leads_by_more_than(my_served, my_w, bs, bw, window),
+            behind: other,
+            lag,
+        })
+    }
+
+    /// Whether `app` should be throttled at this point: its weighted
+    /// progress leads the furthest-behind active app by more than
+    /// `window`. Weighted progress of app `a` is `served[a] / weight[a]`,
+    /// compared in integer arithmetic. Counts a throttle when true.
+    pub fn should_throttle(&mut self, app: u16, cfg: &QosConfig, window: u64) -> bool {
+        if self.still_closed(app, cfg, window) {
             self.throttles += 1;
-            true
-        } else {
-            false
+            return true;
         }
+        let Some(v) = self.evaluate(app, cfg, window) else {
+            return false;
+        };
+        self.max_lag = self.max_lag.max(v.lag);
+        if let Some(w) = self.witness.get_mut(app as usize) {
+            *w = v.throttle.then_some(v.behind);
+        }
+        self.throttles += u64::from(v.throttle);
+        v.throttle
+    }
+
+    /// Whether `app`'s last throttle decision still stands: its witness
+    /// is still active and `app` still leads it by more than `window`.
+    /// O(1), and counts nothing. When true,
+    /// [`FairShare::should_throttle`] would throttle `app` and leave
+    /// [`FairShare::max_lag`] unchanged; when false (no decision since
+    /// `app` was last credited, or a stale witness), only a full
+    /// evaluation can tell.
+    pub fn still_closed(&self, app: u16, cfg: &QosConfig, window: u64) -> bool {
+        let Some(&Some(other)) = self.witness.get(app as usize) else {
+            return false;
+        };
+        self.is_active(app)
+            && self.is_active(other)
+            && leads_by_more_than(
+                self.served_by(app),
+                cfg.weight_for(AppId(app)) as u64,
+                self.served_by(other),
+                cfg.weight_for(AppId(other)) as u64,
+                window,
+            )
+    }
+
+    /// Counts `n` throttle decisions taken in bulk, each for an app that
+    /// [`FairShare::still_closed`] vouched for.
+    pub fn add_throttles(&mut self, n: u64) {
+        self.throttles += n;
     }
 
     /// Throttle decisions taken so far.
@@ -356,6 +457,39 @@ mod tests {
         let mut q = QosConfig::unbounded();
         q.backoff_cap = Cycle(1);
         assert!(q.validate().is_err());
+    }
+
+    #[test]
+    fn validation_bounds_the_backoff_base() {
+        let mut q = QosConfig::bounded(16);
+        q.backoff_base = Cycle(MAX_BACKOFF_BASE);
+        q.backoff_cap = Cycle(MAX_BACKOFF_BASE);
+        q.validate().unwrap();
+        q.backoff_base = Cycle(MAX_BACKOFF_BASE + 1);
+        q.backoff_cap = Cycle(u64::MAX);
+        match q.validate() {
+            Err(Error::InvalidConfig { what, why }) => {
+                assert_eq!(what, "qos.backoff_base");
+                assert!(why.contains("65537") && why.contains("65536"), "{why}");
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn huge_window_never_wraps_into_a_throttle() {
+        let cfg = QosConfig::bounded(8);
+        let warps: BTreeMap<u16, u64> = [(0, 1), (1, 1)].into_iter().collect();
+        let mut f = FairShare::new(&warps);
+        // Equal service: the laggard is the other app, which is exactly
+        // level, so neither may be throttled however the sum rounds.
+        for _ in 0..3 {
+            f.record(0);
+            f.record(1);
+        }
+        assert!(!f.should_throttle(0, &cfg, u64::MAX));
+        assert!(!f.should_throttle(1, &cfg, u64::MAX));
+        assert_eq!(f.throttles(), 0);
     }
 
     #[test]
@@ -488,6 +622,67 @@ mod tests {
             proptest::prop_assert_eq!(dense.throttles(), map.throttles);
             proptest::prop_assert_eq!(dense.max_lag(), map.max_lag);
             proptest::prop_assert_eq!(dense.served(), map.served);
+        }
+    }
+
+    proptest::proptest! {
+        /// The witness shortcut never changes a decision or a counter.
+        /// Over random weights, mixes and record / warp-done / throttle
+        /// sequences at a fixed window, the tracker's decisions, throttle
+        /// count and largest lag match the ordered-map model (which
+        /// evaluates every competitor on every call) after every step.
+        /// Whenever `still_closed` vouches for an app, a full evaluation
+        /// on a clone with its witnesses dropped throttles the app too
+        /// and leaves the clone's largest lag where it was.
+        #[test]
+        fn witness_matches_full_evaluation(
+            weights in proptest::collection::vec(1u32..6, 8..9),
+            mix in proptest::collection::vec((0u16..5, 1u64..4), 2..6),
+            window in 0u64..12,
+            ops in proptest::collection::vec((0u8..6, 0u16..5), 1..500),
+        ) {
+            let mut cfg = QosConfig::bounded(8);
+            cfg.fair_weights.copy_from_slice(&weights);
+            let warps: BTreeMap<u16, u64> = mix.into_iter().collect();
+            let mut fast = FairShare::new(&warps);
+            let mut map = MapFairShare {
+                served: warps.keys().map(|&a| (a, 0)).collect(),
+                active: warps.clone(),
+                ..MapFairShare::default()
+            };
+            for &(op, app) in &ops {
+                match op {
+                    // Credits are rarer than decisions, so apps run into
+                    // the gate and stay there for a while.
+                    0 => {
+                        fast.record(app);
+                        *map.served.entry(app).or_insert(0) += 1;
+                    }
+                    1 => {
+                        fast.warp_done(app);
+                        if let Some(n) = map.active.get_mut(&app) {
+                            *n = n.saturating_sub(1);
+                            if *n == 0 {
+                                map.active.remove(&app);
+                            }
+                        }
+                    }
+                    _ => {
+                        if fast.still_closed(app, &cfg, window) {
+                            let mut full = fast.clone();
+                            full.witness.fill(None);
+                            proptest::prop_assert!(full.should_throttle(app, &cfg, window));
+                            proptest::prop_assert_eq!(full.max_lag(), fast.max_lag());
+                        }
+                        proptest::prop_assert_eq!(
+                            fast.should_throttle(app, &cfg, window),
+                            map.should_throttle(app, &cfg, window)
+                        );
+                    }
+                }
+                proptest::prop_assert_eq!(fast.throttles(), map.throttles);
+                proptest::prop_assert_eq!(fast.max_lag(), map.max_lag);
+            }
         }
     }
 }

@@ -17,7 +17,7 @@ use zng_gpu::{
     AccessMonitor, GpuConfig, Interconnect, L2Cache, L2Technology, Mmu, Mshr, Predictor,
     PrefetchPolicy, Sm, Warp, WarpOp,
 };
-use zng_sim::{CrashSwitch, EventQueue, PatrolTicker, Percentiles, TimeSeries};
+use zng_sim::{CrashSwitch, PatrolTicker, Percentiles, TimeSeries};
 use zng_types::{
     ids::{AppId, Pc, SmId, WarpId},
     AccessKind, Cycle, Error, Freq, Result,
@@ -26,6 +26,7 @@ use zng_workloads::MultiApp;
 
 use crate::backend::{Backend, BackendWrite};
 use crate::config::{EnduranceConfig, PlatformKind, RedundancyConfig, SimConfig};
+use crate::lane::WarpQueue;
 use crate::metrics::{
     CheckpointSummary, CrashRecoverySummary, DieBreakdown, EnduranceSummary, HealthSummary,
     IntegritySummary, PerfSummary, RedundancySummary, RunResult,
@@ -112,6 +113,10 @@ pub struct Simulation {
     health_on: bool,
     /// Health-monitor cadence, keyed to completed requests.
     health_ticker: PatrolTicker,
+    /// Queue the fairness gate's throttle retries in the phase-slot lane
+    /// (always on; tests turn it off to compare against the plain event
+    /// queue).
+    retry_lane: bool,
     /// Sim-throughput telemetry requested (`--perf`): attach a
     /// [`PerfSummary`] to the result. The event counters below are
     /// maintained unconditionally (integer adds); only the wall-clock
@@ -207,6 +212,7 @@ impl Simulation {
             } else {
                 0
             }),
+            retry_lane: true,
             perf_on: cfg.perf,
         })
     }
@@ -231,14 +237,6 @@ impl Simulation {
         }
         let sm_count = self.sms.len();
 
-        // Every warp has at most one pending event, so the queue never
-        // outgrows the warp count — pre-sizing it makes the loop
-        // allocation-free.
-        let mut queue: EventQueue<usize> = EventQueue::with_capacity(warps.len() + 1);
-        for i in 0..warps.len() {
-            queue.schedule(Cycle::ZERO, i);
-        }
-
         // Fairness gate: only built when a fairness window is configured;
         // `None` keeps the scheduling loop bit-identical to the
         // pre-QoS runner.
@@ -251,6 +249,15 @@ impl Simulation {
         } else {
             None
         };
+        // The gate's throttle retries get their own phase-slot lane.
+        let mut queue = WarpQueue::new(
+            warps.iter().map(|w| w.app().raw()).collect(),
+            self.qos.backoff_base,
+            self.retry_lane && fair.is_some(),
+        );
+        for i in 0..warps.len() {
+            queue.schedule(Cycle::ZERO, Cycle::ZERO, i);
+        }
         // Exact latency percentiles store every sample; only pay for
         // them when a bounded QoS policy will report them.
         let mut read_pct = (!self.qos.is_unbounded()).then(Percentiles::new);
@@ -260,13 +267,20 @@ impl Simulation {
         let mut requests: u64 = 0;
         let (mut read_lat_sum, mut read_lat_n) = (0u64, 0u64);
         let (mut write_lat_sum, mut write_lat_n) = (0u64, 0u64);
-        let mut per_app_read_lat: BTreeMap<u16, (u64, u64)> = BTreeMap::new();
-        let mut per_app_write_lat: BTreeMap<u16, (u64, u64)> = BTreeMap::new();
-        let mut per_app_requests: BTreeMap<u16, u64> = BTreeMap::new();
-        let mut series: BTreeMap<u16, TimeSeries> = BTreeMap::new();
+        // Per-app accumulators, indexed by app id; apps of the mix have
+        // a series, and only they issue requests.
+        let app_slots = mix
+            .apps
+            .iter()
+            .map(|(_, app, _)| app.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut per_app_read_lat = vec![(0u64, 0u64); app_slots];
+        let mut per_app_write_lat = vec![(0u64, 0u64); app_slots];
+        let mut per_app_requests = vec![0u64; app_slots];
+        let mut series: Vec<Option<TimeSeries>> = vec![None; app_slots];
         for (_, app, _) in &mix.apps {
-            series.insert(app.raw(), TimeSeries::new(SERIES_INTERVAL));
-            per_app_requests.insert(app.raw(), 0);
+            series[app.index()] = Some(TimeSeries::new(SERIES_INTERVAL));
         }
 
         // Watchdog: the newest completion time across serviced requests.
@@ -286,96 +300,68 @@ impl Simulation {
         let mut perf_maint: u64 = 0;
         let mut perf_skipped: u64 = 0;
 
+        // The request count at the last maintenance poll. The tickers and
+        // one-shot switches below fire only when the count crosses a
+        // threshold, so a poll with an unchanged count is a no-op and is
+        // skipped.
+        let mut polled_requests = u64::MAX;
+
         // Same-cycle batch drain: pull every event sharing the front
-        // timestamp with one `pop_at` into a reusable scratch buffer
+        // timestamp with one `pop_round` into a reusable scratch buffer
         // instead of round-tripping the queue per event. Events scheduled
-        // mid-batch at the same cycle carry higher sequence numbers than
-        // everything already drained, so the next `pop_at` picks them up
-        // in exactly the one-at-a-time total order.
+        // mid-batch at the same cycle come after everything already
+        // drained, so the next `pop_round` picks them up in exactly the
+        // one-at-a-time total order.
         let mut batch: Vec<usize> = Vec::with_capacity(warps.len());
         // Reusable coalescer output: a warp op touches at most 32 sectors.
         let mut sector_scratch: Vec<u64> = Vec::with_capacity(32);
-        while let Some(now) = queue.peek_time() {
+        while let Some(now) = queue.next_time() {
             perf_peak_depth = perf_peak_depth.max(queue.len() as u64);
+            // Bulk skip: a round of nothing but throttle retries whose
+            // gates are all still closed would only re-queue each warp
+            // where it was and count one event, one blocked event and one
+            // throttle apiece. Nothing those rounds read can change while
+            // they are passed over: no request completes, so no poll fires
+            // and no gate opens, and no app with retries is held (a hold
+            // only ends, and its warps wait in the main queue).
+            if let Some(f) = fair.as_mut() {
+                if queue.only_retries_at(now) {
+                    // The round's first event would check the watchdog and
+                    // poll maintenance before anything else; do both now, so
+                    // the skip sees the state that event would.
+                    Self::watchdog_check(self.watchdog, now, last_progress)?;
+                    if requests != polled_requests {
+                        polled_requests = requests;
+                        self.poll_maintenance(now, requests, mix, &mut perf_maint)?;
+                    }
+                    let held = &self.app_blocked_until;
+                    if queue.all_retry_apps(|app| {
+                        held.get(&app).is_none_or(|&until| until <= now)
+                            && f.still_closed(app, &self.qos, self.qos.fair_window)
+                    }) {
+                        // The watchdog trips on the first cycle more than
+                        // its budget past the last progress.
+                        let horizon = self.watchdog.map_or(Cycle(u64::MAX), |b| {
+                            Cycle(last_progress.raw().saturating_add(b).saturating_add(1))
+                        });
+                        let skipped = queue.skip_retries(horizon);
+                        if skipped > 0 {
+                            perf_events += skipped;
+                            perf_blocked += skipped;
+                            f.add_throttles(skipped);
+                            continue;
+                        }
+                    }
+                }
+            }
             batch.clear();
-            queue.pop_at(now, &mut batch);
+            queue.pop_round(now, &mut batch);
             for &idx in &batch {
                 perf_events += 1;
                 Self::watchdog_check(self.watchdog, now, last_progress)?;
-                // Power cut: fires once, at a request-count boundary. The
-                // storage side loses its volatile state and recovers from the
-                // OOB scan; the GPU side reboots with cold caches. Every app
-                // is held until the recovery scan finishes.
-                if self.crash_switch.poll(requests) {
-                    perf_maint += 1;
-                    let report = self.backend.crash_recover(now)?;
-                    self.power_cut_gpu();
-                    let resume = now + report.map(|r| r.scan_cycles).unwrap_or(Cycle::ZERO);
-                    self.block_all_apps(mix, resume);
-                    let r = report.unwrap_or_default();
-                    self.crash_summary = Some(CrashRecoverySummary {
-                        at_requests: requests,
-                        at_cycle: now,
-                        pages_scanned: r.pages_scanned,
-                        torn_discarded: r.torn_discarded,
-                        stale_dropped: r.stale_dropped,
-                        blocks_erased: r.blocks_erased,
-                        scan_cycles: r.scan_cycles,
-                        corrupt_quarantined: r.corrupt_quarantined,
-                        fast_path: r.fast_path,
-                        fallback: r.fallback,
-                        journal_replayed: r.journal_replayed,
-                        blocks_rescanned: r.blocks_rescanned,
-                        cycles_saved: r.cycles_saved,
-                    });
-                }
-                // Die failure: fires once. The FTL fences the dead die's
-                // blocks (relocating live log pages around it) and every app
-                // is held while the emergency relocations run; afterwards
-                // reads reconstruct from surviving stripe members.
-                if self.die_switch.poll(requests) {
-                    perf_maint += 1;
-                    let (ch, die) = self.redundancy.die_fail;
-                    let fenced = self.backend.fail_die(now, ch, die)?;
-                    self.block_all_apps(mix, fenced);
-                }
-                // Patrol scrub: one bounded step per cadence boundary. The
-                // step's media work always completes but the foreground
-                // stall is capped by the pacing budget when one is set.
-                if self.patrol.poll(requests) {
-                    perf_maint += 1;
-                    let horizon = self.backend.scrub_step(now)?;
-                    self.block_all_apps(mix, horizon);
-                }
-                // Background refresh: one endurance-scheduler step per
-                // cadence boundary (disturb/retention threshold scan → block
-                // refresh, or one static-levelling migration). The media
-                // work always completes but the foreground stall is capped
-                // by the pacing budget when one is set.
-                if self.refresh_ticker.poll(requests) {
-                    perf_maint += 1;
-                    let horizon = self.backend.refresh_step(now)?;
-                    self.block_all_apps(mix, horizon);
-                }
-                // Background checkpoint: one mapping snapshot per cadence
-                // boundary into the reserved checkpoint namespace. The
-                // media work always completes but the foreground stall is
-                // capped by the pacing budget when one is set.
-                if self.checkpoint_ticker.poll(requests) {
-                    perf_maint += 1;
-                    let horizon = self.backend.checkpoint_step(now);
-                    self.block_all_apps(mix, horizon);
-                }
-                // Predictive health: one monitor tick per cadence boundary —
-                // score the per-die telemetry, fence freshly dead dies,
-                // evacuate one victim block off a suspect (when evacuation is
-                // on) and rehabilitate false positives. The media work always
-                // completes but the foreground stall is capped by the pacing
-                // budget when one is set.
-                if self.health_ticker.poll(requests) {
-                    perf_maint += 1;
-                    let horizon = self.backend.health_step(now)?;
-                    self.block_all_apps(mix, horizon);
+                if requests != polled_requests {
+                    polled_requests = requests;
+                    self.poll_maintenance(now, requests, mix, &mut perf_maint)?;
                 }
                 if warps[idx].is_done() {
                     perf_skipped += 1;
@@ -403,12 +389,12 @@ impl Simulation {
                             Some(credit) => {
                                 *credit -= 1;
                                 perf_blocked += 1;
-                                queue.schedule(until, idx);
+                                queue.schedule(now, until, idx);
                                 continue;
                             }
                             None => {
                                 perf_blocked += 1;
-                                queue.schedule(until, idx);
+                                queue.schedule(now, until, idx);
                                 continue;
                             }
                         }
@@ -423,7 +409,7 @@ impl Simulation {
                         && f.should_throttle(app.raw(), &self.qos, self.qos.fair_window)
                     {
                         perf_blocked += 1;
-                        queue.schedule(now + self.qos.backoff_base, idx);
+                        queue.retry(now, idx);
                         continue;
                     }
                 }
@@ -441,7 +427,7 @@ impl Simulation {
                         }
                         warps[idx].ready_at = t;
                         last_cycle = last_cycle.max(t);
-                        queue.schedule(t, idx);
+                        queue.schedule(now, t, idx);
                     }
                     WarpOp::Mem {
                         base,
@@ -463,7 +449,7 @@ impl Simulation {
                                 AccessKind::Read => {
                                     read_lat_sum += lat;
                                     read_lat_n += 1;
-                                    let e = per_app_read_lat.entry(app.raw()).or_insert((0, 0));
+                                    let e = &mut per_app_read_lat[app.index()];
                                     e.0 += lat;
                                     e.1 += 1;
                                     if let Some(p) = read_pct.as_mut() {
@@ -473,7 +459,7 @@ impl Simulation {
                                 AccessKind::Write => {
                                     write_lat_sum += lat;
                                     write_lat_n += 1;
-                                    let e = per_app_write_lat.entry(app.raw()).or_insert((0, 0));
+                                    let e = &mut per_app_write_lat[app.index()];
                                     e.0 += lat;
                                     e.1 += 1;
                                     if let Some(p) = write_pct.as_mut() {
@@ -487,8 +473,8 @@ impl Simulation {
                             done = done.max(t);
                             requests += 1;
                             last_progress = last_progress.max(t);
-                            *per_app_requests.entry(app.raw()).or_insert(0) += 1;
-                            if let Some(s) = series.get_mut(&app.raw()) {
+                            per_app_requests[app.index()] += 1;
+                            if let Some(s) = series[app.index()].as_mut() {
                                 s.record(t_issue, 1);
                             }
                         }
@@ -500,7 +486,7 @@ impl Simulation {
                         }
                         warps[idx].ready_at = done;
                         last_cycle = last_cycle.max(done);
-                        queue.schedule(done, idx);
+                        queue.schedule(now, done, idx);
                     }
                 }
             }
@@ -548,11 +534,19 @@ impl Simulation {
             .map(|f| f.gc_events().to_vec())
             .unwrap_or_default();
 
-        let mean = |m: &BTreeMap<u16, (u64, u64)>| -> BTreeMap<u16, f64> {
-            m.iter()
-                .map(|(&a, &(sum, n))| (a, sum as f64 / n.max(1) as f64))
+        // Apps with at least one sample, as the ordered maps of the result.
+        let mean = |m: &[(u64, u64)]| -> BTreeMap<u16, f64> {
+            (0u16..)
+                .zip(m)
+                .filter(|(_, &(_, n))| n > 0)
+                .map(|(a, &(sum, n))| (a, sum as f64 / n as f64))
                 .collect()
         };
+        let per_app_requests: BTreeMap<u16, u64> = (0u16..)
+            .zip(&series)
+            .filter(|(_, s)| s.is_some())
+            .map(|(a, _)| (a, per_app_requests[a as usize]))
+            .collect();
         let qos = (!self.qos.is_unbounded()).then(|| QosSummary {
             rejected: self.backend.qos_rejections(),
             retried: self.qos_retried,
@@ -730,7 +724,10 @@ impl Simulation {
             per_app_instructions,
             per_app_cycles,
             per_app_requests,
-            per_app_series: series.into_iter().map(|(k, s)| (k, s.samples())).collect(),
+            per_app_series: (0u16..)
+                .zip(series)
+                .filter_map(|(a, s)| s.map(|s| (a, s.samples())))
+                .collect(),
             series_interval: SERIES_INTERVAL,
             gc_events,
             read_retries,
@@ -748,6 +745,94 @@ impl Simulation {
             health,
             perf,
         })
+    }
+
+    /// Polls the request-count-keyed maintenance triggers (power cut,
+    /// die failure, patrol scrub, refresh, checkpoint, health) and runs
+    /// whichever fire, counting each in `perf_maint`.
+    fn poll_maintenance(
+        &mut self,
+        now: Cycle,
+        requests: u64,
+        mix: &MultiApp,
+        perf_maint: &mut u64,
+    ) -> Result<()> {
+        // Power cut: fires once, at a request-count boundary. The
+        // storage side loses its volatile state and recovers from the
+        // OOB scan; the GPU side reboots with cold caches. Every app
+        // is held until the recovery scan finishes.
+        if self.crash_switch.poll(requests) {
+            *perf_maint += 1;
+            let report = self.backend.crash_recover(now)?;
+            self.power_cut_gpu();
+            let resume = now + report.map(|r| r.scan_cycles).unwrap_or(Cycle::ZERO);
+            self.block_all_apps(mix, resume);
+            let r = report.unwrap_or_default();
+            self.crash_summary = Some(CrashRecoverySummary {
+                at_requests: requests,
+                at_cycle: now,
+                pages_scanned: r.pages_scanned,
+                torn_discarded: r.torn_discarded,
+                stale_dropped: r.stale_dropped,
+                blocks_erased: r.blocks_erased,
+                scan_cycles: r.scan_cycles,
+                corrupt_quarantined: r.corrupt_quarantined,
+                fast_path: r.fast_path,
+                fallback: r.fallback,
+                journal_replayed: r.journal_replayed,
+                blocks_rescanned: r.blocks_rescanned,
+                cycles_saved: r.cycles_saved,
+            });
+        }
+        // Die failure: fires once. The FTL fences the dead die's
+        // blocks (relocating live log pages around it) and every app
+        // is held while the emergency relocations run; afterwards
+        // reads reconstruct from surviving stripe members.
+        if self.die_switch.poll(requests) {
+            *perf_maint += 1;
+            let (ch, die) = self.redundancy.die_fail;
+            let fenced = self.backend.fail_die(now, ch, die)?;
+            self.block_all_apps(mix, fenced);
+        }
+        // Patrol scrub: one bounded step per cadence boundary. The
+        // step's media work always completes but the foreground
+        // stall is capped by the pacing budget when one is set.
+        if self.patrol.poll(requests) {
+            *perf_maint += 1;
+            let horizon = self.backend.scrub_step(now)?;
+            self.block_all_apps(mix, horizon);
+        }
+        // Background refresh: one endurance-scheduler step per
+        // cadence boundary (disturb/retention threshold scan → block
+        // refresh, or one static-levelling migration). The media
+        // work always completes but the foreground stall is capped
+        // by the pacing budget when one is set.
+        if self.refresh_ticker.poll(requests) {
+            *perf_maint += 1;
+            let horizon = self.backend.refresh_step(now)?;
+            self.block_all_apps(mix, horizon);
+        }
+        // Background checkpoint: one mapping snapshot per cadence
+        // boundary into the reserved checkpoint namespace. The
+        // media work always completes but the foreground stall is
+        // capped by the pacing budget when one is set.
+        if self.checkpoint_ticker.poll(requests) {
+            *perf_maint += 1;
+            let horizon = self.backend.checkpoint_step(now);
+            self.block_all_apps(mix, horizon);
+        }
+        // Predictive health: one monitor tick per cadence boundary —
+        // score the per-die telemetry, fence freshly dead dies,
+        // evacuate one victim block off a suspect (when evacuation is
+        // on) and rehabilitate false positives. The media work always
+        // completes but the foreground stall is capped by the pacing
+        // budget when one is set.
+        if self.health_ticker.poll(requests) {
+            *perf_maint += 1;
+            let horizon = self.backend.health_step(now)?;
+            self.block_all_apps(mix, horizon);
+        }
+        Ok(())
     }
 
     /// Holds every app's memory requests until `until` (device-wide
@@ -1132,6 +1217,68 @@ mod tests {
         let mut sim = Simulation::new(kind, &cfg).unwrap();
         let mix = MultiApp::from_names(&["betw"], &TraceParams::tiny()).unwrap();
         sim.run(&mix).unwrap()
+    }
+
+    proptest::proptest! {
+        /// The phase-slot lane and its bulk skip change how throttle
+        /// retries are queued and counted, never what a run computes:
+        /// with random weights, backoff quanta, windows, queue depths, GC
+        /// credits, watchdog budgets and crash points, a run with the
+        /// lane gives the same result (simulation error included) and the
+        /// same event counters as a run through the plain event queue.
+        #[test]
+        fn retry_lane_matches_the_plain_event_queue(
+            weights in (1u32..4, 1u32..4, 1u32..4, 1u32..4),
+            gate in (0usize..6, 1u64..48, 2usize..12),
+            limits in (0u64..400, 0u64..6, 0u64..800, 0u64..1_000),
+            platform in 0usize..3,
+        ) {
+            let (base, window, depth) = gate;
+            let (watchdog, credits, crash_at, seed) = limits;
+            let mut cfg = SimConfig::tiny();
+            cfg.perf = true;
+            // Odd depths leave queues and GC stalls unbounded, so a GC
+            // holds its victim for the whole merge while the other apps
+            // spin on the gate: long stretches of pure retries, where the
+            // watchdog can trip. Those runs use the longer quanta to keep
+            // the plain queue's spinning short.
+            let bounded = depth % 2 == 0;
+            cfg.qos = if bounded {
+                QosConfig::bounded(depth)
+            } else {
+                QosConfig::unbounded()
+            };
+            cfg.qos.fair_weights[..4].copy_from_slice(&[weights.0, weights.1, weights.2, weights.3]);
+            let base = if bounded { base } else { 3 + base % 3 };
+            cfg.qos.backoff_base = Cycle([1, 2, 3, 7, 16, 64][base]);
+            cfg.qos.fair_window = window;
+            cfg.qos.gc_credit_writes = credits;
+            // Half the runs have a watchdog, from budgets that trip in
+            // the first few cycles to ones that trip mid-stall or never.
+            cfg.watchdog = (watchdog < 200).then_some(watchdog * 50);
+            cfg.crash_at = (crash_at < 400).then_some(crash_at);
+            let kind = [PlatformKind::Zng, PlatformKind::ZngBase, PlatformKind::HybridGpu][platform];
+            let params = TraceParams {
+                total_warps: 4,
+                mem_ops_per_warp: 8,
+                footprint_pages: 128,
+                seed,
+            };
+            let mix = MultiApp::from_names(&["back", "gaus", "FDT", "gram"], &params).unwrap();
+            let run = |lane: bool| {
+                let mut sim = Simulation::new(kind, &cfg).unwrap();
+                sim.retry_lane = lane;
+                sim.run(&mix)
+                    .map(|mut r| {
+                        let p = r.perf.as_mut().expect("perf requested");
+                        p.wall_seconds = 0.0;
+                        p.events_per_sec = 0.0;
+                        r.to_json_value().to_string_compact()
+                    })
+                    .map_err(|e| e.to_string())
+            };
+            proptest::prop_assert_eq!(run(true), run(false));
+        }
     }
 
     #[test]

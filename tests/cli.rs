@@ -140,6 +140,40 @@ fn qos_flags_add_overload_metrics() {
     assert!(text.contains("app0 avg read lat"), "{text}");
 }
 
+/// A fairness window near `u64::MAX` used to wrap the gate's threshold
+/// sum, throttling both apps of a level pair forever (a hang in release
+/// builds, an overflow panic in debug ones). The window is effectively
+/// infinite, so nothing may be throttled.
+#[test]
+fn huge_fair_window_never_throttles() {
+    let out = cli()
+        .args([
+            "run",
+            "-p",
+            "zng",
+            "-w",
+            "betw,back",
+            "--warps",
+            "8",
+            "--ops",
+            "50",
+            "--footprint",
+            "256",
+            "--fair-window",
+            "18446744073709551615",
+            "--json",
+        ])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let v = zng_json::Value::parse(&String::from_utf8_lossy(&out.stdout)).expect("json");
+    assert_eq!(v["qos_fairness_throttles"].as_u64(), Some(0));
+}
+
 #[test]
 fn default_run_has_no_qos_rows() {
     let out = cli()
