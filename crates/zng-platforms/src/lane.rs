@@ -6,8 +6,8 @@
 //! (`base` = [`QosConfig::backoff_base`](crate::QosConfig)), and on a
 //! heavily throttled mix most events are such re-queues that find the
 //! gate still closed. The lane keeps them out of the event queue: a ring
-//! of `base` FIFO slots, where an event for cycle `t` goes to slot
-//! `t mod base`. *Every* event scheduled at `now + base` goes to the
+//! of `base` FIFO slots, one per residue of the cycle modulo `base`.
+//! *Every* event scheduled at `now + base` goes to the
 //! lane, throttle or not, so pending lane events all lie in
 //! `(now, now + base]` and each slot holds one cycle's events.
 //!
@@ -80,6 +80,10 @@ impl WarpQueue {
     pub(crate) fn new(warp_app: Vec<u16>, backoff: Cycle, lane: bool) -> WarpQueue {
         let warps = warp_app.len();
         let lane = lane.then(|| {
+            assert!(
+                warps < RETRY as usize,
+                "{warps} warps: lane entries keep the warp index below the retry bit"
+            );
             let base = backoff.raw() as usize;
             let words = base.div_ceil(64);
             let apps = warp_app.iter().max().map_or(0, |&a| a as usize + 1);
@@ -178,9 +182,9 @@ impl WarpQueue {
             return false;
         };
         self.main.peek_time().is_some_and(|m| m > now)
-            && lane
-                .next()
-                .is_some_and(|(t, slot)| t == now.raw() && !bit(&lane.fresh, slot))
+            && lane.next().is_some_and(|(t, slot)| {
+                t == now.raw() && lane.fresh[slot / 64] & (1 << (slot % 64)) == 0
+            })
     }
 
     /// Whether `closed` holds for every app with throttle retries in the
@@ -224,11 +228,6 @@ impl WarpQueue {
         lane.advance(end - 1);
         events
     }
-}
-
-/// Whether bit `i` of a slot bitmap is set.
-fn bit(bits: &[u64], i: usize) -> bool {
-    bits[i / 64] & (1 << (i % 64)) != 0
 }
 
 impl Lane {
