@@ -200,15 +200,6 @@ fn leads_by_more_than(served: u64, w: u64, behind_served: u64, behind_w: u64, wi
     lhs > rhs
 }
 
-/// A full gate evaluation of one app.
-struct Verdict {
-    throttle: bool,
-    /// The furthest-behind active competitor.
-    behind: u16,
-    /// The app's weighted lead over `behind`, in whole requests.
-    lag: u64,
-}
-
 impl FairShare {
     /// Creates a tracker with `warps_per_app` unfinished warps per app.
     pub fn new(warps_per_app: &BTreeMap<u16, u64>) -> FairShare {
@@ -266,11 +257,17 @@ impl FairShare {
         matches!(self.remaining.get(app as usize), Some(Some(_)))
     }
 
-    /// Evaluates the gate for `app` against every active competitor;
-    /// `None` when `app` is inactive or has no active competitor.
-    fn evaluate(&self, app: u16, cfg: &QosConfig, window: u64) -> Option<Verdict> {
+    /// Whether `app` should be throttled at this point: its weighted
+    /// progress leads the furthest-behind active app by more than
+    /// `window`. Weighted progress of app `a` is `served[a] / weight[a]`,
+    /// compared in integer arithmetic. Counts a throttle when true.
+    pub fn should_throttle(&mut self, app: u16, cfg: &QosConfig, window: u64) -> bool {
+        if self.still_closed(app, cfg, window) {
+            self.throttles += 1;
+            return true;
+        }
         if self.active.len() < 2 || !self.is_active(app) {
-            return None;
+            return false;
         }
         let my_served = self.served_by(app);
         let my_w = cfg.weight_for(AppId(app)) as u64;
@@ -291,7 +288,9 @@ impl FairShare {
                 behind = Some((other, s, w));
             }
         }
-        let (other, bs, bw) = behind?;
+        let Some((other, bs, bw)) = behind else {
+            return false;
+        };
         // lead = my_served/my_w - bs/bw, in whole requests of my weight:
         // throttle when my weighted progress exceeds theirs by more than
         // `window` weighted requests.
@@ -299,31 +298,11 @@ impl FairShare {
             .saturating_mul(bw)
             .saturating_sub(bs.saturating_mul(my_w))
             / (my_w * bw).max(1);
-        Some(Verdict {
-            throttle: leads_by_more_than(my_served, my_w, bs, bw, window),
-            behind: other,
-            lag,
-        })
-    }
-
-    /// Whether `app` should be throttled at this point: its weighted
-    /// progress leads the furthest-behind active app by more than
-    /// `window`. Weighted progress of app `a` is `served[a] / weight[a]`,
-    /// compared in integer arithmetic. Counts a throttle when true.
-    pub fn should_throttle(&mut self, app: u16, cfg: &QosConfig, window: u64) -> bool {
-        if self.still_closed(app, cfg, window) {
-            self.throttles += 1;
-            return true;
-        }
-        let Some(v) = self.evaluate(app, cfg, window) else {
-            return false;
-        };
-        self.max_lag = self.max_lag.max(v.lag);
-        if let Some(w) = self.witness.get_mut(app as usize) {
-            *w = v.throttle.then_some(v.behind);
-        }
-        self.throttles += u64::from(v.throttle);
-        v.throttle
+        self.max_lag = self.max_lag.max(lag);
+        let throttle = leads_by_more_than(my_served, my_w, bs, bw, window);
+        self.witness[app as usize] = throttle.then_some(other);
+        self.throttles += u64::from(throttle);
+        throttle
     }
 
     /// Whether `app`'s last throttle decision still stands: its witness
