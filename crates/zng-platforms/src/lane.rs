@@ -343,7 +343,7 @@ impl Lane {
 mod tests {
     use super::*;
 
-    /// Deterministic xorshift stream for the random driver.
+    /// Deterministic xorshift stream for the random schedules.
     struct Rng(u64);
 
     impl Rng {
@@ -356,7 +356,7 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// A random driver schedules every popped warp again: zero-delay,
+        /// A random schedule re-queues every popped warp: zero-delay,
         /// exactly one quantum ahead (fresh or as a throttle retry), one
         /// cycle either side of that, anywhere within three quanta, or
         /// beyond the event queue's wheel. Round by round, the queue
