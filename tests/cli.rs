@@ -301,6 +301,48 @@ fn integrity_violation_exits_one() {
     assert!(err.contains("integrity"), "names the violation: {err}");
 }
 
+/// A silent corruption plus a dead die in the same stripe is a real
+/// double fault: the die-failure rebuild cannot reconstruct the page,
+/// and the error reaches the CLI as exit 1 on both page-map platforms.
+#[test]
+fn double_fault_rebuild_exits_one() {
+    for platform in ["hybrid", "hetero"] {
+        let out = cli()
+            .args([
+                "run",
+                "-p",
+                platform,
+                "-w",
+                "back,gaus",
+                "--warps",
+                "16",
+                "--ops",
+                "120",
+                "--footprint",
+                "1024",
+                "--redundancy",
+                "--sdc-at",
+                "50",
+                "--die-fail-at",
+                "600",
+                "--die-fail",
+                "1:0",
+            ])
+            .output()
+            .expect("spawn");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{platform}: double faults exit 1"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("integrity violation at block 0 page 3"),
+            "{platform}: names the unrecoverable page: {err}"
+        );
+    }
+}
+
 #[test]
 fn integrity_flags_add_counters_and_heal_with_redundancy() {
     let out = cli()

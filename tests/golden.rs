@@ -265,3 +265,154 @@ fn qos_library_runs_match_golden() {
         "library bounded-QoS runs",
     );
 }
+
+/// The FTL maintenance stack on both FTLs: health evacuation, refresh,
+/// static wear levelling, patrol scrub with an integrity heal, checkpoints and a crash, and a
+/// die failure with its rebuild. No CLI golden reaches these paths, so
+/// each case runs through the library on `SimConfig::tiny()` and the
+/// golden holds one RunResult per case, keyed by case name. Each case
+/// also asserts that its subsystem really did work.
+///
+/// A die death never shares a case with silent corruption or a
+/// degrading die: a stripe with two bad members is a real double fault
+/// and ends the run with an error.
+///
+/// Regenerate with `ZNG_BLESS=1 cargo test --test golden
+/// maint_library_runs_match_golden`.
+#[test]
+fn maint_library_runs_match_golden() {
+    use zng::{
+        CheckpointConfig, DegradingDie, EnduranceConfig, Experiment, FaultConfig, HealthConfig,
+        IntegrityConfig, PlatformKind, RedundancyConfig, RunResult, SimConfig, TraceParams,
+    };
+    use zng_json::Value;
+
+    type Check = fn(&RunResult) -> bool;
+    let health = || {
+        let mut cfg = SimConfig::tiny();
+        cfg.fault = FaultConfig::none().with_degrading(DegradingDie {
+            channel: 0,
+            die: 0,
+            onset: 200_000,
+            death: 14_000_000,
+        });
+        cfg.redundancy = RedundancyConfig::rain(0);
+        cfg.health = HealthConfig::on(3);
+        cfg.health.window = 16;
+        cfg.health.suspect_threshold = 0.02;
+        cfg.health.evacuate = true;
+        cfg
+    };
+    let refresh = || {
+        let mut cfg = SimConfig::tiny();
+        cfg.endurance = EnduranceConfig::on(16);
+        cfg.endurance.disturb_threshold = 200;
+        cfg.endurance.wear_spread = 0.0;
+        cfg
+    };
+    // Only ZnG-base churns its log blocks fast enough for a small run
+    // to recycle blocks, which levelling needs as destinations.
+    let level = || {
+        let mut cfg = SimConfig::tiny();
+        cfg.endurance = EnduranceConfig::on(16);
+        cfg.endurance.wear_spread = 1.5;
+        cfg
+    };
+    let scrub = || {
+        let mut cfg = SimConfig::tiny();
+        cfg.fault = FaultConfig::nominal();
+        cfg.redundancy = RedundancyConfig::rain(2);
+        cfg.redundancy.scrub_threshold = 1;
+        cfg.integrity = IntegrityConfig::with_shot(20);
+        cfg.checkpoint = CheckpointConfig::on(25);
+        cfg.crash_at = Some(300);
+        cfg
+    };
+    let die_fail = || {
+        let mut cfg = SimConfig::tiny();
+        cfg.redundancy = RedundancyConfig::rain(0);
+        cfg.redundancy.die_fail_at = Some(300);
+        cfg.redundancy.die_fail = (1, 0);
+        cfg
+    };
+    let evacuated: Check = |r| r.health.as_ref().is_some_and(|h| h.pages_evacuated > 0);
+    let refreshed: Check = |r| r.endurance.as_ref().is_some_and(|e| e.refreshes > 0);
+    let levelled: Check = |r| r.endurance.as_ref().is_some_and(|e| e.level_migrations > 0);
+    let scrubbed: Check = |r| {
+        r.redundancy.as_ref().is_some_and(|d| d.scrub_rewrites > 0)
+            && r.integrity.as_ref().is_some_and(|i| i.reconstructed > 0)
+            && r.checkpoint.as_ref().is_some_and(|c| c.checkpoints > 0)
+            && r.crash_recovery.is_some()
+    };
+    let rebuilt: Check = |r| r.redundancy.as_ref().is_some_and(|d| d.rebuild_pages > 0);
+
+    let light = TraceParams {
+        total_warps: 8,
+        mem_ops_per_warp: 2_000,
+        footprint_pages: 256,
+        seed: 9,
+    };
+    let faulted = TraceParams {
+        total_warps: 16,
+        mem_ops_per_warp: 120,
+        footprint_pages: 1_024,
+        seed: 42,
+    };
+    let churn = TraceParams {
+        total_warps: 16,
+        mem_ops_per_warp: 12,
+        footprint_pages: 64,
+        seed: 9,
+    };
+    let small = TraceParams {
+        total_warps: 8,
+        mem_ops_per_warp: 60,
+        footprint_pages: 256,
+        seed: 42,
+    };
+    let health_mix: &[&str] = &["betw"];
+    let refresh_mix: &[&str] = &["betw", "back"];
+    let write_mix: &[&str] = &["back", "gaus"];
+    let cases = [
+        ("health_zng_base", PlatformKind::ZngBase),
+        ("health_zng", PlatformKind::Zng),
+        ("health_hybrid", PlatformKind::HybridGpu),
+        ("refresh_zng", PlatformKind::Zng),
+        ("refresh_hybrid", PlatformKind::HybridGpu),
+        ("level_zng_base", PlatformKind::ZngBase),
+        ("scrub_zng", PlatformKind::Zng),
+        ("scrub_hybrid", PlatformKind::HybridGpu),
+        ("die_fail_zng", PlatformKind::Zng),
+        ("die_fail_hybrid", PlatformKind::HybridGpu),
+    ];
+    let runs = cases
+        .into_iter()
+        .map(|(name, platform)| {
+            let (cfg, params, mix, worked) = match name.split('_').next() {
+                Some("health") => (health(), light, health_mix, evacuated),
+                Some("refresh") => (refresh(), light, refresh_mix, refreshed),
+                Some("level") => (level(), churn, write_mix, levelled),
+                Some("scrub") => (scrub(), small, write_mix, scrubbed),
+                _ => (die_fail(), faulted, write_mix, rebuilt),
+            };
+            let r = Experiment::quick()
+                .with_config(cfg)
+                .with_params(params)
+                .run(platform, mix)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(worked(&r), "{name}: the subsystem under test did no work");
+            (name, r.to_json_value())
+        })
+        .collect();
+    let mut got = Value::object(runs).to_string_pretty();
+    got.push('\n');
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_maint_library.json");
+    if std::env::var_os("ZNG_BLESS").is_some() {
+        std::fs::write(&path, &got).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    }
+    assert_bytes_match(
+        got.as_bytes(),
+        &golden("run_maint_library.json"),
+        "library maintenance runs",
+    );
+}
