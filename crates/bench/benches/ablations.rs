@@ -17,8 +17,8 @@ use zng_flash::{
     DISTURB_READS_PER_CYCLE,
 };
 use zng_ftl::{
-    CheckpointConfig, HealthPolicy, PageMapFtl, RainConfig, RefreshPolicy, WearPolicy, WriteMode,
-    ZngFtl,
+    CheckpointConfig, Ftl, HealthPolicy, PageMapFtl, RainConfig, RefreshPolicy, WearPolicy,
+    WriteMode, ZngFtl,
 };
 use zng_types::{
     ids::{ChannelId, DieId},

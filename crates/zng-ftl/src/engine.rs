@@ -7,49 +7,8 @@
 //! memory access latency. [`SsdEngine`] models the cores as a small
 //! server pool with a per-request firmware cost.
 
-use zng_flash::FlashDevice;
 use zng_sim::Resource;
-use zng_types::{Cycle, Error, FlashAddr, Freq, Nanos, Result};
-
-use crate::rain::RainState;
-use crate::GC_READ_ATTEMPTS;
-
-/// A read with a bounded retry budget against transient ECC-uncorrectable
-/// senses — the one retry loop shared by both FTLs' GC, scrub and
-/// migration paths ([`GC_READ_ATTEMPTS`] attempts, plus `extra_attempts`
-/// when the health monitor grants a quarantined die a deeper ladder).
-///
-/// When a [`RainState`] is supplied, a read that exhausts the whole
-/// ladder (or hits a dead die) is transparently reconstructed from its
-/// surviving stripe members instead of failing; without one, the final
-/// uncorrectable error propagates exactly as before.
-pub(crate) fn retried_read(
-    device: &mut FlashDevice,
-    now: Cycle,
-    addr: FlashAddr,
-    key: u64,
-    bytes: usize,
-    rain: Option<&mut RainState>,
-    extra_attempts: u32,
-) -> Result<Cycle> {
-    let budget = GC_READ_ATTEMPTS + extra_attempts;
-    let mut attempt = 0;
-    loop {
-        match device.read(now, addr, key, bytes) {
-            Ok(t) => return Ok(t),
-            Err(Error::UncorrectableRead { .. }) if attempt + 1 < budget => {
-                attempt += 1;
-            }
-            Err(e @ Error::UncorrectableRead { .. }) => {
-                return match rain {
-                    Some(r) => r.reconstruct(now, device, addr, bytes),
-                    None => Err(e),
-                };
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
+use zng_types::{Cycle, Freq, Nanos};
 
 /// The embedded-core firmware execution model.
 ///

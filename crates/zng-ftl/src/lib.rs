@@ -29,6 +29,7 @@ pub mod densemap;
 pub mod engine;
 pub mod health;
 pub mod integrity;
+mod maint;
 pub mod pacing;
 pub mod pagemap;
 pub mod rain;
@@ -46,6 +47,7 @@ pub use checkpoint::{
 pub use engine::SsdEngine;
 pub use health::{HealthCounters, HealthPolicy, QUARANTINE_EXTRA_READ_ATTEMPTS, REHAB_CLEAN_TICKS};
 pub use integrity::IntegrityCounters;
+pub use maint::Ftl;
 pub use pacing::GcPacing;
 pub use pagemap::PageMapFtl;
 pub use rain::{RainConfig, RainCounters, RainState, RAIN_XOR_CYCLES};

@@ -15,8 +15,6 @@ use std::collections::BTreeMap;
 use zng_flash::{BlockKind, FlashDevice, OobMeta, PageOob};
 use zng_types::{BlockAddr, Cycle, FlashAddr, Result};
 
-use crate::allocator::{BlockAllocator, WearPolicy};
-
 /// Modelled cost of sensing one programmed page's OOB area during the
 /// recovery scan. The spare bytes are a tiny fraction of the 4 KB page,
 /// so an OOB sense is far cheaper than the 3 µs full-page read; planes
@@ -293,60 +291,6 @@ pub(crate) fn reclaim_dead<'a>(
         }
     }
     Ok(out)
-}
-
-/// The free pool and wear accounting a recovery rebuilt, shared by both
-/// FTLs' post-scan plumbing.
-pub(crate) struct RebuiltPool {
-    /// The allocator rebuilt from the scan (recycled pool, retirements,
-    /// fresh suffix).
-    pub allocator: BlockAllocator,
-    /// Retirements discovered by *this* recovery (the rest were already
-    /// charged when they happened).
-    pub retired_delta: u64,
-    /// Erase operations the dead-block reclaim performed.
-    pub blocks_erased: u64,
-    /// Stale checkpoint blocks left for the next checkpoint tick to
-    /// erase (still counted allocated in the rebuilt allocator).
-    pub deferred: Vec<u64>,
-    /// When the scan plus the slowest reclaim erase completes.
-    pub done: Cycle,
-}
-
-/// The post-scan rebuild tail shared by [`crate::ZngFtl::recover`] and
-/// [`crate::PageMapFtl::recover`]: reclaim the dead (unreferenced)
-/// blocks, then rebuild the block allocator from what the scan and the
-/// reclaim learned. `start` is when the scan finishes (`now +
-/// base_cycles`); `prior_retired` is the allocator's pre-crash
-/// retirement count, so only newly discovered retirements are charged.
-pub(crate) fn rebuild_free_pool<'a>(
-    device: &mut FlashDevice,
-    blocks: &[ScannedBlock],
-    dead: impl IntoIterator<Item = &'a ScannedBlock>,
-    referenced: u64,
-    start: Cycle,
-    policy: WearPolicy,
-    prior_retired: u64,
-) -> Result<RebuiltPool> {
-    let reclaim = reclaim_dead(device, dead, start)?;
-    let next_fresh = blocks.last().map(|b| b.idx + 1).unwrap_or(0);
-    // Deferred checkpoint blocks are still occupied until the next
-    // checkpoint tick erases them, so they count as allocated.
-    let allocator = BlockAllocator::rebuild(
-        device.geometry().total_blocks() as u64,
-        policy,
-        next_fresh,
-        referenced + reclaim.deferred.len() as u64,
-        reclaim.retired,
-        reclaim.recycled,
-    );
-    Ok(RebuiltPool {
-        allocator,
-        retired_delta: reclaim.retired.saturating_sub(prior_retired),
-        blocks_erased: reclaim.erased,
-        deferred: reclaim.deferred,
-        done: reclaim.done.max(start),
-    })
 }
 
 #[cfg(test)]

@@ -27,12 +27,9 @@ use zng_flash::{BlockKind, FlashDevice, RowDecoder, CAM_SEARCH_CYCLES};
 use zng_types::{BlockAddr, Cycle, Error, FlashAddr, Result};
 
 use crate::densemap::DenseMap;
-
-use crate::health::{HealthCounters, HealthPolicy, HealthState};
-use crate::integrity::IntegrityCounters;
-use crate::rain::{Claim, RainConfig, RainState};
+use crate::maint::{Ftl, FtlCore, Primitives};
 use crate::recovery::{self, RecoveryReport};
-use crate::refresh::{EnduranceCounters, EnduranceState, RefreshPolicy, RefreshReason};
+use crate::refresh::RefreshReason;
 use crate::MAX_WRITE_REDRIVES;
 
 /// How writes reach the flash.
@@ -85,16 +82,6 @@ struct LogBlock {
     decoder: RowDecoder,
 }
 
-/// What one evacuation step migrates off a quarantined die.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvacVictim {
-    /// A group merge (the victim is a log block, or a data block with
-    /// newer logged copies).
-    Group(u64),
-    /// A standalone data-block rewrite.
-    Data(u64),
-}
-
 /// The zero-overhead FTL state machine.
 #[derive(Debug, Clone)]
 pub struct ZngFtl {
@@ -108,15 +95,12 @@ pub struct ZngFtl {
     /// LBMT: group -> log block (+ its row-decoder LPMT). Same
     /// direct-indexed layout as the DBMT.
     lbmt: DenseMap<LogBlock>,
-    allocator: crate::allocator::BlockAllocator,
-    gcs: u64,
+    /// The allocator and reliability state shared with
+    /// [`crate::PageMapFtl`].
+    core: FtlCore,
     migrated: u64,
     /// (start, end) of each GC, for the Fig. 17 time series.
     gc_events: Vec<(Cycle, Cycle)>,
-    /// Blocks permanently retired after failed programs/erases.
-    blocks_retired: u64,
-    /// Writes re-driven into a new log slot after a program failure.
-    write_redrives: u64,
     /// GC pacing policy; `None` (the default) blocks the victim for the
     /// whole merge, preserving baseline behaviour bit-for-bit.
     pacing: Option<crate::pacing::GcPacing>,
@@ -124,28 +108,6 @@ pub struct ZngFtl {
     gc_deadline_misses: u64,
     /// Merges that ran with pacing enabled.
     paced_gcs: u64,
-    /// RAIN redundancy & self-healing state; `None` (the default)
-    /// preserves baseline behaviour bit-for-bit.
-    rain: Option<RainState>,
-    /// End-to-end payload verification on host-facing reads; off by
-    /// default (bit-for-bit baseline: no checksum checks, no extra work).
-    integrity: bool,
-    icounters: IntegrityCounters,
-    /// Endurance management (refresh scheduler, static wear leveler,
-    /// graceful end-of-life degradation); `None` (the default) preserves
-    /// baseline behaviour bit-for-bit, including the hard
-    /// [`Error::DeviceWornOut`] cliff.
-    endurance: Option<EnduranceState>,
-    /// Mapping checkpoints + delta journal for bounded-time recovery;
-    /// `None` (the default) preserves baseline behaviour bit-for-bit.
-    checkpoint: Option<crate::checkpoint::CheckpointState>,
-    /// Stale checkpoint blocks a recovery deferred; the next checkpoint
-    /// write erases them off the restore critical path.
-    stale_ckpt: Vec<u64>,
-    /// Predictive health monitor (suspect-die quarantine + pre-emptive
-    /// evacuation); `None` (the default) preserves baseline behaviour
-    /// bit-for-bit.
-    health: Option<HealthState>,
 }
 
 impl ZngFtl {
@@ -184,100 +146,16 @@ impl ZngFtl {
             mode,
             dbmt: DenseMap::new(),
             lbmt: DenseMap::new(),
-            allocator: crate::allocator::BlockAllocator::with_policy(
+            core: FtlCore::new(crate::allocator::BlockAllocator::with_policy(
                 g.total_blocks() as u64,
                 policy,
-            ),
-            gcs: 0,
+            )),
             migrated: 0,
             gc_events: Vec::new(),
-            blocks_retired: 0,
-            write_redrives: 0,
             pacing: None,
             gc_deadline_misses: 0,
             paced_gcs: 0,
-            rain: None,
-            integrity: false,
-            icounters: IntegrityCounters::default(),
-            endurance: None,
-            checkpoint: None,
-            stale_ckpt: Vec::new(),
-            health: None,
         }
-    }
-
-    /// Installs (or clears) the predictive health policy: per-die scoring,
-    /// suspect quarantine, pre-emptive evacuation and rehabilitation
-    /// activate together. `None` keeps the baseline bit-for-bit.
-    pub fn set_health(&mut self, policy: Option<HealthPolicy>) {
-        self.health = policy.map(HealthState::new);
-    }
-
-    /// Whether predictive health monitoring is enabled.
-    pub fn health_enabled(&self) -> bool {
-        self.health.is_some()
-    }
-
-    /// Event counters of the health subsystem, when enabled.
-    pub fn health_counters(&self) -> Option<HealthCounters> {
-        self.health.as_ref().map(|h| h.counters)
-    }
-
-    /// The currently quarantined dies, sorted; empty when health is off.
-    pub fn quarantined_dies(&self) -> Vec<(u16, u16)> {
-        self.health
-            .as_ref()
-            .map(|h| h.quarantined())
-            .unwrap_or_default()
-    }
-
-    /// Installs (or clears) the endurance policy: the refresh scheduler,
-    /// the static wear leveler and graceful end-of-life capacity
-    /// degradation activate together. `None` keeps the baseline
-    /// bit-for-bit, including the hard [`Error::DeviceWornOut`] cliff.
-    pub fn set_endurance(&mut self, policy: Option<RefreshPolicy>) {
-        self.endurance = policy.map(EnduranceState::new);
-    }
-
-    /// Whether endurance management is enabled.
-    pub fn endurance_enabled(&self) -> bool {
-        self.endurance.is_some()
-    }
-
-    /// Event counters of the endurance subsystem, when enabled.
-    pub fn endurance_counters(&self) -> Option<EnduranceCounters> {
-        self.endurance.as_ref().map(|s| s.counters)
-    }
-
-    /// Installs (or clears) RAIN redundancy: superblocks reserve one
-    /// rotating parity member, uncorrectable reads reconstruct from
-    /// surviving stripe members, and the patrol scrub / die-failure
-    /// machinery activates. `None` keeps the baseline bit-for-bit.
-    pub fn set_redundancy(&mut self, device: &FlashDevice, config: Option<RainConfig>) {
-        self.rain = config.map(|c| RainState::new(device, c));
-    }
-
-    /// The redundancy state, if installed.
-    pub fn redundancy(&self) -> Option<&RainState> {
-        self.rain.as_ref()
-    }
-
-    /// Enables (or disables) end-to-end payload verification: every
-    /// host-facing read checks the page's OOB checksum and escalates on a
-    /// mismatch (re-read → stripe reconstruction → fail loudly). Off by
-    /// default, preserving baseline behaviour bit-for-bit.
-    pub fn set_integrity(&mut self, enabled: bool) {
-        self.integrity = enabled;
-    }
-
-    /// Whether end-to-end payload verification is enabled.
-    pub fn integrity_enabled(&self) -> bool {
-        self.integrity
-    }
-
-    /// Event counters of the integrity layer.
-    pub fn integrity_counters(&self) -> IntegrityCounters {
-        self.icounters
     }
 
     /// Installs (or clears) the GC pacing policy. With pacing, every
@@ -285,92 +163,6 @@ impl ZngFtl {
     /// deadline and overruns are counted as deadline misses.
     pub fn set_gc_pacing(&mut self, pacing: Option<crate::pacing::GcPacing>) {
         self.pacing = pacing;
-    }
-
-    /// The installed pacing policy, if any.
-    pub fn gc_pacing(&self) -> Option<crate::pacing::GcPacing> {
-        self.pacing
-    }
-
-    /// Installs (or clears) mapping checkpoints + the delta journal.
-    /// `None` (or a disabled config) keeps the baseline bit-for-bit:
-    /// no checkpoint blocks are allocated and recovery always runs the
-    /// full OOB scan.
-    pub fn set_checkpointing(&mut self, config: Option<crate::checkpoint::CheckpointConfig>) {
-        self.checkpoint = config
-            .filter(|c| c.enabled())
-            .map(crate::checkpoint::CheckpointState::new);
-    }
-
-    /// Whether checkpointing is enabled.
-    pub fn checkpoint_enabled(&self) -> bool {
-        self.checkpoint.is_some()
-    }
-
-    /// Event counters of the checkpoint subsystem, when enabled.
-    pub fn checkpoint_counters(&self) -> Option<crate::checkpoint::CheckpointCounters> {
-        self.checkpoint.as_ref().map(|ck| ck.counters())
-    }
-
-    /// Flushes pending journal records at the end of a mutating entry
-    /// point, so every critical (touched-block) record is on media before
-    /// the operation acknowledges. A no-op without checkpointing or with
-    /// nothing flush-worthy pending.
-    fn ckpt_sync(&mut self, now: Cycle, device: &mut FlashDevice) {
-        let Some(mut ck) = self.checkpoint.take() else {
-            return;
-        };
-        if ck.flush_ready() {
-            let mut io = crate::checkpoint::CkptIo {
-                device,
-                allocator: &mut self.allocator,
-                rain: self.rain.as_mut(),
-                blocks_retired: &mut self.blocks_retired,
-            };
-            crate::checkpoint::flush_journal(&mut ck, &mut io, now);
-        } else {
-            ck.tick(now);
-        }
-        self.checkpoint = Some(ck);
-    }
-
-    /// One background checkpoint write, run by the GPU helper thread
-    /// between demand requests: flush the journal tail, serialise the
-    /// mapping image into checkpoint blocks, commit, and erase the
-    /// superseded epoch. Media failures abort the write (the previous
-    /// epoch stays in force) rather than surfacing — the checkpoint is an
-    /// accelerator, never a correctness dependency. Returns when the
-    /// foreground may resume, capped by the configured pacing budget.
-    pub fn checkpoint_step(&mut self, now: Cycle, device: &mut FlashDevice) -> Cycle {
-        let Some(mut ck) = self.checkpoint.take() else {
-            return now;
-        };
-        let done = {
-            let mut io = crate::checkpoint::CkptIo {
-                device,
-                allocator: &mut self.allocator,
-                rain: self.rain.as_mut(),
-                blocks_retired: &mut self.blocks_retired,
-            };
-            crate::checkpoint::write_checkpoint(
-                &mut ck,
-                &mut io,
-                now,
-                std::mem::take(&mut self.stale_ckpt),
-            )
-        };
-        let resumed = match ck.config().pacing {
-            Some(p) => {
-                let deadline = p.deadline(now);
-                if done > deadline {
-                    ck.bump_overrun();
-                }
-                done.min(deadline)
-            }
-            None => done,
-        };
-        self.checkpoint = Some(ck);
-        resumed
     }
 
     /// Merges whose media completion overran the blocking deadline.
@@ -396,64 +188,15 @@ impl ZngFtl {
         self.vbn_of(vpn) / self.group_size
     }
 
-    fn alloc_block(&mut self, device: &mut FlashDevice, kind: BlockKind) -> Result<BlockAddr> {
-        self.alloc_block_with(device, kind, false)
+    /// The graceful end-of-life step with every mapped data block's
+    /// pages as the advertised capacity.
+    fn degrade_worn(&mut self, e: Error) -> Error {
+        let mapped = self.dbmt.len() as u64 * self.pages_per_block;
+        self.core.degrade(e, mapped)
     }
 
-    /// The one allocation chokepoint. `most_worn` picks the tired end of
-    /// the recycled pool instead of the coldest block — the static wear
-    /// leveler's destination, so cold data parks on high-wear cells.
-    fn alloc_block_with(
-        &mut self,
-        device: &mut FlashDevice,
-        kind: BlockKind,
-        most_worn: bool,
-    ) -> Result<BlockAddr> {
-        let idx = loop {
-            let idx = if most_worn {
-                self.allocator.allocate_most_worn()?
-            } else {
-                self.allocator.allocate()?
-            };
-            if let Some(h) = self.health.as_mut() {
-                let addr = device.geometry().block_for_index(idx)?;
-                if device.die_is_dead(addr.channel, addr.die) {
-                    // Dead silicon never returns: retire, exactly like
-                    // RAIN's fencing classification would.
-                    self.allocator.retire(idx);
-                    continue;
-                }
-                let key = (addr.channel.index() as u16, addr.die.index() as u16);
-                if h.is_quarantined(key) {
-                    // Quarantine is reversible: park the block instead of
-                    // retiring it, so rehabilitation can hand it back.
-                    h.park(idx, key);
-                    continue;
-                }
-            }
-            match self.rain.as_mut() {
-                Some(rain) => match rain.classify(device, idx)? {
-                    Claim::Keep => break idx,
-                    // The superblock's reserved parity member: RAIN keeps
-                    // it, the FTL allocates again. Parity programs land
-                    // here later, so the fast-path rescan must cover it.
-                    Claim::Parity => {
-                        if let Some(ck) = self.checkpoint.as_mut() {
-                            ck.note_touched(idx);
-                        }
-                    }
-                    // A block on a dead die: permanently out of service.
-                    Claim::Fenced => self.allocator.retire(idx),
-                },
-                None => break idx,
-            }
-        };
-        if let Some(ck) = self.checkpoint.as_mut() {
-            ck.note_touched(idx);
-        }
-        let addr = device.geometry().block_for_index(idx)?;
-        device.block_mut(addr)?.set_kind(kind);
-        Ok(addr)
+    fn alloc_block(&mut self, device: &mut FlashDevice, kind: BlockKind) -> Result<BlockAddr> {
+        self.core.alloc(device, kind, false)
     }
 
     /// Ensures `vbn`'s data block exists, pre-loaded with the initial
@@ -470,15 +213,13 @@ impl ZngFtl {
         for offset in 0..self.pages_per_block {
             device.preload_page(addr, vbn * self.pages_per_block + offset)?;
         }
-        if let Some(rain) = self.rain.as_mut() {
+        if let Some(rain) = self.core.rain.as_mut() {
             // Parity of a pre-resident superblock logically pre-resided
             // too: flush it outside the timing model.
             rain.note_preload(device, addr)?;
         }
         self.dbmt.insert(vbn, addr);
-        if let Some(ck) = self.checkpoint.as_mut() {
-            ck.note_remap(vbn);
-        }
+        self.core.note_remap(vbn);
         Ok(addr)
     }
 
@@ -489,9 +230,7 @@ impl ZngFtl {
         let addr = self.alloc_block(device, BlockKind::Log)?;
         let decoder = RowDecoder::new(device.geometry().pages_per_block as u32);
         self.lbmt.insert(group, LogBlock { addr, decoder });
-        if let Some(ck) = self.checkpoint.as_mut() {
-            ck.note_remap(group);
-        }
+        self.core.note_remap(group);
         Ok(addr)
     }
 
@@ -563,11 +302,11 @@ impl ZngFtl {
     }
 
     /// Verifies a served payload against its OOB checksum (integrity mode
-    /// only; a no-op otherwise). A mismatch escalates: one charged
-    /// re-read, then stripe reconstruction when redundancy is on — with a
-    /// healing rewrite through the log path if `heal` — then
-    /// [`Error::IntegrityViolation`]. Callers that immediately supersede
-    /// the page anyway (the RMW write fetch) pass `heal = false`.
+    /// only; a no-op otherwise). A mismatch is reconstructed from the
+    /// stripe or fails loudly (the shared verification head in the FTL
+    /// core); the reconstructed payload is re-logged as a clean copy if
+    /// `heal`. Callers that immediately supersede the page anyway (the
+    /// RMW write fetch) pass `heal = false`.
     fn verify_payload(
         &mut self,
         done: Cycle,
@@ -577,53 +316,17 @@ impl ZngFtl {
         bytes: usize,
         heal: bool,
     ) -> Result<Cycle> {
-        if !self.integrity || !device.page_is_corrupt(addr) {
+        let Some(t) = self.core.verify(done, device, addr, vpn, bytes)? else {
             return Ok(done);
-        }
-        self.icounters.detected += 1;
-        // The corruption is in the array (a consistent miscorrection), so
-        // the re-read returns the same wrong payload; it is still charged
-        // because the controller cannot know that without trying.
-        let t = device.read(done, addr, vpn, bytes).unwrap_or(done);
-        self.icounters.rereads += 1;
-        if self.rain.is_none() {
-            return Err(Error::IntegrityViolation {
-                block: addr.block.block as u64,
-                page: addr.page,
-            });
-        }
-        let t = self
-            .rain
-            .as_mut()
-            .expect("checked above")
-            .reconstruct(t, device, addr, bytes)?;
-        self.icounters.reconstructed += 1;
+        };
         if heal {
-            // Re-log the reconstructed payload as a clean copy; the
-            // corrupt physical page is superseded (a corrupt log slot is
-            // invalidated outright, a corrupt data page is outranked by
-            // the new log copy until the next merge erases it).
-            let group = self.group_of(vpn);
-            self.ensure_data_block(device, self.vbn_of(vpn))?;
-            self.ensure_log_block(device, group)?;
-            self.program_log_page(t, device, vpn, group)?;
+            // The corrupt physical page is superseded: a corrupt log slot
+            // is invalidated outright, a corrupt data page is outranked by
+            // the new log copy until the next merge erases it.
+            self.rewrite_page(t, device, addr, vpn)?;
         }
-        self.icounters.quarantined += 1;
+        self.core.icounters.quarantined += 1;
         Ok(t)
-    }
-
-    /// Extra read-retry attempts granted when `block`'s die is
-    /// quarantined by the health monitor; zero otherwise (and always
-    /// zero with health off, preserving the baseline bit-for-bit).
-    fn quarantine_extra(&self, block: BlockAddr) -> u32 {
-        match self.health.as_ref() {
-            Some(h)
-                if h.is_quarantined((block.channel.index() as u16, block.die.index() as u16)) =>
-            {
-                crate::health::QUARANTINE_EXTRA_READ_ATTEMPTS
-            }
-            _ => 0,
-        }
     }
 
     /// One media sense with the RAIN fallback: an uncorrectable result
@@ -640,13 +343,13 @@ impl ZngFtl {
         vpn: u64,
         transfer_bytes: usize,
     ) -> Result<Cycle> {
-        let extra = self.quarantine_extra(addr.block);
+        let extra = self.core.quarantine_extra(addr.block);
         let mut attempt = 0;
         loop {
             match device.read(now, addr, vpn, transfer_bytes) {
                 Err(Error::UncorrectableRead { .. }) if attempt < extra => attempt += 1,
-                Err(Error::UncorrectableRead { .. }) if self.rain.is_some() => {
-                    return self.rain.as_mut().expect("checked above").reconstruct(
+                Err(Error::UncorrectableRead { .. }) if self.core.rain.is_some() => {
+                    return self.core.rain.as_mut().expect("checked above").reconstruct(
                         now,
                         device,
                         addr,
@@ -673,7 +376,7 @@ impl ZngFtl {
             .write_inner(now, device, vpn)
             .map_err(|e| self.degrade_worn(e));
         let t = r.as_ref().map(|wr| wr.done).unwrap_or(now);
-        self.ckpt_sync(t, device);
+        self.core.ckpt_sync(t, device);
         r
     }
 
@@ -823,18 +526,16 @@ impl ZngFtl {
                 if let Some(stale) = old {
                     device.invalidate(FlashAddr::new(addr, stale));
                 }
-                if let Some(rain) = self.rain.as_mut() {
+                if let Some(rain) = self.core.rain.as_mut() {
                     rain.note_program(report.done, device, addr)?;
                 }
-                if let Some(ck) = self.checkpoint.as_mut() {
-                    ck.note_remap(vpn);
-                }
+                self.core.note_remap(vpn);
                 return Ok(report.done);
             }
             // The burned slot holds garbage (the plane already
             // invalidated it); point the mapping back at the previous
             // version and try the next slot.
-            self.write_redrives += 1;
+            self.core.write_redrives += 1;
             self.lbmt
                 .get_mut(group)
                 .expect("log block ensured")
@@ -874,8 +575,7 @@ impl ZngFtl {
                 })
             }
         };
-        self.gcs += 1;
-        let page_bytes = device.geometry().page_bytes;
+        self.core.gcs += 1;
 
         // Which data blocks of the group actually have logged pages?
         // Keyed in a BTreeMap so the merge walks vbns in ascending order
@@ -892,9 +592,7 @@ impl ZngFtl {
         let mut erased = 0u64;
         let mut done = now;
 
-        let vbns: Vec<u64> = by_vbn.keys().copied().collect();
-        for vbn in vbns {
-            let logged = &by_vbn[&vbn];
+        for (vbn, logged) in by_vbn {
             // Every logged vpn passed through `write`, which ensures its
             // data block first; dbmt entries are never removed. A miss
             // here is a simulator bug, not a caller-reachable state.
@@ -903,66 +601,25 @@ impl ZngFtl {
                 .get(vbn)
                 .copied()
                 .expect("logged vpn's data block was ensured at write time");
-            let logged_map: FxHashMap<u64, u32> = logged.iter().copied().collect();
-            // Merge all pages of the block, newest version of each. The
-            // helper thread double-buffers: the next page's read overlaps
-            // the previous page's program (reads and programs occupy
-            // different planes), so the chain advances at read speed and
-            // the destination plane's program queue absorbs the rest.
-            //
-            // A program failure mid-merge abandons the destination block
-            // (data blocks must stay offset-ordered, so a partial block
-            // cannot be patched), retires it, and restarts the merge on a
-            // new fresh block — the sources are untouched (reads only).
-            // Each restart shrinks the free pool, so repeated failures
-            // terminate in `Error::DeviceWornOut` from the allocator.
-            let (fresh, read_t, last_prog) = loop {
-                let fresh = self.alloc_block(device, BlockKind::Data)?;
-                let mut read_t = now;
-                let mut last_prog = now;
-                let mut burned = false;
-                for offset in 0..self.pages_per_block {
-                    let vpn = vbn * self.pages_per_block + offset;
-                    // Stale register copies are folded into the merge.
-                    device.discard_register(old_data.channel, vpn);
-                    let src = match logged_map.get(&vpn) {
+            let logged_map: FxHashMap<u64, u32> = logged.into_iter().collect();
+            // Merge all pages of the block, newest version of each.
+            let copy =
+                self.copy_block(now, device, vbn, old_data, false, false, |vpn, offset| {
+                    match logged_map.get(&vpn) {
                         Some(&slot) => FlashAddr::new(lb.addr, slot),
-                        None => FlashAddr::new(old_data, offset as u32),
-                    };
-                    read_t = self.gc_read(read_t, device, src, vpn, page_bytes)?;
-                    let report = device.program_migrate(read_t, fresh, vpn)?;
-                    if report.failed {
-                        burned = true;
-                        break;
+                        None => FlashAddr::new(old_data, offset),
                     }
-                    if device.page_is_corrupt(src) {
-                        // GC must not launder corruption: the moved
-                        // payload still fails its checksum at the new
-                        // location, so the flag moves with it.
-                        device.mark_page_corrupt(FlashAddr::new(fresh, report.page))?;
-                    }
-                    last_prog = last_prog.max(report.done);
-                    migrated += 1;
-                }
-                if !burned {
-                    break (fresh, read_t, last_prog);
-                }
-                self.retire_block(device, fresh)?;
-            };
-            if let Some(rain) = self.rain.as_mut() {
-                rain.note_program(last_prog, device, fresh)?;
-            }
+                })?;
+            migrated += copy.pages;
             for offset in 0..self.pages_per_block {
                 flushed.push(vbn * self.pages_per_block + offset);
             }
-            done = done.max(last_prog);
+            done = done.max(copy.programmed);
             // Retire the old data block.
             self.invalidate_whole_block(device, old_data)?;
-            done = done.max(self.erase_or_fence(read_t, device, old_data, &mut erased)?);
-            self.dbmt.insert(vbn, fresh);
-            if let Some(ck) = self.checkpoint.as_mut() {
-                ck.note_remap(vbn);
-            }
+            done = done.max(self.erase_or_fence(copy.read, device, old_data, &mut erased)?);
+            self.dbmt.insert(vbn, copy.fresh);
+            self.core.note_remap(vbn);
         }
 
         // Retire the log block itself.
@@ -982,7 +639,7 @@ impl ZngFtl {
             }
             None => done,
         };
-        self.ckpt_sync(done, device);
+        self.core.ckpt_sync(done, device);
         Ok(GcReport {
             group,
             started: now,
@@ -994,20 +651,91 @@ impl ZngFtl {
         })
     }
 
-    /// A GC migration read with a bounded retry budget: uncorrectable
-    /// senses are transient, so the helper thread re-reads a few times
-    /// before giving up on the whole merge. With redundancy on, a read
-    /// that exhausts the ladder reconstructs from its stripe instead.
-    fn gc_read(
+    /// A group merge as a maintenance migration: its completion time
+    /// and the pages it moved.
+    fn merge(&mut self, now: Cycle, device: &mut FlashDevice, group: u64) -> Result<(Cycle, u64)> {
+        let report = self.gc_group(now, device, group)?;
+        Ok((report.done, report.migrated_pages))
+    }
+
+    /// The block copy every data-block rewrite shares (the GC merge, the
+    /// standalone migration and the dead-die rebuild): allocates a fresh
+    /// data block (the most-worn spare when `most_worn`) and programs
+    /// `vbn`'s pages into it in offset order, page `offset` coming from
+    /// `source(vpn, offset)`. A migration senses each source through the
+    /// retry ladder, folds stale register copies of `old`'s pages into the
+    /// copy, and moves corrupt flags along (never laundered); a rebuild
+    /// (`reconstruct`) rebuilds each page from its stripe instead.
+    ///
+    /// The helper thread double-buffers: the next page's read overlaps
+    /// the previous page's program (reads and programs occupy different
+    /// planes), so the read chain advances at read speed and the
+    /// destination plane's program queue absorbs the rest.
+    ///
+    /// A program failure mid-copy abandons the destination (data blocks
+    /// must stay offset-ordered, so a partial block cannot be patched),
+    /// retires it, and restarts on a new block — the sources are
+    /// untouched (reads only). Each restart shrinks the free pool, so
+    /// repeated failures terminate in [`Error::DeviceWornOut`] from the
+    /// allocator.
+    #[allow(clippy::too_many_arguments)]
+    fn copy_block(
         &mut self,
         now: Cycle,
         device: &mut FlashDevice,
-        src: FlashAddr,
-        vpn: u64,
-        bytes: usize,
-    ) -> Result<Cycle> {
-        let extra = self.quarantine_extra(src.block);
-        crate::engine::retried_read(device, now, src, vpn, bytes, self.rain.as_mut(), extra)
+        vbn: u64,
+        old: BlockAddr,
+        most_worn: bool,
+        reconstruct: bool,
+        source: impl Fn(u64, u32) -> FlashAddr,
+    ) -> Result<BlockCopy> {
+        let page_bytes = device.geometry().page_bytes;
+        let mut pages = 0u64;
+        loop {
+            let fresh = self.core.alloc(device, BlockKind::Data, most_worn)?;
+            let mut read = now;
+            let mut programmed = now;
+            let mut burned = false;
+            for offset in 0..self.pages_per_block {
+                let vpn = vbn * self.pages_per_block + offset;
+                let src = source(vpn, offset as u32);
+                read = if reconstruct {
+                    self.core
+                        .rain
+                        .as_mut()
+                        .expect("rebuild requires redundancy")
+                        .reconstruct(read, device, src, page_bytes)?
+                } else {
+                    // Stale register copies are folded into the copy.
+                    device.discard_register(old.channel, vpn);
+                    self.core.retried_read(device, read, src, vpn, page_bytes)?
+                };
+                let report = device.program_migrate(read, fresh, vpn)?;
+                if report.failed {
+                    burned = true;
+                    break;
+                }
+                if !reconstruct && device.page_is_corrupt(src) {
+                    // The moved payload still fails its checksum at the
+                    // new location, so the flag moves with it.
+                    device.mark_page_corrupt(FlashAddr::new(fresh, report.page))?;
+                }
+                programmed = programmed.max(report.done);
+                pages += 1;
+            }
+            if !burned {
+                if let Some(rain) = self.core.rain.as_mut() {
+                    rain.note_program(programmed, device, fresh)?;
+                }
+                return Ok(BlockCopy {
+                    fresh,
+                    read,
+                    programmed,
+                    pages,
+                });
+            }
+            self.retire_block(device, fresh)?;
+        }
     }
 
     /// Erases a reclaimed block, unless its die has died since: a block on
@@ -1023,29 +751,13 @@ impl ZngFtl {
         erased: &mut u64,
     ) -> Result<Cycle> {
         if device.die_is_dead(addr.channel, addr.die) {
-            self.fence_block(device, addr);
+            self.core.fence(device.geometry().index_for_block(addr));
             return Ok(now);
         }
         let erase = device.erase(now, addr)?;
-        self.release_block(device, addr);
+        self.core.release(device, addr);
         *erased += 1;
-        if let Some(ck) = self.checkpoint.as_mut() {
-            ck.note_touched(device.geometry().index_for_block(addr));
-        }
         Ok(erase.done)
-    }
-
-    /// Permanently removes a dead-die block from service (no erase is
-    /// possible on dead silicon).
-    fn fence_block(&mut self, device: &FlashDevice, addr: BlockAddr) {
-        let idx = device.geometry().index_for_block(addr);
-        self.allocator.retire(idx);
-        if let Some(rain) = self.rain.as_mut() {
-            rain.fenced_blocks += 1;
-        }
-        if let Some(ck) = self.checkpoint.as_mut() {
-            ck.note_touched(idx);
-        }
     }
 
     fn invalidate_whole_block(&mut self, device: &mut FlashDevice, addr: BlockAddr) -> Result<()> {
@@ -1057,33 +769,11 @@ impl ZngFtl {
         Ok(())
     }
 
-    /// Returns an erased (or failed) block to the allocator: failed
-    /// blocks are retired for good, healthy ones are recycled with their
-    /// wear count.
-    fn release_block(&mut self, device: &FlashDevice, addr: BlockAddr) {
-        let idx = device.geometry().index_for_block(addr);
-        match device.block(addr) {
-            Some(b) if b.is_failed() => {
-                self.allocator.retire(idx);
-                self.blocks_retired += 1;
-            }
-            b => {
-                let wear = b.map(|blk| blk.erase_count()).unwrap_or(0);
-                self.allocator.release(idx, wear);
-            }
-        }
-    }
-
     /// Permanently removes a half-written block from service (no erase:
     /// a block that failed program verification is not trusted again).
     fn retire_block(&mut self, device: &mut FlashDevice, addr: BlockAddr) -> Result<()> {
         self.invalidate_whole_block(device, addr)?;
-        let idx = device.geometry().index_for_block(addr);
-        self.allocator.retire(idx);
-        self.blocks_retired += 1;
-        if let Some(ck) = self.checkpoint.as_mut() {
-            ck.note_touched(idx);
-        }
+        self.core.retire(device.geometry().index_for_block(addr));
         Ok(())
     }
 
@@ -1101,34 +791,8 @@ impl ZngFtl {
     ///
     /// Propagates flash-protocol errors from the dead-block reclaim.
     pub fn recover(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<RecoveryReport> {
-        // The checkpoint fast path: load the newest verified checkpoint,
-        // replay the journal tail, and re-scan only the blocks touched
-        // since the stamp. Any verification failure falls back to the
-        // full scan below — the two paths feed the identical rebuild, so
-        // the fast path can only save time, never change the outcome.
-        let planned = self
-            .checkpoint
-            .as_ref()
-            .and_then(|ck| ck.plan_fast_scan(device));
-        let fast_path = planned.is_some();
-        let fallback = self.checkpoint.is_some() && !fast_path;
-        let (scan, journal_replayed, blocks_rescanned, cycles_saved) = match planned {
-            Some(f) => {
-                #[cfg(debug_assertions)]
-                debug_assert_eq!(
-                    f.scan.blocks,
-                    recovery::scan_device(device).blocks,
-                    "fast-path image must equal a full scan of the same media"
-                );
-                (
-                    f.scan,
-                    f.journal_replayed,
-                    f.blocks_rescanned,
-                    f.cycles_saved,
-                )
-            }
-            None => (recovery::scan_device(device), 0, 0, Cycle::ZERO),
-        };
+        let rs = self.core.recovery_scan(device);
+        let scan = &rs.scan;
         let winners = recovery::resolve_winners(&scan.blocks);
         let candidates: u64 = scan.blocks.iter().map(|b| b.entries.len() as u64).sum();
 
@@ -1211,527 +875,14 @@ impl ZngFtl {
             })
             .count() as u64;
         let dead = scan.blocks.iter().filter(|b| !referenced.contains(&b.idx));
-        let pool = recovery::rebuild_free_pool(
+        self.core.finish_recovery(
+            now,
             device,
-            &scan.blocks,
+            &rs,
             dead,
             referenced.len() as u64,
-            now + scan.base_cycles,
-            self.allocator.policy(),
-            self.allocator.retired(),
-        )?;
-        // Only retirements discovered by this recovery count as new; the
-        // rest were already charged when they happened.
-        self.blocks_retired += pool.retired_delta;
-        self.allocator = pool.allocator;
-        self.stale_ckpt = pool.deferred;
-        let done = pool.done;
-        if let Some(rain) = self.rain.as_mut() {
-            // Open-stripe parity lived in SRAM (lost with power) and
-            // flushed parity blocks were reclaimed by the scan just now:
-            // stripes restart empty.
-            rain.reset_after_recovery();
-        }
-        if let Some(st) = self.endurance.as_mut() {
-            st.reset_after_recovery();
-        }
-        if let Some(h) = self.health.as_mut() {
-            h.reset_after_recovery();
-        }
-        self.icounters.quarantined += scan.corrupt;
-        if let Some(ck) = self.checkpoint.as_mut() {
-            ck.reset_after_recovery();
-        }
-        Ok(RecoveryReport {
-            pages_scanned: scan.pages_scanned,
-            torn_discarded: scan.torn,
-            stale_dropped: candidates - installed,
-            blocks_erased: pool.blocks_erased,
-            corrupt_quarantined: scan.corrupt,
-            scan_cycles: done - now,
-            fast_path,
-            fallback,
-            journal_replayed,
-            blocks_rescanned,
-            cycles_saved,
-        })
-    }
-
-    /// Fences a freshly failed die: every group whose log block sits on
-    /// the dead die is re-logged onto a spare block immediately (writes
-    /// would otherwise hard-fail), while data blocks stay degraded —
-    /// their reads reconstruct from the stripe — until
-    /// [`ZngFtl::rebuild_dead_die`] runs. Returns when the relocations
-    /// complete; a no-op without redundancy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation and flash-protocol errors, and
-    /// [`Error::UncorrectableRead`] when a stripe has lost a second
-    /// member.
-    pub fn fence_dead_die(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<Cycle> {
-        if self.rain.is_none() {
-            return Ok(now);
-        }
-        let page_bytes = device.geometry().page_bytes;
-        // DenseMap iteration is ascending-group already: no sort needed.
-        let groups: Vec<u64> = self
-            .lbmt
-            .iter()
-            .filter(|(_, lb)| device.die_is_dead(lb.addr.channel, lb.addr.die))
-            .map(|(g, _)| g)
-            .collect();
-        let mut t = now;
-        for group in groups {
-            let lb = self.lbmt.remove(group).expect("group collected above");
-            let mut live: Vec<(u64, u32)> = lb.decoder.mappings();
-            live.sort_unstable_by_key(|&(_, slot)| slot);
-            let addr = self.alloc_block(device, BlockKind::Log)?;
-            let decoder = RowDecoder::new(self.pages_per_block as u32);
-            self.lbmt.insert(group, LogBlock { addr, decoder });
-            if let Some(ck) = self.checkpoint.as_mut() {
-                ck.note_remap(group);
-            }
-            let mut pages = 0u64;
-            for (vpn, slot) in live {
-                let src = FlashAddr::new(lb.addr, slot);
-                let r = self
-                    .rain
-                    .as_mut()
-                    .expect("fencing requires redundancy")
-                    .reconstruct(t, device, src, page_bytes)?;
-                t = self.program_log_page(r, device, vpn, group)?;
-                pages += 1;
-            }
-            self.invalidate_whole_block(device, lb.addr)?;
-            self.fence_block(device, lb.addr);
-            if let Some(rain) = self.rain.as_mut() {
-                rain.rebuild_pages += pages;
-            }
-        }
-        self.ckpt_sync(t, device);
-        Ok(t)
-    }
-
-    /// Re-creates every data block lost to a dead die onto spare blocks:
-    /// each page is reconstructed from its surviving stripe members and
-    /// programmed to a fresh block (chained on the GPU helper thread),
-    /// after which reads stop paying the reconstruction fan-out. Returns
-    /// the completion time and the pages rebuilt; a no-op without
-    /// redundancy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation and flash-protocol errors, and
-    /// [`Error::UncorrectableRead`] when a stripe has lost a second
-    /// member.
-    pub fn rebuild_dead_die(
-        &mut self,
-        now: Cycle,
-        device: &mut FlashDevice,
-    ) -> Result<(Cycle, u64)> {
-        if self.rain.is_none() {
-            return Ok((now, 0));
-        }
-        let page_bytes = device.geometry().page_bytes;
-        // DenseMap iteration is ascending-vbn already: no sort needed.
-        let lost: Vec<(u64, BlockAddr)> = self
-            .dbmt
-            .iter()
-            .filter(|(_, a)| device.die_is_dead(a.channel, a.die))
-            .map(|(v, &a)| (v, a))
-            .collect();
-        let mut t = now;
-        let mut pages = 0u64;
-        for (vbn, old) in lost {
-            // A mid-rebuild program failure abandons the destination
-            // (data blocks stay offset-ordered) and restarts on a new
-            // spare, exactly like a GC merge.
-            let (fresh, last_prog) = loop {
-                let fresh = match self.alloc_block(device, BlockKind::Data) {
-                    Ok(f) => f,
-                    // Spare pool ran dry mid-rebuild: report the partial
-                    // progress instead of aborting the whole rebuild.
-                    // Blocks not yet rebuilt stay mapped and degraded —
-                    // their reads keep reconstructing from the stripe.
-                    Err(Error::DeviceWornOut { .. }) | Err(Error::OutOfSpace) => {
-                        self.ckpt_sync(t, device);
-                        return Ok((t, pages));
-                    }
-                    Err(e) => return Err(e),
-                };
-                let mut rt = t;
-                let mut last_prog = t;
-                let mut burned = false;
-                for offset in 0..self.pages_per_block {
-                    let vpn = vbn * self.pages_per_block + offset;
-                    let src = FlashAddr::new(old, offset as u32);
-                    rt = self
-                        .rain
-                        .as_mut()
-                        .expect("rebuild requires redundancy")
-                        .reconstruct(rt, device, src, page_bytes)?;
-                    let report = device.program_migrate(rt, fresh, vpn)?;
-                    if report.failed {
-                        burned = true;
-                        break;
-                    }
-                    last_prog = last_prog.max(report.done);
-                }
-                if !burned {
-                    break (fresh, last_prog);
-                }
-                self.retire_block(device, fresh)?;
-            };
-            if let Some(rain) = self.rain.as_mut() {
-                rain.note_program(last_prog, device, fresh)?;
-                rain.rebuild_pages += self.pages_per_block;
-            }
-            pages += self.pages_per_block;
-            t = t.max(last_prog);
-            self.invalidate_whole_block(device, old)?;
-            self.fence_block(device, old);
-            self.dbmt.insert(vbn, fresh);
-            if let Some(ck) = self.checkpoint.as_mut() {
-                ck.note_remap(vbn);
-            }
-        }
-        self.ckpt_sync(t, device);
-        Ok((t, pages))
-    }
-
-    /// One patrol-scrub step, run by the GPU helper thread between demand
-    /// requests: sense the next live page and rewrite it through the log
-    /// path when its retry depth reached the scrub threshold (or the
-    /// sense needed the stripe outright). The foreground stall is capped
-    /// by the configured pacing budget; the media work always completes.
-    /// A no-op without redundancy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation and flash-protocol errors.
-    pub fn scrub_step(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<Cycle> {
-        if self.rain.is_none() {
-            return Ok(now);
-        }
-        let Some((addr, vpn)) = self
-            .rain
-            .as_mut()
-            .expect("checked above")
-            .scrub_scan(device)
-        else {
-            return Ok(now);
-        };
-        let page_bytes = device.geometry().page_bytes;
-        let retries_before = device.stats().read_retries();
-        let unc_before = device.stats().uncorrectable_reads();
-        let extra = self.quarantine_extra(addr.block);
-        let mut t = crate::engine::retried_read(
-            device,
-            now,
-            addr,
-            vpn,
-            page_bytes,
-            self.rain.as_mut(),
-            extra,
-        )?;
-        let depth = device.stats().read_retries() - retries_before;
-        let strained = device.stats().uncorrectable_reads() > unc_before;
-        // The patrol validates checksums too: a corrupt page is always
-        // rewritten, fed by a clean stripe reconstruction (rewriting the
-        // sensed payload would just copy the corruption along).
-        let corrupt = self.integrity && device.page_is_corrupt(addr);
-        let config = self.rain.as_ref().expect("checked above").config();
-        self.rain.as_mut().expect("checked above").scrub_scanned += 1;
-        if (depth >= config.scrub_threshold as u64 || strained || corrupt)
-            && self.locate(vpn) == Some(addr)
-        {
-            if corrupt {
-                self.icounters.detected += 1;
-                t = self
-                    .rain
-                    .as_mut()
-                    .expect("checked above")
-                    .reconstruct(t, device, addr, page_bytes)?;
-                self.icounters.reconstructed += 1;
-                self.icounters.quarantined += 1;
-            }
-            let vbn = self.vbn_of(vpn);
-            self.ensure_data_block(device, vbn)?;
-            let group = self.group_of(vpn);
-            self.ensure_log_block(device, group)?;
-            t = self.program_log_page(t, device, vpn, group)?;
-            self.rain.as_mut().expect("checked above").scrub_rewrites += 1;
-        }
-        let capped = match config.pacing {
-            Some(p) if t > p.deadline(now) => {
-                self.rain.as_mut().expect("checked above").scrub_overruns += 1;
-                p.deadline(now)
-            }
-            _ => t,
-        };
-        self.ckpt_sync(t, device);
-        Ok(capped)
-    }
-
-    /// Converts an end-of-life allocator failure into the graceful
-    /// [`Error::CapacityDegraded`] step when endurance management is on;
-    /// passes every other error — and the baseline's hard cliff — through
-    /// untouched.
-    fn degrade_worn(&mut self, e: Error) -> Error {
-        let mapped = self.dbmt.len() as u64 * self.pages_per_block;
-        match self.endurance.as_mut() {
-            Some(st) => st.degrade(e, mapped),
-            None => e,
-        }
-    }
-
-    /// One endurance step, run by the GPU helper thread between demand
-    /// requests: walk the refresh cursor and rewrite the first block
-    /// whose disturb count or retention age crossed its threshold
-    /// (verified reads → re-program → remap → erase, which resets both
-    /// clocks); with no refresh candidate, run one static-levelling
-    /// migration when the device wear spread exceeds the configured
-    /// ratio. The foreground stall is capped by the policy's pacing
-    /// budget; the media work always completes. A no-op without an
-    /// endurance policy.
-    ///
-    /// At end of life a step that cannot allocate a destination block is
-    /// skipped, not surfaced — the data is no safer anywhere else, the
-    /// source mapping is untouched by construction, and capacity
-    /// degradation is the write path's to report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flash-protocol errors.
-    pub fn refresh_step(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<Cycle> {
-        let Some(st) = self.endurance.as_mut() else {
-            return Ok(now);
-        };
-        if let Some((addr, reason)) = st.scan_candidate(device, now) {
-            let done = match self.refresh_block(now, device, addr, reason) {
-                Ok(done) => done,
-                Err(Error::DeviceWornOut { .. }) => now,
-                Err(e) => return Err(e),
-            };
-            let paced = self
-                .endurance
-                .as_mut()
-                .expect("checked above")
-                .pace(now, done);
-            self.ckpt_sync(done, device);
-            return Ok(paced);
-        }
-        if self
-            .endurance
-            .as_ref()
-            .expect("checked above")
-            .wants_levelling(device)
-        {
-            let done = match self.level_step(now, device) {
-                Ok(done) => done,
-                Err(Error::DeviceWornOut { .. }) => now,
-                Err(e) => return Err(e),
-            };
-            let paced = self
-                .endurance
-                .as_mut()
-                .expect("checked above")
-                .pace(now, done);
-            self.ckpt_sync(done, device);
-            return Ok(paced);
-        }
-        Ok(now)
-    }
-
-    /// One predictive-health step, run by the GPU helper thread between
-    /// demand requests: advance the degrading-die clock, fence + rebuild
-    /// any die that died since the last tick (once per death), score the
-    /// per-die telemetry (flagging new suspects into quarantine and
-    /// rehabilitating false positives, whose parked blocks rejoin the
-    /// pool), and — when evacuation is on — migrate one victim block's
-    /// worth of live data off a suspect die onto healthy spares. The
-    /// migrations reuse the GC merge / data-block rewrite machinery, so
-    /// they are journalled, checkpoint-aware and never launder corrupt
-    /// pages. The foreground stall is capped by the policy's pacing
-    /// budget; the media work always completes. A no-op without a health
-    /// policy.
-    ///
-    /// A step that cannot allocate a destination (no healthy spares) is
-    /// skipped, not surfaced: the data is no safer anywhere else and a
-    /// later step retries.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flash-protocol errors.
-    pub fn health_step(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<Cycle> {
-        if self.health.is_none() {
-            return Ok(now);
-        }
-        // A quiet device never reaches its own lazy death check: advance
-        // the degrading-die clock here so the monitor sees the death.
-        device.degrade_tick(now);
-        self.health.as_mut().expect("checked above").counters.ticks += 1;
-        let mut t = now;
-
-        // Dies that died since the last tick: fence + rebuild, once each.
-        let newly_dead: Vec<(u16, u16)> = device
-            .dead_dies()
-            .iter()
-            .copied()
-            .filter(|&key| self.health.as_mut().expect("checked above").note_dead(key))
-            .collect();
-        for _ in newly_dead {
-            t = self.fence_dead_die(t, device)?;
-            let (done, _pages) = self.rebuild_dead_die(t, device)?;
-            t = done;
-        }
-
-        // Score the telemetry; rehabilitated dies get their parked
-        // blocks back (with their real wear, for levelling).
-        let snapshot = device.stats().die_health_sorted();
-        let dead: Vec<(u16, u16)> = device.dead_dies().to_vec();
-        let rehabbed = self
-            .health
-            .as_mut()
-            .expect("checked above")
-            .observe(&snapshot, &dead);
-        for key in rehabbed {
-            let parked = self.health.as_mut().expect("checked above").unpark(key);
-            for idx in parked {
-                let wear = device
-                    .geometry()
-                    .block_for_index(idx)
-                    .ok()
-                    .and_then(|a| device.block(a))
-                    .map(|b| b.erase_count())
-                    .unwrap_or(0);
-                self.allocator.release(idx, wear);
-            }
-        }
-
-        if self.health.as_ref().expect("checked above").policy.evacuate {
-            match self.next_evacuation_victim(device) {
-                Some(EvacVictim::Group(group)) => match self.gc_group(t, device, group) {
-                    Ok(report) => {
-                        self.health
-                            .as_mut()
-                            .expect("checked above")
-                            .note_evacuated(report.migrated_pages);
-                        t = report.done;
-                    }
-                    Err(Error::DeviceWornOut { .. }) | Err(Error::OutOfSpace) => {}
-                    Err(e) => return Err(e),
-                },
-                Some(EvacVictim::Data(vbn)) => {
-                    match self.migrate_data_block(t, device, vbn, false) {
-                        Ok((done, pages)) => {
-                            self.health
-                                .as_mut()
-                                .expect("checked above")
-                                .note_evacuated(pages);
-                            t = done;
-                        }
-                        Err(Error::DeviceWornOut { .. }) | Err(Error::OutOfSpace) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                None => {
-                    // Nothing live remains on any quarantined die: its
-                    // eventual death can no longer cost a single read.
-                    let h = self.health.as_mut().expect("checked above");
-                    for key in h.quarantined() {
-                        h.mark_evacuated(key);
-                    }
-                }
-            }
-        }
-        let paced = self.health.as_mut().expect("checked above").pace(now, t);
-        self.ckpt_sync(t, device);
-        Ok(paced)
-    }
-
-    /// The next victim holding live data on a quarantined die, if any.
-    /// Log blocks first (they still absorb new log programs until
-    /// merged away); then data blocks, through the group merge when a
-    /// newer log copy exists (standalone rewrites must not outrank it
-    /// after a crash), standalone otherwise.
-    fn next_evacuation_victim(&self, device: &FlashDevice) -> Option<EvacVictim> {
-        let h = self.health.as_ref()?;
-        let on_suspect = |a: &BlockAddr| {
-            h.is_quarantined((a.channel.index() as u16, a.die.index() as u16))
-                && !device.die_is_dead(a.channel, a.die)
-        };
-        // DenseMap iteration is ascending by construction, so the first
-        // match is already the lowest-numbered victim.
-        let group = self
-            .lbmt
-            .iter()
-            .find(|(_, lb)| on_suspect(&lb.addr))
-            .map(|(g, _)| g);
-        if let Some(g) = group {
-            return Some(EvacVictim::Group(g));
-        }
-        let vbn = self
-            .dbmt
-            .iter()
-            .find(|(_, a)| on_suspect(a))
-            .map(|(v, _)| v)?;
-        if self.group_has_logged_pages(vbn) {
-            Some(EvacVictim::Group(self.group_of_vbn(vbn)))
-        } else {
-            Some(EvacVictim::Data(vbn))
-        }
-    }
-
-    /// Rewrites one aged block to fresh cells. A log block — or a data
-    /// block with logged sibling pages — goes through a full group merge
-    /// (newest version of every page wins, exactly the GC path); a data
-    /// block with no log copies migrates standalone. Either way the old
-    /// block is erased, resetting its disturb and retention clocks.
-    fn refresh_block(
-        &mut self,
-        now: Cycle,
-        device: &mut FlashDevice,
-        addr: BlockAddr,
-        reason: RefreshReason,
-    ) -> Result<Cycle> {
-        // A log block: merge its group (the merge folds every logged page
-        // into fresh data blocks and erases the log block).
-        let log_group = self
-            .lbmt
-            .iter()
-            .find(|(_, lb)| lb.addr == addr)
-            .map(|(g, _)| g);
-        if let Some(group) = log_group {
-            let report = self.gc_group(now, device, group)?;
-            if let Some(st) = self.endurance.as_mut() {
-                st.note_refresh(reason, report.migrated_pages);
-            }
-            return Ok(report.done);
-        }
-        let Some((vbn, _)) = self.dbmt.iter().find(|(_, &a)| a == addr) else {
-            // Neither mapped nor logged (e.g. a block drained between the
-            // scan and now): nothing live to preserve.
-            return Ok(now);
-        };
-        // A standalone data-block rewrite stamps fresh OOB records; if a
-        // *newer* log copy of any of its pages existed, those stamps
-        // would outrank it after a crash and resurrect stale data. Such
-        // blocks must refresh through the group merge instead.
-        if self.group_has_logged_pages(vbn) {
-            let group = self.group_of_vbn(vbn);
-            let report = self.gc_group(now, device, group)?;
-            if let Some(st) = self.endurance.as_mut() {
-                st.note_refresh(reason, report.migrated_pages);
-            }
-            return Ok(report.done);
-        }
-        let (done, pages) = self.migrate_data_block(now, device, vbn, false)?;
-        if let Some(st) = self.endurance.as_mut() {
-            st.note_refresh(reason, pages);
-        }
-        Ok(done)
+            candidates - installed,
+        )
     }
 
     fn group_of_vbn(&self, vbn: u64) -> u64 {
@@ -1749,13 +900,163 @@ impl ZngFtl {
         })
     }
 
-    /// One static-levelling migration: the coldest mapped data block
-    /// (lowest erase count, no logged sibling pages) is rewritten into
-    /// the most-worn spare block, and its freed low-wear cells rejoin the
-    /// allocation pool where the wear-levelled allocator hands them to
-    /// hot traffic. A no-op when the recycled pool is empty (a fresh
-    /// block has zero wear — migrating cold data onto it would widen the
-    /// spread).
+    /// Rewrites `vbn`'s data block to a newly allocated block (the
+    /// most-worn spare when `most_worn`), page by page with verified
+    /// reads — corrupt flags move along, never laundered — then erases
+    /// the old block and remaps. The caller guarantees no newer log copy
+    /// of any page exists (see [`ZngFtl::group_has_logged_pages`]).
+    fn migrate_data_block(
+        &mut self,
+        now: Cycle,
+        device: &mut FlashDevice,
+        vbn: u64,
+        most_worn: bool,
+    ) -> Result<(Cycle, u64)> {
+        let old = *self.dbmt.get(vbn).expect("caller verified the mapping");
+        let copy = self.copy_block(now, device, vbn, old, most_worn, false, |_, offset| {
+            FlashAddr::new(old, offset)
+        })?;
+        let mut erased = 0u64;
+        self.invalidate_whole_block(device, old)?;
+        let done = copy
+            .programmed
+            .max(self.erase_or_fence(copy.read, device, old, &mut erased)?);
+        self.dbmt.insert(vbn, copy.fresh);
+        self.core.note_remap(vbn);
+        Ok((done, self.pages_per_block))
+    }
+
+    /// Estimated DBMT size in bytes (entries × 16 B), the table the MMU
+    /// must hold (the paper fits it in 80 KB for 1 TB by block-granular
+    /// mapping).
+    pub fn dbmt_bytes(&self) -> usize {
+        self.dbmt.len() * 16
+    }
+
+    /// Pages migrated by GC.
+    pub fn migrated_pages(&self) -> u64 {
+        self.migrated
+    }
+
+    /// (start, end) of every GC, for time-series plots.
+    pub fn gc_events(&self) -> &[(Cycle, Cycle)] {
+        &self.gc_events
+    }
+
+    /// Where `vpn` currently resolves on flash, if its data block exists
+    /// (a verification aid for the fault property tests; does not count
+    /// CAM searches or allocate blocks).
+    pub fn locate(&self, vpn: u64) -> Option<FlashAddr> {
+        let group = self.group_of(vpn);
+        if let Some(lb) = self.lbmt.get(group) {
+            if let Some((_, slot)) = lb.decoder.mappings().iter().find(|&&(k, _)| k == vpn) {
+                return Some(FlashAddr::new(lb.addr, *slot));
+            }
+        }
+        let data = self.dbmt.get(self.vbn_of(vpn))?;
+        Some(FlashAddr::new(*data, (vpn % self.pages_per_block) as u32))
+    }
+
+    /// Live log-block utilization of `group` (0.0–1.0), if it exists.
+    pub fn log_utilization(&self, group: u64) -> Option<f64> {
+        self.lbmt
+            .get(group)
+            .map(|lb| 1.0 - lb.decoder.free_pages() as f64 / self.pages_per_block as f64)
+    }
+}
+
+/// A completed [`ZngFtl::copy_block`].
+struct BlockCopy {
+    /// The destination block.
+    fresh: BlockAddr,
+    /// When the last source read completed.
+    read: Cycle,
+    /// When the last program completed.
+    programmed: Cycle,
+    /// Pages programmed, abandoned attempts included.
+    pages: u64,
+}
+
+impl Ftl for ZngFtl {}
+
+impl Primitives for ZngFtl {
+    fn core(&self) -> &FtlCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut FtlCore {
+        &mut self.core
+    }
+
+    fn mapped_at(&self, vpn: u64) -> Option<FlashAddr> {
+        self.locate(vpn)
+    }
+
+    /// Re-logs `vpn` through the log path.
+    fn rewrite_page(
+        &mut self,
+        now: Cycle,
+        device: &mut FlashDevice,
+        _src: FlashAddr,
+        vpn: u64,
+    ) -> Result<Cycle> {
+        let vbn = self.vbn_of(vpn);
+        self.ensure_data_block(device, vbn)?;
+        let group = self.group_of(vpn);
+        self.ensure_log_block(device, group)?;
+        self.program_log_page(now, device, vpn, group)
+    }
+
+    /// A log block — or a data block with logged sibling pages — goes
+    /// through a full group merge (newest version of every page wins,
+    /// exactly the GC path); a data block with no log copies migrates
+    /// standalone. Either way the old block is erased, resetting its
+    /// disturb and retention clocks. At end of life the step still
+    /// paces.
+    fn refresh_block(
+        &mut self,
+        now: Cycle,
+        device: &mut FlashDevice,
+        addr: BlockAddr,
+        reason: RefreshReason,
+    ) -> Result<Option<Cycle>> {
+        let log_group = self
+            .lbmt
+            .iter()
+            .find(|(_, lb)| lb.addr == addr)
+            .map(|(g, _)| g);
+        let (done, pages) = match log_group {
+            // A log block: merge its group (the merge folds every logged
+            // page into fresh data blocks and erases the log block).
+            Some(group) => self.merge(now, device, group)?,
+            None => {
+                let Some((vbn, _)) = self.dbmt.iter().find(|(_, &a)| a == addr) else {
+                    // Neither mapped nor logged (e.g. a block drained
+                    // between the scan and now): nothing live to preserve.
+                    return Ok(Some(now));
+                };
+                // A standalone data-block rewrite stamps fresh OOB
+                // records; if a *newer* log copy of any of its pages
+                // existed, those stamps would outrank it after a crash
+                // and resurrect stale data. Such blocks must refresh
+                // through the group merge instead.
+                if self.group_has_logged_pages(vbn) {
+                    self.merge(now, device, self.group_of_vbn(vbn))?
+                } else {
+                    self.migrate_data_block(now, device, vbn, false)?
+                }
+            }
+        };
+        if let Some(st) = self.core.endurance.as_mut() {
+            st.note_refresh(reason, pages);
+        }
+        Ok(Some(done))
+    }
+
+    /// The coldest mapped data block (lowest erase count, no logged
+    /// sibling pages) is rewritten into the most-worn spare block, and
+    /// its freed low-wear cells rejoin the allocation pool where the
+    /// wear-levelled allocator hands them to hot traffic.
     ///
     /// When every mapped block's group still holds logged copies — the
     /// steady state under the log-structured write path, since a merge
@@ -1764,10 +1065,7 @@ impl ZngFtl {
     /// those newer copies after a crash. Instead the coldest such group
     /// is merged, folding its logged pages away so a later step can
     /// migrate it.
-    fn level_step(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<Cycle> {
-        if self.allocator.recycled_available() == 0 {
-            return Ok(now);
-        }
+    fn level_block(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<Cycle> {
         fn coldest<'a>(
             device: &FlashDevice,
             candidates: impl Iterator<Item = (u64, &'a BlockAddr)>,
@@ -1797,129 +1095,119 @@ impl ZngFtl {
             return Ok(self.gc_group(now, device, group)?.done);
         };
         let (done, pages) = self.migrate_data_block(now, device, vbn, true)?;
-        if let Some(st) = self.endurance.as_mut() {
+        if let Some(st) = self.core.endurance.as_mut() {
             st.note_levelling(pages);
         }
         Ok(done)
     }
 
-    /// Rewrites `vbn`'s data block to a newly allocated block (the
-    /// most-worn spare when `most_worn`), page by page with verified
-    /// reads — corrupt flags move along, never laundered — then erases
-    /// the old block and remaps. The caller guarantees no newer log copy
-    /// of any page exists (see [`ZngFtl::group_has_logged_pages`]).
-    fn migrate_data_block(
+    /// Log blocks go first (they still absorb new log programs until
+    /// merged away); then data blocks, through the group merge when a
+    /// newer log copy exists (standalone rewrites must not outrank it
+    /// after a crash), standalone otherwise.
+    fn evacuate_block(
         &mut self,
         now: Cycle,
         device: &mut FlashDevice,
-        vbn: u64,
-        most_worn: bool,
-    ) -> Result<(Cycle, u64)> {
-        let old = *self.dbmt.get(vbn).expect("caller verified the mapping");
+    ) -> Option<Result<(Cycle, u64)>> {
+        let on_suspect =
+            |a: &BlockAddr| self.core.is_quarantined(*a) && !device.die_is_dead(a.channel, a.die);
+        // DenseMap iteration is ascending by construction, so the first
+        // match is already the lowest-numbered victim.
+        let log_group = self
+            .lbmt
+            .iter()
+            .find(|(_, lb)| on_suspect(&lb.addr))
+            .map(|(g, _)| g);
+        if let Some(group) = log_group {
+            return Some(self.merge(now, device, group));
+        }
+        let vbn = self
+            .dbmt
+            .iter()
+            .find(|(_, a)| on_suspect(a))
+            .map(|(v, _)| v)?;
+        Some(if self.group_has_logged_pages(vbn) {
+            self.merge(now, device, self.group_of_vbn(vbn))
+        } else {
+            self.migrate_data_block(now, device, vbn, false)
+        })
+    }
+
+    /// Re-logs every group whose log block sits on the dead die onto a
+    /// spare block immediately (writes would otherwise hard-fail); data
+    /// blocks stay degraded until the rebuild.
+    fn fence_writers(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<Cycle> {
         let page_bytes = device.geometry().page_bytes;
-        // A program failure mid-rewrite abandons the destination (data
-        // blocks stay offset-ordered) and restarts on a new block,
-        // exactly like a GC merge.
-        let (fresh, read_t, last_prog) = loop {
-            let fresh = self.alloc_block_with(device, BlockKind::Data, most_worn)?;
-            let mut read_t = now;
-            let mut last_prog = now;
-            let mut burned = false;
-            for offset in 0..self.pages_per_block {
-                let vpn = vbn * self.pages_per_block + offset;
-                device.discard_register(old.channel, vpn);
-                let src = FlashAddr::new(old, offset as u32);
-                read_t = self.gc_read(read_t, device, src, vpn, page_bytes)?;
-                let report = device.program_migrate(read_t, fresh, vpn)?;
-                if report.failed {
-                    burned = true;
-                    break;
-                }
-                if device.page_is_corrupt(src) {
-                    device.mark_page_corrupt(FlashAddr::new(fresh, report.page))?;
-                }
-                last_prog = last_prog.max(report.done);
+        // DenseMap iteration is ascending-group already: no sort needed.
+        let groups: Vec<u64> = self
+            .lbmt
+            .iter()
+            .filter(|(_, lb)| device.die_is_dead(lb.addr.channel, lb.addr.die))
+            .map(|(g, _)| g)
+            .collect();
+        let mut t = now;
+        for group in groups {
+            let lb = self.lbmt.remove(group).expect("group collected above");
+            let mut live: Vec<(u64, u32)> = lb.decoder.mappings();
+            live.sort_unstable_by_key(|&(_, slot)| slot);
+            self.ensure_log_block(device, group)?;
+            let mut pages = 0u64;
+            for (vpn, slot) in live {
+                let src = FlashAddr::new(lb.addr, slot);
+                let r = self
+                    .core
+                    .rain
+                    .as_mut()
+                    .expect("fencing requires redundancy")
+                    .reconstruct(t, device, src, page_bytes)?;
+                t = self.program_log_page(r, device, vpn, group)?;
+                pages += 1;
             }
-            if !burned {
-                break (fresh, read_t, last_prog);
-            }
-            self.retire_block(device, fresh)?;
-        };
-        if let Some(rain) = self.rain.as_mut() {
-            rain.note_program(last_prog, device, fresh)?;
-        }
-        let mut erased = 0u64;
-        self.invalidate_whole_block(device, old)?;
-        let done = last_prog.max(self.erase_or_fence(read_t, device, old, &mut erased)?);
-        self.dbmt.insert(vbn, fresh);
-        if let Some(ck) = self.checkpoint.as_mut() {
-            ck.note_remap(vbn);
-        }
-        Ok((done, self.pages_per_block))
-    }
-
-    /// Estimated DBMT size in bytes (entries × 16 B), the table the MMU
-    /// must hold (the paper fits it in 80 KB for 1 TB by block-granular
-    /// mapping).
-    pub fn dbmt_bytes(&self) -> usize {
-        self.dbmt.len() * 16
-    }
-
-    /// Garbage collections performed.
-    pub fn gcs(&self) -> u64 {
-        self.gcs
-    }
-
-    /// Pages migrated by GC.
-    pub fn migrated_pages(&self) -> u64 {
-        self.migrated
-    }
-
-    /// (start, end) of every GC, for time-series plots.
-    pub fn gc_events(&self) -> &[(Cycle, Cycle)] {
-        &self.gc_events
-    }
-
-    /// Blocks permanently retired after failed programs/erases.
-    pub fn blocks_retired(&self) -> u64 {
-        self.blocks_retired
-    }
-
-    /// Writes re-driven into a new log slot after a program failure.
-    pub fn write_redrives(&self) -> u64 {
-        self.write_redrives
-    }
-
-    /// Free blocks (fresh + recycled) in the allocator's pool.
-    pub fn free_blocks(&self) -> u64 {
-        self.allocator.free()
-    }
-
-    /// Where `vpn` currently resolves on flash, if its data block exists
-    /// (a verification aid for the fault property tests; does not count
-    /// CAM searches or allocate blocks).
-    pub fn locate(&self, vpn: u64) -> Option<FlashAddr> {
-        let group = self.group_of(vpn);
-        if let Some(lb) = self.lbmt.get(group) {
-            if let Some((_, slot)) = lb.decoder.mappings().iter().find(|&&(k, _)| k == vpn) {
-                return Some(FlashAddr::new(lb.addr, *slot));
+            self.invalidate_whole_block(device, lb.addr)?;
+            self.core.fence(device.geometry().index_for_block(lb.addr));
+            if let Some(rain) = self.core.rain.as_mut() {
+                rain.rebuild_pages += pages;
             }
         }
-        let data = self.dbmt.get(self.vbn_of(vpn))?;
-        Some(FlashAddr::new(*data, (vpn % self.pages_per_block) as u32))
+        self.core.ckpt_sync(t, device);
+        Ok(t)
     }
 
-    /// Live log-block utilization of `group` (0.0–1.0), if it exists.
-    pub fn log_utilization(&self, group: u64) -> Option<f64> {
-        self.lbmt
-            .get(group)
-            .map(|lb| 1.0 - lb.decoder.free_pages() as f64 / self.pages_per_block as f64)
+    /// Re-creates each lost data block on a spare, chained on the GPU
+    /// helper thread; an empty spare pool ends the rebuild early.
+    fn rebuild_lost(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<(Cycle, u64)> {
+        // DenseMap iteration is ascending-vbn already: no sort needed.
+        let lost: Vec<(u64, BlockAddr)> = self
+            .dbmt
+            .iter()
+            .filter(|(_, a)| device.die_is_dead(a.channel, a.die))
+            .map(|(v, &a)| (v, a))
+            .collect();
+        let mut t = now;
+        let mut pages = 0u64;
+        for (vbn, old) in lost {
+            let source = |_, offset| FlashAddr::new(old, offset);
+            let copy = match self.copy_block(t, device, vbn, old, false, true, source) {
+                Ok(copy) => copy,
+                Err(Error::DeviceWornOut { .. } | Error::OutOfSpace) => break,
+                Err(e) => return Err(e),
+            };
+            pages += self.pages_per_block;
+            t = t.max(copy.programmed);
+            self.invalidate_whole_block(device, old)?;
+            self.core.fence(device.geometry().index_for_block(old));
+            self.dbmt.insert(vbn, copy.fresh);
+            self.core.note_remap(vbn);
+        }
+        Ok((t, pages))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{HealthPolicy, IntegrityCounters, RainConfig};
     use zng_flash::{FlashGeometry, RegisterTopology};
     use zng_types::Freq;
 
@@ -2356,8 +1644,8 @@ mod tests {
         // Starve the spare pool down to one block: the rebuild recreates
         // at most one data block before running dry.
         let mut drained = Vec::new();
-        while f.allocator.free() > 1 {
-            drained.push(f.allocator.allocate().unwrap());
+        while f.core.allocator.free() > 1 {
+            drained.push(f.core.allocator.allocate().unwrap());
         }
         let (t, pages) = f
             .rebuild_dead_die(t, &mut d)
@@ -2380,7 +1668,7 @@ mod tests {
         assert!(stranded > 0, "some blocks must still await spares");
         // Once spares return, a second pass finishes the job.
         for idx in drained {
-            f.allocator.release(idx, 0);
+            f.core.allocator.release(idx, 0);
         }
         let (_, more) = f.rebuild_dead_die(t, &mut d).unwrap();
         assert!(more > 0, "the resumed rebuild must make progress");

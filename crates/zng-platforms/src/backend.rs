@@ -2,8 +2,8 @@
 
 use zng_flash::{EnduranceReport, FlashDevice, RegisterTopology, DISTURB_READS_PER_CYCLE};
 use zng_ftl::{
-    CheckpointCounters, EnduranceCounters, GcPacing, GcReport, HealthCounters, IntegrityCounters,
-    RainConfig, RainCounters, RecoveryReport, RefreshPolicy, WriteMode, ZngFtl,
+    CheckpointCounters, EnduranceCounters, Ftl, GcPacing, GcReport, HealthCounters,
+    IntegrityCounters, RainConfig, RainCounters, RecoveryReport, RefreshPolicy, WriteMode, ZngFtl,
 };
 use zng_mem::{MemSubsystem, MemTiming, PcieLink};
 use zng_ssd::{NvmeSsd, PageBuffer, SsdModule};
@@ -113,12 +113,6 @@ impl Backend {
                 }
             }
         };
-        match &mut backend {
-            Backend::Zng { device, .. } => device.set_fault_config(&cfg.fault),
-            Backend::HybridGpu { ssd } => ssd.apply_faults(&cfg.fault),
-            Backend::Hetero { ssd, .. } => ssd.apply_faults(&cfg.fault),
-            Backend::Ideal { .. } | Backend::Optane { .. } => {}
-        }
         // Overload control: bound the flash-side queues and pace GC.
         // Hetero's page-fault path mutates residency before touching the
         // SSD, so a rejected retry would not be idempotent there; the
@@ -138,96 +132,95 @@ impl Backend {
                 }));
             }
         }
-        // Redundancy: RAIN parity + patrol scrub on every flash FTL. The
-        // scrubber inherits the QoS GC stall budget so background repair
-        // and foreground traffic share one pacing contract.
-        if cfg.redundancy.enabled {
-            let rain = RainConfig {
-                scrub_threshold: cfg.redundancy.scrub_threshold,
-                pacing: cfg.qos.gc_stall_budget.map(|budget| GcPacing {
-                    stall_budget: budget,
-                    credit_writes: cfg.qos.gc_credit_writes,
-                }),
-            };
-            backend.set_redundancy(Some(rain));
-        }
-        // End-to-end integrity: arm silent-corruption injection on the
-        // media and payload verification in the FTL. Off by default —
-        // no checksum work, no RNG draws, byte-identical output.
-        if cfg.integrity.enabled {
-            let sdc = cfg.integrity.sdc();
-            match &mut backend {
-                Backend::Zng { device, ftl, .. } => {
-                    device.set_integrity_config(&sdc);
-                    ftl.set_integrity(true);
-                }
-                Backend::HybridGpu { ssd } => ssd.apply_integrity(&sdc, true),
-                Backend::Hetero { ssd, .. } => ssd.apply_integrity(&sdc, true),
-                Backend::Ideal { .. } | Backend::Optane { .. } => {}
+        if let Some((ftl, device)) = backend.flash_mut() {
+            device.set_fault_config(&cfg.fault);
+            // Every background step inherits the QoS GC stall budget, so
+            // maintenance and foreground traffic share one pacing
+            // contract.
+            let pacing = cfg.qos.gc_stall_budget.map(|budget| GcPacing {
+                stall_budget: budget,
+                credit_writes: cfg.qos.gc_credit_writes,
+            });
+            // Each subsystem is off by default: no parity, checksums,
+            // counters or checkpoint pages, and byte-identical output.
+            // Redundancy: RAIN parity + patrol scrub.
+            if cfg.redundancy.enabled {
+                let rain = RainConfig {
+                    scrub_threshold: cfg.redundancy.scrub_threshold,
+                    pacing,
+                };
+                ftl.set_redundancy(device, Some(rain));
             }
-        }
-        // Device-lifetime endurance: arm read-disturb/retention tracking
-        // on the media and the refresh + static-levelling scheduler in
-        // the FTL. The scheduler inherits the QoS GC stall budget so
-        // background refresh and foreground traffic share one pacing
-        // contract. Off by default — no counters, byte-identical output.
-        if cfg.endurance.enabled {
-            let policy = RefreshPolicy {
-                disturb_threshold: cfg.endurance.disturb_threshold,
-                retention_threshold: cfg.endurance.retention_threshold,
-                wear_spread: cfg.endurance.wear_spread,
-                pacing: cfg.qos.gc_stall_budget.map(|budget| GcPacing {
-                    stall_budget: budget,
-                    credit_writes: cfg.qos.gc_credit_writes,
-                }),
-            };
-            match &mut backend {
-                Backend::Zng { device, ftl, .. } => {
-                    device.set_endurance_tracking(Some(DISTURB_READS_PER_CYCLE));
-                    ftl.set_endurance(Some(policy));
-                }
-                Backend::HybridGpu { ssd } => ssd.apply_endurance(policy),
-                Backend::Hetero { ssd, .. } => ssd.apply_endurance(policy),
-                Backend::Ideal { .. } | Backend::Optane { .. } => {}
+            // End-to-end integrity: silent-corruption injection on the
+            // media and payload verification in the FTL.
+            if cfg.integrity.enabled {
+                device.set_integrity_config(&cfg.integrity.sdc());
+                ftl.set_integrity(true);
             }
-        }
-        // Bounded-time crash recovery: mapping checkpoints + delta
-        // journal in a reserved flash namespace, paced by the same QoS
-        // stall-budget contract as GC. Off by default — no checkpoint
-        // pages, no journal, byte-identical output.
-        if cfg.checkpoint.enabled {
-            let policy = cfg.checkpoint.ftl(&cfg.qos);
-            match &mut backend {
-                Backend::Zng { ftl, .. } => ftl.set_checkpointing(Some(policy)),
-                Backend::HybridGpu { ssd } => ssd.set_checkpointing(Some(policy)),
-                Backend::Hetero { ssd, .. } => ssd.set_checkpointing(Some(policy)),
-                Backend::Ideal { .. } | Backend::Optane { .. } => {}
+            // Device-lifetime endurance: read-disturb/retention tracking
+            // on the media and the refresh + static-levelling scheduler
+            // in the FTL.
+            if cfg.endurance.enabled {
+                device.set_endurance_tracking(Some(DISTURB_READS_PER_CYCLE));
+                ftl.set_endurance(Some(RefreshPolicy {
+                    disturb_threshold: cfg.endurance.disturb_threshold,
+                    retention_threshold: cfg.endurance.retention_threshold,
+                    wear_spread: cfg.endurance.wear_spread,
+                    pacing,
+                }));
             }
-        }
-        // Predictive health: per-die telemetry scoring, suspect
-        // quarantine and pre-emptive evacuation on the flash FTLs, with
-        // evacuation paced by the same QoS stall-budget contract as GC.
-        // Off by default — no scoring, byte-identical output.
-        if cfg.health.enabled {
-            let policy = cfg.health.ftl(&cfg.qos);
-            match &mut backend {
-                Backend::Zng { ftl, .. } => ftl.set_health(Some(policy)),
-                Backend::HybridGpu { ssd } => ssd.set_health(Some(policy)),
-                Backend::Hetero { ssd, .. } => ssd.set_health(Some(policy)),
-                Backend::Ideal { .. } | Backend::Optane { .. } => {}
+            // Bounded-time crash recovery: mapping checkpoints + delta
+            // journal in a reserved flash namespace.
+            if cfg.checkpoint.enabled {
+                ftl.set_checkpointing(Some(cfg.checkpoint.ftl(&cfg.qos)));
+            }
+            // Predictive health: per-die telemetry scoring, suspect
+            // quarantine and pre-emptive evacuation.
+            if cfg.health.enabled {
+                ftl.set_health(Some(cfg.health.ftl(&cfg.qos)));
             }
         }
         Ok(backend)
     }
 
-    /// Installs (or removes, with `None`) RAIN redundancy on the flash
-    /// FTL. A no-op on flashless platforms.
-    pub fn set_redundancy(&mut self, config: Option<RainConfig>) {
+    /// The flash FTL and its device, borrowed together, on the platforms
+    /// that have flash; every maintenance step and subsystem control goes
+    /// through this handle.
+    fn flash_mut(&mut self) -> Option<(&mut dyn Ftl, &mut FlashDevice)> {
         match self {
-            Backend::Zng { device, ftl, .. } => ftl.set_redundancy(device, config),
-            Backend::HybridGpu { ssd } => ssd.set_redundancy(config),
-            Backend::Hetero { ssd, .. } => ssd.set_redundancy(config),
-            Backend::Ideal { .. } | Backend::Optane { .. } => {}
+            Backend::Zng { device, ftl, .. } => Some((ftl, device)),
+            Backend::HybridGpu { ssd } => {
+                let (ftl, device) = ssd.ftl_mut();
+                Some((ftl, device))
+            }
+            Backend::Hetero { ssd, .. } => {
+                let (ftl, device) = ssd.ftl_mut();
+                Some((ftl, device))
+            }
+            Backend::Ideal { .. } | Backend::Optane { .. } => None,
+        }
+    }
+
+    /// The flash FTL, on the platforms that have flash.
+    fn ftl(&self) -> Option<&dyn Ftl> {
+        match self {
+            Backend::Zng { ftl, .. } => Some(ftl),
+            Backend::HybridGpu { ssd } => Some(ssd.ftl()),
+            Backend::Hetero { ssd, .. } => Some(ssd.ftl()),
+            Backend::Ideal { .. } | Backend::Optane { .. } => None,
+        }
+    }
+
+    /// Runs `step` on the flash FTL and its device; flashless platforms
+    /// return `idle`.
+    fn with_flash<T>(
+        &mut self,
+        idle: T,
+        step: impl FnOnce(&mut dyn Ftl, &mut FlashDevice) -> T,
+    ) -> T {
+        match self.flash_mut() {
+            Some((ftl, device)) => step(ftl, device),
+            None => idle,
         }
     }
 
@@ -418,33 +411,18 @@ impl Backend {
 
     /// Garbage collections performed by the backend's FTL.
     pub fn gcs(&self) -> u64 {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.gcs(),
-            Backend::HybridGpu { ssd } => ssd.ftl().gcs(),
-            Backend::Hetero { ssd, .. } => ssd.ftl().gcs(),
-            _ => 0,
-        }
+        self.ftl().map_or(0, |f| f.gcs())
     }
 
     /// Blocks the backend's FTL permanently retired after failed
     /// programs/erases.
     pub fn blocks_retired(&self) -> u64 {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.blocks_retired(),
-            Backend::HybridGpu { ssd } => ssd.ftl().blocks_retired(),
-            Backend::Hetero { ssd, .. } => ssd.ftl().blocks_retired(),
-            _ => 0,
-        }
+        self.ftl().map_or(0, |f| f.blocks_retired())
     }
 
     /// Writes the backend's FTL re-drove after program failures.
     pub fn write_redrives(&self) -> u64 {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.write_redrives(),
-            Backend::HybridGpu { ssd } => ssd.ftl().write_redrives(),
-            Backend::Hetero { ssd, .. } => ssd.ftl().write_redrives(),
-            _ => 0,
-        }
+        self.ftl().map_or(0, |f| f.write_redrives())
     }
 
     /// Admissions refused by bounded queues (channels, network links,
@@ -492,27 +470,15 @@ impl Backend {
     ///
     /// Propagates flash/FTL errors from the fencing relocations.
     pub fn fail_die(&mut self, now: Cycle, channel: u16, die: u16) -> Result<Cycle> {
-        let (ch, die) = (ChannelId(channel), DieId(die));
-        match self {
-            Backend::Zng { device, ftl, .. } => {
-                device.fail_die(ch, die);
-                ftl.fence_dead_die(now, device)
-            }
-            Backend::HybridGpu { ssd } => ssd.fail_die(now, ch, die),
-            Backend::Hetero { ssd, .. } => ssd.fail_die(now, ch, die),
-            Backend::Ideal { .. } | Backend::Optane { .. } => Ok(now),
-        }
+        self.with_flash(Ok(now), |ftl, device| {
+            device.fail_die(ChannelId(channel), DieId(die));
+            ftl.fence_dead_die(now, device)
+        })
     }
 
     /// Severs one flash network link; transfers detour around it.
     pub fn fail_link(&mut self, channel: u16) {
-        let ch = ChannelId(channel);
-        match self {
-            Backend::Zng { device, .. } => device.fail_link(ch),
-            Backend::HybridGpu { ssd } => ssd.fail_link(ch),
-            Backend::Hetero { ssd, .. } => ssd.fail_link(ch),
-            Backend::Ideal { .. } | Backend::Optane { .. } => {}
-        }
+        self.with_flash((), |_, device| device.fail_link(ChannelId(channel)));
     }
 
     /// One patrol-scrub step on the flash FTL; returns the foreground
@@ -522,12 +488,7 @@ impl Backend {
     ///
     /// Propagates flash/FTL errors.
     pub fn scrub_step(&mut self, now: Cycle) -> Result<Cycle> {
-        match self {
-            Backend::Zng { device, ftl, .. } => ftl.scrub_step(now, device),
-            Backend::HybridGpu { ssd } => ssd.scrub_step(now),
-            Backend::Hetero { ssd, .. } => ssd.scrub_step(now),
-            Backend::Ideal { .. } | Backend::Optane { .. } => Ok(now),
-        }
+        self.with_flash(Ok(now), |ftl, device| ftl.scrub_step(now, device))
     }
 
     /// Re-creates every page stranded on dead dies onto healthy spare
@@ -537,12 +498,9 @@ impl Backend {
     ///
     /// Propagates flash/FTL errors from reconstruction and reprogramming.
     pub fn rebuild_dead_die(&mut self, now: Cycle) -> Result<(Cycle, u64)> {
-        match self {
-            Backend::Zng { device, ftl, .. } => ftl.rebuild_dead_die(now, device),
-            Backend::HybridGpu { ssd } => ssd.rebuild_dead_die(now),
-            Backend::Hetero { ssd, .. } => ssd.rebuild_dead_die(now),
-            Backend::Ideal { .. } | Backend::Optane { .. } => Ok((now, 0)),
-        }
+        self.with_flash(Ok((now, 0)), |ftl, device| {
+            ftl.rebuild_dead_die(now, device)
+        })
     }
 
     /// One refresh-scheduler step on the flash FTL (threshold scan →
@@ -554,12 +512,7 @@ impl Backend {
     ///
     /// Propagates flash/FTL errors.
     pub fn refresh_step(&mut self, now: Cycle) -> Result<Cycle> {
-        match self {
-            Backend::Zng { device, ftl, .. } => ftl.refresh_step(now, device),
-            Backend::HybridGpu { ssd } => ssd.refresh_step(now),
-            Backend::Hetero { ssd, .. } => ssd.refresh_step(now),
-            Backend::Ideal { .. } | Backend::Optane { .. } => Ok(now),
-        }
+        self.with_flash(Ok(now), |ftl, device| ftl.refresh_step(now, device))
     }
 
     /// One background checkpoint write on the flash FTL: snapshot the
@@ -568,12 +521,7 @@ impl Backend {
     /// budget when one is set). A no-op without checkpointing or on
     /// flashless platforms.
     pub fn checkpoint_step(&mut self, now: Cycle) -> Cycle {
-        match self {
-            Backend::Zng { device, ftl, .. } => ftl.checkpoint_step(now, device),
-            Backend::HybridGpu { ssd } => ssd.checkpoint_step(now),
-            Backend::Hetero { ssd, .. } => ssd.checkpoint_step(now),
-            Backend::Ideal { .. } | Backend::Optane { .. } => now,
-        }
+        self.with_flash(now, |ftl, device| ftl.checkpoint_step(now, device))
     }
 
     /// One predictive-health tick on the flash FTL: score the per-die
@@ -587,52 +535,27 @@ impl Backend {
     ///
     /// Propagates flash/FTL errors.
     pub fn health_step(&mut self, now: Cycle) -> Result<Cycle> {
-        match self {
-            Backend::Zng { device, ftl, .. } => ftl.health_step(now, device),
-            Backend::HybridGpu { ssd } => ssd.health_step(now),
-            Backend::Hetero { ssd, .. } => ssd.health_step(now),
-            Backend::Ideal { .. } | Backend::Optane { .. } => Ok(now),
-        }
+        self.with_flash(Ok(now), |ftl, device| ftl.health_step(now, device))
     }
 
     /// The health monitor's counters, when the subsystem is on.
     pub fn health_counters(&self) -> Option<HealthCounters> {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.health_counters(),
-            Backend::HybridGpu { ssd } => ssd.ftl().health_counters(),
-            Backend::Hetero { ssd, .. } => ssd.ftl().health_counters(),
-            Backend::Ideal { .. } | Backend::Optane { .. } => None,
-        }
+        self.ftl().and_then(|f| f.health_counters())
     }
 
     /// The dies currently quarantined by the health monitor, sorted.
     pub fn quarantined_dies(&self) -> Vec<(u16, u16)> {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.quarantined_dies(),
-            Backend::HybridGpu { ssd } => ssd.ftl().quarantined_dies(),
-            Backend::Hetero { ssd, .. } => ssd.ftl().quarantined_dies(),
-            Backend::Ideal { .. } | Backend::Optane { .. } => Vec::new(),
-        }
+        self.ftl().map(|f| f.quarantined_dies()).unwrap_or_default()
     }
 
     /// The checkpoint writer's counters, when the subsystem is on.
     pub fn checkpoint_counters(&self) -> Option<CheckpointCounters> {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.checkpoint_counters(),
-            Backend::HybridGpu { ssd } => ssd.ftl().checkpoint_counters(),
-            Backend::Hetero { ssd, .. } => ssd.ftl().checkpoint_counters(),
-            Backend::Ideal { .. } | Backend::Optane { .. } => None,
-        }
+        self.ftl().and_then(|f| f.checkpoint_counters())
     }
 
     /// The endurance scheduler's counters, when the subsystem is on.
     pub fn endurance_counters(&self) -> Option<EnduranceCounters> {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.endurance_counters(),
-            Backend::HybridGpu { ssd } => ssd.ftl().endurance_counters(),
-            Backend::Hetero { ssd, .. } => ssd.ftl().endurance_counters(),
-            Backend::Ideal { .. } | Backend::Optane { .. } => None,
-        }
+        self.ftl().and_then(|f| f.endurance_counters())
     }
 
     /// The device's wear histogram, if this platform has flash.
@@ -642,16 +565,9 @@ impl Backend {
 
     /// The integrity layer's counters, when verification is enabled.
     pub fn integrity_counters(&self) -> Option<IntegrityCounters> {
-        match self {
-            Backend::Zng { ftl, .. } if ftl.integrity_enabled() => Some(ftl.integrity_counters()),
-            Backend::HybridGpu { ssd } if ssd.ftl().integrity_enabled() => {
-                Some(ssd.ftl().integrity_counters())
-            }
-            Backend::Hetero { ssd, .. } if ssd.ftl().integrity_enabled() => {
-                Some(ssd.ftl().integrity_counters())
-            }
-            _ => None,
-        }
+        self.ftl()
+            .filter(|f| f.integrity_enabled())
+            .map(|f| f.integrity_counters())
     }
 
     /// Silently miscorrected pages injected into the flash arrays.
@@ -662,12 +578,9 @@ impl Backend {
 
     /// The redundancy subsystem's counters, when RAIN is installed.
     pub fn rain_counters(&self) -> Option<RainCounters> {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.redundancy().map(|r| r.counters()),
-            Backend::HybridGpu { ssd } => ssd.ftl().redundancy().map(|r| r.counters()),
-            Backend::Hetero { ssd, .. } => ssd.ftl().redundancy().map(|r| r.counters()),
-            Backend::Ideal { .. } | Backend::Optane { .. } => None,
-        }
+        self.ftl()
+            .and_then(|f| f.redundancy())
+            .map(|r| r.counters())
     }
 
     /// Reads that targeted a dead die (each one forced a reconstruction

@@ -7,8 +7,7 @@
 //! software/controller overhead on top of engine + flash time.
 
 use zng_flash::{FlashDevice, FlashGeometry};
-use zng_ftl::{PageMapFtl, RainConfig, RecoveryReport, SsdEngine};
-use zng_types::ids::{ChannelId, DieId};
+use zng_ftl::{PageMapFtl, RecoveryReport, SsdEngine};
 use zng_types::{Cycle, Freq, Nanos, Result};
 
 /// A discrete NVMe SSD servicing page-granular I/O.
@@ -91,105 +90,11 @@ impl NvmeSsd {
         &self.ftl
     }
 
-    /// Applies a fault-injection configuration to the flash media.
-    pub fn apply_faults(&mut self, cfg: &zng_flash::FaultConfig) {
-        self.device.set_fault_config(cfg);
-    }
-
-    /// Enables (or disables, with `None`) RAIN redundancy on the FTL.
-    pub fn set_redundancy(&mut self, config: Option<RainConfig>) {
-        self.ftl.set_redundancy(&self.device, config);
-    }
-
-    /// Applies the end-to-end integrity policy: silent-corruption
-    /// injection on the media plus payload verification in the FTL.
-    pub fn apply_integrity(&mut self, cfg: &zng_flash::SdcConfig, verify: bool) {
-        self.device.set_integrity_config(cfg);
-        self.ftl.set_integrity(verify);
-    }
-
-    /// Arms the endurance subsystem: read-disturb/retention tracking on
-    /// the media plus the refresh + static-levelling scheduler in the
-    /// FTL.
-    pub fn apply_endurance(&mut self, policy: zng_ftl::RefreshPolicy) {
-        self.device
-            .set_endurance_tracking(Some(zng_flash::DISTURB_READS_PER_CYCLE));
-        self.ftl.set_endurance(Some(policy));
-    }
-
-    /// One refresh-scheduler step: scan for blocks over their disturb or
-    /// retention budget and rewrite one, else run a levelling migration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flash/FTL errors.
-    pub fn refresh_step(&mut self, now: Cycle) -> Result<Cycle> {
-        self.ftl.refresh_step(now, &mut self.device)
-    }
-
-    /// Installs (or removes, with `None`) the mapping-checkpoint
-    /// subsystem on the FTL.
-    pub fn set_checkpointing(&mut self, config: Option<zng_ftl::CheckpointConfig>) {
-        self.ftl.set_checkpointing(config);
-    }
-
-    /// One background checkpoint write; returns the foreground stall
-    /// horizon (capped by the pacing budget when one is set).
-    pub fn checkpoint_step(&mut self, now: Cycle) -> Cycle {
-        self.ftl.checkpoint_step(now, &mut self.device)
-    }
-
-    /// Installs (or removes, with `None`) the predictive die-health
-    /// monitor on the FTL.
-    pub fn set_health(&mut self, policy: Option<zng_ftl::HealthPolicy>) {
-        self.ftl.set_health(policy);
-    }
-
-    /// One predictive-health tick: score the per-die telemetry, fence
-    /// newly dead dies, evacuate one victim block off a suspect (when
-    /// evacuation is on) and rehabilitate false positives. Returns the
-    /// foreground stall horizon (capped by the pacing budget when one
-    /// is set).
-    ///
-    /// # Errors
-    ///
-    /// Propagates flash/FTL errors.
-    pub fn health_step(&mut self, now: Cycle) -> Result<Cycle> {
-        self.ftl.health_step(now, &mut self.device)
-    }
-
-    /// Kills one die and fences its blocks: reads reconstruct around it,
-    /// the allocator stops handing out its blocks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flash/FTL errors from the fencing relocations.
-    pub fn fail_die(&mut self, now: Cycle, channel: ChannelId, die: DieId) -> Result<Cycle> {
-        self.device.fail_die(channel, die);
-        self.ftl.fence_dead_die(now, &mut self.device)
-    }
-
-    /// Severs one mesh/bus link; transfers detour deterministically.
-    pub fn fail_link(&mut self, channel: ChannelId) {
-        self.device.fail_link(channel);
-    }
-
-    /// One patrol-scrub step: scan the next slot, rewrite it if strained.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flash/FTL errors.
-    pub fn scrub_step(&mut self, now: Cycle) -> Result<Cycle> {
-        self.ftl.scrub_step(now, &mut self.device)
-    }
-
-    /// Re-creates every page stranded on dead dies onto healthy spares.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flash/FTL errors from reconstruction and reprogramming.
-    pub fn rebuild_dead_die(&mut self, now: Cycle) -> Result<(Cycle, u64)> {
-        self.ftl.rebuild_dead_die(now, &mut self.device)
+    /// The FTL and the flash device it manages, borrowed together: the
+    /// handle maintenance, fault injection and subsystem setup go
+    /// through.
+    pub fn ftl_mut(&mut self) -> (&mut PageMapFtl, &mut FlashDevice) {
+        (&mut self.ftl, &mut self.device)
     }
 
     /// Page reads issued.

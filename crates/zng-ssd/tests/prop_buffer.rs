@@ -173,7 +173,7 @@ proptest! {
         crash_at in 0usize..80,
     ) {
         let mut m = SsdModule::hybrid(FlashGeometry::tiny(), 4, Freq::default()).unwrap();
-        m.apply_faults(&FaultConfig::end_of_life().with_seed(seed));
+        m.ftl_mut().1.set_fault_config(&FaultConfig::end_of_life().with_seed(seed));
         let crash_at = crash_at.min(ops.len());
         let mut t = Cycle::ZERO;
         let mut worn = false;
@@ -214,7 +214,7 @@ proptest! {
         writes in prop::collection::vec(0u64..64, 1..60),
     ) {
         let mut s = NvmeSsd::new(FlashGeometry::tiny(), Freq::default()).unwrap();
-        s.apply_faults(&FaultConfig::end_of_life().with_seed(seed));
+        s.ftl_mut().1.set_fault_config(&FaultConfig::end_of_life().with_seed(seed));
         let mut t = Cycle::ZERO;
         let mut acked = std::collections::BTreeSet::new();
         for &ppn in &writes {

@@ -3,7 +3,7 @@
 //! semantics, and flash-protocol invariants at the device boundary.
 
 use zng_flash::{FlashDevice, FlashGeometry, RegisterTopology};
-use zng_ftl::{PageMapFtl, WriteMode, ZngFtl};
+use zng_ftl::{Ftl as _, PageMapFtl, WriteMode, ZngFtl};
 use zng_types::{Cycle, Freq};
 
 fn device() -> FlashDevice {
