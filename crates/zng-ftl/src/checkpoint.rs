@@ -48,9 +48,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use zng_flash::{BlockKind, FlashDevice, PageOob};
 use zng_types::{BlockAddr, Cycle};
 
-use crate::allocator::BlockAllocator;
+use crate::maint::FtlCore;
 use crate::pacing::GcPacing;
-use crate::rain::{Claim, RainState};
+use crate::rain::Claim;
 use crate::recovery::{self, Scan, ScannedBlock, OOB_SCAN_CYCLES_PER_PAGE};
 
 /// Synthetic OOB key namespace for checkpoint and journal pages, outside
@@ -184,16 +184,6 @@ pub(crate) struct FastScan {
     pub journal_replayed: u64,
     pub blocks_rescanned: u64,
     pub cycles_saved: Cycle,
-}
-
-/// Borrowed FTL internals the checkpoint writer programs through: the
-/// same allocation chokepoint discipline (RAIN parity claims, dead-die
-/// fencing) as data and log blocks.
-pub(crate) struct CkptIo<'a> {
-    pub device: &'a mut FlashDevice,
-    pub allocator: &'a mut BlockAllocator,
-    pub rain: Option<&'a mut RainState>,
-    pub blocks_retired: &'a mut u64,
 }
 
 /// Checkpoint writer + journal state, owned by an FTL.
@@ -452,11 +442,15 @@ fn open_blocks(device: &FlashDevice, images: &[ScannedBlock], now: Cycle) -> BTr
 /// chokepoint discipline: parity-reserved indices are claimed (and
 /// journalled touched), dead-die indices fenced. `None` on exhaustion —
 /// the epoch fails, foreground traffic is never killed by the writer.
-fn alloc_ckpt_block(ck: &mut CheckpointState, io: &mut CkptIo<'_>) -> Option<(BlockAddr, u64)> {
+fn alloc_ckpt_block(
+    ck: &mut CheckpointState,
+    core: &mut FtlCore,
+    device: &mut FlashDevice,
+) -> Option<(BlockAddr, u64)> {
     let idx = loop {
-        let idx = io.allocator.allocate().ok()?;
-        match io.rain.as_deref_mut() {
-            Some(rain) => match rain.classify(io.device, idx).ok()? {
+        let idx = core.allocator.allocate().ok()?;
+        match core.rain.as_mut() {
+            Some(rain) => match rain.classify(device, idx).ok()? {
                 Claim::Keep => break idx,
                 Claim::Parity => {
                     // The claim postdates the epoch capture: the parity
@@ -464,16 +458,13 @@ fn alloc_ckpt_block(ck: &mut CheckpointState, io: &mut CkptIo<'_>) -> Option<(Bl
                     ck.note_touched(idx);
                     ck.step_touched.push(idx);
                 }
-                Claim::Fenced => io.allocator.retire(idx),
+                Claim::Fenced => core.allocator.retire(idx),
             },
             None => break idx,
         }
     };
-    let addr = io.device.geometry().block_for_index(idx).ok()?;
-    io.device
-        .block_mut(addr)
-        .ok()?
-        .set_kind(BlockKind::Checkpoint);
+    let addr = device.geometry().block_for_index(idx).ok()?;
+    device.block_mut(addr).ok()?.set_kind(BlockKind::Checkpoint);
     ck.epoch_blocks.push(idx);
     ck.cur_block = Some((addr, idx));
     Some((addr, idx))
@@ -490,20 +481,20 @@ fn alloc_ckpt_block(ck: &mut CheckpointState, io: &mut CkptIo<'_>) -> Option<(Bl
 /// corruption, dead dies, journal overflow and aborted epochs instead.
 fn program_page(
     ck: &mut CheckpointState,
-    io: &mut CkptIo<'_>,
+    core: &mut FtlCore,
+    device: &mut FlashDevice,
     mut t: Cycle,
 ) -> Option<(MediaPage, Cycle)> {
     loop {
         let cur = match ck.cur_block {
             Some((addr, idx))
-                if io
-                    .device
+                if device
                     .block(addr)
                     .is_some_and(|b| !b.is_full() && !b.is_failed()) =>
             {
                 (addr, idx)
             }
-            _ => match alloc_ckpt_block(ck, io) {
+            _ => match alloc_ckpt_block(ck, core, device) {
                 Some(c) => c,
                 None => {
                     ck.fail_epoch();
@@ -512,7 +503,7 @@ fn program_page(
             },
         };
         let key = ck.next_key();
-        match io.device.program_migrate(t, cur.0, key) {
+        match device.program_migrate(t, cur.0, key) {
             Ok(rep) if !rep.failed => {
                 return Some((
                     MediaPage {
@@ -526,8 +517,8 @@ fn program_page(
             Ok(rep) => {
                 // Burned mid-append: retire it and roll to another block
                 // (it stays in `epoch_blocks`, so recovery re-scans it).
-                io.allocator.retire(cur.1);
-                *io.blocks_retired += 1;
+                core.allocator.retire(cur.1);
+                core.blocks_retired += 1;
                 ck.cur_block = None;
                 t = rep.done;
             }
@@ -542,12 +533,17 @@ fn program_page(
 /// Flushes pending journal records to media, one page per
 /// [`JOURNAL_RECORDS_PER_PAGE`] batch, until no critical record and no
 /// full batch remains. Returns when the last flush completes.
-pub(crate) fn flush_journal(ck: &mut CheckpointState, io: &mut CkptIo<'_>, now: Cycle) -> Cycle {
+pub(crate) fn flush_journal(
+    ck: &mut CheckpointState,
+    core: &mut FtlCore,
+    device: &mut FlashDevice,
+    now: Cycle,
+) -> Cycle {
     ck.tick(now);
     let mut t = ck.last_now;
     while ck.flush_ready() {
         let end = (ck.flushed + JOURNAL_RECORDS_PER_PAGE).min(ck.journal.len());
-        match program_page(ck, io, t) {
+        match program_page(ck, core, device, t) {
             Some((mp, done)) => {
                 ck.journal_pages.push((mp, end));
                 ck.flushed = end;
@@ -568,31 +564,31 @@ pub(crate) fn flush_journal(ck: &mut CheckpointState, io: &mut CkptIo<'_>, now: 
 /// previous epoch in force. Returns when the write completes (the caller
 /// applies the pacing cap).
 ///
-/// `stale` is the stale-checkpoint-block backlog a recovery deferred
-/// (see [`crate::recovery`]): those blocks retire alongside the
-/// superseded epoch, off the restore critical path.
+/// The stale-checkpoint-block backlog a recovery deferred (see
+/// [`crate::recovery`]) retires alongside the superseded epoch, off the
+/// restore critical path.
 pub(crate) fn write_checkpoint(
     ck: &mut CheckpointState,
-    io: &mut CkptIo<'_>,
+    core: &mut FtlCore,
+    device: &mut FlashDevice,
     now: Cycle,
-    stale: Vec<u64>,
 ) -> Cycle {
     ck.tick(now);
-    let mut t = flush_journal(ck, io, now);
-    let scan = recovery::scan_device(io.device);
-    let open = open_blocks(io.device, &scan.blocks, now);
+    let mut t = flush_journal(ck, core, device, now);
+    let scan = recovery::scan_device(device);
+    let open = open_blocks(device, &scan.blocks, now);
     let images = scan.blocks;
     let entries: u64 =
         images.len() as u64 + images.iter().map(|b| b.entries.len() as u64).sum::<u64>();
     let pages = entries.div_ceil(CKPT_ENTRIES_PER_PAGE).max(1);
     let mut retiring = std::mem::take(&mut ck.epoch_blocks);
-    retiring.extend(stale);
+    retiring.append(&mut core.stale_ckpt);
     ck.cur_block = None;
     ck.valid = true;
     let mut payload = Vec::with_capacity(pages as usize);
     let mut ok = true;
     for _ in 0..pages {
-        match program_page(ck, io, t) {
+        match program_page(ck, core, device, t) {
             Some((mp, done)) => {
                 payload.push(mp);
                 t = done;
@@ -603,7 +599,11 @@ pub(crate) fn write_checkpoint(
             }
         }
     }
-    let commit = if ok { program_page(ck, io, t) } else { None };
+    let commit = if ok {
+        program_page(ck, core, device, t)
+    } else {
+        None
+    };
     match commit {
         Some((mp, done)) => {
             t = done;
@@ -626,15 +626,15 @@ pub(crate) fn write_checkpoint(
             for idx in std::mem::take(&mut ck.step_touched) {
                 ck.note_touched(idx);
             }
-            t = retire_old_blocks(ck, io, t, retiring);
-            t = flush_journal(ck, io, t);
+            t = retire_old_blocks(ck, core, device, t, retiring);
+            t = flush_journal(ck, core, device, t);
         }
         None => {
             // The previous epoch stays current; its fast path must
             // re-scan both its own blocks and the partial new ones.
             ck.epoch_blocks.extend(retiring);
             ck.step_touched.clear();
-            t = flush_journal(ck, io, t);
+            t = flush_journal(ck, core, device, t);
         }
     }
     ck.tick(t);
@@ -650,52 +650,52 @@ pub(crate) fn write_checkpoint(
 /// as a live data block (re-erasing it later would destroy data).
 fn retire_old_blocks(
     ck: &mut CheckpointState,
-    io: &mut CkptIo<'_>,
+    core: &mut FtlCore,
+    device: &mut FlashDevice,
     start: Cycle,
     retiring: Vec<u64>,
 ) -> Cycle {
     let mut done = start;
     for idx in retiring {
         ck.note_touched(idx);
-        let Ok(addr) = io.device.geometry().block_for_index(idx) else {
+        let Ok(addr) = device.geometry().block_for_index(idx) else {
             continue;
         };
-        if let Some(b) = io.device.block(addr) {
+        if let Some(b) = device.block(addr) {
             // Burned mid-append: already retired (and charged) when the
             // program failed — never release it back into the pool.
             if b.is_failed() {
                 continue;
             }
         }
-        if io.device.die_is_dead(addr.channel, addr.die) {
-            io.allocator.retire(idx);
-            if let Some(rain) = io.rain.as_deref_mut() {
+        if device.die_is_dead(addr.channel, addr.die) {
+            core.allocator.retire(idx);
+            if let Some(rain) = core.rain.as_mut() {
                 rain.fenced_blocks += 1;
             }
             continue;
         }
-        let valid: Vec<u32> = io
-            .device
+        let valid: Vec<u32> = device
             .block(addr)
             .map(|b| b.valid_page_indices().collect())
             .unwrap_or_default();
         for page in valid {
-            io.device.invalidate(zng_types::FlashAddr::new(addr, page));
+            device.invalidate(zng_types::FlashAddr::new(addr, page));
         }
-        match io.device.erase(start, addr) {
+        match device.erase(start, addr) {
             Ok(rep) => {
                 done = done.max(rep.done);
                 if rep.failed {
-                    io.allocator.retire(idx);
-                    *io.blocks_retired += 1;
+                    core.allocator.retire(idx);
+                    core.blocks_retired += 1;
                 } else {
-                    let wear = io.device.block(addr).map(|b| b.erase_count()).unwrap_or(0);
-                    io.allocator.release(idx, wear);
+                    let wear = device.block(addr).map(|b| b.erase_count()).unwrap_or(0);
+                    core.allocator.release(idx, wear);
                 }
             }
             Err(_) => {
-                io.allocator.retire(idx);
-                *io.blocks_retired += 1;
+                core.allocator.retire(idx);
+                core.blocks_retired += 1;
             }
         }
     }

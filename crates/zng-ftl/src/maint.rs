@@ -19,7 +19,7 @@ use zng_flash::{BlockKind, FlashDevice};
 use zng_types::{BlockAddr, Cycle, Error, FlashAddr, Result};
 
 use crate::allocator::BlockAllocator;
-use crate::checkpoint::{self, CheckpointConfig, CheckpointCounters, CheckpointState, CkptIo};
+use crate::checkpoint::{self, CheckpointConfig, CheckpointCounters, CheckpointState};
 use crate::health::{HealthCounters, HealthPolicy, HealthState, QUARANTINE_EXTRA_READ_ATTEMPTS};
 use crate::integrity::IntegrityCounters;
 use crate::rain::{Claim, RainConfig, RainState};
@@ -170,20 +170,11 @@ impl FtlCore {
             return;
         };
         if ck.flush_ready() {
-            checkpoint::flush_journal(&mut ck, &mut self.ckpt_io(device), now);
+            checkpoint::flush_journal(&mut ck, self, device, now);
         } else {
             ck.tick(now);
         }
         self.checkpoint = Some(ck);
-    }
-
-    fn ckpt_io<'a>(&'a mut self, device: &'a mut FlashDevice) -> CkptIo<'a> {
-        CkptIo {
-            device,
-            allocator: &mut self.allocator,
-            rain: self.rain.as_mut(),
-            blocks_retired: &mut self.blocks_retired,
-        }
     }
 
     /// The one allocation chokepoint: takes a block from the pool (the
@@ -605,8 +596,7 @@ pub trait Ftl: Primitives {
         let Some(mut ck) = core.checkpoint.take() else {
             return now;
         };
-        let stale = std::mem::take(&mut core.stale_ckpt);
-        let done = checkpoint::write_checkpoint(&mut ck, &mut core.ckpt_io(device), now, stale);
+        let done = checkpoint::write_checkpoint(&mut ck, core, device, now);
         let resumed = match ck.config().pacing {
             Some(p) => {
                 let deadline = p.deadline(now);
