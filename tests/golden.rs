@@ -416,3 +416,165 @@ fn maint_library_runs_match_golden() {
         "library maintenance runs",
     );
 }
+
+/// The maintenance paths under a pacing contract, on flashless
+/// platforms, and in poll order. No other golden reaches these: every
+/// `*_overruns` key of `run_maint_library.json` is 0, both QoS goldens
+/// report no paced GC, and no golden runs a subsystem on a platform
+/// without flash. Each case runs through the library on
+/// `SimConfig::tiny()` and asserts its target counter is non-zero:
+///
+/// - `paced_all_{zng,hybrid}`: a GC stall budget with scrub, refresh,
+///   checkpoint and health on, so each step's foreground stall is
+///   capped and counted as an overrun;
+/// - `paced_gc_zng_base`: log-block merges under the same budget, each
+///   a paced GC and (at this budget) a deadline miss;
+/// - `all_optane`: every subsystem plus a crash and a die failure on a
+///   platform with no flash, which still reports its tick counts;
+/// - `crash_on_tick_zng`: a crash on the same request count as a
+///   checkpoint and a scrub tick. The crash is polled first, so recovery
+///   finds no checkpoint yet and falls back to the full scan.
+///
+/// Regenerate with `ZNG_BLESS=1 cargo test --test golden
+/// paced_maint_library_runs_match_golden`.
+#[test]
+fn paced_maint_library_runs_match_golden() {
+    use zng::{
+        CheckpointConfig, Cycle, DegradingDie, EnduranceConfig, Experiment, FaultConfig,
+        HealthConfig, PlatformKind, RedundancyConfig, RunResult, SimConfig, TraceParams,
+    };
+    use zng_json::Value;
+
+    type Check = fn(&RunResult) -> bool;
+    let paced = || {
+        let mut cfg = SimConfig::tiny();
+        cfg.qos.gc_stall_budget = Some(Cycle(200));
+        cfg
+    };
+    let all_on = || {
+        let mut cfg = paced();
+        // A small page buffer sends HybridGPU's reads to the flash.
+        cfg.buffer_pages = 8;
+        cfg.fault = FaultConfig::none().with_degrading(DegradingDie {
+            channel: 0,
+            die: 0,
+            onset: 100_000,
+            death: 90_000_000,
+        });
+        cfg.redundancy = RedundancyConfig::rain(8);
+        cfg.endurance = EnduranceConfig::on(8);
+        cfg.endurance.disturb_threshold = 10;
+        cfg.endurance.wear_spread = 0.0;
+        cfg.checkpoint = CheckpointConfig::on(16);
+        cfg.health = HealthConfig::on(8);
+        cfg.health.window = 16;
+        cfg.health.suspect_threshold = 0.02;
+        cfg.health.evacuate = true;
+        cfg
+    };
+    let optane = || {
+        let mut cfg = all_on();
+        cfg.crash_at = Some(100);
+        cfg.redundancy.die_fail_at = Some(200);
+        cfg
+    };
+    let crash_on_tick = || {
+        let mut cfg = SimConfig::tiny();
+        cfg.redundancy = RedundancyConfig::rain(50);
+        cfg.checkpoint = CheckpointConfig::on(50);
+        cfg.crash_at = Some(50);
+        cfg
+    };
+    let overran: Check = |r| {
+        r.redundancy.as_ref().is_some_and(|d| d.scrub_overruns > 0)
+            && r.checkpoint.as_ref().is_some_and(|c| c.overruns > 0)
+            && (r.endurance.as_ref().is_some_and(|e| e.refresh_overruns > 0)
+                || r.health.as_ref().is_some_and(|h| h.evacuation_overruns > 0))
+    };
+    let paced_gc: Check = |r| {
+        r.qos
+            .as_ref()
+            .is_some_and(|q| q.paced_gcs > 0 && q.gc_deadline_misses > 0)
+    };
+    let ticked: Check = |r| {
+        r.redundancy.as_ref().is_some_and(|d| d.scrub_ticks > 0)
+            && r.endurance.as_ref().is_some_and(|e| e.refresh_ticks > 0)
+            && r.checkpoint
+                .as_ref()
+                .is_some_and(|c| c.checkpoint_ticks > 0)
+            && r.health.as_ref().is_some_and(|h| h.health_ticks > 0)
+            && r.crash_recovery.is_some()
+    };
+    let crash_first: Check = |r| {
+        r.redundancy.as_ref().is_some_and(|d| d.scrub_ticks > 0)
+            && r.checkpoint
+                .as_ref()
+                .is_some_and(|c| c.checkpoint_ticks > 0)
+            && r.crash_recovery
+                .as_ref()
+                .is_some_and(|c| c.fallback && !c.fast_path)
+    };
+
+    let light = TraceParams {
+        total_warps: 8,
+        mem_ops_per_warp: 16,
+        footprint_pages: 512,
+        seed: 42,
+    };
+    let churn = TraceParams {
+        total_warps: 16,
+        mem_ops_per_warp: 120,
+        footprint_pages: 512,
+        seed: 42,
+    };
+    let write_mix: &[&str] = &["back", "gaus"];
+    let cases: [(&str, PlatformKind, SimConfig, TraceParams, Check); 5] = [
+        ("paced_all_zng", PlatformKind::Zng, all_on(), light, overran),
+        (
+            "paced_all_hybrid",
+            PlatformKind::HybridGpu,
+            all_on(),
+            light,
+            overran,
+        ),
+        (
+            "paced_gc_zng_base",
+            PlatformKind::ZngBase,
+            paced(),
+            churn,
+            paced_gc,
+        ),
+        ("all_optane", PlatformKind::Optane, optane(), light, ticked),
+        (
+            "crash_on_tick_zng",
+            PlatformKind::Zng,
+            crash_on_tick(),
+            light,
+            crash_first,
+        ),
+    ];
+    let runs = cases
+        .into_iter()
+        .map(|(name, platform, cfg, params, worked)| {
+            let r = Experiment::quick()
+                .with_config(cfg)
+                .with_params(params)
+                .run(platform, write_mix)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(worked(&r), "{name}: the path under test did no work");
+            (name, r.to_json_value())
+        })
+        .collect();
+    let mut got = Value::object(runs).to_string_pretty();
+    got.push('\n');
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_maint_paced_library.json");
+    if std::env::var_os("ZNG_BLESS").is_some() {
+        std::fs::write(&path, &got).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    }
+    assert_bytes_match(
+        got.as_bytes(),
+        &golden("run_maint_paced_library.json"),
+        "library paced maintenance runs",
+    );
+}
