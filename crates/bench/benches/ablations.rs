@@ -426,7 +426,6 @@ fn lifetime_ablation() {
                 disturb_threshold: 0,
                 retention_threshold: 0,
                 wear_spread: 1.5,
-                pacing: None,
             }));
         }
         let mut now = Cycle::ZERO;
@@ -475,7 +474,6 @@ fn lifetime_ablation() {
         disturb_threshold: 0,
         retention_threshold: 0,
         wear_spread: 0.0,
-        pacing: None,
     }));
     let mut now = Cycle::ZERO;
     let mut remaining = None;
@@ -577,7 +575,6 @@ fn recovery_ablation() {
         ftl.set_checkpointing(Some(CheckpointConfig {
             every_ops: 1,
             journal_cap: 0,
-            pacing: None,
         }));
         // Sequential fill to the target level, then checkpoint, then a
         // short tail of post-checkpoint writes the journal must cover.
@@ -703,7 +700,6 @@ fn health_ablation() {
                 window: 16,
                 suspect_threshold: 0.02,
                 evacuate: true,
-                pacing: None,
             }));
         }
         let mut t = Cycle::ZERO;

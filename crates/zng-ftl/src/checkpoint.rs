@@ -49,7 +49,6 @@ use zng_flash::{BlockKind, FlashDevice, PageOob};
 use zng_types::{BlockAddr, Cycle};
 
 use crate::maint::FtlCore;
-use crate::pacing::GcPacing;
 use crate::rain::Claim;
 use crate::recovery::{self, Scan, ScannedBlock, OOB_SCAN_CYCLES_PER_PAGE};
 
@@ -87,10 +86,6 @@ pub struct CheckpointConfig {
     /// declared overflowed (its fast path falls back to the full scan
     /// until the next checkpoint). Zero means unbounded.
     pub journal_cap: u64,
-    /// Stall budget for the background checkpoint writer, sharing the
-    /// GC pacing contract: a checkpoint outliving its deadline blocks
-    /// the foreground only up to the deadline and counts an overrun.
-    pub pacing: Option<GcPacing>,
 }
 
 impl CheckpointConfig {
@@ -99,7 +94,6 @@ impl CheckpointConfig {
         CheckpointConfig {
             every_ops: 0,
             journal_cap: 0,
-            pacing: None,
         }
     }
 
@@ -190,7 +184,7 @@ pub(crate) struct FastScan {
 #[derive(Debug, Clone)]
 pub(crate) struct CheckpointState {
     config: CheckpointConfig,
-    counters: CheckpointCounters,
+    pub(crate) counters: CheckpointCounters,
     /// Generation stamp of the current epoch (0 = none committed yet).
     generation: u64,
     /// Monotonic key suffix within [`CHECKPOINT_KEY_BASE`].
@@ -239,18 +233,6 @@ impl CheckpointState {
             overflowed: false,
             last_now: Cycle::ZERO,
         }
-    }
-
-    pub(crate) fn config(&self) -> CheckpointConfig {
-        self.config
-    }
-
-    pub(crate) fn counters(&self) -> CheckpointCounters {
-        self.counters
-    }
-
-    pub(crate) fn bump_overrun(&mut self) {
-        self.counters.overruns += 1;
     }
 
     /// Advances the journal clock (flushes issued at unknown call sites

@@ -35,9 +35,6 @@
 //! dead silicon.
 
 use zng_flash::DieHealth;
-use zng_types::Cycle;
-
-use crate::pacing::GcPacing;
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -62,9 +59,6 @@ pub struct HealthPolicy {
     pub suspect_threshold: f64,
     /// Pre-emptively migrate live data off suspects onto healthy spares.
     pub evacuate: bool,
-    /// Foreground stall bound for one evacuation step, reusing the GC
-    /// pacing machinery. `None` blocks for the full step.
-    pub pacing: Option<GcPacing>,
 }
 
 impl Default for HealthPolicy {
@@ -73,7 +67,6 @@ impl Default for HealthPolicy {
             window: 64,
             suspect_threshold: 0.15,
             evacuate: true,
-            pacing: None,
         }
     }
 }
@@ -282,18 +275,6 @@ impl HealthState {
         self.evacuated.contains(&key)
     }
 
-    /// Caps a step's foreground stall at the pacing deadline, counting
-    /// an overrun when the media work ran longer.
-    pub(crate) fn pace(&mut self, started: Cycle, done: Cycle) -> Cycle {
-        match self.policy.pacing {
-            Some(p) if done > p.deadline(started) => {
-                self.counters.evacuation_overruns += 1;
-                p.deadline(started)
-            }
-            _ => done,
-        }
-    }
-
     /// Clears the parked-block ledger after a crash recovery: the
     /// allocator was rebuilt from the media scan, so parked indices no
     /// longer exist in it (an allocated-but-never-programmed block looks
@@ -424,14 +405,8 @@ mod tests {
     }
 
     #[test]
-    fn evacuation_completion_counts_once_and_pacing_caps_stalls() {
-        let mut st = HealthState::new(HealthPolicy {
-            pacing: Some(GcPacing {
-                stall_budget: Cycle(1_000),
-                credit_writes: 4,
-            }),
-            ..HealthPolicy::default()
-        });
+    fn evacuation_completion_counts_once() {
+        let mut st = HealthState::new(HealthPolicy::default());
         st.observe(&[((0, 0), noisy(200, 3.0, 100, 60))], &[]);
         st.note_evacuated(24);
         st.mark_evacuated((0, 0));
@@ -440,8 +415,5 @@ mod tests {
         assert!(st.is_evacuated((0, 0)));
         assert_eq!(st.counters.pages_evacuated, 24);
         assert_eq!(st.counters.evacuations_completed, 1);
-        assert_eq!(st.pace(Cycle(0), Cycle(500)), Cycle(500));
-        assert_eq!(st.pace(Cycle(0), Cycle(9_000)), Cycle(1_000));
-        assert_eq!(st.counters.evacuation_overruns, 1);
     }
 }

@@ -22,6 +22,7 @@ use crate::allocator::BlockAllocator;
 use crate::checkpoint::{self, CheckpointConfig, CheckpointCounters, CheckpointState};
 use crate::health::{HealthCounters, HealthPolicy, HealthState, QUARANTINE_EXTRA_READ_ATTEMPTS};
 use crate::integrity::IntegrityCounters;
+use crate::pacing::{pace, GcPacing};
 use crate::rain::{Claim, RainConfig, RainState};
 use crate::recovery::{self, RecoveryReport, Scan, ScannedBlock};
 use crate::refresh::{EnduranceCounters, EnduranceState, RefreshPolicy, RefreshReason};
@@ -57,6 +58,10 @@ pub struct FtlCore {
     /// Predictive health monitor (suspect-die quarantine + pre-emptive
     /// evacuation).
     pub(crate) health: Option<HealthState>,
+    /// The one pacing contract every background step shares: a step's
+    /// foreground stall is capped at its stall budget (see
+    /// [`crate::pacing`]). `None` blocks for the whole step.
+    pub(crate) pacing: Option<GcPacing>,
     /// Garbage collections performed.
     pub(crate) gcs: u64,
     /// Blocks permanently retired after failed programs/erases.
@@ -87,6 +92,7 @@ impl FtlCore {
             checkpoint: None,
             stale_ckpt: Vec::new(),
             health: None,
+            pacing: None,
             gcs: 0,
             blocks_retired: 0,
             write_redrives: 0,
@@ -482,6 +488,15 @@ pub trait Primitives {
 /// Demand reads and writes stay inherent methods of each FTL. This
 /// trait is object-safe and sealed: only this crate implements it.
 pub trait Ftl: Primitives {
+    /// Installs (or clears) the one pacing contract of the background
+    /// steps: a scrub, refresh, checkpoint or health step — and, on
+    /// [`crate::ZngFtl`], a log-block merge — stalls the foreground no
+    /// longer than the stall budget and counts an overrun when its media
+    /// work runs longer. `None` blocks for the whole step.
+    fn set_pacing(&mut self, pacing: Option<GcPacing>) {
+        self.core_mut().pacing = pacing;
+    }
+
     /// Enables (or disables) RAIN redundancy: superblocks reserve one
     /// rotating parity member, uncorrectable reads reconstruct from
     /// surviving stripe members, and the patrol scrub / die-failure
@@ -535,7 +550,7 @@ pub trait Ftl: Primitives {
 
     /// Event counters of the checkpoint subsystem, when enabled.
     fn checkpoint_counters(&self) -> Option<CheckpointCounters> {
-        self.core().checkpoint.as_ref().map(|ck| ck.counters())
+        self.core().checkpoint.as_ref().map(|ck| ck.counters)
     }
 
     /// Installs (or clears) the predictive health policy: per-die scoring,
@@ -597,16 +612,7 @@ pub trait Ftl: Primitives {
             return now;
         };
         let done = checkpoint::write_checkpoint(&mut ck, core, device, now);
-        let resumed = match ck.config().pacing {
-            Some(p) => {
-                let deadline = p.deadline(now);
-                if done > deadline {
-                    ck.bump_overrun();
-                }
-                done.min(deadline)
-            }
-            None => done,
-        };
+        let resumed = pace(core.pacing, now, done, &mut ck.counters.overruns);
         core.checkpoint = Some(ck);
         resumed
     }
@@ -663,13 +669,8 @@ pub trait Ftl: Primitives {
                 .scrub_rewrites += 1;
         }
         let core = self.core_mut();
-        let capped = match config.pacing {
-            Some(p) if t > p.deadline(now) => {
-                core.rain.as_mut().expect("checked above").scrub_overruns += 1;
-                p.deadline(now)
-            }
-            _ => t,
-        };
+        let rain = core.rain.as_mut().expect("checked above");
+        let capped = pace(core.pacing, now, t, &mut rain.scrub_overruns);
         core.ckpt_sync(t, device);
         Ok(capped)
     }
@@ -680,7 +681,7 @@ pub trait Ftl: Primitives {
     /// remap → erase, which resets both clocks); with no refresh
     /// candidate, run one static-levelling migration when the device
     /// wear spread exceeds the configured ratio. The foreground stall is
-    /// capped by the policy's pacing budget; the media work always
+    /// capped by the configured pacing budget; the media work always
     /// completes. A no-op without an endurance policy.
     ///
     /// At end of life a step that cannot allocate a destination block is
@@ -719,11 +720,8 @@ pub trait Ftl: Primitives {
             Err(e) => return Err(e),
         };
         let core = self.core_mut();
-        let paced = core
-            .endurance
-            .as_mut()
-            .expect("checked above")
-            .pace(now, done);
+        let st = core.endurance.as_mut().expect("checked above");
+        let paced = pace(core.pacing, now, done, &mut st.counters.refresh_overruns);
         core.ckpt_sync(done, device);
         Ok(paced)
     }
@@ -737,7 +735,7 @@ pub trait Ftl: Primitives {
     /// die onto healthy spares. The migrations reuse the GC / refresh
     /// machinery, so they are journalled, checkpoint-aware and never
     /// launder corrupt pages. The foreground stall is capped by the
-    /// policy's pacing budget; the media work always completes. A no-op
+    /// configured pacing budget; the media work always completes. A no-op
     /// without a health policy.
     ///
     /// A step that cannot allocate a destination (no healthy spares) is
@@ -807,8 +805,14 @@ pub trait Ftl: Primitives {
                 }
             }
         }
-        let paced = self.core_mut().health_mut().pace(now, t);
-        self.core_mut().ckpt_sync(t, device);
+        let core = self.core_mut();
+        let paced = pace(
+            core.pacing,
+            now,
+            t,
+            &mut core.health_mut().counters.evacuation_overruns,
+        );
+        core.ckpt_sync(t, device);
         Ok(paced)
     }
 

@@ -12,6 +12,10 @@
 //! outlive their deadline are counted as deadline misses; the media work
 //! itself always completes (plane reservations are unaffected), only the
 //! foreground stall is capped.
+//!
+//! The background maintenance steps (scrub, refresh, checkpoint, health)
+//! share the same contract: the FTL core stores one [`GcPacing`] and
+//! every paced stall goes through [`pace`].
 
 use zng_types::Cycle;
 
@@ -34,6 +38,24 @@ impl GcPacing {
     }
 }
 
+/// The foreground stall of work that ran from `started` to `done`: the
+/// whole of it without `pacing`, else capped at the pacing deadline, in
+/// which case `overruns` counts one more overrun.
+pub(crate) fn pace(
+    pacing: Option<GcPacing>,
+    started: Cycle,
+    done: Cycle,
+    overruns: &mut u64,
+) -> Cycle {
+    match pacing {
+        Some(p) if done > p.deadline(started) => {
+            *overruns += 1;
+            p.deadline(started)
+        }
+        _ => done,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,5 +67,26 @@ mod tests {
             credit_writes: 4,
         };
         assert_eq!(p.deadline(Cycle(500)), Cycle(10_500));
+    }
+
+    #[test]
+    fn pace_caps_the_stall_and_counts_overruns() {
+        let p = Some(GcPacing {
+            stall_budget: Cycle(1_000),
+            credit_writes: 4,
+        });
+        let mut overruns = 0;
+        assert_eq!(pace(p, Cycle(0), Cycle(500), &mut overruns), Cycle(500));
+        assert_eq!(pace(p, Cycle(0), Cycle(1_000), &mut overruns), Cycle(1_000));
+        assert_eq!(overruns, 0, "work inside the budget is no overrun");
+        assert_eq!(pace(p, Cycle(0), Cycle(5_000), &mut overruns), Cycle(1_000));
+        assert_eq!(pace(p, Cycle(0), Cycle(9_000), &mut overruns), Cycle(1_000));
+        assert_eq!(overruns, 2);
+        // Without a contract the stall is the whole step.
+        assert_eq!(
+            pace(None, Cycle(0), Cycle(9_000), &mut overruns),
+            Cycle(9_000)
+        );
+        assert_eq!(overruns, 2);
     }
 }

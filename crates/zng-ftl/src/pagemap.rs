@@ -811,7 +811,6 @@ mod tests {
             disturb_threshold: 0,
             retention_threshold: 1_000_000,
             wear_spread: 0.0,
-            pacing: None,
         }));
         let t = f.write_page(Cycle(0), &mut d, 42).unwrap();
         let addr = f.translate(42).unwrap();
@@ -845,7 +844,6 @@ mod tests {
             disturb_threshold: 0,
             retention_threshold: 0,
             wear_spread: 0.0,
-            pacing: None,
         }));
         let mut t = Cycle(0);
         let mut degraded = None;
@@ -938,7 +936,6 @@ mod tests {
         crate::checkpoint::CheckpointConfig {
             every_ops: 100,
             journal_cap,
-            pacing: None,
         }
     }
 
@@ -1289,7 +1286,6 @@ mod tests {
             window: 32,
             suspect_threshold: 0.05,
             evacuate: true,
-            pacing: None,
         }));
         let mut t = Cycle(0);
         for lpn in 0..256u64 {

@@ -29,7 +29,6 @@ use std::collections::BTreeSet;
 use zng_flash::{BlockKind, FlashDevice, PageOob};
 use zng_types::{BlockAddr, Cycle, Error, FlashAddr, Result};
 
-use crate::pacing::GcPacing;
 use crate::GC_READ_ATTEMPTS;
 
 /// Cost of XOR-combining a stripe's surviving members in the helper
@@ -49,19 +48,11 @@ pub struct RainConfig {
     /// rewritten to fresh cells (reads that needed reconstruction are
     /// always rewritten).
     pub scrub_threshold: u32,
-    /// Foreground stall bound for one scrub step, reusing the GC pacing
-    /// machinery: the step's media work always completes, but the caller
-    /// is blocked no longer than the stall budget. `None` blocks for the
-    /// full step.
-    pub pacing: Option<GcPacing>,
 }
 
 impl Default for RainConfig {
     fn default() -> RainConfig {
-        RainConfig {
-            scrub_threshold: 2,
-            pacing: None,
-        }
+        RainConfig { scrub_threshold: 2 }
     }
 }
 

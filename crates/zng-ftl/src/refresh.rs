@@ -35,8 +35,6 @@
 use zng_flash::{BlockKind, FlashDevice};
 use zng_types::{BlockAddr, Cycle, Error};
 
-use crate::pacing::GcPacing;
-
 /// Blocks examined per refresh step before the walk yields. Bounds the
 /// foreground cost of a step on an idle (no-candidate) device.
 pub const REFRESH_SCAN_BLOCKS_PER_STEP: u64 = 64;
@@ -55,9 +53,6 @@ pub struct RefreshPolicy {
     /// static wear leveler migrates one cold block per step into the
     /// most-worn spare (0.0 disables static levelling).
     pub wear_spread: f64,
-    /// Foreground stall bound for one refresh step, reusing the GC
-    /// pacing machinery. `None` blocks for the full step.
-    pub pacing: Option<GcPacing>,
 }
 
 impl Default for RefreshPolicy {
@@ -66,7 +61,6 @@ impl Default for RefreshPolicy {
             disturb_threshold: 8_192,
             retention_threshold: 2_000_000_000,
             wear_spread: 4.0,
-            pacing: None,
         }
     }
 }
@@ -201,18 +195,6 @@ impl EnduranceState {
         self.counters.leveled_pages += pages;
     }
 
-    /// Caps a step's foreground stall at the pacing deadline, counting an
-    /// overrun when the media work ran longer.
-    pub(crate) fn pace(&mut self, started: Cycle, done: Cycle) -> Cycle {
-        match self.policy.pacing {
-            Some(p) if done > p.deadline(started) => {
-                self.counters.refresh_overruns += 1;
-                p.deadline(started)
-            }
-            _ => done,
-        }
-    }
-
     /// Restarts the refresh walk from block zero after a crash recovery,
     /// for determinism (mirroring the patrol scrubber). The policy, the
     /// counters and the advertised-capacity floor survive: they describe
@@ -270,7 +252,6 @@ mod tests {
             disturb_threshold: 4,
             retention_threshold: 1_000_000,
             wear_spread: 0.0,
-            pacing: None,
         });
         // Young and undisturbed: nothing to do.
         assert_eq!(st.scan_candidate(&d, Cycle(10)), None);
@@ -295,7 +276,6 @@ mod tests {
             disturb_threshold: 0,
             retention_threshold: 1_000_000,
             wear_spread: 0.0,
-            pacing: None,
         });
         assert_eq!(
             st.scan_candidate(&d, Cycle(2_000_000)),
@@ -315,27 +295,11 @@ mod tests {
             disturb_threshold: 0,
             retention_threshold: 1,
             wear_spread: 0.0,
-            pacing: None,
         });
         // The only programmed block is fully stale: nothing to refresh.
         for _ in 0..(geo.total_blocks() as u64 / REFRESH_SCAN_BLOCKS_PER_STEP + 2) {
             assert_eq!(st.scan_candidate(&d, Cycle(1_000_000_000)), None);
         }
-    }
-
-    #[test]
-    fn pacing_caps_the_stall_and_counts_overruns() {
-        let mut st = EnduranceState::new(RefreshPolicy {
-            pacing: Some(GcPacing {
-                stall_budget: Cycle(1_000),
-                credit_writes: 4,
-            }),
-            ..RefreshPolicy::default()
-        });
-        assert_eq!(st.pace(Cycle(0), Cycle(500)), Cycle(500));
-        assert_eq!(st.counters.refresh_overruns, 0);
-        assert_eq!(st.pace(Cycle(0), Cycle(5_000)), Cycle(1_000));
-        assert_eq!(st.counters.refresh_overruns, 1);
     }
 
     #[test]

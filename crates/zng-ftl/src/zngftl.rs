@@ -28,6 +28,7 @@ use zng_types::{BlockAddr, Cycle, Error, FlashAddr, Result};
 
 use crate::densemap::DenseMap;
 use crate::maint::{Ftl, FtlCore, Primitives};
+use crate::pacing::pace;
 use crate::recovery::{self, RecoveryReport};
 use crate::refresh::RefreshReason;
 use crate::MAX_WRITE_REDRIVES;
@@ -101,9 +102,6 @@ pub struct ZngFtl {
     migrated: u64,
     /// (start, end) of each GC, for the Fig. 17 time series.
     gc_events: Vec<(Cycle, Cycle)>,
-    /// GC pacing policy; `None` (the default) blocks the victim for the
-    /// whole merge, preserving baseline behaviour bit-for-bit.
-    pacing: Option<crate::pacing::GcPacing>,
     /// Merges whose media completion overran the blocking deadline.
     gc_deadline_misses: u64,
     /// Merges that ran with pacing enabled.
@@ -152,17 +150,9 @@ impl ZngFtl {
             )),
             migrated: 0,
             gc_events: Vec::new(),
-            pacing: None,
             gc_deadline_misses: 0,
             paced_gcs: 0,
         }
-    }
-
-    /// Installs (or clears) the GC pacing policy. With pacing, every
-    /// merge's [`GcReport::blocking_done`] is capped at the blocking
-    /// deadline and overruns are counted as deadline misses.
-    pub fn set_gc_pacing(&mut self, pacing: Option<crate::pacing::GcPacing>) {
-        self.pacing = pacing;
     }
 
     /// Merges whose media completion overran the blocking deadline.
@@ -628,17 +618,12 @@ impl ZngFtl {
 
         self.migrated += migrated;
         self.gc_events.push((now, done));
-        let blocking_done = match self.pacing {
-            Some(p) => {
-                self.paced_gcs += 1;
-                let deadline = p.deadline(now);
-                if done > deadline {
-                    self.gc_deadline_misses += 1;
-                }
-                done.min(deadline)
-            }
-            None => done,
-        };
+        // With a pacing contract ([`Ftl::set_pacing`]) the victim blocks
+        // only up to the deadline, and a later merge is a deadline miss.
+        if self.core.pacing.is_some() {
+            self.paced_gcs += 1;
+        }
+        let blocking_done = pace(self.core.pacing, now, done, &mut self.gc_deadline_misses);
         self.core.ckpt_sync(done, device);
         Ok(GcReport {
             group,
@@ -1506,7 +1491,6 @@ mod tests {
             disturb_threshold: 4,
             retention_threshold: 0,
             wear_spread: 0.0,
-            pacing: None,
         }));
         let mut t = f.read(Cycle(0), &mut d, 0, 128).unwrap();
         let addr = f.locate(0).unwrap();
@@ -1552,7 +1536,6 @@ mod tests {
             disturb_threshold: 0,
             retention_threshold: 0,
             wear_spread: 1.0,
-            pacing: None,
         }));
         // One cold group written once: its full log block pins newer
         // copies, so a standalone migration must not touch it yet.
@@ -1591,7 +1574,6 @@ mod tests {
             disturb_threshold: 0,
             retention_threshold: 0,
             wear_spread: 0.0,
-            pacing: None,
         }));
         let mut t = Cycle(0);
         let mut degraded = None;
@@ -1698,7 +1680,6 @@ mod tests {
         crate::checkpoint::CheckpointConfig {
             every_ops: 100,
             journal_cap,
-            pacing: None,
         }
     }
 
@@ -1767,7 +1748,6 @@ mod tests {
             window: 32,
             suspect_threshold: 0.05,
             evacuate: true,
-            pacing: None,
         }
     }
 

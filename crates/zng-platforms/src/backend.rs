@@ -1,9 +1,8 @@
 //! Platform-specific memory backends (the path below the shared L2).
 
-use zng_flash::{EnduranceReport, FlashDevice, RegisterTopology, DISTURB_READS_PER_CYCLE};
+use zng_flash::{FlashDevice, RegisterTopology, DISTURB_READS_PER_CYCLE};
 use zng_ftl::{
-    CheckpointCounters, EnduranceCounters, Ftl, GcPacing, GcReport, HealthCounters,
-    IntegrityCounters, RainConfig, RainCounters, RecoveryReport, RefreshPolicy, WriteMode, ZngFtl,
+    Ftl, GcPacing, GcReport, RainConfig, RecoveryReport, RefreshPolicy, WriteMode, ZngFtl,
 };
 use zng_mem::{MemSubsystem, MemTiming, PcieLink};
 use zng_ssd::{NvmeSsd, PageBuffer, SsdModule};
@@ -113,7 +112,7 @@ impl Backend {
                 }
             }
         };
-        // Overload control: bound the flash-side queues and pace GC.
+        // Overload control: bound the flash-side queues.
         // Hetero's page-fault path mutates residency before touching the
         // SSD, so a rejected retry would not be idempotent there; the
         // bounded story covers the two FTL-driven flash platforms.
@@ -124,30 +123,21 @@ impl Backend {
                 _ => {}
             }
         }
-        if let Some(budget) = cfg.qos.gc_stall_budget {
-            if let Backend::Zng { ftl, .. } = &mut backend {
-                ftl.set_gc_pacing(Some(GcPacing {
-                    stall_budget: budget,
-                    credit_writes: cfg.qos.gc_credit_writes,
-                }));
-            }
-        }
         if let Some((ftl, device)) = backend.flash_mut() {
             device.set_fault_config(&cfg.fault);
-            // Every background step inherits the QoS GC stall budget, so
-            // maintenance and foreground traffic share one pacing
-            // contract.
-            let pacing = cfg.qos.gc_stall_budget.map(|budget| GcPacing {
+            // Every background step, and ZnG's log-block merges, inherit
+            // the QoS GC stall budget, so maintenance and foreground
+            // traffic share one pacing contract.
+            ftl.set_pacing(cfg.qos.gc_stall_budget.map(|budget| GcPacing {
                 stall_budget: budget,
                 credit_writes: cfg.qos.gc_credit_writes,
-            });
+            }));
             // Each subsystem is off by default: no parity, checksums,
             // counters or checkpoint pages, and byte-identical output.
             // Redundancy: RAIN parity + patrol scrub.
             if cfg.redundancy.enabled {
                 let rain = RainConfig {
                     scrub_threshold: cfg.redundancy.scrub_threshold,
-                    pacing,
                 };
                 ftl.set_redundancy(device, Some(rain));
             }
@@ -166,18 +156,17 @@ impl Backend {
                     disturb_threshold: cfg.endurance.disturb_threshold,
                     retention_threshold: cfg.endurance.retention_threshold,
                     wear_spread: cfg.endurance.wear_spread,
-                    pacing,
                 }));
             }
             // Bounded-time crash recovery: mapping checkpoints + delta
             // journal in a reserved flash namespace.
             if cfg.checkpoint.enabled {
-                ftl.set_checkpointing(Some(cfg.checkpoint.ftl(&cfg.qos)));
+                ftl.set_checkpointing(Some(cfg.checkpoint.ftl()));
             }
             // Predictive health: per-die telemetry scoring, suspect
             // quarantine and pre-emptive evacuation.
             if cfg.health.enabled {
-                ftl.set_health(Some(cfg.health.ftl(&cfg.qos)));
+                ftl.set_health(Some(cfg.health.ftl()));
             }
         }
         Ok(backend)
@@ -201,12 +190,13 @@ impl Backend {
         }
     }
 
-    /// The flash FTL, on the platforms that have flash.
-    fn ftl(&self) -> Option<&dyn Ftl> {
+    /// The flash FTL and its device, read-only, on the platforms that
+    /// have flash: the view a run's flash counters are read through.
+    pub fn flash(&self) -> Option<(&dyn Ftl, &FlashDevice)> {
         match self {
-            Backend::Zng { ftl, .. } => Some(ftl),
-            Backend::HybridGpu { ssd } => Some(ssd.ftl()),
-            Backend::Hetero { ssd, .. } => Some(ssd.ftl()),
+            Backend::Zng { device, ftl, .. } => Some((ftl, device)),
+            Backend::HybridGpu { ssd } => Some((ssd.ftl(), ssd.device())),
+            Backend::Hetero { ssd, .. } => Some((ssd.ftl(), ssd.device())),
             Backend::Ideal { .. } | Backend::Optane { .. } => None,
         }
     }
@@ -391,38 +381,12 @@ impl Backend {
         }
     }
 
-    /// The Z-NAND device, if this platform has one.
-    pub fn flash_device(&self) -> Option<&FlashDevice> {
-        match self {
-            Backend::HybridGpu { ssd } => Some(ssd.device()),
-            Backend::Zng { device, .. } => Some(device),
-            Backend::Hetero { ssd, .. } => Some(ssd.device()),
-            _ => None,
-        }
-    }
-
     /// The ZnG FTL, if this is a ZnG platform.
     pub fn zng_ftl(&self) -> Option<&ZngFtl> {
         match self {
             Backend::Zng { ftl, .. } => Some(ftl),
             _ => None,
         }
-    }
-
-    /// Garbage collections performed by the backend's FTL.
-    pub fn gcs(&self) -> u64 {
-        self.ftl().map_or(0, |f| f.gcs())
-    }
-
-    /// Blocks the backend's FTL permanently retired after failed
-    /// programs/erases.
-    pub fn blocks_retired(&self) -> u64 {
-        self.ftl().map_or(0, |f| f.blocks_retired())
-    }
-
-    /// Writes the backend's FTL re-drove after program failures.
-    pub fn write_redrives(&self) -> u64 {
-        self.ftl().map_or(0, |f| f.write_redrives())
     }
 
     /// Admissions refused by bounded queues (channels, network links,
@@ -442,22 +406,6 @@ impl Backend {
         match self {
             Backend::Zng { device, .. } => device.qos_max_occupancy(),
             Backend::HybridGpu { ssd } => ssd.qos_max_occupancy(),
-            _ => 0,
-        }
-    }
-
-    /// Log-block merges that overran their pacing deadline.
-    pub fn gc_deadline_misses(&self) -> u64 {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.gc_deadline_misses(),
-            _ => 0,
-        }
-    }
-
-    /// Log-block merges that ran under a pacing budget.
-    pub fn paced_gcs(&self) -> u64 {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.paced_gcs(),
             _ => 0,
         }
     }
@@ -537,62 +485,6 @@ impl Backend {
     pub fn health_step(&mut self, now: Cycle) -> Result<Cycle> {
         self.with_flash(Ok(now), |ftl, device| ftl.health_step(now, device))
     }
-
-    /// The health monitor's counters, when the subsystem is on.
-    pub fn health_counters(&self) -> Option<HealthCounters> {
-        self.ftl().and_then(|f| f.health_counters())
-    }
-
-    /// The dies currently quarantined by the health monitor, sorted.
-    pub fn quarantined_dies(&self) -> Vec<(u16, u16)> {
-        self.ftl().map(|f| f.quarantined_dies()).unwrap_or_default()
-    }
-
-    /// The checkpoint writer's counters, when the subsystem is on.
-    pub fn checkpoint_counters(&self) -> Option<CheckpointCounters> {
-        self.ftl().and_then(|f| f.checkpoint_counters())
-    }
-
-    /// The endurance scheduler's counters, when the subsystem is on.
-    pub fn endurance_counters(&self) -> Option<EnduranceCounters> {
-        self.ftl().and_then(|f| f.endurance_counters())
-    }
-
-    /// The device's wear histogram, if this platform has flash.
-    pub fn endurance_report(&self) -> Option<EnduranceReport> {
-        self.flash_device().map(FlashDevice::endurance)
-    }
-
-    /// The integrity layer's counters, when verification is enabled.
-    pub fn integrity_counters(&self) -> Option<IntegrityCounters> {
-        self.ftl()
-            .filter(|f| f.integrity_enabled())
-            .map(|f| f.integrity_counters())
-    }
-
-    /// Silently miscorrected pages injected into the flash arrays.
-    pub fn silent_corruptions(&self) -> u64 {
-        self.flash_device()
-            .map_or(0, |d| d.stats().silent_corruptions())
-    }
-
-    /// The redundancy subsystem's counters, when RAIN is installed.
-    pub fn rain_counters(&self) -> Option<RainCounters> {
-        self.ftl()
-            .and_then(|f| f.redundancy())
-            .map(|r| r.counters())
-    }
-
-    /// Reads that targeted a dead die (each one forced a reconstruction
-    /// or an uncorrectable error).
-    pub fn dead_die_reads(&self) -> u64 {
-        self.flash_device().map_or(0, FlashDevice::dead_die_reads)
-    }
-
-    /// Transfers that detoured around a severed flash network link.
-    pub fn rerouted_transfers(&self) -> u64 {
-        self.flash_device().map_or(0, |d| d.network().rerouted())
-    }
 }
 
 #[cfg(test)]
@@ -649,7 +541,7 @@ mod tests {
         let mut b = backend(PlatformKind::ZngBase);
         let t = b.read(Cycle(0), 0, 0, 128).unwrap();
         assert!(t > Cycle(3_600), "{t}");
-        assert!(b.flash_device().unwrap().stats().total_reads() > 0);
+        assert!(b.flash().unwrap().1.stats().total_reads() > 0);
     }
 
     #[test]
@@ -671,7 +563,7 @@ mod tests {
             w.done
         );
         // No program yet.
-        assert_eq!(b.flash_device().unwrap().stats().total_programs(), 0);
+        assert_eq!(b.flash().unwrap().1.stats().total_programs(), 0);
     }
 
     #[test]
@@ -682,7 +574,7 @@ mod tests {
         // 100 us program, which runs in the background on the plane.
         assert!(w.done > Cycle(3_600), "RMW fetch: {:?}", w.done);
         assert!(w.done < Cycle(120_000), "program is async: {:?}", w.done);
-        assert!(b.flash_device().unwrap().stats().total_programs() > 0);
+        assert!(b.flash().unwrap().1.stats().total_programs() > 0);
     }
 
     #[test]
@@ -697,7 +589,7 @@ mod tests {
             assert!(w.gc.is_none(), "free GC never surfaces");
             t = w.done;
         }
-        assert!(b.gcs() > 0, "GC still ran internally");
+        assert!(b.flash().unwrap().0.gcs() > 0, "GC still ran internally");
     }
 
     #[test]

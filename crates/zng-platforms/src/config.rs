@@ -216,17 +216,12 @@ impl HealthConfig {
         }
     }
 
-    /// The FTL-side policy, inheriting the QoS GC stall budget so
-    /// evacuation shares the one pacing contract.
-    pub fn ftl(&self, qos: &QosConfig) -> zng_ftl::HealthPolicy {
+    /// The FTL-side policy.
+    pub fn ftl(&self) -> zng_ftl::HealthPolicy {
         zng_ftl::HealthPolicy {
             window: self.window,
             suspect_threshold: self.suspect_threshold,
             evacuate: self.evacuate,
-            pacing: qos.gc_stall_budget.map(|budget| zng_ftl::GcPacing {
-                stall_budget: budget,
-                credit_writes: qos.gc_credit_writes,
-            }),
         }
     }
 
@@ -319,16 +314,11 @@ impl CheckpointConfig {
         }
     }
 
-    /// The FTL-side policy, inheriting the QoS GC stall budget so the
-    /// background checkpoint writer shares the one pacing contract.
-    pub fn ftl(&self, qos: &QosConfig) -> zng_ftl::CheckpointConfig {
+    /// The FTL-side policy.
+    pub fn ftl(&self) -> zng_ftl::CheckpointConfig {
         zng_ftl::CheckpointConfig {
             every_ops: self.every_ops,
             journal_cap: self.journal_cap,
-            pacing: qos.gc_stall_budget.map(|budget| zng_ftl::GcPacing {
-                stall_budget: budget,
-                credit_writes: qos.gc_credit_writes,
-            }),
         }
     }
 

@@ -25,13 +25,13 @@ use zng_types::{
 use zng_workloads::MultiApp;
 
 use crate::backend::{Backend, BackendWrite};
-use crate::config::{EnduranceConfig, PlatformKind, RedundancyConfig, SimConfig};
+use crate::config::{PlatformKind, SimConfig};
 use crate::lane::WarpQueue;
 use crate::metrics::{
     CheckpointSummary, CrashRecoverySummary, DieBreakdown, EnduranceSummary, HealthSummary,
     IntegritySummary, PerfSummary, RedundancySummary, RunResult,
 };
-use crate::qos::{FairShare, QosConfig, QosSummary};
+use crate::qos::{FairShare, QosSummary};
 
 /// Time-series bucket width for Fig. 17b (10 µs at 1.2 GHz).
 const SERIES_INTERVAL: Cycle = Cycle(12_000);
@@ -44,10 +44,56 @@ const REDIRECT_CAP: u64 = 4096;
 /// Redirected lines drained back to the registers per drain opportunity.
 const DRAIN_CHUNK: usize = 256;
 
+/// A device-wide maintenance step the runner polls between requests,
+/// listed in poll order: a crash comes first, so no step runs on state
+/// the power cut is about to lose.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Task {
+    /// Power cut and recovery (`crash_at`).
+    Crash,
+    /// Die failure and fencing (`die_fail_at`).
+    DieFailure,
+    /// One patrol-scrub step.
+    Scrub,
+    /// One refresh-scheduler step.
+    Refresh,
+    /// One background checkpoint write.
+    Checkpoint,
+    /// One predictive-health tick.
+    Health,
+}
+
+/// When a [`Task`] fires, keyed to completed requests.
+#[derive(Debug)]
+enum Trigger {
+    /// Once, at a request count.
+    Once(CrashSwitch),
+    /// Every `n` requests.
+    Every(PatrolTicker),
+}
+
+impl Trigger {
+    fn poll(&mut self, requests: u64) -> bool {
+        match self {
+            Trigger::Once(s) => s.poll(requests),
+            Trigger::Every(t) => t.poll(requests),
+        }
+    }
+
+    fn ticks(&self) -> u64 {
+        match self {
+            Trigger::Once(s) => u64::from(s.fired()),
+            Trigger::Every(t) => t.ticks(),
+        }
+    }
+}
+
 /// One platform instance ready to run workloads.
 #[derive(Debug)]
 pub struct Simulation {
     kind: PlatformKind,
+    /// The configuration the platform was built from.
+    cfg: SimConfig,
     freq: Freq,
     sms: Vec<Sm>,
     mmu: Mmu,
@@ -64,19 +110,10 @@ pub struct Simulation {
     write_probe: u64,
     thrash_mode: bool,
     pinned_dirty: u64,
-    gc_reports: Vec<GcReport>,
-    crash_switch: CrashSwitch,
+    /// The configured maintenance steps, in poll order, each with its
+    /// trigger.
+    tasks: Vec<(Task, Trigger)>,
     crash_summary: Option<CrashRecoverySummary>,
-    /// Redundancy policy. [`RedundancyConfig::off`] (the default) makes
-    /// every self-healing hook below a no-op.
-    redundancy: RedundancyConfig,
-    /// One-shot die-failure trigger (`die_fail_at`).
-    die_switch: CrashSwitch,
-    /// Patrol-scrub cadence, keyed to completed requests.
-    patrol: PatrolTicker,
-    /// Overload-control policy. [`QosConfig::unbounded`] (the default)
-    /// makes every QoS hook below a no-op.
-    qos: QosConfig,
     /// Backoff retries performed after [`Error::Backpressure`] rejections.
     qos_retried: u64,
     /// Requests whose backoff budget ran out (they then waited for the
@@ -90,38 +127,15 @@ pub struct Simulation {
     gc_credit_exhausted: u64,
     /// Remaining foreground-stall credit per victim app (GC pacing).
     gc_credits: FxHashMap<u16, u64>,
-    /// Watchdog budget: abort with [`Error::Stalled`] when the event loop
-    /// advances this many cycles past the last completed request.
-    watchdog: Option<u64>,
-    /// End-to-end integrity verification enabled (`--integrity`).
-    integrity_on: bool,
     /// L2 lines poisoned after unrecoverable integrity violations.
     poisoned_lines: u64,
-    /// Endurance policy. [`EnduranceConfig::off`] (the default) makes
-    /// every lifetime-management hook below a no-op.
-    endurance: EnduranceConfig,
-    /// Refresh-scheduler cadence, keyed to completed requests.
-    refresh_ticker: PatrolTicker,
     /// Writes refused after end-of-life capacity degradation (the
     /// workload keeps running; the device is read-only for new data).
     writes_refused: u64,
-    /// Mapping-checkpoint subsystem enabled (`--checkpoint`).
-    checkpoint_on: bool,
-    /// Checkpoint-writer cadence, keyed to completed requests.
-    checkpoint_ticker: PatrolTicker,
-    /// Predictive health monitor enabled (`--health`).
-    health_on: bool,
-    /// Health-monitor cadence, keyed to completed requests.
-    health_ticker: PatrolTicker,
     /// Queue the fairness gate's throttle retries in the phase-slot lane
     /// (always on; tests turn it off to compare against the plain event
     /// queue).
     retry_lane: bool,
-    /// Sim-throughput telemetry requested (`--perf`): attach a
-    /// [`PerfSummary`] to the result. The event counters below are
-    /// maintained unconditionally (integer adds); only the wall-clock
-    /// summary is gated so default output stays byte-identical.
-    perf_on: bool,
 }
 
 impl Simulation {
@@ -155,8 +169,26 @@ impl Simulation {
             // that channel detours for the whole run.
             backend.fail_link(ch);
         }
+        // Only configured steps join the list: validation rejects a
+        // cadence whose subsystem is off.
+        let once =
+            |task, at: Option<u64>| at.map(|n| (task, Trigger::Once(CrashSwitch::at_ops(n))));
+        let every =
+            |task, n: u64| (n > 0).then(|| (task, Trigger::Every(PatrolTicker::every_ops(n))));
+        let tasks = [
+            once(Task::Crash, cfg.crash_at),
+            once(Task::DieFailure, cfg.redundancy.die_fail_at),
+            every(Task::Scrub, cfg.redundancy.scrub_every_ops),
+            every(Task::Refresh, cfg.endurance.refresh_every_ops),
+            every(Task::Checkpoint, cfg.checkpoint.every_ops),
+            every(Task::Health, cfg.health.every_ops),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
         Ok(Simulation {
             kind,
+            cfg: *cfg,
             freq,
             sms: (0..gpu_cfg.sms)
                 .map(|i| Sm::new(SmId(i as u16), &gpu_cfg))
@@ -175,45 +207,16 @@ impl Simulation {
             write_probe: 0,
             thrash_mode: false,
             pinned_dirty: 0,
-            gc_reports: Vec::new(),
-            crash_switch: cfg
-                .crash_at
-                .map(CrashSwitch::at_ops)
-                .unwrap_or_else(CrashSwitch::disarmed),
+            tasks,
             crash_summary: None,
-            redundancy: cfg.redundancy,
-            die_switch: cfg
-                .redundancy
-                .die_fail_at
-                .map(CrashSwitch::at_ops)
-                .unwrap_or_else(CrashSwitch::disarmed),
-            patrol: PatrolTicker::every_ops(cfg.redundancy.scrub_every_ops),
-            qos: cfg.qos,
             qos_retried: 0,
             qos_budget_exhausted: 0,
             pinned_overflow_stalls: 0,
             gc_credit_exhausted: 0,
             gc_credits: FxHashMap::default(),
-            watchdog: cfg.watchdog,
-            integrity_on: cfg.integrity.enabled,
             poisoned_lines: 0,
-            endurance: cfg.endurance,
-            refresh_ticker: PatrolTicker::every_ops(cfg.endurance.refresh_every_ops),
             writes_refused: 0,
-            checkpoint_on: cfg.checkpoint.enabled,
-            checkpoint_ticker: PatrolTicker::every_ops(if cfg.checkpoint.enabled {
-                cfg.checkpoint.every_ops
-            } else {
-                0
-            }),
-            health_on: cfg.health.enabled,
-            health_ticker: PatrolTicker::every_ops(if cfg.health.enabled {
-                cfg.health.every_ops
-            } else {
-                0
-            }),
             retry_lane: true,
-            perf_on: cfg.perf,
         })
     }
 
@@ -240,7 +243,7 @@ impl Simulation {
         // Fairness gate: only built when a fairness window is configured;
         // `None` keeps the scheduling loop bit-identical to the
         // pre-QoS runner.
-        let mut fair = if self.qos.fair_window > 0 {
+        let mut fair = if self.cfg.qos.fair_window > 0 {
             let mut warps_per_app: BTreeMap<u16, u64> = BTreeMap::new();
             for w in &warps {
                 *warps_per_app.entry(w.app().raw()).or_insert(0) += 1;
@@ -252,7 +255,7 @@ impl Simulation {
         // The gate's throttle retries get their own phase-slot lane.
         let mut queue = WarpQueue::new(
             warps.iter().map(|w| w.app().raw()).collect(),
-            self.qos.backoff_base,
+            self.cfg.qos.backoff_base,
             self.retry_lane && fair.is_some(),
         );
         for i in 0..warps.len() {
@@ -260,8 +263,8 @@ impl Simulation {
         }
         // Exact latency percentiles store every sample; only pay for
         // them when a bounded QoS policy will report them.
-        let mut read_pct = (!self.qos.is_unbounded()).then(Percentiles::new);
-        let mut write_pct = (!self.qos.is_unbounded()).then(Percentiles::new);
+        let mut read_pct = (!self.cfg.qos.is_unbounded()).then(Percentiles::new);
+        let mut write_pct = (!self.cfg.qos.is_unbounded()).then(Percentiles::new);
 
         let mut last_cycle = Cycle::ZERO;
         let mut requests: u64 = 0;
@@ -300,10 +303,9 @@ impl Simulation {
         let mut perf_maint: u64 = 0;
         let mut perf_skipped: u64 = 0;
 
-        // The request count at the last maintenance poll. The tickers and
-        // one-shot switches below fire only when the count crosses a
-        // threshold, so a poll with an unchanged count is a no-op and is
-        // skipped.
+        // The request count at the last maintenance poll. The maintenance
+        // triggers fire only when the count crosses a threshold, so a
+        // poll with an unchanged count is a no-op and is skipped.
         let mut polled_requests = u64::MAX;
 
         // Same-cycle batch drain: pull every event sharing the front
@@ -329,7 +331,7 @@ impl Simulation {
                     // The round's first event would check the watchdog and
                     // poll maintenance before anything else; do both now, so
                     // the skip sees the state that event would.
-                    Self::watchdog_check(self.watchdog, now, last_progress)?;
+                    Self::watchdog_check(self.cfg.watchdog, now, last_progress)?;
                     if requests != polled_requests {
                         polled_requests = requests;
                         self.poll_maintenance(now, requests, mix, &mut perf_maint)?;
@@ -337,11 +339,11 @@ impl Simulation {
                     let held = &self.app_blocked_until;
                     if queue.all_retry_apps(|app| {
                         held.get(&app).is_none_or(|&until| until <= now)
-                            && f.still_closed(app, &self.qos, self.qos.fair_window)
+                            && f.still_closed(app, &self.cfg.qos, self.cfg.qos.fair_window)
                     }) {
                         // The watchdog trips on the first cycle more than
                         // its budget past the last progress.
-                        let horizon = self.watchdog.map_or(Cycle(u64::MAX), |b| {
+                        let horizon = self.cfg.watchdog.map_or(Cycle(u64::MAX), |b| {
                             Cycle(last_progress.raw().saturating_add(b).saturating_add(1))
                         });
                         let skipped = queue.skip_retries(horizon);
@@ -358,7 +360,7 @@ impl Simulation {
             queue.pop_round(now, &mut batch);
             for &idx in &batch {
                 perf_events += 1;
-                Self::watchdog_check(self.watchdog, now, last_progress)?;
+                Self::watchdog_check(self.cfg.watchdog, now, last_progress)?;
                 if requests != polled_requests {
                     polled_requests = requests;
                     self.poll_maintenance(now, requests, mix, &mut perf_maint)?;
@@ -406,7 +408,7 @@ impl Simulation {
                 // lag (starvation freedom).
                 if let Some(f) = fair.as_mut() {
                     if matches!(warps[idx].current_op(), Some(WarpOp::Mem { .. }))
-                        && f.should_throttle(app.raw(), &self.qos, self.qos.fair_window)
+                        && f.should_throttle(app.raw(), &self.cfg.qos, self.cfg.qos.fair_window)
                     {
                         perf_blocked += 1;
                         queue.retry(now, idx);
@@ -496,7 +498,7 @@ impl Simulation {
         // helper threads re-create every page stranded on dead dies onto
         // healthy spare blocks (maintenance time, not charged to the
         // run's cycle count).
-        if self.redundancy.enabled && self.die_switch.fired() {
+        if self.ticks(Task::DieFailure) > 0 {
             self.backend.rebuild_dead_die(last_cycle)?;
         }
 
@@ -510,29 +512,14 @@ impl Simulation {
         }
         let cycles = last_cycle.max(Cycle(1));
 
-        let (flash_gbps, reads_pp, progs_pp) = match self.backend.flash_device() {
-            Some(d) => (
-                d.stats().array_gbps(cycles, self.freq),
-                d.stats().mean_reads_per_page(),
-                d.stats().mean_programs_per_page(),
-            ),
-            None => (0.0, 0.0, 0.0),
-        };
-        let (read_retries, uncorrectable_reads, program_failures, erase_failures) =
-            match self.backend.flash_device() {
-                Some(d) => (
-                    d.stats().read_retries(),
-                    d.stats().uncorrectable_reads(),
-                    d.stats().program_failures(),
-                    d.stats().erase_failures(),
-                ),
-                None => (0, 0, 0, 0),
-            };
-        let gc_events = self
-            .backend
-            .zng_ftl()
-            .map(|f| f.gc_events().to_vec())
-            .unwrap_or_default();
+        // Every flash counter is read through the backend's flash view;
+        // platforms without flash report zeros (and enabled subsystems
+        // still report their tick counts).
+        let flash = self.backend.flash();
+        let ftl = flash.map(|(ftl, _)| ftl);
+        let device = flash.map(|(_, device)| device);
+        let stats = device.map(|d| d.stats());
+        let zng = self.backend.zng_ftl();
 
         // Apps with at least one sample, as the ordered maps of the result.
         let mean = |m: &[(u64, u64)]| -> BTreeMap<u16, f64> {
@@ -547,15 +534,15 @@ impl Simulation {
             .filter(|(_, s)| s.is_some())
             .map(|(a, _)| (a, per_app_requests[a as usize]))
             .collect();
-        let qos = (!self.qos.is_unbounded()).then(|| QosSummary {
+        let qos = (!self.cfg.qos.is_unbounded()).then(|| QosSummary {
             rejected: self.backend.qos_rejections(),
             retried: self.qos_retried,
             retry_budget_exhausted: self.qos_budget_exhausted,
             mshr_stalls: self.sms.iter().map(|s| s.mshr().full_stalls()).sum::<u64>()
                 + self.page_mshr.full_stalls(),
             pinned_overflow_stalls: self.pinned_overflow_stalls,
-            gc_deadline_misses: self.backend.gc_deadline_misses(),
-            paced_gcs: self.backend.paced_gcs(),
+            gc_deadline_misses: zng.map_or(0, |f| f.gc_deadline_misses()),
+            paced_gcs: zng.map_or(0, |f| f.paced_gcs()),
             gc_credit_exhausted: self.gc_credit_exhausted,
             fairness_throttles: fair.as_ref().map(FairShare::throttles).unwrap_or(0),
             max_service_lag: fair.as_ref().map(FairShare::max_lag).unwrap_or(0),
@@ -567,8 +554,11 @@ impl Simulation {
             write_p95: write_pct.as_mut().map(|p| p.percentile(0.95)).unwrap_or(0),
             write_p99: write_pct.as_mut().map(|p| p.percentile(0.99)).unwrap_or(0),
         });
-        let redundancy = self.redundancy.enabled.then(|| {
-            let c = self.backend.rain_counters().unwrap_or_default();
+        let redundancy = self.cfg.redundancy.enabled.then(|| {
+            let c = ftl
+                .and_then(|f| f.redundancy())
+                .map(|r| r.counters())
+                .unwrap_or_default();
             RedundancySummary {
                 reconstructions: c.reconstructions,
                 reconstruction_reads: c.reconstruction_reads,
@@ -576,23 +566,22 @@ impl Simulation {
                 scrub_scanned: c.scrub_scanned,
                 scrub_rewrites: c.scrub_rewrites,
                 scrub_overruns: c.scrub_overruns,
-                scrub_ticks: self.patrol.ticks(),
+                scrub_ticks: self.ticks(Task::Scrub),
                 rebuild_pages: c.rebuild_pages,
                 degraded_reads: c.degraded_reads,
                 fenced_blocks: c.fenced_blocks,
-                dead_die_reads: self.backend.dead_die_reads(),
-                rerouted_transfers: self.backend.rerouted_transfers(),
-                retry_depth_histogram: self
-                    .backend
-                    .flash_device()
-                    .map(|d| d.stats().retry_depth_histogram())
-                    .unwrap_or_default(),
+                dead_die_reads: device.map_or(0, |d| d.dead_die_reads()),
+                rerouted_transfers: device.map_or(0, |d| d.network().rerouted()),
+                retry_depth_histogram: stats.map(|s| s.retry_depth_histogram()).unwrap_or_default(),
             }
         });
-        let integrity = self.integrity_on.then(|| {
-            let c = self.backend.integrity_counters().unwrap_or_default();
+        let integrity = self.cfg.integrity.enabled.then(|| {
+            let c = ftl
+                .filter(|f| f.integrity_enabled())
+                .map(|f| f.integrity_counters())
+                .unwrap_or_default();
             IntegritySummary {
-                silent_corruptions: self.backend.silent_corruptions(),
+                silent_corruptions: stats.map_or(0, |s| s.silent_corruptions()),
                 detected: c.detected,
                 rereads: c.rereads,
                 reconstructed: c.reconstructed,
@@ -600,21 +589,11 @@ impl Simulation {
                 poisoned_lines: self.poisoned_lines,
             }
         });
-        let endurance = self.endurance.enabled.then(|| {
-            let c = self.backend.endurance_counters().unwrap_or_default();
-            let rep = self.backend.endurance_report();
-            let (disturb_reads, disturb_triggered_errors) = self
-                .backend
-                .flash_device()
-                .map(|d| {
-                    (
-                        d.stats().disturb_reads(),
-                        d.stats().disturb_triggered_errors(),
-                    )
-                })
-                .unwrap_or((0, 0));
+        let endurance = self.cfg.endurance.enabled.then(|| {
+            let c = ftl.and_then(|f| f.endurance_counters()).unwrap_or_default();
+            let rep = device.map(|d| d.endurance());
             EnduranceSummary {
-                refresh_ticks: self.refresh_ticker.ticks(),
+                refresh_ticks: self.ticks(Task::Refresh),
                 refreshes: c.refreshes,
                 disturb_refreshes: c.disturb_refreshes,
                 retention_refreshes: c.retention_refreshes,
@@ -624,18 +603,20 @@ impl Simulation {
                 refresh_overruns: c.refresh_overruns,
                 capacity_steps: c.capacity_steps,
                 writes_refused: self.writes_refused,
-                disturb_reads,
-                disturb_triggered_errors,
+                disturb_reads: stats.map_or(0, |s| s.disturb_reads()),
+                disturb_triggered_errors: stats.map_or(0, |s| s.disturb_triggered_errors()),
                 wear_max: rep.map(|r| r.worst_wear_fraction()).unwrap_or(0.0),
                 wear_mean: rep.map(|r| r.mean_wear_fraction()).unwrap_or(0.0),
                 wear_min: rep.map(|r| r.min_wear_fraction()).unwrap_or(0.0),
                 wear_spread: rep.map(|r| r.wear_spread()).unwrap_or(1.0),
             }
         });
-        let checkpoint = self.checkpoint_on.then(|| {
-            let c = self.backend.checkpoint_counters().unwrap_or_default();
+        let checkpoint = self.cfg.checkpoint.enabled.then(|| {
+            let c = ftl
+                .and_then(|f| f.checkpoint_counters())
+                .unwrap_or_default();
             CheckpointSummary {
-                checkpoint_ticks: self.checkpoint_ticker.ticks(),
+                checkpoint_ticks: self.ticks(Task::Checkpoint),
                 checkpoints: c.checkpoints,
                 checkpoint_pages: c.checkpoint_pages,
                 journal_records: c.journal_records,
@@ -645,7 +626,7 @@ impl Simulation {
                 aborted: c.aborted,
             }
         });
-        let perf = self.perf_on.then(|| {
+        let perf = self.cfg.perf.then(|| {
             let wall = wall_start.elapsed().as_secs_f64();
             PerfSummary {
                 wall_seconds: wall,
@@ -659,14 +640,11 @@ impl Simulation {
                 skipped_events: perf_skipped,
             }
         });
-        let health = self.health_on.then(|| {
-            let c = self.backend.health_counters().unwrap_or_default();
-            let per_die = self
-                .backend
-                .flash_device()
-                .map(|d| {
-                    d.stats()
-                        .die_health_sorted()
+        let health = self.cfg.health.enabled.then(|| {
+            let c = ftl.and_then(|f| f.health_counters()).unwrap_or_default();
+            let per_die = stats
+                .map(|s| {
+                    s.die_health_sorted()
                         .iter()
                         .map(|&((channel, die), h)| DieBreakdown {
                             channel,
@@ -683,14 +661,14 @@ impl Simulation {
                 })
                 .unwrap_or_default();
             HealthSummary {
-                health_ticks: self.health_ticker.ticks(),
+                health_ticks: self.ticks(Task::Health),
                 suspects_flagged: c.suspects_flagged,
                 pages_evacuated: c.pages_evacuated,
                 evacuations_completed: c.evacuations_completed,
                 rehabilitations: c.rehabilitations,
                 evacuation_overruns: c.evacuation_overruns,
                 dead_dies_fenced: c.dead_dies_fenced,
-                quarantined: self.backend.quarantined_dies(),
+                quarantined: ftl.map(|f| f.quarantined_dies()).unwrap_or_default(),
                 per_die,
             }
         });
@@ -702,20 +680,16 @@ impl Simulation {
             instructions,
             requests,
             ipc: instructions as f64 / cycles.raw() as f64,
-            flash_array_gbps: flash_gbps,
-            flash_reads_per_page: reads_pp,
-            flash_programs_per_page: progs_pp,
+            flash_array_gbps: stats.map_or(0.0, |s| s.array_gbps(cycles, self.freq)),
+            flash_reads_per_page: stats.map_or(0.0, |s| s.mean_reads_per_page()),
+            flash_programs_per_page: stats.map_or(0.0, |s| s.mean_programs_per_page()),
             l1_hit_rate: self.sms.iter().map(|s| s.l1_hit_rate()).sum::<f64>()
                 / self.sms.len() as f64,
             l2_hit_rate: self.l2.hit_rate(),
             tlb_hit_rate: self.mmu.tlb().hit_rate(),
             predictor_accuracy: self.predictor.accuracy(),
-            gcs: self.backend.gcs(),
-            register_migrations: self
-                .backend
-                .flash_device()
-                .map(|d| d.total_migrations())
-                .unwrap_or(0),
+            gcs: ftl.map_or(0, |f| f.gcs()),
+            register_migrations: device.map_or(0, |d| d.total_migrations()),
             redirected_writes: self.redirected_writes,
             avg_read_latency: read_lat_sum as f64 / read_lat_n.max(1) as f64,
             avg_write_latency: write_lat_sum as f64 / write_lat_n.max(1) as f64,
@@ -729,13 +703,13 @@ impl Simulation {
                 .filter_map(|(a, s)| s.map(|s| (a, s.samples())))
                 .collect(),
             series_interval: SERIES_INTERVAL,
-            gc_events,
-            read_retries,
-            uncorrectable_reads,
-            program_failures,
-            erase_failures,
-            blocks_retired: self.backend.blocks_retired(),
-            write_redrives: self.backend.write_redrives(),
+            gc_events: zng.map(|f| f.gc_events().to_vec()).unwrap_or_default(),
+            read_retries: stats.map_or(0, |s| s.read_retries()),
+            uncorrectable_reads: stats.map_or(0, |s| s.uncorrectable_reads()),
+            program_failures: stats.map_or(0, |s| s.program_failures()),
+            erase_failures: stats.map_or(0, |s| s.erase_failures()),
+            blocks_retired: ftl.map_or(0, |f| f.blocks_retired()),
+            write_redrives: ftl.map_or(0, |f| f.write_redrives()),
             crash_recovery: self.crash_summary.take(),
             qos,
             redundancy,
@@ -747,9 +721,17 @@ impl Simulation {
         })
     }
 
-    /// Polls the request-count-keyed maintenance triggers (power cut,
-    /// die failure, patrol scrub, refresh, checkpoint, health) and runs
-    /// whichever fire, counting each in `perf_maint`.
+    /// How often `task` has fired (0 when it is not configured).
+    fn ticks(&self, task: Task) -> u64 {
+        self.tasks
+            .iter()
+            .find(|(t, _)| *t == task)
+            .map_or(0, |(_, trigger)| trigger.ticks())
+    }
+
+    /// Polls the maintenance tasks in order and runs each that fires,
+    /// counting it in `perf_maint`. Every step is device-wide, so all
+    /// apps are held until the step lets the foreground resume.
     fn poll_maintenance(
         &mut self,
         now: Cycle,
@@ -757,82 +739,67 @@ impl Simulation {
         mix: &MultiApp,
         perf_maint: &mut u64,
     ) -> Result<()> {
-        // Power cut: fires once, at a request-count boundary. The
-        // storage side loses its volatile state and recovers from the
-        // OOB scan; the GPU side reboots with cold caches. Every app
-        // is held until the recovery scan finishes.
-        if self.crash_switch.poll(requests) {
-            *perf_maint += 1;
-            let report = self.backend.crash_recover(now)?;
-            self.power_cut_gpu();
-            let resume = now + report.map(|r| r.scan_cycles).unwrap_or(Cycle::ZERO);
-            self.block_all_apps(mix, resume);
-            let r = report.unwrap_or_default();
-            self.crash_summary = Some(CrashRecoverySummary {
-                at_requests: requests,
-                at_cycle: now,
-                pages_scanned: r.pages_scanned,
-                torn_discarded: r.torn_discarded,
-                stale_dropped: r.stale_dropped,
-                blocks_erased: r.blocks_erased,
-                scan_cycles: r.scan_cycles,
-                corrupt_quarantined: r.corrupt_quarantined,
-                fast_path: r.fast_path,
-                fallback: r.fallback,
-                journal_replayed: r.journal_replayed,
-                blocks_rescanned: r.blocks_rescanned,
-                cycles_saved: r.cycles_saved,
-            });
-        }
-        // Die failure: fires once. The FTL fences the dead die's
-        // blocks (relocating live log pages around it) and every app
-        // is held while the emergency relocations run; afterwards
-        // reads reconstruct from surviving stripe members.
-        if self.die_switch.poll(requests) {
-            *perf_maint += 1;
-            let (ch, die) = self.redundancy.die_fail;
-            let fenced = self.backend.fail_die(now, ch, die)?;
-            self.block_all_apps(mix, fenced);
-        }
-        // Patrol scrub: one bounded step per cadence boundary. The
-        // step's media work always completes but the foreground
-        // stall is capped by the pacing budget when one is set.
-        if self.patrol.poll(requests) {
-            *perf_maint += 1;
-            let horizon = self.backend.scrub_step(now)?;
-            self.block_all_apps(mix, horizon);
-        }
-        // Background refresh: one endurance-scheduler step per
-        // cadence boundary (disturb/retention threshold scan → block
-        // refresh, or one static-levelling migration). The media
-        // work always completes but the foreground stall is capped
-        // by the pacing budget when one is set.
-        if self.refresh_ticker.poll(requests) {
-            *perf_maint += 1;
-            let horizon = self.backend.refresh_step(now)?;
-            self.block_all_apps(mix, horizon);
-        }
-        // Background checkpoint: one mapping snapshot per cadence
-        // boundary into the reserved checkpoint namespace. The
-        // media work always completes but the foreground stall is
-        // capped by the pacing budget when one is set.
-        if self.checkpoint_ticker.poll(requests) {
-            *perf_maint += 1;
-            let horizon = self.backend.checkpoint_step(now);
-            self.block_all_apps(mix, horizon);
-        }
-        // Predictive health: one monitor tick per cadence boundary —
-        // score the per-die telemetry, fence freshly dead dies,
-        // evacuate one victim block off a suspect (when evacuation is
-        // on) and rehabilitate false positives. The media work always
-        // completes but the foreground stall is capped by the pacing
-        // budget when one is set.
-        if self.health_ticker.poll(requests) {
-            *perf_maint += 1;
-            let horizon = self.backend.health_step(now)?;
-            self.block_all_apps(mix, horizon);
+        for i in 0..self.tasks.len() {
+            let (task, trigger) = &mut self.tasks[i];
+            if trigger.poll(requests) {
+                let task = *task;
+                *perf_maint += 1;
+                let resume = self.run_task(task, now, requests)?;
+                self.block_all_apps(mix, resume);
+            }
         }
         Ok(())
+    }
+
+    /// Runs one maintenance step at `now`, after `requests` completed
+    /// requests; returns when the foreground may resume. The background
+    /// steps' media work always completes, but their stall is capped by
+    /// the pacing contract when one is set.
+    fn run_task(&mut self, task: Task, now: Cycle, requests: u64) -> Result<Cycle> {
+        match task {
+            // Power cut: the storage side loses its volatile state and
+            // recovers from the OOB scan; the GPU side reboots with cold
+            // caches. Apps are held until the recovery scan finishes.
+            Task::Crash => {
+                let report = self.backend.crash_recover(now)?;
+                self.power_cut_gpu();
+                let r = report.unwrap_or_default();
+                self.crash_summary = Some(CrashRecoverySummary {
+                    at_requests: requests,
+                    at_cycle: now,
+                    pages_scanned: r.pages_scanned,
+                    torn_discarded: r.torn_discarded,
+                    stale_dropped: r.stale_dropped,
+                    blocks_erased: r.blocks_erased,
+                    scan_cycles: r.scan_cycles,
+                    corrupt_quarantined: r.corrupt_quarantined,
+                    fast_path: r.fast_path,
+                    fallback: r.fallback,
+                    journal_replayed: r.journal_replayed,
+                    blocks_rescanned: r.blocks_rescanned,
+                    cycles_saved: r.cycles_saved,
+                });
+                Ok(now + r.scan_cycles)
+            }
+            // Die failure: the FTL fences the dead die's blocks,
+            // relocating live log pages around it; afterwards reads
+            // reconstruct from surviving stripe members.
+            Task::DieFailure => {
+                let (ch, die) = self.cfg.redundancy.die_fail;
+                self.backend.fail_die(now, ch, die)
+            }
+            // One bounded patrol-scrub step.
+            Task::Scrub => self.backend.scrub_step(now),
+            // One endurance-scheduler step: threshold scan → block
+            // refresh, or one static-levelling migration.
+            Task::Refresh => self.backend.refresh_step(now),
+            // One mapping snapshot into the checkpoint namespace.
+            Task::Checkpoint => Ok(self.backend.checkpoint_step(now)),
+            // One monitor tick: score the per-die telemetry, fence
+            // freshly dead dies, evacuate one victim block off a suspect
+            // (when evacuation is on) and rehabilitate false positives.
+            Task::Health => self.backend.health_step(now),
+        }
     }
 
     /// Holds every app's memory requests until `until` (device-wide
@@ -905,7 +872,7 @@ impl Simulation {
         // of displacing an in-flight fill (the unbounded approximation),
         // the warp backs off until the earliest fill frees a slot — one
         // bounded retry, surfaced as an `mshr_stalls` count.
-        let t = if self.qos.queue_depth.is_some() {
+        let t = if self.cfg.qos.queue_depth.is_some() {
             self.sms[sm_idx]
                 .mshr_mut()
                 .full_until(t, sector)
@@ -995,16 +962,16 @@ impl Simulation {
                     // The set was fully pinned: fall through to the
                     // registers, gracefully. Bounded mode pays (and
                     // counts) one backoff quantum for the failed pin.
-                    if !self.qos.is_unbounded() {
+                    if !self.cfg.qos.is_unbounded() {
                         self.pinned_overflow_stalls += 1;
-                        t += self.qos.backoff_delay(0);
+                        t += self.cfg.qos.backoff_delay(0);
                     }
                 }
-            } else if !self.qos.is_unbounded() {
+            } else if !self.cfg.qos.is_unbounded() {
                 // The pinned region is at its cap: same graceful
                 // degradation to the register path.
                 self.pinned_overflow_stalls += 1;
-                t += self.qos.backoff_delay(0);
+                t += self.cfg.qos.backoff_delay(0);
             }
         }
 
@@ -1030,7 +997,6 @@ impl Simulation {
         }
         if let Some(gc) = w.gc {
             self.handle_gc(&gc);
-            self.gc_reports.push(gc);
         }
         Ok(w.done)
     }
@@ -1055,7 +1021,6 @@ impl Simulation {
             };
             if let Some(gc) = w.gc {
                 self.handle_gc(&gc);
-                self.gc_reports.push(gc);
             }
         }
         Ok(())
@@ -1113,13 +1078,13 @@ impl Simulation {
     /// validated positive and `retry_at > t` by construction), so the
     /// retry loops terminate.
     fn next_retry_at(&mut self, t: Cycle, retry_at: Cycle, attempt: &mut u32) -> Cycle {
-        if *attempt < self.qos.retry_budget {
+        if *attempt < self.cfg.qos.retry_budget {
             self.qos_retried += 1;
-            let delayed = t + self.qos.backoff_delay(*attempt);
+            let delayed = t + self.cfg.qos.backoff_delay(*attempt);
             *attempt += 1;
             delayed
         } else {
-            if *attempt == self.qos.retry_budget {
+            if *attempt == self.cfg.qos.retry_budget {
                 self.qos_budget_exhausted += 1;
             }
             *attempt += 1;
@@ -1137,14 +1102,6 @@ impl Simulation {
         };
         // app_base = app << 34, so vpn = addr >> 12 carries app at bit 22.
         let victim = (vpn0 >> 22) as u16;
-        if std::env::var_os("ZNG_GC_DEBUG").is_some() {
-            eprintln!(
-                "gc: victim=app{victim} start={} done={} pages={}",
-                gc.started.raw(),
-                gc.done.raw(),
-                gc.migrated_pages
-            );
-        }
         let blocked = self
             .app_blocked_until
             .get(&victim)
@@ -1152,10 +1109,11 @@ impl Simulation {
             .unwrap_or(Cycle::ZERO)
             .max(gc.blocking_done);
         self.app_blocked_until.insert(victim, blocked);
-        if self.qos.gc_stall_budget.is_some() {
+        if self.cfg.qos.gc_stall_budget.is_some() {
             // Arm the pacing credit for this merge: each foreground event
             // the victim stalls on burns one credit (see the run loop).
-            self.gc_credits.insert(victim, self.qos.gc_credit_writes);
+            self.gc_credits
+                .insert(victim, self.cfg.qos.gc_credit_writes);
         }
         for &vpn in &gc.flushed_vpns {
             self.mmu.tlb_mut().invalidate(vpn);
@@ -1196,11 +1154,6 @@ impl Simulation {
         }
     }
 
-    /// GC reports accumulated across runs.
-    pub fn gc_reports(&self) -> &[GcReport] {
-        &self.gc_reports
-    }
-
     /// The backend (for post-run inspection).
     pub fn backend(&self) -> &Backend {
         &self.backend
@@ -1210,6 +1163,8 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RedundancyConfig;
+    use crate::qos::QosConfig;
     use zng_workloads::{MultiApp, TraceParams};
 
     fn run(kind: PlatformKind) -> RunResult {
@@ -1901,7 +1856,7 @@ mod tests {
         assert_eq!(h.dead_dies_fenced, 1, "the die died mid-run: {h:?}");
         assert!(!h.per_die.is_empty(), "telemetry rollups present: {h:?}");
         assert_eq!(
-            sim.backend().dead_die_reads(),
+            sim.backend().flash().map_or(0, |(_, d)| d.dead_die_reads()),
             0,
             "evacuation finished before death, no read hit dead silicon"
         );

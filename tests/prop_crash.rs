@@ -183,7 +183,6 @@ fn check_crash(
         f.set_checkpointing(Some(zng_ftl::CheckpointConfig {
             every_ops: 1,
             journal_cap: cap,
-            pacing: None,
         }));
     }
     if health {
@@ -194,7 +193,6 @@ fn check_crash(
             window: 4,
             suspect_threshold: 0.0005,
             evacuate: true,
-            pacing: None,
         }));
     }
 

@@ -345,7 +345,6 @@ fn policy_of(disturb_sel: u8, retention_sel: u8, spread_sel: u8) -> RefreshPolic
         disturb_threshold: [0, 4, 24][disturb_sel as usize % 3],
         retention_threshold: [0, 500_000, 5_000_000][retention_sel as usize % 3],
         wear_spread: [0.0, 1.2, 4.0][spread_sel as usize % 3],
-        pacing: None,
     }
 }
 
@@ -464,7 +463,6 @@ fn static_levelling_reduces_wear_spread_under_skew() {
                 disturb_threshold: 0,
                 retention_threshold: 0,
                 wear_spread: 1.5,
-                pacing: None,
             }));
         }
         let mut t = Cycle::ZERO;
@@ -516,7 +514,6 @@ fn pagemap_levelling_reduces_wear_spread_under_skew() {
                 disturb_threshold: 0,
                 retention_threshold: 0,
                 wear_spread: 1.5,
-                pacing: None,
             }));
         }
         let mut t = Cycle::ZERO;

@@ -31,7 +31,6 @@ fn hair_trigger() -> HealthPolicy {
         window: 4,
         suspect_threshold: 0.0005,
         evacuate: true,
-        pacing: None,
     }
 }
 

@@ -72,6 +72,13 @@ impl Ftl {
         }
     }
 
+    fn set_pacing(&mut self, pacing: Option<GcPacing>) {
+        match self {
+            Ftl::Zng(f) => f.set_pacing(pacing),
+            Ftl::Map(f) => f.set_pacing(pacing),
+        }
+    }
+
     fn write(&mut self, now: Cycle, d: &mut FlashDevice, lpn: u64) -> zng_types::Result<Cycle> {
         match self {
             Ftl::Zng(f) => f.write(now, d, lpn).map(|r| r.done),
@@ -334,12 +341,12 @@ fn check_scrub(
     let mut d = device(profile, seed);
     let rain = RainConfig {
         scrub_threshold: threshold,
-        pacing: Some(GcPacing {
-            stall_budget: Cycle(budget),
-            credit_writes: 4,
-        }),
     };
     let mut f = Ftl::new(&d, mode, rain);
+    f.set_pacing(Some(GcPacing {
+        stall_budget: Cycle(budget),
+        credit_writes: 4,
+    }));
 
     let mut acked: HashMap<u64, u64> = HashMap::new();
     let mut t = Cycle::ZERO;
@@ -524,7 +531,6 @@ fn check_crash_mid_scrub(
     let mut d = device(profile, seed);
     let rain = RainConfig {
         scrub_threshold: threshold,
-        pacing: None,
     };
     let mut f = Ftl::new(&d, mode, rain);
 
