@@ -381,11 +381,6 @@ impl FlashDevice {
         self.admission.iter().map(|q| q.rejected()).sum::<u64>() + self.network.rejections()
     }
 
-    /// Demand requests admitted under a bounded configuration.
-    pub fn qos_admitted(&self) -> u64 {
-        self.admission.iter().map(|q| q.admitted()).sum()
-    }
-
     /// Largest in-flight population admitted on any channel queue or
     /// network link.
     pub fn qos_max_occupancy(&self) -> u64 {
@@ -1001,11 +996,6 @@ impl FlashDevice {
     /// accounting).
     pub fn total_migrations(&self) -> u64 {
         self.packages.iter().map(|p| p.migrations()).sum()
-    }
-
-    /// Resets statistics (not media state).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 
     /// Endurance summary across every block ever touched (paper §VI's

@@ -357,21 +357,6 @@ impl FlashPackage {
     pub fn migrations(&self) -> u64 {
         self.migrations
     }
-
-    /// Total array reads across all planes.
-    pub fn array_reads(&self) -> u64 {
-        self.planes.iter().map(|p| p.reads()).sum()
-    }
-
-    /// Total array programs across all planes.
-    pub fn array_programs(&self) -> u64 {
-        self.planes.iter().map(|p| p.programs()).sum()
-    }
-
-    /// Total array erases across all planes.
-    pub fn array_erases(&self) -> u64 {
-        self.planes.iter().map(|p| p.erases()).sum()
-    }
 }
 
 #[cfg(test)]

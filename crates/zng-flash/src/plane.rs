@@ -77,7 +77,6 @@ pub struct Plane {
     sensed_at: Cycle,
     reads: u64,
     register_reads: u64,
-    programs: u64,
     erases: u64,
     /// Fault-injection state; `None` runs the plane fault-free with no
     /// RNG draws at all.
@@ -108,7 +107,6 @@ impl Plane {
             sensed_at: Cycle::ZERO,
             reads: 0,
             register_reads: 0,
-            programs: 0,
             erases: 0,
             faults: None,
             disturb_unit: None,
@@ -333,7 +331,6 @@ impl Plane {
     /// Propagates the block's protocol errors (full block).
     pub fn program_next(&mut self, now: Cycle, block: u32) -> Result<ProgramReport> {
         let page = self.block_mut(block)?.program_next()?;
-        self.programs += 1;
         // Programming reuses the cache register: the latched page is lost.
         self.sensed = None;
         let done = self.array.acquire(now, self.timing.program);
@@ -395,11 +392,6 @@ impl Plane {
             .sum()
     }
 
-    /// When the array next becomes idle.
-    pub fn array_free_at(&self) -> Cycle {
-        self.array.earliest_free()
-    }
-
     /// Array reads performed.
     pub fn reads(&self) -> u64 {
         self.reads
@@ -408,11 +400,6 @@ impl Plane {
     /// Reads served from the cache register without an array sense.
     pub fn register_reads(&self) -> u64 {
         self.register_reads
-    }
-
-    /// Array programs performed.
-    pub fn programs(&self) -> u64 {
-        self.programs
     }
 
     /// Array erases performed.

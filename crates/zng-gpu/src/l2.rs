@@ -58,11 +58,6 @@ impl L2Cache {
         self.read_only = read_only;
     }
 
-    /// Whether the cache refuses writes.
-    pub fn is_read_only(&self) -> bool {
-        self.read_only
-    }
-
     /// The bank an address maps to (line-interleaved).
     pub fn bank_of(&self, addr: u64) -> BankId {
         BankId(((addr / self.line_bytes as u64) % self.banks.len() as u64) as u16)
@@ -254,11 +249,6 @@ impl L2Cache {
     /// The storage technology.
     pub fn tech(&self) -> L2Technology {
         self.tech
-    }
-
-    /// Number of banks.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
     }
 
     /// Line size in bytes.

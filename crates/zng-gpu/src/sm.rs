@@ -109,11 +109,6 @@ impl Sm {
     pub fn instructions_issued(&self) -> u64 {
         self.instructions_issued
     }
-
-    /// When the issue port next frees up.
-    pub fn issue_free_at(&self) -> Cycle {
-        self.issue.earliest_free()
-    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,6 @@ pub struct SsdModule {
     buffer_dram: MemSubsystem,
     ftl: PageMapFtl,
     device: FlashDevice,
-    freq: Freq,
 }
 
 impl SsdModule {
@@ -52,7 +51,6 @@ impl SsdModule {
             buffer_dram: MemSubsystem::new(MemTiming::hybrid_buffer(), freq),
             ftl,
             device,
-            freq,
         })
     }
 
@@ -178,11 +176,6 @@ impl SsdModule {
     /// The SSD engine (for utilization inspection).
     pub fn engine(&self) -> &SsdEngine {
         &self.engine
-    }
-
-    /// Achieved buffer-DRAM bandwidth in GB/s over `[0, now]`.
-    pub fn buffer_gbps(&self, now: Cycle) -> f64 {
-        self.buffer_dram.achieved_gbps(now, self.freq)
     }
 }
 

@@ -134,41 +134,6 @@ impl Experiment {
         .into_iter()
         .collect()
     }
-
-    /// Runs one platform across several workload mixes in parallel
-    /// (the shape of every per-figure sweep): results come back in the
-    /// order `mixes` lists them.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing run's error.
-    pub fn run_mixes(
-        &mut self,
-        platform: PlatformKind,
-        mixes: &[MultiApp],
-    ) -> Result<Vec<RunResult>> {
-        let cfg = &self.cfg;
-        parallel_map(mixes.iter().collect(), |mix| {
-            Simulation::new(platform, cfg).and_then(|mut sim| sim.run(mix))
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// Runs an arbitrary batch of `(platform, configuration, mix)` points
-    /// in parallel — the fully general sweep (figure grids that vary the
-    /// configuration per point). Results come back in submission order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing run's error.
-    pub fn run_batch(batch: &[(PlatformKind, SimConfig, MultiApp)]) -> Result<Vec<RunResult>> {
-        parallel_map(batch.iter().collect(), |(p, cfg, mix)| {
-            Simulation::new(*p, cfg).and_then(|mut sim| sim.run(mix))
-        })
-        .into_iter()
-        .collect()
-    }
 }
 
 impl Default for Experiment {
