@@ -10,9 +10,9 @@
 use std::process::ExitCode;
 
 use zng::{
-    table2, CheckpointConfig, Cycle, DegradingDie, EnduranceConfig, Experiment, FaultConfig,
-    FaultProfile, HealthConfig, IntegrityConfig, PlatformKind, QosConfig, RedundancyConfig,
-    RunResult, Table, TraceParams,
+    table2, CheckpointConfig, Cycle, DegradingDie, EnduranceConfig, Experiment, FaultProfile,
+    HealthConfig, IntegrityConfig, PlatformKind, QosConfig, RedundancyConfig, RunResult, Table,
+    TraceParams,
 };
 use zng_types::ids::AppId;
 use zng_workloads::{by_name, generate, TraceBundle};
@@ -126,14 +126,13 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         Some("run") => {
-            let opts = Opts::parse(&args[1..], "run", RUN_FLAGS).map_err(CliError::Usage)?;
+            let mut opts = Opts::parse(&args[1..], "run", RUN_FLAGS).map_err(CliError::Usage)?;
             let platform = opts
                 .platform
                 .ok_or_else(|| CliError::Usage("run requires --platform".into()))?;
-            let mut exp = Experiment::standard().with_params(opts.params);
-            opts.apply(&mut exp);
-            let r = exp
-                .run(platform, &opts.workload_refs())
+            let r = opts
+                .exp
+                .run(platform, &refs(&opts.workloads))
                 .map_err(|e| CliError::Sim(e.to_string()))?;
             if opts.json {
                 println!("{}", r.to_json_value().to_string_pretty());
@@ -143,9 +142,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         Some("sweep") => {
-            let opts = Opts::parse(&args[1..], "sweep", SWEEP_FLAGS).map_err(CliError::Usage)?;
-            let mut exp = Experiment::standard().with_params(opts.params);
-            opts.apply(&mut exp);
+            let mut opts =
+                Opts::parse(&args[1..], "sweep", &[SHARED_FLAGS]).map_err(CliError::Usage)?;
             let mut t = Table::new(vec![
                 "platform".into(),
                 "IPC".into(),
@@ -159,8 +157,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
             // One worker thread per platform: the runs are independent,
             // and results come back in listed order so the table is
             // identical to the sequential sweep.
-            let results = exp
-                .run_platforms(&platforms, &opts.workload_refs())
+            let results = opts
+                .exp
+                .run_platforms(&platforms, &refs(&opts.workloads))
                 .map_err(|e| CliError::Sim(e.to_string()))?;
             for (p, r) in platforms.iter().zip(&results) {
                 t.row(vec![
@@ -190,15 +189,16 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     rest.push(a.clone());
                 }
             }
-            let opts = Opts::parse(&rest, "traces", TRACES_FLAGS).map_err(CliError::Usage)?;
+            let opts = Opts::parse(&rest, "traces", &[TRACES_FLAGS]).map_err(CliError::Usage)?;
             let out = out.ok_or_else(|| CliError::Usage("traces requires --out <file>".into()))?;
             let name = opts
                 .workloads
                 .first()
                 .ok_or_else(|| CliError::Usage("--workloads is required".into()))?;
             let spec = by_name(name).map_err(|e| CliError::Usage(e.to_string()))?;
-            let traces = generate(&spec, AppId(0), &opts.params);
-            let bundle = TraceBundle::new(name, opts.params.seed, traces);
+            let params = opts.exp.params();
+            let traces = generate(&spec, AppId(0), params);
+            let bundle = TraceBundle::new(name, params.seed, traces);
             bundle
                 .save(std::path::Path::new(&out))
                 .map_err(|e| CliError::Sim(e.to_string()))?;
@@ -215,51 +215,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// Flags each subcommand accepts (used for unknown-flag diagnostics).
-const RUN_FLAGS: &[&str] = &[
-    "-p",
-    "--platform",
-    "-w",
-    "--workloads",
-    "--warps",
-    "--ops",
-    "--footprint",
-    "--seed",
-    "--faults",
-    "--crash-at",
-    "--qos",
-    "--queue-depth",
-    "--retry-budget",
-    "--gc-stall-budget",
-    "--gc-credits",
-    "--fair-window",
-    "--redundancy",
-    "--scrub-every",
-    "--scrub-threshold",
-    "--die-fail-at",
-    "--die-fail",
-    "--link-fail",
-    "--integrity",
-    "--sdc-rate",
-    "--sdc-at",
-    "--endurance",
-    "--refresh-every",
-    "--disturb-threshold",
-    "--retention-threshold",
-    "--wear-spread",
-    "--checkpoint",
-    "--checkpoint-every",
-    "--journal-cap",
-    "--health",
-    "--health-window",
-    "--suspect-threshold",
-    "--evacuate",
-    "--degrading-die",
-    "--watchdog",
-    "--perf",
-    "--json",
-];
-const SWEEP_FLAGS: &[&str] = &[
+/// Flags `run` and `sweep` both accept; `run` adds the platform and
+/// `--json`. The lists name every valid flag in unknown-flag errors.
+const SHARED_FLAGS: &[&str] = &[
     "-w",
     "--workloads",
     "--warps",
@@ -299,6 +257,7 @@ const SWEEP_FLAGS: &[&str] = &[
     "--watchdog",
     "--perf",
 ];
+const RUN_FLAGS: &[&[&str]] = &[&["-p", "--platform"], SHARED_FLAGS, &["--json"]];
 const TRACES_FLAGS: &[&str] = &[
     "-w",
     "--workloads",
@@ -322,45 +281,26 @@ const DEFAULT_HEALTH_EVERY: u64 = 256;
 struct Opts {
     platform: Option<PlatformKind>,
     workloads: Vec<String>,
-    params: TraceParams,
-    faults: FaultProfile,
-    degrading: Option<DegradingDie>,
-    crash_at: Option<u64>,
-    qos: Option<QosConfig>,
-    redundancy: Option<RedundancyConfig>,
-    integrity: Option<IntegrityConfig>,
-    endurance: Option<EnduranceConfig>,
-    checkpoint: Option<CheckpointConfig>,
-    health: Option<HealthConfig>,
-    watchdog: Option<u64>,
-    perf: bool,
+    /// The standard experiment with the flags' trace parameters and
+    /// configuration written in.
+    exp: Experiment,
     json: bool,
 }
 
 impl Opts {
-    fn parse(args: &[String], subcommand: &str, allowed: &[&str]) -> Result<Opts, String> {
-        let mut opts = Opts {
-            platform: None,
-            workloads: Vec::new(),
-            params: TraceParams {
-                total_warps: 128,
-                mem_ops_per_warp: 650,
-                footprint_pages: 2048,
-                seed: 42,
-            },
-            faults: FaultProfile::None,
-            degrading: None,
-            crash_at: None,
-            qos: None,
-            redundancy: None,
-            integrity: None,
-            endurance: None,
-            checkpoint: None,
-            health: None,
-            watchdog: None,
-            perf: false,
-            json: false,
+    fn parse(args: &[String], subcommand: &str, allowed: &[&[&str]]) -> Result<Opts, String> {
+        let allowed = allowed.concat();
+        let mut platform = None;
+        let mut workloads = Vec::new();
+        let mut json = false;
+        let mut params = TraceParams {
+            total_warps: 128,
+            mem_ops_per_warp: 650,
+            footprint_pages: 2048,
+            seed: 42,
         };
+        let mut exp = Experiment::standard();
+        let cfg = exp.config_mut();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             if a.starts_with('-') && !allowed.contains(&a.as_str()) {
@@ -374,144 +314,142 @@ impl Opts {
                     .cloned()
                     .ok_or_else(|| format!("{name} requires a value"))
             };
-            match a.as_str() {
-                "-p" | "--platform" => {
-                    opts.platform = Some(parse_platform(&value("--platform")?)?);
-                }
+            // Each subsystem's flags build on its preset, which the first
+            // of them installs.
+            let flag = a.as_str();
+            match flag {
+                "-p" | "--platform" => platform = Some(parse_platform(&value("--platform")?)?),
                 "-w" | "--workloads" => {
-                    opts.workloads = value("--workloads")?
+                    workloads = value("--workloads")?
                         .split(',')
                         .map(str::to_string)
                         .collect();
                 }
-                "--warps" => opts.params.total_warps = parse_num(&value("--warps")?)?,
-                "--ops" => opts.params.mem_ops_per_warp = parse_num(&value("--ops")?)?,
-                "--footprint" => opts.params.footprint_pages = parse_num(&value("--footprint")?)?,
-                "--seed" => opts.params.seed = parse_num(&value("--seed")?)? as u64,
+                "--warps" => params.total_warps = parse_num(&value(flag)?)?,
+                "--ops" => params.mem_ops_per_warp = parse_num(&value(flag)?)?,
+                "--footprint" => params.footprint_pages = parse_num(&value(flag)?)?,
+                "--seed" => params.seed = parse_num(&value(flag)?)? as u64,
                 "--faults" => {
-                    opts.faults =
-                        FaultProfile::parse(&value("--faults")?).map_err(|e| e.to_string())?;
+                    cfg.fault.profile =
+                        FaultProfile::parse(&value(flag)?).map_err(|e| e.to_string())?;
                 }
-                "--crash-at" => {
-                    opts.crash_at = Some(parse_num(&value("--crash-at")?)? as u64);
+                "--crash-at" => cfg.crash_at = Some(parse_num(&value(flag)?)? as u64),
+                "--qos" | "--queue-depth" | "--retry-budget" | "--gc-stall-budget"
+                | "--gc-credits" | "--fair-window" => {
+                    if cfg.qos.is_unbounded() {
+                        cfg.qos = QosConfig::bounded(DEFAULT_QUEUE_DEPTH);
+                    }
+                    let q = &mut cfg.qos;
+                    match flag {
+                        "--queue-depth" => q.queue_depth = Some(parse_num(&value(flag)?)?),
+                        "--retry-budget" => q.retry_budget = parse_num(&value(flag)?)? as u32,
+                        "--gc-stall-budget" => {
+                            q.gc_stall_budget = Some(Cycle(parse_num(&value(flag)?)? as u64));
+                        }
+                        "--gc-credits" => q.gc_credit_writes = parse_num(&value(flag)?)? as u64,
+                        "--fair-window" => q.fair_window = parse_num(&value(flag)?)? as u64,
+                        _ => {}
+                    }
                 }
-                "--qos" => {
-                    opts.qos_mut();
+                "--redundancy" | "--scrub-every" | "--scrub-threshold" | "--die-fail-at"
+                | "--die-fail" | "--link-fail" => {
+                    if !cfg.redundancy.enabled {
+                        cfg.redundancy = RedundancyConfig::rain(0);
+                    }
+                    let r = &mut cfg.redundancy;
+                    match flag {
+                        "--scrub-every" => r.scrub_every_ops = parse_num(&value(flag)?)? as u64,
+                        "--scrub-threshold" => {
+                            r.scrub_threshold = parse_num(&value(flag)?)? as u32;
+                        }
+                        "--die-fail-at" => r.die_fail_at = Some(parse_num(&value(flag)?)? as u64),
+                        "--die-fail" => {
+                            let spec = value(flag)?;
+                            let (ch, die) = spec
+                                .split_once(':')
+                                .ok_or_else(|| format!("--die-fail wants ch:die, got `{spec}`"))?;
+                            r.die_fail = (parse_num(ch)? as u16, parse_num(die)? as u16);
+                        }
+                        "--link-fail" => r.link_fail = Some(parse_num(&value(flag)?)? as u16),
+                        _ => {}
+                    }
                 }
-                "--queue-depth" => {
-                    let depth = parse_num(&value("--queue-depth")?)?;
-                    opts.qos_mut().queue_depth = Some(depth);
+                "--integrity" | "--sdc-rate" | "--sdc-at" => {
+                    if !cfg.integrity.enabled {
+                        cfg.integrity = IntegrityConfig {
+                            enabled: true,
+                            ..IntegrityConfig::off()
+                        };
+                    }
+                    let i = &mut cfg.integrity;
+                    match flag {
+                        "--sdc-rate" => i.sdc_rate = parse_float(&value(flag)?)?,
+                        "--sdc-at" => i.sdc_at = Some(parse_num(&value(flag)?)? as u64),
+                        _ => {}
+                    }
                 }
-                "--retry-budget" => {
-                    opts.qos_mut().retry_budget = parse_num(&value("--retry-budget")?)? as u32;
+                "--endurance"
+                | "--refresh-every"
+                | "--disturb-threshold"
+                | "--retention-threshold"
+                | "--wear-spread" => {
+                    if !cfg.endurance.enabled {
+                        cfg.endurance = EnduranceConfig::on(0);
+                    }
+                    let e = &mut cfg.endurance;
+                    match flag {
+                        "--refresh-every" => e.refresh_every_ops = parse_num(&value(flag)?)? as u64,
+                        "--disturb-threshold" => {
+                            e.disturb_threshold = parse_num(&value(flag)?)? as u64;
+                        }
+                        "--retention-threshold" => {
+                            e.retention_threshold = parse_num(&value(flag)?)? as u64;
+                        }
+                        "--wear-spread" => e.wear_spread = parse_float(&value(flag)?)?,
+                        _ => {}
+                    }
                 }
-                "--gc-stall-budget" => {
-                    let cycles = parse_num(&value("--gc-stall-budget")?)? as u64;
-                    opts.qos_mut().gc_stall_budget = Some(Cycle(cycles));
+                "--checkpoint" | "--checkpoint-every" | "--journal-cap" => {
+                    if !cfg.checkpoint.enabled {
+                        cfg.checkpoint = CheckpointConfig::on(DEFAULT_CHECKPOINT_EVERY);
+                    }
+                    let c = &mut cfg.checkpoint;
+                    match flag {
+                        "--checkpoint-every" => c.every_ops = parse_num(&value(flag)?)? as u64,
+                        "--journal-cap" => c.journal_cap = parse_num(&value(flag)?)? as u64,
+                        _ => {}
+                    }
                 }
-                "--gc-credits" => {
-                    opts.qos_mut().gc_credit_writes = parse_num(&value("--gc-credits")?)? as u64;
-                }
-                "--fair-window" => {
-                    opts.qos_mut().fair_window = parse_num(&value("--fair-window")?)? as u64;
-                }
-                "--redundancy" => {
-                    opts.redundancy_mut();
-                }
-                "--scrub-every" => {
-                    opts.redundancy_mut().scrub_every_ops =
-                        parse_num(&value("--scrub-every")?)? as u64;
-                }
-                "--scrub-threshold" => {
-                    opts.redundancy_mut().scrub_threshold =
-                        parse_num(&value("--scrub-threshold")?)? as u32;
-                }
-                "--die-fail-at" => {
-                    opts.redundancy_mut().die_fail_at =
-                        Some(parse_num(&value("--die-fail-at")?)? as u64);
-                }
-                "--die-fail" => {
-                    let spec = value("--die-fail")?;
-                    let (ch, die) = spec
-                        .split_once(':')
-                        .ok_or_else(|| format!("--die-fail wants ch:die, got `{spec}`"))?;
-                    opts.redundancy_mut().die_fail =
-                        (parse_num(ch)? as u16, parse_num(die)? as u16);
-                }
-                "--link-fail" => {
-                    opts.redundancy_mut().link_fail =
-                        Some(parse_num(&value("--link-fail")?)? as u16);
-                }
-                "--integrity" => {
-                    opts.integrity_mut();
-                }
-                "--sdc-rate" => {
-                    opts.integrity_mut().sdc_rate = parse_float(&value("--sdc-rate")?)?;
-                }
-                "--sdc-at" => {
-                    opts.integrity_mut().sdc_at = Some(parse_num(&value("--sdc-at")?)? as u64);
-                }
-                "--endurance" => {
-                    opts.endurance_mut();
-                }
-                "--refresh-every" => {
-                    opts.endurance_mut().refresh_every_ops =
-                        parse_num(&value("--refresh-every")?)? as u64;
-                }
-                "--disturb-threshold" => {
-                    opts.endurance_mut().disturb_threshold =
-                        parse_num(&value("--disturb-threshold")?)? as u64;
-                }
-                "--retention-threshold" => {
-                    opts.endurance_mut().retention_threshold =
-                        parse_num(&value("--retention-threshold")?)? as u64;
-                }
-                "--wear-spread" => {
-                    opts.endurance_mut().wear_spread = parse_float(&value("--wear-spread")?)?;
-                }
-                "--checkpoint" => {
-                    opts.checkpoint_mut();
-                }
-                "--checkpoint-every" => {
-                    opts.checkpoint_mut().every_ops =
-                        parse_num(&value("--checkpoint-every")?)? as u64;
-                }
-                "--journal-cap" => {
-                    opts.checkpoint_mut().journal_cap = parse_num(&value("--journal-cap")?)? as u64;
-                }
-                "--health" => {
-                    opts.health_mut().every_ops = parse_num(&value("--health")?)? as u64;
-                }
-                "--health-window" => {
-                    opts.health_mut().window = parse_num(&value("--health-window")?)? as u64;
-                }
-                "--suspect-threshold" => {
-                    opts.health_mut().suspect_threshold =
-                        parse_float(&value("--suspect-threshold")?)?;
-                }
-                "--evacuate" => {
-                    opts.health_mut().evacuate = true;
+                "--health" | "--health-window" | "--suspect-threshold" | "--evacuate" => {
+                    if !cfg.health.enabled {
+                        cfg.health = HealthConfig::on(DEFAULT_HEALTH_EVERY);
+                    }
+                    let h = &mut cfg.health;
+                    match flag {
+                        "--health" => h.every_ops = parse_num(&value(flag)?)? as u64,
+                        "--health-window" => h.window = parse_num(&value(flag)?)? as u64,
+                        "--suspect-threshold" => h.suspect_threshold = parse_float(&value(flag)?)?,
+                        _ => h.evacuate = true,
+                    }
                 }
                 "--degrading-die" => {
-                    let spec = value("--degrading-die")?;
+                    let spec = value(flag)?;
                     let parts: Vec<&str> = spec.split(':').collect();
                     let [ch, die, onset, death] = parts.as_slice() else {
                         return Err(format!(
                             "--degrading-die wants ch:die:onset:death, got `{spec}`"
                         ));
                     };
-                    opts.degrading = Some(DegradingDie {
+                    cfg.fault.degrading = Some(DegradingDie {
                         channel: parse_num(ch)? as u16,
                         die: parse_num(die)? as u16,
                         onset: parse_num(onset)? as u64,
                         death: parse_num(death)? as u64,
                     });
                 }
-                "--watchdog" => {
-                    opts.watchdog = Some(parse_num(&value("--watchdog")?)? as u64);
-                }
-                "--perf" => opts.perf = true,
-                "--json" => opts.json = true,
+                "--watchdog" => cfg.watchdog = Some(parse_num(&value(flag)?)? as u64),
+                "--perf" => cfg.perf = true,
+                "--json" => json = true,
                 other => {
                     return Err(format!(
                         "unknown argument `{other}` for `{subcommand}` — valid flags: {}",
@@ -520,102 +458,32 @@ impl Opts {
                 }
             }
         }
-        if opts.workloads.is_empty() {
+        // The fault and silent-corruption streams share the run's seed,
+        // wherever `--seed` came in the flags.
+        cfg.fault.seed = params.seed;
+        if cfg.integrity.enabled {
+            cfg.integrity.seed = params.seed;
+        }
+        if workloads.is_empty() {
             return Err("--workloads is required".into());
         }
         // Unknown workload names are usage errors, caught before any
         // simulation work starts.
-        for w in &opts.workloads {
+        for w in &workloads {
             by_name(w).map_err(|e| e.to_string())?;
         }
-        Ok(opts)
-    }
-
-    /// The QoS policy being built up by flags, starting from the bounded
-    /// preset the first time any QoS flag appears.
-    fn qos_mut(&mut self) -> &mut QosConfig {
-        self.qos
-            .get_or_insert_with(|| QosConfig::bounded(DEFAULT_QUEUE_DEPTH))
-    }
-
-    /// The redundancy policy being built up by flags, enabled the first
-    /// time any redundancy flag appears.
-    fn redundancy_mut(&mut self) -> &mut RedundancyConfig {
-        self.redundancy
-            .get_or_insert_with(|| RedundancyConfig::rain(0))
-    }
-
-    /// The integrity policy being built up by flags, enabled (verified
-    /// reads, no injection) the first time any integrity flag appears.
-    fn integrity_mut(&mut self) -> &mut IntegrityConfig {
-        self.integrity.get_or_insert_with(|| IntegrityConfig {
-            enabled: true,
-            ..IntegrityConfig::off()
+        Ok(Opts {
+            platform,
+            workloads,
+            exp: exp.with_params(params),
+            json,
         })
     }
+}
 
-    /// The endurance policy being built up by flags, enabled with the
-    /// scheduler's default thresholds (no cadence) the first time any
-    /// endurance flag appears.
-    fn endurance_mut(&mut self) -> &mut EnduranceConfig {
-        self.endurance.get_or_insert_with(|| EnduranceConfig::on(0))
-    }
-
-    /// The checkpoint policy being built up by flags, enabled with the
-    /// default cadence the first time any checkpoint flag appears.
-    fn checkpoint_mut(&mut self) -> &mut CheckpointConfig {
-        self.checkpoint
-            .get_or_insert_with(|| CheckpointConfig::on(DEFAULT_CHECKPOINT_EVERY))
-    }
-
-    /// The health policy being built up by flags, enabled with the
-    /// default cadence the first time any health flag appears.
-    fn health_mut(&mut self) -> &mut HealthConfig {
-        self.health
-            .get_or_insert_with(|| HealthConfig::on(DEFAULT_HEALTH_EVERY))
-    }
-
-    /// Installs the parsed policies into the experiment's configuration.
-    fn apply(&self, exp: &mut Experiment) {
-        exp.config_mut().fault = self.fault_config();
-        exp.config_mut().crash_at = self.crash_at;
-        if let Some(q) = self.qos {
-            exp.config_mut().qos = q;
-        }
-        if let Some(rd) = self.redundancy {
-            exp.config_mut().redundancy = rd;
-        }
-        if let Some(mut i) = self.integrity {
-            // The SDC streams share the run's RNG seed.
-            i.seed = self.params.seed;
-            exp.config_mut().integrity = i;
-        }
-        if let Some(e) = self.endurance {
-            exp.config_mut().endurance = e;
-        }
-        if let Some(c) = self.checkpoint {
-            exp.config_mut().checkpoint = c;
-        }
-        if let Some(h) = self.health {
-            exp.config_mut().health = h;
-        }
-        exp.config_mut().watchdog = self.watchdog;
-        exp.config_mut().perf = self.perf;
-    }
-
-    fn workload_refs(&self) -> Vec<&str> {
-        self.workloads.iter().map(String::as_str).collect()
-    }
-
-    /// The fault configuration implied by `--faults`, `--seed` and
-    /// `--degrading-die`.
-    fn fault_config(&self) -> FaultConfig {
-        FaultConfig {
-            profile: self.faults,
-            seed: self.params.seed,
-            degrading: self.degrading,
-        }
-    }
+/// The workload names as the experiment API takes them.
+fn refs(names: &[String]) -> Vec<&str> {
+    names.iter().map(String::as_str).collect()
 }
 
 fn parse_num(s: &str) -> Result<usize, String> {
