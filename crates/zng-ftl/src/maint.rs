@@ -493,8 +493,8 @@ pub trait Ftl: Primitives {
     /// [`crate::ZngFtl`], a log-block merge — stalls the foreground no
     /// longer than the stall budget and counts an overrun when its media
     /// work runs longer. `None` blocks for the whole step.
-    fn set_pacing(&mut self, pacing: Option<GcPacing>) {
-        self.core_mut().pacing = pacing;
+    fn set_pacing(&mut self, contract: Option<GcPacing>) {
+        self.core_mut().pacing = contract;
     }
 
     /// Enables (or disables) RAIN redundancy: superblocks reserve one

@@ -15,7 +15,7 @@
 //!
 //! The background maintenance steps (scrub, refresh, checkpoint, health)
 //! share the same contract: the FTL core stores one [`GcPacing`] and
-//! every paced stall goes through [`pace`].
+//! every paced stall goes through one function, `pace`.
 
 use zng_types::Cycle;
 
@@ -39,15 +39,15 @@ impl GcPacing {
 }
 
 /// The foreground stall of work that ran from `started` to `done`: the
-/// whole of it without `pacing`, else capped at the pacing deadline, in
-/// which case `overruns` counts one more overrun.
+/// whole of it without a `contract`, else capped at the contract's
+/// deadline, in which case `overruns` counts one more overrun.
 pub(crate) fn pace(
-    pacing: Option<GcPacing>,
+    contract: Option<GcPacing>,
     started: Cycle,
     done: Cycle,
     overruns: &mut u64,
 ) -> Cycle {
-    match pacing {
+    match contract {
         Some(p) if done > p.deadline(started) => {
             *overruns += 1;
             p.deadline(started)

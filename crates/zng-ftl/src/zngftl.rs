@@ -618,7 +618,7 @@ impl ZngFtl {
 
         self.migrated += migrated;
         self.gc_events.push((now, done));
-        // With a pacing contract ([`Ftl::set_pacing`]) the victim blocks
+        // With a pacing contract (`Ftl::set_pacing`) the victim blocks
         // only up to the deadline, and a later merge is a deadline miss.
         if self.core.pacing.is_some() {
             self.paced_gcs += 1;
