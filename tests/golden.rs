@@ -2,7 +2,8 @@
 //! byte-for-byte against checked-in golden files — the ZnG platform
 //! with and without opt-in features, and the HybridGPU and Hetero
 //! baselines under working sets that make their page buffers evict, and
-//! a four-app ZnG co-run under bounded admission control.
+//! a four-app co-run on ZnG and on HybridGPU under bounded admission
+//! control.
 //!
 //! Two guarantees ride on this:
 //!
@@ -32,6 +33,8 @@
 //!     --footprint 4096 --json > tests/golden/run_hetero.json
 //! ./target/release/zng-cli run -p zng -w back,gaus,FDT,gram --warps 32 \
 //!     --ops 60 --footprint 16384 --qos --json > tests/golden/run_qos.json
+//! ./target/release/zng-cli run -p hybrid -w back,gaus,FDT,gram --warps 32 \
+//!     --ops 60 --footprint 16384 --qos --json > tests/golden/run_qos_hybrid.json
 //! ```
 
 use std::path::Path;
@@ -188,6 +191,22 @@ fn qos_run_matches_golden() {
         "run -p zng -w back,gaus,FDT,gram --warps 32 --ops 60 --footprint 16384 --qos --json";
     let got = cli(&args.split(' ').collect::<Vec<_>>());
     assert_bytes_match(&got, &golden("run_qos.json"), "bounded-QoS run");
+}
+
+/// The same four-app co-run on HybridGPU under the bounded QoS policy:
+/// the SSD module's submission queue admits at most `queue_depth`
+/// requests, so its rejections, retries and peak occupancy are in these
+/// bytes.
+#[test]
+fn qos_hybrid_run_matches_golden() {
+    let args =
+        "run -p hybrid -w back,gaus,FDT,gram --warps 32 --ops 60 --footprint 16384 --qos --json";
+    let got = cli(&args.split(' ').collect::<Vec<_>>());
+    assert_bytes_match(
+        &got,
+        &golden("run_qos_hybrid.json"),
+        "bounded-QoS HybridGPU run",
+    );
 }
 
 /// The bounded-QoS golden command with `--perf`: its event counters are
