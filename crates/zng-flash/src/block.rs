@@ -277,22 +277,6 @@ impl Block {
         matches!(self.oob(page), PageOob::Torn)
     }
 
-    /// Records verification metadata for `page` (ignored out of range).
-    /// Shorthand for [`Block::record_oob`] with the block's current kind
-    /// and no timing information; tests and preloads use it.
-    pub fn set_stamp(&mut self, page: u32, key: u64, seq: u64) {
-        self.record_oob(
-            page,
-            OobMeta {
-                lpn: key,
-                seq,
-                tag: self.kind,
-                programmed_at: Cycle::ZERO,
-                demand: false,
-            },
-        );
-    }
-
     /// The `(key, sequence)` of the last successful program of `page`.
     pub fn stamp(&self, page: u32) -> Option<(u64, u64)> {
         match self.oob(page) {
@@ -594,10 +578,17 @@ mod tests {
         let mut b = Block::new(4);
         b.program_next().unwrap();
         assert_eq!(b.stamp(0), None);
-        b.set_stamp(0, 77, 1);
-        b.set_stamp(0, 77, 2); // re-stamp supersedes
+        let meta = |seq| OobMeta {
+            lpn: 77,
+            seq,
+            tag: BlockKind::Free,
+            programmed_at: Cycle::ZERO,
+            demand: false,
+        };
+        b.record_oob(0, meta(1));
+        b.record_oob(0, meta(2)); // re-stamp supersedes
         assert_eq!(b.stamp(0), Some((77, 2)));
-        b.set_stamp(99, 1, 1); // out of range: no-op
+        b.record_oob(99, meta(1)); // out of range: no-op
         assert_eq!(b.stamp(99), None);
         b.invalidate(0);
         b.erase().unwrap();

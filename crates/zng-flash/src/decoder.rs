@@ -123,11 +123,6 @@ impl RowDecoder {
         self.next_free >= self.pages
     }
 
-    /// Free log pages remaining.
-    pub fn free_pages(&self) -> u32 {
-        self.pages - self.next_free
-    }
-
     /// Live mappings (logical page -> log page), sorted by logical page
     /// for deterministic GC merges.
     pub fn mappings(&self) -> Vec<(u64, u32)> {
@@ -172,13 +167,6 @@ impl RowDecoder {
         dec.superseded = u64::from(dec.next_free).saturating_sub(dec.map.len() as u64);
         dec
     }
-
-    /// Clears all mappings after the log block is erased.
-    pub fn reset(&mut self) {
-        self.map.clear();
-        self.next_free = 0;
-        self.superseded = 0;
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +191,7 @@ mod tests {
         assert_eq!(d.lookup(10), Some(1));
         assert_eq!(d.stale(), 1);
         assert_eq!(d.live(), 1);
-        assert_eq!(d.free_pages(), 2);
+        assert_eq!(d.record(11).unwrap(), 2, "two slots consumed");
     }
 
     #[test]
@@ -213,9 +201,9 @@ mod tests {
         d.retract(10, None);
         assert_eq!(d.lookup(10), None);
         assert_eq!(d.stale(), 1, "the burned slot is stale");
-        assert_eq!(d.free_pages(), 3, "the slot itself is not reclaimed");
         d.retract(10, None); // idempotent
         assert_eq!(d.stale(), 1);
+        assert_eq!(d.record(11).unwrap(), 1, "the slot itself is not reclaimed");
     }
 
     #[test]
@@ -250,18 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_after_erase() {
-        let mut d = RowDecoder::new(2);
-        d.record(1).unwrap();
-        d.record(2).unwrap();
-        d.reset();
-        assert!(!d.is_full());
-        assert_eq!(d.live(), 0);
-        assert_eq!(d.lookup(1), None);
-        assert_eq!(d.record(3).unwrap(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one wordline")]
     fn zero_pages_rejected() {
         let _ = RowDecoder::new(0);
@@ -272,7 +248,6 @@ mod tests {
         let mut d = RowDecoder::restore(8, 5, [(10u64, 4u32), (20, 2), (30, 3)]);
         assert_eq!(d.lookup(10), Some(4));
         assert_eq!(d.lookup(20), Some(2));
-        assert_eq!(d.free_pages(), 3);
         assert_eq!(d.stale(), 2, "5 consumed slots back 3 live mappings");
         assert_eq!(d.record(40).unwrap(), 5, "in-order register resumes");
     }

@@ -17,12 +17,11 @@ use zng_types::{
 
 use crate::block::{Block, OobMeta, PageOob};
 use crate::fault::{
-    DegradeState, DegradingDie, FaultConfig, PlaneFaults, PlaneSdc, SdcConfig,
-    RETRY_STEP_EXTRA_CYCLES,
+    DegradeState, FaultConfig, PlaneFaults, PlaneSdc, SdcConfig, RETRY_STEP_EXTRA_CYCLES,
 };
 use crate::geometry::FlashGeometry;
 use crate::network::FlashNetwork;
-use crate::package::{BufferedWrite, FlashPackage, PendingProgram, RegisterTopology};
+use crate::package::{BufferedWrite, FlashPackage, RegisterTopology};
 use crate::plane::{EraseReport, ProgramReport};
 use crate::stats::FlashStats;
 use crate::timing::{FlashCycles, FlashTiming};
@@ -252,11 +251,6 @@ impl FlashDevice {
         }
     }
 
-    /// Whether read-disturb endurance tracking is enabled.
-    pub fn endurance_tracking(&self) -> bool {
-        self.disturb_unit.is_some()
-    }
-
     /// `block`'s disturb exposure in P/E-equivalent cycles (zero when
     /// tracking is off).
     pub fn disturb_cycles(&self, block: BlockAddr) -> u64 {
@@ -281,11 +275,6 @@ impl FlashDevice {
     pub fn die_is_dead(&self, ch: ChannelId, die: DieId) -> bool {
         self.dead_dies
             .contains(&(ch.index() as u16, die.index() as u16))
-    }
-
-    /// The configured degrading die, if any.
-    pub fn degrading_die(&self) -> Option<DegradingDie> {
-        self.degrade.as_ref().map(|st| st.config())
     }
 
     /// Advances the degrading-die clock to `now`: once the configured
@@ -348,16 +337,16 @@ impl FlashDevice {
         Ok(())
     }
 
-    /// Bounds every channel controller's request queue and the network's
-    /// injection links (`None` = unbounded, the default). Only the
-    /// explicit admission API ([`FlashDevice::try_admit`]) and
-    /// [`FlashNetwork::try_transfer`] enforce the bound, so internal
-    /// GC/recovery traffic keeps flowing under overload.
+    /// Bounds every channel controller's request queue (`None` =
+    /// unbounded, the default). This is ZnG's bounded queue: `ZngFtl`
+    /// asks [`FlashDevice::try_admit`] before each demand access, while
+    /// GC/recovery traffic bypasses admission so reclamation keeps
+    /// flowing under overload. The flash network's links are never
+    /// bounded, and no caller asks for admission on HybridGPU's device.
     pub fn set_queue_depth(&mut self, depth: Option<usize>) {
         for q in &mut self.admission {
             q.set_depth(depth);
         }
-        self.network.set_queue_depth(depth);
     }
 
     /// Asks channel `ch`'s controller to admit one demand request at
@@ -375,21 +364,18 @@ impl FlashDevice {
         self.admission[ch.index()].note_inflight(done);
     }
 
-    /// Demand requests refused by channel admission plus injections
-    /// refused by the network.
+    /// Demand requests refused by channel admission.
     pub fn qos_rejections(&self) -> u64 {
-        self.admission.iter().map(|q| q.rejected()).sum::<u64>() + self.network.rejections()
+        self.admission.iter().map(|q| q.rejected()).sum()
     }
 
-    /// Largest in-flight population admitted on any channel queue or
-    /// network link.
+    /// Largest in-flight population admitted on any channel queue.
     pub fn qos_max_occupancy(&self) -> u64 {
         self.admission
             .iter()
             .map(|q| q.max_occupancy())
             .max()
             .unwrap_or(0)
-            .max(self.network.max_link_occupancy())
     }
 
     /// Installs fault injection on every plane. Each plane gets its own
@@ -624,19 +610,46 @@ impl FlashDevice {
         Some(self.network.transfer(at_pins, ch, transfer_bytes))
     }
 
-    /// Writes the OOB record of a successfully programmed page (stamp +
-    /// LPN + block tag, atomically with the data) and bumps the sequence;
-    /// failed programs count into the failure statistics instead.
-    /// `demand` marks writes that tear if power is cut before
-    /// `report.done`; GC migrations and preloads pass `false` (see
-    /// [`OobMeta::demand`]).
-    fn finish_program(
+    /// The sequence every timed program shares: the degrading-die tick,
+    /// the dead-die check, the package program (after the page crosses
+    /// the network, unless `over_network` is false because the data is
+    /// already inside the package), the degrading-die penalty, statistics
+    /// and the OOB record.
+    ///
+    /// A successful program gets its OOB record (stamp + LPN + block
+    /// tag, atomically with the data) and bumps the sequence; a failed one
+    /// counts into the failure statistics instead. `demand` marks writes
+    /// that count as write redundancy and tear if power is cut before
+    /// `report.done`; GC migrations pass `false`, count as migration
+    /// traffic and never tear (see [`OobMeta::demand`]).
+    fn program_page(
         &mut self,
+        now: Cycle,
         block: BlockAddr,
         key: PageKey,
-        report: &ProgramReport,
+        over_network: bool,
         demand: bool,
-    ) {
+    ) -> Result<ProgramReport> {
+        self.degrade_tick(now);
+        self.check_die_alive(block)?;
+        let plane_idx = self.plane_idx(block);
+        let page_bytes = self.geometry.page_bytes;
+        let report = if over_network {
+            let arrived = self.network.transfer(now, block.channel, page_bytes);
+            self.packages[block.channel.index()].program_page(arrived, plane_idx, block.block)?
+        } else {
+            self.packages[block.channel.index()].program_page_internal(
+                now,
+                plane_idx,
+                block.block,
+            )?
+        };
+        let report = self.degrade_program(now, block, report);
+        if demand {
+            self.stats.record_program(key, page_bytes);
+        } else {
+            self.stats.record_migration_program(page_bytes);
+        }
         self.stats.record_die_program(
             block.channel.index() as u16,
             block.die.index() as u16,
@@ -644,11 +657,10 @@ impl FlashDevice {
         );
         if report.failed {
             self.stats.record_program_failure();
-            return;
+            return Ok(report);
         }
         self.program_seq += 1;
         let seq = self.program_seq;
-        let done = report.done;
         let sdc_hit = self.sdc_at == Some(seq);
         if let Ok(b) = self.block_mut(block) {
             let tag = b.kind();
@@ -658,7 +670,7 @@ impl FlashDevice {
                     lpn: key,
                     seq,
                     tag,
-                    programmed_at: done,
+                    programmed_at: report.done,
                     demand,
                 },
             );
@@ -669,6 +681,7 @@ impl FlashDevice {
         if sdc_hit {
             self.stats.record_silent_corruption();
         }
+        Ok(report)
     }
 
     /// Programs a full page of logical page `key` into the next in-order
@@ -682,17 +695,7 @@ impl FlashDevice {
     ///
     /// Flash protocol errors (full block).
     pub fn program(&mut self, now: Cycle, block: BlockAddr, key: PageKey) -> Result<ProgramReport> {
-        self.degrade_tick(now);
-        self.check_die_alive(block)?;
-        let ch = block.channel;
-        let arrived = self.network.transfer(now, ch, self.geometry.page_bytes);
-        let plane_idx = self.plane_idx(block);
-        let pkg = &mut self.packages[ch.index()];
-        let report = pkg.program_page(arrived, plane_idx, block.block)?;
-        let report = self.degrade_program(now, block, report);
-        self.stats.record_program(key, self.geometry.page_bytes);
-        self.finish_program(block, key, &report, true);
-        Ok(report)
+        self.program_page(now, block, key, true, true)
     }
 
     /// Applies the degrading-die program penalty: inside the window a
@@ -739,18 +742,7 @@ impl FlashDevice {
         block: BlockAddr,
         key: PageKey,
     ) -> Result<ProgramReport> {
-        self.degrade_tick(now);
-        self.check_die_alive(block)?;
-        let ch = block.channel;
-        let arrived = self.network.transfer(now, ch, self.geometry.page_bytes);
-        let plane_idx = self.plane_idx(block);
-        let pkg = &mut self.packages[ch.index()];
-        let report = pkg.program_page(arrived, plane_idx, block.block)?;
-        let report = self.degrade_program(now, block, report);
-        self.stats
-            .record_migration_program(self.geometry.page_bytes);
-        self.finish_program(block, key, &report, false);
-        Ok(report)
+        self.program_page(now, block, key, true, false)
     }
 
     /// Programs a register-evicted page (data already inside the package).
@@ -764,15 +756,7 @@ impl FlashDevice {
         block: BlockAddr,
         key: PageKey,
     ) -> Result<ProgramReport> {
-        self.degrade_tick(now);
-        self.check_die_alive(block)?;
-        let plane_idx = self.plane_idx(block);
-        let pkg = &mut self.packages[block.channel.index()];
-        let report = pkg.program_page_internal(now, plane_idx, block.block)?;
-        let report = self.degrade_program(now, block, report);
-        self.stats.record_program(key, self.geometry.page_bytes);
-        self.finish_program(block, key, &report, true);
-        Ok(report)
+        self.program_page(now, block, key, false, true)
     }
 
     /// Installs logical page `lpn` into the next in-order page of `block`
@@ -954,12 +938,6 @@ impl FlashDevice {
         self.packages[addr.channel.index()]
             .plane_mut(plane_idx)
             .block_mut(addr.block)
-    }
-
-    /// Drains the registers of `channel`'s package (GC flush).
-    pub fn flush_registers(&mut self, now: Cycle, channel: ChannelId) -> Vec<PendingProgram> {
-        let pkg = &mut self.packages[channel.index()];
-        pkg.flush_registers(now, &mut self.network)
     }
 
     /// Drops a stale register entry anywhere in the device.
@@ -1347,7 +1325,6 @@ mod tests {
     fn endurance_tracking_charges_disturb_and_resets_on_erase() {
         let mut d = device();
         d.set_endurance_tracking(Some(4));
-        assert!(d.endurance_tracking());
         let r = d.program(Cycle(0), block0(), 1).unwrap();
         let addr = block0().page(r.page);
         for i in 0..8u64 {
@@ -1514,7 +1491,6 @@ mod tests {
             onset: 1_000_000,
             death: 100_000_000,
         }));
-        assert!(d.degrading_die().is_some());
         let r = d.program(Cycle(0), block0(), 1).unwrap();
         assert!(!r.failed, "pre-onset programs are clean");
         // Late in the window (severity ~0.95): reads burn retry steps and
@@ -1603,7 +1579,6 @@ mod tests {
     fn no_degrading_config_changes_nothing() {
         let mut d = device();
         d.set_fault_config(&FaultConfig::none());
-        assert!(d.degrading_die().is_none());
         let r = d.program(Cycle(0), block0(), 1).unwrap();
         assert!(!r.failed);
         d.degrade_tick(Cycle(u64::MAX / 2));

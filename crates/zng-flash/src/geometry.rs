@@ -120,11 +120,6 @@ impl FlashGeometry {
         self.total_blocks() as u64 * self.pages_per_block as u64 * self.page_bytes as u64
     }
 
-    /// Bytes held by one block.
-    pub fn block_bytes(&self) -> u64 {
-        self.pages_per_block as u64 * self.page_bytes as u64
-    }
-
     /// Maps a device-wide *block index* to its physical coordinates,
     /// striping consecutive indices across channels, then dies, then
     /// planes so that consecutive data blocks exploit maximum
@@ -165,11 +160,6 @@ impl FlashGeometry {
             * self.channels as u64
             + c
     }
-
-    /// Total registers in one package (grouped write-cache capacity).
-    pub fn registers_per_package(&self) -> usize {
-        self.registers_per_plane * self.planes_per_package()
-    }
 }
 
 impl Default for FlashGeometry {
@@ -190,7 +180,7 @@ mod tests {
         assert_eq!(g.planes_per_die, 8);
         assert_eq!(g.blocks_per_plane, 1024);
         assert_eq!(g.pages_per_block, 384);
-        assert_eq!(g.registers_per_package(), 8 * 64);
+        assert_eq!(g.registers_per_plane * g.planes_per_package(), 8 * 64);
         g.validate().unwrap();
     }
 
@@ -238,6 +228,5 @@ mod tests {
     fn capacity_math() {
         let g = FlashGeometry::tiny();
         assert_eq!(g.capacity_bytes(), (4 * 2 * 2 * 64) as u64 * 16 * 4096);
-        assert_eq!(g.block_bytes(), 16 * 4096);
     }
 }

@@ -6,8 +6,8 @@
 //! injection link per channel, XY-routed hops for cross-package traffic
 //! (SWnet register migrations).
 
-use zng_sim::{Admission, Link};
-use zng_types::{ids::ChannelId, Cycle, Error, Result};
+use zng_sim::Link;
+use zng_types::{ids::ChannelId, Cycle};
 
 /// The fabric style connecting controllers to packages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,42 +148,6 @@ impl FlashNetwork {
         self.links[link].transfer(now, bytes) + self.hop_latency * hops as u64
     }
 
-    /// Bounds the number of transfers queued on every injection link
-    /// (`None` = unbounded). Only [`FlashNetwork::try_transfer`] enforces
-    /// the bound; [`FlashNetwork::transfer`] always succeeds, which keeps
-    /// GC and recovery traffic deadlock-free.
-    pub fn set_queue_depth(&mut self, depth: Option<usize>) {
-        for l in &mut self.links {
-            l.set_queue_depth(depth);
-        }
-    }
-
-    /// Bounded injection: like [`FlashNetwork::transfer`], but fails with
-    /// [`Error::Backpressure`] when channel `ch`'s injection link is
-    /// saturated. Rejections move no bytes.
-    pub fn try_transfer(&mut self, now: Cycle, ch: ChannelId, bytes: usize) -> Result<Cycle> {
-        let (link, extra) = self.route(ch);
-        let hops = self.hops(ch, ch).max(1) + extra;
-        match self.links[link].try_transfer(now, bytes) {
-            Admission::Admitted(done) => Ok(done + self.hop_latency * hops as u64),
-            Admission::Rejected { retry_at } => Err(Error::Backpressure { retry_at }),
-        }
-    }
-
-    /// Injections refused across all links.
-    pub fn rejections(&self) -> u64 {
-        self.links.iter().map(|l| l.rejected()).sum()
-    }
-
-    /// Largest queued-transfer population admitted on any link.
-    pub fn max_link_occupancy(&self) -> u64 {
-        self.links
-            .iter()
-            .map(|l| l.occupancy_histogram().max())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Migrates `bytes` from channel `from`'s package to channel `to`'s
     /// package (SWnet register-to-register copy through the fabric).
     /// Occupies both endpoints' injection links.
@@ -198,20 +162,6 @@ impl FlashNetwork {
     /// Total bytes moved on channel `ch`'s link.
     pub fn bytes_moved(&self, ch: ChannelId) -> u64 {
         self.links[ch.index()].bytes_moved()
-    }
-
-    /// Aggregate bytes moved on all links.
-    pub fn total_bytes_moved(&self) -> u64 {
-        self.links.iter().map(|l| l.bytes_moved()).sum()
-    }
-
-    /// Clears all reservations and counters (the failed-link fault, being
-    /// configuration rather than state, survives).
-    pub fn reset(&mut self) {
-        for l in &mut self.links {
-            l.reset();
-        }
-        self.rerouted = 0;
     }
 }
 
@@ -260,36 +210,6 @@ mod tests {
         assert!(done >= Cycle(1024));
         assert_eq!(net.bytes_moved(ChannelId(0)), 4096);
         assert_eq!(net.bytes_moved(ChannelId(1)), 4096);
-        assert_eq!(net.total_bytes_moved(), 8192);
-    }
-
-    #[test]
-    fn bounded_injection_rejects_when_saturated() {
-        let mut net = FlashNetwork::mesh(4, 8.0, Cycle(2));
-        net.set_queue_depth(Some(0));
-        let first = net.try_transfer(Cycle(0), ChannelId(0), 4096).unwrap();
-        assert_eq!(first, Cycle(514)); // 512 + 2-cycle hop
-        match net.try_transfer(Cycle(0), ChannelId(0), 4096) {
-            Err(Error::Backpressure { retry_at }) => assert_eq!(retry_at, Cycle(512)),
-            other => panic!("expected backpressure, got {other:?}"),
-        }
-        assert_eq!(net.rejections(), 1);
-        // Other channels are unaffected.
-        assert!(net.try_transfer(Cycle(0), ChannelId(1), 4096).is_ok());
-        // Unbounded transfer on the saturated channel still succeeds.
-        assert!(net.transfer(Cycle(0), ChannelId(0), 4096) > Cycle(1024));
-        // Clearing the bound stops rejections.
-        net.set_queue_depth(None);
-        assert!(net.try_transfer(Cycle(0), ChannelId(0), 64).is_ok());
-        assert!(net.max_link_occupancy() >= 1);
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let mut net = FlashNetwork::bus(2, 1.0);
-        net.transfer(Cycle(0), ChannelId(0), 100);
-        net.reset();
-        assert_eq!(net.total_bytes_moved(), 0);
     }
 
     #[test]

@@ -315,24 +315,6 @@ impl FlashPackage {
         }
     }
 
-    /// Drains all register-resident pages (GC / flush); the caller
-    /// programs each returned page.
-    pub fn flush_registers(&mut self, now: Cycle, net: &mut FlashNetwork) -> Vec<PendingProgram> {
-        let evicted = self.registers.flush_all();
-        evicted
-            .into_iter()
-            .map(|ev| {
-                let ready_at = self.migration_cost(now, &ev, net);
-                PendingProgram {
-                    key: ev.key,
-                    home_plane: ev.home_plane,
-                    ready_at,
-                    writes_merged: ev.writes_merged,
-                }
-            })
-            .collect()
-    }
-
     /// Drops a stale register entry without write-back.
     pub fn discard_register(&mut self, key: u64) -> bool {
         self.registers.discard(key)
@@ -444,7 +426,7 @@ mod tests {
         force_remote_eviction(&mut p, &mut net);
         assert!(p.migrations() > 0);
         assert!(
-            net.total_bytes_moved() > 0,
+            net.bytes_moved(ChannelId(0)) > 0,
             "SWnet must move pages through the flash network"
         );
     }
@@ -454,22 +436,11 @@ mod tests {
         let (mut p, mut net) = pkg(RegisterTopology::FcNet);
         force_remote_eviction(&mut p, &mut net);
         assert_eq!(
-            net.total_bytes_moved(),
+            net.bytes_moved(ChannelId(0)),
             0,
             "FCnet never touches the flash network"
         );
         assert!(p.migrations() > 0);
-    }
-
-    #[test]
-    fn flush_registers_returns_all() {
-        let (mut p, mut net) = pkg(RegisterTopology::NiF);
-        for k in 0..5u64 {
-            p.buffered_write(Cycle(0), k, (k % 4) as usize, 128, &mut net);
-        }
-        let pending = p.flush_registers(Cycle(10), &mut net);
-        assert_eq!(pending.len(), 5);
-        assert!(p.registers().is_empty());
     }
 
     #[test]

@@ -83,8 +83,7 @@ pub struct RegisterCache {
     /// Resident pages, keyed by page. Bounded by the pool capacity, so
     /// the map is pre-sized at construction and never rehashes; victim
     /// selection is iteration-order independent (`last_use` ticks are
-    /// unique) and `flush_all` sorts, so the Fx hasher changes no
-    /// observable behaviour.
+    /// unique), so the Fx hasher changes no observable behaviour.
     entries: FxHashMap<RegPageKey, Entry>,
     plane_occupancy: Vec<usize>,
     tick: u64,
@@ -260,24 +259,6 @@ impl RegisterCache {
         }
     }
 
-    /// Drains every resident page for write-back (GC / shutdown flush).
-    pub fn flush_all(&mut self) -> Vec<Evicted> {
-        let mut out: Vec<Evicted> = self
-            .entries
-            .drain()
-            .map(|(key, e)| Evicted {
-                key,
-                home_plane: e.home_plane,
-                holder_plane: e.holder_plane,
-                writes_merged: e.writes_merged,
-            })
-            .collect();
-        // Deterministic order regardless of hash-map iteration.
-        out.sort_by_key(|e| e.key);
-        self.plane_occupancy.iter_mut().for_each(|o| *o = 0);
-        out
-    }
-
     /// Cuts power: every resident page is lost **without** write-back
     /// (registers are volatile — this is the write-cache data a crash
     /// destroys), and the thrashing window resets. Returns how many
@@ -392,20 +373,6 @@ mod tests {
         assert_eq!(ev.key, 2);
         assert_eq!(ev.home_plane, 0);
         assert_eq!(ev.holder_plane, 1);
-    }
-
-    #[test]
-    fn flush_all_is_sorted_and_empties() {
-        let mut r = RegisterCache::grouped(4, 2);
-        for k in [5u64, 3, 9, 1] {
-            r.write(k, (k % 4) as usize);
-        }
-        let flushed = r.flush_all();
-        let keys: Vec<u64> = flushed.iter().map(|e| e.key).collect();
-        assert_eq!(keys, vec![1, 3, 5, 9]);
-        assert!(r.is_empty());
-        // Occupancy was reset: new writes fit locally again.
-        assert!(!r.write(10, 0).inserted_remote);
     }
 
     #[test]

@@ -43,24 +43,6 @@ pub struct DieHealth {
     pub disturb_reads: u64,
 }
 
-impl DieHealth {
-    /// Fraction of programs that failed verification (0 when none ran).
-    pub fn program_failure_rate(&self) -> f64 {
-        if self.programs == 0 {
-            return 0.0;
-        }
-        self.program_failures as f64 / self.programs as f64
-    }
-
-    /// Fraction of senses that ended uncorrectable (0 when none ran).
-    pub fn uncorrectable_rate(&self) -> f64 {
-        if self.reads == 0 {
-            return 0.0;
-        }
-        self.uncorrectable_reads as f64 / self.reads as f64
-    }
-}
-
 /// Per-logical-page access accounting plus aggregate byte counters.
 ///
 /// * **read re-access** (Fig. 5b / Fig. 12) — average number of array
@@ -310,16 +292,6 @@ impl FlashStats {
         self.page_programs.values().map(|&c| c as u64).sum()
     }
 
-    /// Distinct pages read at least once.
-    pub fn distinct_pages_read(&self) -> usize {
-        self.page_reads.len()
-    }
-
-    /// Distinct pages programmed at least once.
-    pub fn distinct_pages_programmed(&self) -> usize {
-        self.page_programs.len()
-    }
-
     /// Bytes sensed from flash arrays.
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read
@@ -338,25 +310,6 @@ impl FlashStats {
         }
         let secs = now.raw() as f64 / freq.hz();
         (self.bytes_read + self.bytes_programmed) as f64 / 1e9 / secs
-    }
-
-    /// Clears all counters.
-    pub fn reset(&mut self) {
-        self.page_reads.clear();
-        self.page_programs.clear();
-        self.bytes_read = 0;
-        self.bytes_programmed = 0;
-        self.read_retries = 0;
-        self.retry_depth = [0; RETRY_DEPTH_BUCKETS];
-        self.uncorrectable_reads = 0;
-        self.program_failures = 0;
-        self.erase_failures = 0;
-        self.power_losses = 0;
-        self.pages_torn = 0;
-        self.silent_corruptions = 0;
-        self.disturb_reads = 0;
-        self.disturb_triggered_errors = 0;
-        self.die_health.clear();
     }
 }
 
@@ -383,7 +336,6 @@ mod tests {
         // 12 reads over 3 pages = 4.0 mean.
         assert!((s.mean_reads_per_page() - 4.0).abs() < 1e-12);
         assert_eq!(s.total_reads(), 12);
-        assert_eq!(s.distinct_pages_read(), 3);
         assert_eq!(s.bytes_read(), 12 * 4096);
     }
 
@@ -394,7 +346,7 @@ mod tests {
             s.record_program(7, 4096);
         }
         assert!((s.mean_programs_per_page() - 5.0).abs() < 1e-12);
-        assert_eq!(s.distinct_pages_programmed(), 1);
+        assert_eq!(s.total_programs(), 5);
     }
 
     #[test]
@@ -407,31 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears() {
-        let mut s = FlashStats::new();
-        s.record_read(1, 10);
-        s.record_program(1, 10);
-        s.record_read_retries(3);
-        s.record_uncorrectable_read();
-        s.record_program_failure();
-        s.record_erase_failure();
-        assert_eq!(s.read_retries(), 3);
-        assert_eq!(s.uncorrectable_reads(), 1);
-        assert_eq!(s.program_failures(), 1);
-        assert_eq!(s.erase_failures(), 1);
-        s.reset();
-        assert_eq!(s.total_reads(), 0);
-        assert_eq!(s.total_programs(), 0);
-        assert_eq!(s.bytes_programmed(), 0);
-        assert_eq!(s.read_retries(), 0);
-        assert_eq!(s.retry_depth_histogram(), [0; RETRY_DEPTH_BUCKETS]);
-        assert_eq!(s.uncorrectable_reads(), 0);
-        assert_eq!(s.program_failures(), 0);
-        assert_eq!(s.erase_failures(), 0);
-    }
-
-    #[test]
-    fn disturb_counters_accumulate_and_reset() {
+    fn disturb_counters_accumulate() {
         let mut s = FlashStats::new();
         assert_eq!(s.disturb_reads(), 0);
         assert_eq!(s.disturb_triggered_errors(), 0);
@@ -440,9 +368,6 @@ mod tests {
         s.record_disturb_triggered_error();
         assert_eq!(s.disturb_reads(), 2);
         assert_eq!(s.disturb_triggered_errors(), 1);
-        s.reset();
-        assert_eq!(s.disturb_reads(), 0);
-        assert_eq!(s.disturb_triggered_errors(), 0);
     }
 
     #[test]
@@ -468,16 +393,11 @@ mod tests {
         assert_eq!(h.erase_failures, 1);
         assert_eq!(h.disturb_reads, 1);
         assert!(h.retry_ewma > 0.0, "retries must move the EWMA");
-        assert!((h.program_failure_rate() - 0.5).abs() < 1e-12);
-        assert!((h.uncorrectable_rate() - 1.0 / 3.0).abs() < 1e-12);
         // Quiet dies stay untracked; sorted view is deterministic.
         let sorted = s.die_health_sorted();
         assert_eq!(sorted.len(), 2);
         assert_eq!(sorted[0].0, (0, 0));
         assert_eq!(sorted[1].0, (1, 3));
-        s.reset();
-        assert!(s.die_health_sorted().is_empty());
-        assert_eq!(s.die_health(0, 0), DieHealth::default());
     }
 
     #[test]

@@ -53,24 +53,9 @@ impl SsdEngine {
         self.cores.acquire(now, self.per_request)
     }
 
-    /// Requests processed so far.
-    pub fn processed(&self) -> u64 {
-        self.cores.served()
-    }
-
     /// The firmware cost per request.
     pub fn per_request(&self) -> Cycle {
         self.per_request
-    }
-
-    /// Engine utilization over `[0, now]`.
-    pub fn utilization(&self, now: Cycle) -> f64 {
-        self.cores.utilization(now)
-    }
-
-    /// Clears reservations.
-    pub fn reset(&mut self) {
-        self.cores.reset();
     }
 }
 
@@ -89,7 +74,6 @@ mod tests {
         assert_eq!(b, Cycle(500));
         assert_eq!(c, Cycle(500));
         assert_eq!(d, Cycle(1000)); // fourth waits for a core
-        assert_eq!(e.processed(), 4);
     }
 
     #[test]
@@ -113,9 +97,7 @@ mod tests {
     fn custom_engine_parameters() {
         let mut e = SsdEngine::new(1, Nanos(100.0), Freq::ghz(1.0));
         assert_eq!(e.per_request(), Cycle(100));
-        e.process(Cycle(0));
-        assert!(e.utilization(Cycle(100)) > 0.99);
-        e.reset();
         assert_eq!(e.process(Cycle(0)), Cycle(100));
+        assert_eq!(e.process(Cycle(0)), Cycle(200), "one core serializes");
     }
 }

@@ -560,11 +560,6 @@ pub trait Ftl: Primitives {
         self.core_mut().health = policy.map(HealthState::new);
     }
 
-    /// Whether predictive health monitoring is enabled.
-    fn health_enabled(&self) -> bool {
-        self.core().health.is_some()
-    }
-
     /// Event counters of the health subsystem, when enabled.
     fn health_counters(&self) -> Option<HealthCounters> {
         self.core().health.as_ref().map(|h| h.counters)

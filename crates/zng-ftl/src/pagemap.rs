@@ -1273,7 +1273,6 @@ mod tests {
     #[test]
     fn health_off_step_is_inert() {
         let (mut d, mut f) = setup();
-        assert!(!f.health_enabled());
         assert_eq!(f.health_step(Cycle(123), &mut d).unwrap(), Cycle(123));
         assert!(f.health_counters().is_none());
         assert!(f.quarantined_dies().is_empty());

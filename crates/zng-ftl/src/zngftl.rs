@@ -911,13 +911,6 @@ impl ZngFtl {
         Ok((done, self.pages_per_block))
     }
 
-    /// Estimated DBMT size in bytes (entries × 16 B), the table the MMU
-    /// must hold (the paper fits it in 80 KB for 1 TB by block-granular
-    /// mapping).
-    pub fn dbmt_bytes(&self) -> usize {
-        self.dbmt.len() * 16
-    }
-
     /// Pages migrated by GC.
     pub fn migrated_pages(&self) -> u64 {
         self.migrated
@@ -940,13 +933,6 @@ impl ZngFtl {
         }
         let data = self.dbmt.get(self.vbn_of(vpn))?;
         Some(FlashAddr::new(*data, (vpn % self.pages_per_block) as u32))
-    }
-
-    /// Live log-block utilization of `group` (0.0–1.0), if it exists.
-    pub fn log_utilization(&self, group: u64) -> Option<f64> {
-        self.lbmt
-            .get(group)
-            .map(|lb| 1.0 - lb.decoder.free_pages() as f64 / self.pages_per_block as f64)
     }
 }
 
@@ -1215,7 +1201,7 @@ mod tests {
         let t = f.read(Cycle(0), &mut d, 100, 128).unwrap();
         // Sense (3600) + io + network, no program cost.
         assert!(t > Cycle(3_600) && t < Cycle(20_000), "{t}");
-        assert_eq!(f.dbmt_bytes(), 16); // one DBMT entry
+        assert_eq!(f.dbmt.len(), 1); // one DBMT entry
     }
 
     #[test]
@@ -1297,8 +1283,8 @@ mod tests {
         for vpn in [0u64, 1, 15, 16, 31] {
             f.read(t, &mut d, vpn, 128).unwrap();
         }
-        // Log utilization reset (no log block until next write).
-        assert!(f.log_utilization(0).is_none());
+        // The log block is gone until the next write.
+        assert!(f.lbmt.get(0).is_none());
     }
 
     #[test]
@@ -1316,9 +1302,9 @@ mod tests {
         // group 1.
         f.write(Cycle(0), &mut d, 0).unwrap();
         f.write(Cycle(0), &mut d, 40).unwrap();
-        assert!(f.log_utilization(0).unwrap() > 0.0);
-        assert!(f.log_utilization(1).unwrap() > 0.0);
-        assert!(f.log_utilization(2).is_none());
+        assert!(f.lbmt.get(0).unwrap().decoder.live() > 0);
+        assert!(f.lbmt.get(1).unwrap().decoder.live() > 0);
+        assert!(f.lbmt.get(2).is_none());
     }
 
     #[test]
@@ -1547,11 +1533,11 @@ mod tests {
         for i in 0..200u64 {
             t = f.write(t, &mut d, i % 8).unwrap().done;
         }
-        assert!(f.log_utilization(1).is_some(), "cold group still logged");
+        assert!(f.lbmt.get(1).is_some(), "cold group still logged");
         // Every mapped group holds logged copies, so the first levelling
         // step merges the coldest group instead of migrating it...
         t = f.refresh_step(t, &mut d).unwrap();
-        assert_eq!(f.log_utilization(1), None, "coldest group merged");
+        assert!(f.lbmt.get(1).is_none(), "coldest group merged");
         assert_eq!(f.endurance_counters().unwrap().level_migrations, 0);
         let cold = f.locate(8).unwrap();
         // ...and the next step migrates it into a worn spare.
@@ -1764,7 +1750,6 @@ mod tests {
     #[test]
     fn health_off_step_is_inert() {
         let (mut d, mut f) = setup(WriteMode::Direct);
-        assert!(!f.health_enabled());
         assert_eq!(f.health_step(Cycle(123), &mut d).unwrap(), Cycle(123));
         assert!(f.health_counters().is_none());
         assert!(f.quarantined_dies().is_empty());

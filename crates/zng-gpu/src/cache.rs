@@ -280,12 +280,6 @@ impl SetAssocCache {
         false
     }
 
-    /// Unpins every line (after thrashing subsides), returning the
-    /// addresses of lines that remain dirty for write-back.
-    pub fn unpin_all(&mut self) -> Vec<u64> {
-        self.unpin_some(usize::MAX)
-    }
-
     /// Unpins at most `max` pinned lines, returning the dirty ones for
     /// write-back. Clean pinned lines encountered on the way are unpinned
     /// for free (nothing to write back).
@@ -332,23 +326,6 @@ impl SetAssocCache {
             }
         }
         None
-    }
-
-    /// Flushes every line owned by `app` (GC flush); returns the line
-    /// addresses flushed, dirty ones first.
-    pub fn flush_app(&mut self, app: AppId) -> Vec<u64> {
-        let mut flushed = Vec::new();
-        for set in 0..self.geo.sets {
-            for i in self.slot_range(set) {
-                if self.lines[i].valid && self.lines[i].app == app {
-                    flushed.push((!self.lines[i].dirty, self.line_addr(set, self.lines[i].tag)));
-                    self.lines[i].valid = false;
-                    self.lines[i].pinned = false;
-                }
-            }
-        }
-        flushed.sort_unstable();
-        flushed.into_iter().map(|(_, a)| a).collect()
     }
 
     /// Drops every line — pinned, dirty, all of it — without write-back
@@ -498,22 +475,11 @@ mod tests {
         c.pin_dirty(0);
         c.fill(128, false, AppId(0));
         c.pin_dirty(128);
-        let dirty = c.unpin_all();
+        let dirty = c.unpin_some(usize::MAX);
         assert_eq!(dirty, vec![0, 128]);
         // Unpinned lines are evictable again.
         c.fill(512, false, AppId(0));
         assert!(c.fill(1024, false, AppId(0)).is_some());
-    }
-
-    #[test]
-    fn flush_app_only_touches_owner() {
-        let mut c = cache();
-        c.fill(0, false, AppId(0));
-        c.fill(128, false, AppId(1));
-        c.fill(256, false, AppId(0));
-        let flushed = c.flush_app(AppId(0));
-        assert_eq!(flushed, vec![0, 256]);
-        assert!(!c.probe(0) && c.probe(128) && !c.probe(256));
     }
 
     #[test]

@@ -52,13 +52,6 @@ impl Interconnect {
     pub fn bytes_moved(&self) -> u64 {
         self.ports.iter().map(|p| p.bytes_moved()).sum()
     }
-
-    /// Clears reservations and counters.
-    pub fn reset(&mut self) {
-        for p in &mut self.ports {
-            p.reset();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -82,13 +75,5 @@ mod tests {
         let t = i.transfer(Cycle(0), BankId(2), 128); // same port as bank 0
         assert_eq!(t, Cycle(8));
         assert_eq!(i.bytes_moved(), 256);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut i = Interconnect::new(1, 32.0, Cycle(0));
-        i.transfer(Cycle(0), BankId(0), 128);
-        i.reset();
-        assert_eq!(i.bytes_moved(), 0);
     }
 }

@@ -162,13 +162,6 @@ impl L2Cache {
         self.banks[bank].pin_dirty(addr)
     }
 
-    /// Unpins all lines, returning dirty line addresses for write-back.
-    pub fn unpin_all(&mut self) -> Vec<u64> {
-        let mut dirty: Vec<u64> = self.banks.iter_mut().flat_map(|b| b.unpin_all()).collect();
-        dirty.sort_unstable();
-        dirty
-    }
-
     /// Unpins at most `max` dirty lines (bank by bank), returning them
     /// for write-back — lets the platform drain redirected writes in
     /// small batches instead of one thundering herd.
@@ -203,17 +196,6 @@ impl L2Cache {
     pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
         let bank = self.bank_of(addr).index();
         self.banks[bank].invalidate(addr)
-    }
-
-    /// Flushes every line of `app` (GC); returns flushed line addresses.
-    pub fn flush_app(&mut self, app: AppId) -> Vec<u64> {
-        let mut out: Vec<u64> = self
-            .banks
-            .iter_mut()
-            .flat_map(|b| b.flush_app(app))
-            .collect();
-        out.sort_unstable();
-        out
     }
 
     /// Aggregate demand hits.
@@ -323,23 +305,12 @@ mod tests {
     }
 
     #[test]
-    fn flush_app_scopes_to_owner() {
-        let mut c = l2();
-        c.fill_line(Cycle(0), 0, false, AppId(0));
-        c.fill_line(Cycle(0), 128, false, AppId(1));
-        let flushed = c.flush_app(AppId(1));
-        assert_eq!(flushed, vec![128]);
-        assert!(c.probe(0));
-        assert!(!c.probe(128));
-    }
-
-    #[test]
     fn pin_and_unpin_roundtrip() {
         let mut c = l2();
         c.fill_line(Cycle(0), 0, false, AppId(0));
         assert!(c.pin_dirty(0));
         assert!(!c.pin_dirty(4096 * 64)); // not resident
-        let dirty = c.unpin_all();
+        let dirty = c.unpin_up_to(usize::MAX);
         assert_eq!(dirty, vec![0]);
     }
 

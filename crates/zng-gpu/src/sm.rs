@@ -78,11 +78,6 @@ impl Sm {
         self.l1.invalidate(addr);
     }
 
-    /// Flushes all L1D lines owned by `app`.
-    pub fn l1_flush_app(&mut self, app: AppId) -> usize {
-        self.l1.flush_app(app).len()
-    }
-
     /// The SM's MSHR file (merged misses).
     pub fn mshr(&self) -> &Mshr {
         &self.mshr
@@ -148,17 +143,6 @@ mod tests {
         // Still not resident: write misses don't allocate.
         let (hit, _) = s.l1_access(Cycle(1), 0x100, false);
         assert!(!hit);
-    }
-
-    #[test]
-    fn flush_app_clears_lines() {
-        let mut s = sm();
-        s.l1_fill(0, AppId(1));
-        s.l1_fill(128, AppId(1));
-        s.l1_fill(256, AppId(0));
-        assert_eq!(s.l1_flush_app(AppId(1)), 2);
-        let (hit, _) = s.l1_access(Cycle(0), 256, false);
-        assert!(hit, "other app's line survives");
     }
 
     #[test]

@@ -278,11 +278,6 @@ impl Warp {
     pub fn instructions_done(&self) -> u64 {
         self.instructions_done
     }
-
-    /// Remaining ops.
-    pub fn remaining_ops(&self) -> usize {
-        self.trace.ops().len() - self.cursor
-    }
 }
 
 #[cfg(test)]
@@ -323,7 +318,6 @@ mod tests {
         let t = WarpTrace::new(vec![WarpOp::Compute(3), mem(0, AccessKind::Read)]);
         let mut w = Warp::new(WarpId(1), AppId(0), t);
         assert!(!w.is_done());
-        assert_eq!(w.remaining_ops(), 2);
         assert!(matches!(w.current_op(), Some(WarpOp::Compute(3))));
         w.retire_op();
         assert_eq!(w.instructions_done(), 3);

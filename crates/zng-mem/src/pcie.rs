@@ -67,12 +67,6 @@ impl PcieLink {
     pub fn transfers(&self) -> u64 {
         self.transfers
     }
-
-    /// Clears reservations and counters.
-    pub fn reset(&mut self) {
-        self.link.reset();
-        self.transfers = 0;
-    }
 }
 
 #[cfg(test)]
@@ -105,15 +99,5 @@ mod tests {
         let f = Freq::ghz(1.2);
         let p = PcieLink::gen3_x16(f);
         assert_eq!(p.fault_software_overhead(), Cycle(6_000)); // 5us * 1.2GHz
-    }
-
-    #[test]
-    fn reset_clears() {
-        let f = Freq::default();
-        let mut p = PcieLink::gen3_x16(f);
-        p.dma(Cycle(0), 128);
-        p.reset();
-        assert_eq!(p.bytes_moved(), 0);
-        assert_eq!(p.transfers(), 0);
     }
 }

@@ -187,32 +187,14 @@ impl MemSubsystem {
         &self.timing
     }
 
-    /// Total bytes read since construction/reset.
+    /// Total bytes read since construction.
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read
     }
 
-    /// Total bytes written since construction/reset.
+    /// Total bytes written since construction.
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
-    }
-
-    /// Achieved bandwidth in GB/s over the elapsed window under `freq`.
-    pub fn achieved_gbps(&self, now: Cycle, freq: Freq) -> f64 {
-        if now == Cycle::ZERO {
-            return 0.0;
-        }
-        let secs = now.raw() as f64 / freq.hz();
-        (self.bytes_read + self.bytes_written) as f64 / 1e9 / secs
-    }
-
-    /// Clears all reservations and byte counters.
-    pub fn reset(&mut self) {
-        for c in &mut self.channels {
-            c.reset();
-        }
-        self.bytes_read = 0;
-        self.bytes_written = 0;
     }
 }
 
@@ -321,17 +303,5 @@ mod tests {
             "demand access poisoned by future fill: {t}"
         );
         assert_eq!(m.bytes_written(), 4096);
-    }
-
-    #[test]
-    fn achieved_bandwidth_reporting() {
-        let f = Freq::ghz(1.0);
-        let mut m = MemSubsystem::new(MemTiming::ddr4(), f);
-        assert_eq!(m.achieved_gbps(Cycle::ZERO, f), 0.0);
-        m.access(Cycle(0), 0, AccessKind::Write, 1 << 20);
-        let g = m.achieved_gbps(Cycle(1_000_000), f); // 1 MB in 1 ms = ~1 GB/s
-        assert!((g - 1.0486e-3 * 1e3).abs() < 0.2, "{g}");
-        m.reset();
-        assert_eq!(m.bytes_written(), 0);
     }
 }

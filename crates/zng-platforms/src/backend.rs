@@ -112,10 +112,12 @@ impl Backend {
                 }
             }
         };
-        // Overload control: bound the flash-side queues.
-        // Hetero's page-fault path mutates residency before touching the
-        // SSD, so a rejected retry would not be idempotent there; the
-        // bounded story covers the two FTL-driven flash platforms.
+        // Overload control: bound the one queue each platform consults
+        // before a demand access (ZnG's channel controllers, HybridGPU's
+        // SSD-module submission queue). Hetero's page-fault path mutates
+        // residency before touching the SSD, so a rejected retry would
+        // not be idempotent there; the bounded story covers the two
+        // FTL-driven flash platforms.
         if cfg.qos.queue_depth.is_some() {
             match &mut backend {
                 Backend::Zng { device, .. } => device.set_queue_depth(cfg.qos.queue_depth),
@@ -389,8 +391,10 @@ impl Backend {
         }
     }
 
-    /// Admissions refused by bounded queues (channels, network links,
-    /// the SSD-module dispatcher). Zero without a bounded [`QosConfig`].
+    /// Admissions refused by the bounded queue the platform consults:
+    /// ZnG's per-channel controller queues or HybridGPU's SSD-module
+    /// submission queue. Zero on every other platform and without a
+    /// bounded [`QosConfig`].
     ///
     /// [`QosConfig`]: crate::qos::QosConfig
     pub fn qos_rejections(&self) -> u64 {
@@ -401,7 +405,7 @@ impl Backend {
         }
     }
 
-    /// Largest in-flight population admitted to any bounded queue.
+    /// Largest in-flight population admitted to any of those queues.
     pub fn qos_max_occupancy(&self) -> u64 {
         match self {
             Backend::Zng { device, .. } => device.qos_max_occupancy(),
@@ -615,34 +619,43 @@ mod tests {
     fn bounded_zng_backend_rejects_bursts_with_backpressure() {
         let mut cfg = SimConfig::tiny();
         cfg.qos = crate::qos::QosConfig::bounded(1);
-        let mut b = Backend::new(PlatformKind::ZngBase, &cfg, Freq::default()).unwrap();
-        let first = b.read(Cycle(0), 0, 0, 128).unwrap();
-        // A same-cycle burst on the same channel exceeds the depth-1 bound.
-        match b.read(Cycle(0), 0, 0, 128) {
-            Err(Error::Backpressure { retry_at }) => {
-                assert!(retry_at > Cycle(0));
-                assert!(retry_at <= first);
+        for kind in [PlatformKind::ZngBase, PlatformKind::HybridGpu] {
+            let mut b = Backend::new(kind, &cfg, Freq::default()).unwrap();
+            let first = b.read(Cycle(0), 0, 0, 128).unwrap();
+            // A same-cycle burst on the same queue exceeds the depth-1
+            // bound.
+            match b.read(Cycle(0), 0, 0, 128) {
+                Err(Error::Backpressure { retry_at }) => {
+                    assert!(retry_at > Cycle(0), "{kind}");
+                    assert!(retry_at <= first, "{kind}");
+                }
+                other => panic!("{kind}: expected backpressure, got {other:?}"),
             }
-            other => panic!("expected backpressure, got {other:?}"),
+            assert_eq!(b.qos_rejections(), 1, "{kind}");
+            assert_eq!(b.qos_max_occupancy(), 1, "{kind}");
+            // The hinted retry time admits (sequential model guarantee).
+            let hinted = match b.read(Cycle(0), 0, 0, 128) {
+                Err(Error::Backpressure { retry_at }) => retry_at,
+                other => panic!("{kind}: still saturated, got {other:?}"),
+            };
+            b.read(hinted, 0, 0, 128).unwrap();
         }
-        assert_eq!(b.qos_rejections(), 1);
-        assert!(b.qos_max_occupancy() >= 1);
-        // The hinted retry time admits (sequential model guarantee).
-        let hinted = match b.read(Cycle(0), 0, 0, 128) {
-            Err(Error::Backpressure { retry_at }) => retry_at,
-            other => panic!("still saturated, got {other:?}"),
-        };
-        b.read(hinted, 0, 0, 128).unwrap();
     }
 
     #[test]
     fn default_qos_never_rejects_or_tracks() {
-        let mut b = backend(PlatformKind::ZngBase);
-        for i in 0..32 {
-            b.read(Cycle(0), i * 128, 0, 128).unwrap();
+        for kind in [PlatformKind::ZngBase, PlatformKind::HybridGpu] {
+            let mut b = backend(kind);
+            for i in 0..32 {
+                b.read(Cycle(0), i * 128, 0, 128).unwrap();
+            }
+            assert_eq!(b.qos_rejections(), 0, "{kind}");
+            assert_eq!(
+                b.qos_max_occupancy(),
+                0,
+                "{kind}: unbounded mode tracks nothing"
+            );
         }
-        assert_eq!(b.qos_rejections(), 0);
-        assert_eq!(b.qos_max_occupancy(), 0, "unbounded mode tracks nothing");
     }
 
     #[test]

@@ -482,15 +482,6 @@ impl IntegrityConfig {
         }
     }
 
-    /// Verification on with a stochastic silent-corruption rate.
-    pub fn with_rate(sdc_rate: f64) -> IntegrityConfig {
-        IntegrityConfig {
-            enabled: true,
-            sdc_rate,
-            ..IntegrityConfig::off()
-        }
-    }
-
     /// Verification on with one deterministic corrupted program.
     pub fn with_shot(sdc_at: u64) -> IntegrityConfig {
         IntegrityConfig {
@@ -820,7 +811,11 @@ mod tests {
     #[test]
     fn integrity_validation_rules() {
         let mut cfg = SimConfig::tiny();
-        cfg.integrity = IntegrityConfig::with_rate(1e-4);
+        cfg.integrity = IntegrityConfig {
+            enabled: true,
+            sdc_rate: 1e-4,
+            ..IntegrityConfig::off()
+        };
         cfg.validate().unwrap();
         cfg.integrity = IntegrityConfig::with_shot(7);
         cfg.validate().unwrap();
@@ -835,7 +830,11 @@ mod tests {
 
         // The rate is a probability.
         let mut hot = SimConfig::tiny();
-        hot.integrity = IntegrityConfig::with_rate(1.5);
+        hot.integrity = IntegrityConfig {
+            enabled: true,
+            sdc_rate: 1.5,
+            ..IntegrityConfig::off()
+        };
         assert!(hot.validate().is_err());
     }
 

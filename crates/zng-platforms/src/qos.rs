@@ -3,10 +3,12 @@
 //! Every shared resource in the simulator is an infinite queue by
 //! default: under a GC storm requests accumulate unbounded wait time and
 //! one write-heavy app can starve its co-runner. [`QosConfig`] turns on
-//! the overload story end to end — finite channel/module queues
-//! ([`zng_flash::FlashDevice::set_queue_depth`]), bounded-backoff retries
-//! at the warp scheduler, GC pacing credits ([`zng_ftl::GcPacing`]) and a
-//! deterministic weighted fair-share gate ([`FairShare`]).
+//! the overload story end to end — finite ZnG channel queues
+//! ([`zng_flash::FlashDevice::set_queue_depth`]) or a finite HybridGPU
+//! submission queue ([`zng_ssd::SsdModule::set_queue_depth`]),
+//! bounded-backoff retries at the warp scheduler, GC pacing credits
+//! ([`zng_ftl::GcPacing`]) and a deterministic weighted fair-share gate
+//! ([`FairShare`]).
 //!
 //! The default configuration ([`QosConfig::unbounded`]) disables every
 //! mechanism and is bit-identical to the pre-QoS simulator.
@@ -29,9 +31,12 @@ pub const MAX_BACKOFF_BASE: u64 = 65_536;
 /// behaviour (and output) byte-identical to the unbounded simulator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QosConfig {
-    /// In-flight bound for each flash channel controller, the SSD-module
-    /// dispatcher and the flash network's injection links. `None` =
-    /// infinite queues (no admission control anywhere).
+    /// In-flight bound for the one queue each flash platform consults
+    /// before a demand access: every flash channel controller on ZnG,
+    /// the SSD module's submission queue on HybridGPU. The flash
+    /// network's links and HybridGPU's flash channels are never bounded,
+    /// and the other platforms have no bounded queue. `None` = infinite
+    /// queues (no admission control anywhere).
     pub queue_depth: Option<usize>,
     /// How many backoff retries a rejected request may perform before the
     /// runner falls back to waiting for the rejecting queue's hinted

@@ -174,12 +174,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Grows both tiers to hold at least `additional` more events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.nodes.reserve(additional);
-        self.far.reserve(additional);
-    }
-
     /// Events the queue can hold without reallocating, whichever tier
     /// they land in.
     pub fn capacity(&self) -> usize {
@@ -557,7 +551,5 @@ mod tests {
             assert!(q.is_empty());
             assert_eq!(q.capacity(), cap, "drain must not shrink capacity");
         }
-        q.reserve(128);
-        assert!(q.capacity() >= 128);
     }
 }

@@ -1,6 +1,6 @@
 //! Discrete-event simulation kernel for the ZnG simulator.
 //!
-//! Three building blocks:
+//! Building blocks:
 //!
 //! * [`EventQueue`] — a deterministic time-ordered event queue (FIFO among
 //!   same-cycle events): a bitmap-indexed timing wheel for the next
@@ -10,7 +10,9 @@
 //!   core) is a set of servers that requests *reserve*; the reservation end
 //!   time is the request's departure. This captures queueing and bandwidth
 //!   saturation without per-cycle stepping.
-//! * [`stats`] — counters, histograms and time-series samplers used to
+//! * [`AdmissionQueue`] — the one bounded-admission mechanism: a finite
+//!   in-flight queue that rejects with a retry hint when full.
+//! * [`stats`] — exact percentiles and time-series samplers used to
 //!   regenerate the paper's figures.
 //! * [`CrashSwitch`] — a one-shot power-cut trigger for the
 //!   crash-consistency experiments.
@@ -28,5 +30,5 @@ pub mod stats;
 pub use event::EventQueue;
 pub use parallel::parallel_map;
 pub use power::{CrashSwitch, PatrolTicker};
-pub use resource::{Admission, AdmissionQueue, Link, Resource};
-pub use stats::{Counter, Histogram, Percentiles, Ratio, TimeSeries};
+pub use resource::{AdmissionQueue, Link, Resource};
+pub use stats::{Percentiles, TimeSeries};

@@ -8,37 +8,6 @@
 
 use zng_types::Cycle;
 
-use crate::stats::Histogram;
-
-/// The outcome of a bounded admission attempt ([`Resource::try_acquire`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// The request was admitted; it departs (service completes) at the
-    /// given cycle.
-    Admitted(Cycle),
-    /// The queue was full; nothing was reserved.
-    Rejected {
-        /// Earliest cycle at which a slot is guaranteed free, assuming no
-        /// competing arrivals in between. Always strictly after `now`.
-        retry_at: Cycle,
-    },
-}
-
-impl Admission {
-    /// The departure time, or `None` if rejected.
-    pub fn departure(self) -> Option<Cycle> {
-        match self {
-            Admission::Admitted(done) => Some(done),
-            Admission::Rejected { .. } => None,
-        }
-    }
-
-    /// Whether the request was admitted.
-    pub fn is_admitted(self) -> bool {
-        matches!(self, Admission::Admitted(_))
-    }
-}
-
 /// A pool of identical servers with reservation semantics.
 ///
 /// # Examples
@@ -70,28 +39,10 @@ impl Admission {
 pub struct Resource {
     /// Next-free time per server.
     servers: Vec<Cycle>,
-    /// Total busy time accumulated across servers (for utilization).
-    busy: Cycle,
-    /// Number of completed reservations.
-    served: u64,
-    /// Maximum *waiting* requests (in-system beyond the server count)
-    /// tolerated by [`Resource::try_acquire`]; `None` = unbounded.
-    queue_depth: Option<usize>,
-    /// Departure times of requests admitted through `try_acquire` that
-    /// may still be in the system. Pruned lazily against `now`.
-    pending: Vec<Cycle>,
-    /// Admissions refused because the queue was full.
-    rejected: u64,
-    /// Wait time (admission to service start) of admitted requests.
-    wait_hist: Histogram,
-    /// In-system population observed at each admission (including the
-    /// request being admitted).
-    occupancy_hist: Histogram,
 }
 
 impl Resource {
-    /// Creates a resource with `ports` parallel servers and an unbounded
-    /// queue.
+    /// Creates a resource with `ports` parallel servers.
     ///
     /// # Panics
     ///
@@ -100,34 +51,7 @@ impl Resource {
         assert!(ports > 0, "a resource needs at least one server");
         Resource {
             servers: vec![Cycle::ZERO; ports],
-            busy: Cycle::ZERO,
-            served: 0,
-            queue_depth: None,
-            pending: Vec::new(),
-            rejected: 0,
-            wait_hist: Histogram::new(),
-            occupancy_hist: Histogram::new(),
         }
-    }
-
-    /// Creates a resource whose [`Resource::try_acquire`] admits at most
-    /// `depth` waiting requests beyond the `ports` in service.
-    pub fn bounded(ports: usize, depth: usize) -> Resource {
-        let mut r = Resource::new(ports);
-        r.queue_depth = Some(depth);
-        r
-    }
-
-    /// Changes the admission bound (`None` = unbounded). Takes effect on
-    /// the next [`Resource::try_acquire`]; in-flight reservations keep
-    /// their departure times.
-    pub fn set_queue_depth(&mut self, depth: Option<usize>) {
-        self.queue_depth = depth;
-    }
-
-    /// The configured admission bound, if any.
-    pub fn queue_depth(&self) -> Option<usize> {
-        self.queue_depth
     }
 
     /// Reserves the earliest-free server starting no earlier than `now` for
@@ -143,65 +67,7 @@ impl Resource {
         let start = now.max(self.servers[slot]);
         let end = start + service;
         self.servers[slot] = end;
-        self.busy += service;
-        self.served += 1;
         end
-    }
-
-    /// Bounded admission: like [`Resource::acquire`], but refuses the
-    /// reservation when more than the configured queue depth of admitted
-    /// requests are still waiting for a server at `now`.
-    ///
-    /// On admission the wait time (service start minus `now`) and the
-    /// in-system population are recorded in the histograms. A rejection
-    /// reserves nothing and reports the earliest cycle at which a queue
-    /// slot frees; retrying then is guaranteed to be admitted if no other
-    /// request arrives in between. With no depth configured this never
-    /// rejects (it is `acquire` plus bookkeeping).
-    pub fn try_acquire(&mut self, now: Cycle, service: Cycle) -> Admission {
-        self.pending.retain(|&done| done > now);
-        if let Some(depth) = self.queue_depth {
-            if self.pending.len() >= self.servers.len() + depth {
-                self.rejected += 1;
-                let soonest = self
-                    .pending
-                    .iter()
-                    .copied()
-                    .min()
-                    .expect("a saturated queue has pending departures");
-                return Admission::Rejected {
-                    retry_at: soonest.max(now + Cycle(1)),
-                };
-            }
-        }
-        let done = self.acquire(now, service);
-        let start = done.saturating_since(service);
-        self.wait_hist.record(start.saturating_since(now).raw());
-        self.pending.push(done);
-        self.occupancy_hist.record(self.pending.len() as u64);
-        Admission::Admitted(done)
-    }
-
-    /// Requests admitted via [`Resource::try_acquire`] still in the system
-    /// at `now` (waiting or in service).
-    pub fn in_system(&self, now: Cycle) -> usize {
-        self.pending.iter().filter(|&&done| done > now).count()
-    }
-
-    /// Admissions refused by [`Resource::try_acquire`] so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Wait times (cycles between arrival and service start) of admitted
-    /// requests.
-    pub fn wait_histogram(&self) -> &Histogram {
-        &self.wait_hist
-    }
-
-    /// In-system population sampled at each admission.
-    pub fn occupancy_histogram(&self) -> &Histogram {
-        &self.occupancy_hist
     }
 
     /// The earliest time any server becomes free.
@@ -211,41 +77,6 @@ impl Resource {
             .copied()
             .min()
             .expect("resource has at least one server")
-    }
-
-    /// Number of servers in the pool.
-    pub fn ports(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Completed reservations so far.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Fraction of capacity used up to `now` (0.0–1.0).
-    ///
-    /// Returns 0.0 before any time has elapsed.
-    pub fn utilization(&self, now: Cycle) -> f64 {
-        if now == Cycle::ZERO {
-            return 0.0;
-        }
-        let cap = now.raw() as f64 * self.servers.len() as f64;
-        (self.busy.raw() as f64 / cap).min(1.0)
-    }
-
-    /// Forgets all reservations, admissions and statistics (used between
-    /// simulation phases). The configured queue depth is kept.
-    pub fn reset(&mut self) {
-        for s in &mut self.servers {
-            *s = Cycle::ZERO;
-        }
-        self.busy = Cycle::ZERO;
-        self.served = 0;
-        self.pending.clear();
-        self.rejected = 0;
-        self.wait_hist = Histogram::new();
-        self.occupancy_hist = Histogram::new();
     }
 }
 
@@ -303,42 +134,6 @@ impl Link {
         self.pipe.acquire(now, occupancy) + self.latency
     }
 
-    /// Bounded injection: like [`Link::transfer`], but rejects when the
-    /// configured number of transfers is already queued on the pipe.
-    /// Rejections move no bytes. With no depth configured this never
-    /// rejects.
-    pub fn try_transfer(&mut self, now: Cycle, bytes: usize) -> Admission {
-        let occupancy = Cycle((bytes as f64 / self.bytes_per_cycle).ceil() as u64);
-        match self.pipe.try_acquire(now, occupancy) {
-            Admission::Admitted(done) => {
-                self.bytes_moved += bytes as u64;
-                Admission::Admitted(done + self.latency)
-            }
-            rejected => rejected,
-        }
-    }
-
-    /// Bounds the number of transfers queued on the pipe (`None` =
-    /// unbounded; only [`Link::try_transfer`] enforces the bound).
-    pub fn set_queue_depth(&mut self, depth: Option<usize>) {
-        self.pipe.set_queue_depth(depth);
-    }
-
-    /// Injections refused by [`Link::try_transfer`] so far.
-    pub fn rejected(&self) -> u64 {
-        self.pipe.rejected()
-    }
-
-    /// Wait times of admitted transfers (queueing delay before the pipe).
-    pub fn wait_histogram(&self) -> &Histogram {
-        self.pipe.wait_histogram()
-    }
-
-    /// In-flight transfer population sampled at each admission.
-    pub fn occupancy_histogram(&self) -> &Histogram {
-        self.pipe.occupancy_histogram()
-    }
-
     /// Total bytes pushed through this link.
     pub fn bytes_moved(&self) -> u64 {
         self.bytes_moved
@@ -347,22 +142,6 @@ impl Link {
     /// The link's configured bandwidth in bytes per cycle.
     pub fn bytes_per_cycle(&self) -> f64 {
         self.bytes_per_cycle
-    }
-
-    /// The link's propagation latency.
-    pub fn latency(&self) -> Cycle {
-        self.latency
-    }
-
-    /// Fraction of link capacity used up to `now`.
-    pub fn utilization(&self, now: Cycle) -> f64 {
-        self.pipe.utilization(now)
-    }
-
-    /// Forgets all reservations and counters.
-    pub fn reset(&mut self) {
-        self.pipe.reset();
-        self.bytes_moved = 0;
     }
 }
 
@@ -383,7 +162,7 @@ pub struct AdmissionQueue {
     inflight: Vec<Cycle>,
     admitted: u64,
     rejected: u64,
-    occupancy_hist: Histogram,
+    max_occupancy: u64,
 }
 
 impl AdmissionQueue {
@@ -399,11 +178,6 @@ impl AdmissionQueue {
         if depth.is_none() {
             self.inflight.clear();
         }
-    }
-
-    /// The configured bound, if any.
-    pub fn depth(&self) -> Option<usize> {
-        self.depth
     }
 
     /// Asks to admit one request at `now`. On `Err(retry_at)` the queue is
@@ -425,7 +199,7 @@ impl AdmissionQueue {
             return Err(soonest.max(now + Cycle(1)));
         }
         self.admitted += 1;
-        self.occupancy_hist.record(self.inflight.len() as u64 + 1);
+        self.max_occupancy = self.max_occupancy.max(self.inflight.len() as u64 + 1);
         Ok(())
     }
 
@@ -452,23 +226,9 @@ impl AdmissionQueue {
         self.rejected
     }
 
-    /// In-flight population sampled at each admission (including the
-    /// admitted request).
-    pub fn occupancy_histogram(&self) -> &Histogram {
-        &self.occupancy_hist
-    }
-
     /// Largest in-flight population ever admitted to.
     pub fn max_occupancy(&self) -> u64 {
-        self.occupancy_hist.max()
-    }
-
-    /// Forgets in-flight entries and statistics; keeps the bound.
-    pub fn reset(&mut self) {
-        self.inflight.clear();
-        self.admitted = 0;
-        self.rejected = 0;
-        self.occupancy_hist = Histogram::new();
+        self.max_occupancy
     }
 }
 
@@ -483,7 +243,6 @@ mod tests {
         let b = r.acquire(Cycle(2), Cycle(5));
         assert_eq!(a, Cycle(5));
         assert_eq!(b, Cycle(10)); // queued behind a
-        assert_eq!(r.served(), 2);
     }
 
     #[test]
@@ -502,27 +261,6 @@ mod tests {
         }
         assert_eq!(r.acquire(Cycle(0), Cycle(10)), Cycle(20));
         assert_eq!(r.earliest_free(), Cycle(10));
-    }
-
-    #[test]
-    fn utilization_bounds() {
-        let mut r = Resource::new(2);
-        assert_eq!(r.utilization(Cycle::ZERO), 0.0);
-        r.acquire(Cycle(0), Cycle(10));
-        // 10 busy cycles over 2 servers * 10 cycles = 0.5.
-        assert!((r.utilization(Cycle(10)) - 0.5).abs() < 1e-12);
-        r.acquire(Cycle(0), Cycle(10));
-        assert!((r.utilization(Cycle(10)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut r = Resource::new(1);
-        r.acquire(Cycle(0), Cycle(50));
-        r.reset();
-        assert_eq!(r.earliest_free(), Cycle::ZERO);
-        assert_eq!(r.served(), 0);
-        assert_eq!(r.acquire(Cycle(0), Cycle(1)), Cycle(1));
     }
 
     #[test]
@@ -552,135 +290,11 @@ mod tests {
     }
 
     #[test]
-    fn utilization_is_zero_after_reset() {
-        let mut r = Resource::new(2);
-        r.acquire(Cycle(0), Cycle(100));
-        assert!(r.utilization(Cycle(100)) > 0.0);
-        r.reset();
-        assert_eq!(r.utilization(Cycle(100)), 0.0, "busy time forgotten");
-        assert_eq!(r.utilization(Cycle::ZERO), 0.0, "and t=0 stays defined");
-    }
-
-    #[test]
     fn zero_service_time_reservations() {
         let mut r = Resource::new(1);
         // A zero-cycle reservation departs when it starts and holds nothing.
         assert_eq!(r.acquire(Cycle(5), Cycle::ZERO), Cycle(5));
         assert_eq!(r.acquire(Cycle(5), Cycle(10)), Cycle(15));
-        assert_eq!(r.served(), 2);
-        assert_eq!(r.utilization(Cycle(15)), 10.0 / 15.0);
-        // Bounded mode: zero-service requests never occupy the queue.
-        let mut b = Resource::bounded(1, 0);
-        for _ in 0..3 {
-            assert_eq!(
-                b.try_acquire(Cycle(5), Cycle::ZERO),
-                Admission::Admitted(Cycle(5))
-            );
-        }
-        assert_eq!(b.rejected(), 0);
-    }
-
-    #[test]
-    fn bounded_resource_rejects_beyond_depth() {
-        // 1 server + depth 2: the third concurrent request is refused.
-        let mut r = Resource::bounded(1, 2);
-        assert_eq!(
-            r.try_acquire(Cycle(0), Cycle(10)),
-            Admission::Admitted(Cycle(10))
-        );
-        assert_eq!(
-            r.try_acquire(Cycle(0), Cycle(10)),
-            Admission::Admitted(Cycle(20))
-        );
-        assert_eq!(
-            r.try_acquire(Cycle(0), Cycle(10)),
-            Admission::Admitted(Cycle(30))
-        );
-        let rej = r.try_acquire(Cycle(0), Cycle(10));
-        assert_eq!(
-            rej,
-            Admission::Rejected {
-                retry_at: Cycle(10)
-            }
-        );
-        assert!(!rej.is_admitted());
-        assert_eq!(rej.departure(), None);
-        assert_eq!(r.rejected(), 1);
-        assert_eq!(r.in_system(Cycle(0)), 3);
-        // Retrying at the hinted time succeeds.
-        assert!(r.try_acquire(Cycle(10), Cycle(10)).is_admitted());
-        assert_eq!(r.occupancy_histogram().max(), 3, "in-system <= ports+depth");
-    }
-
-    #[test]
-    fn bounded_resource_retry_at_is_strictly_future() {
-        let mut r = Resource::bounded(1, 0);
-        // Zero-service admission departs at now; it is pruned, so the
-        // queue is empty again and admission succeeds. Force saturation
-        // with a real service time instead.
-        r.try_acquire(Cycle(0), Cycle(1));
-        match r.try_acquire(Cycle(0), Cycle(1)) {
-            Admission::Rejected { retry_at } => assert!(retry_at > Cycle(0)),
-            a => panic!("expected rejection, got {a:?}"),
-        }
-    }
-
-    #[test]
-    fn unbounded_try_acquire_matches_acquire() {
-        let mut a = Resource::new(2);
-        let mut b = Resource::new(2);
-        for (now, svc) in [(0u64, 7u64), (3, 5), (4, 9), (20, 1)] {
-            let x = a.acquire(Cycle(now), Cycle(svc));
-            let y = b.try_acquire(Cycle(now), Cycle(svc));
-            assert_eq!(y, Admission::Admitted(x));
-        }
-        assert_eq!(b.rejected(), 0);
-        assert_eq!(b.wait_histogram().count(), 4);
-    }
-
-    #[test]
-    fn wait_histogram_records_queueing_delay() {
-        let mut r = Resource::bounded(1, 8);
-        r.try_acquire(Cycle(0), Cycle(10)); // starts at 0: wait 0
-        r.try_acquire(Cycle(0), Cycle(10)); // starts at 10: wait 10
-        r.try_acquire(Cycle(0), Cycle(10)); // starts at 20: wait 20
-        let h = r.wait_histogram();
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.max(), 20);
-        assert_eq!(h.sum(), 30);
-    }
-
-    #[test]
-    fn reset_clears_bounded_state_but_keeps_depth() {
-        let mut r = Resource::bounded(1, 0);
-        r.try_acquire(Cycle(0), Cycle(100));
-        r.try_acquire(Cycle(0), Cycle(100));
-        assert_eq!(r.rejected(), 1);
-        r.reset();
-        assert_eq!(r.rejected(), 0);
-        assert_eq!(r.in_system(Cycle(0)), 0);
-        assert_eq!(r.queue_depth(), Some(0));
-        assert!(r.try_acquire(Cycle(0), Cycle(1)).is_admitted());
-    }
-
-    #[test]
-    fn link_try_transfer_bounds_injection() {
-        let mut l = Link::new(8.0, Cycle(4));
-        l.set_queue_depth(Some(0)); // only the transfer in service
-        let first = l.try_transfer(Cycle(0), 4096);
-        assert_eq!(first, Admission::Admitted(Cycle(516)));
-        let second = l.try_transfer(Cycle(0), 4096);
-        // Pipe busy until 512 (latency is pipelined, not queued).
-        assert_eq!(
-            second,
-            Admission::Rejected {
-                retry_at: Cycle(512)
-            }
-        );
-        assert_eq!(l.rejected(), 1);
-        assert_eq!(l.bytes_moved(), 4096, "rejected transfer moved no bytes");
-        assert!(l.try_transfer(Cycle(512), 4096).is_admitted());
-        assert!(l.occupancy_histogram().max() <= 1);
     }
 
     #[test]
@@ -709,9 +323,7 @@ mod tests {
         // At the hinted time the earliest departure has left.
         assert_eq!(q.try_admit(Cycle(50)), Ok(()));
         assert_eq!(q.max_occupancy(), 2);
-        q.reset();
-        assert_eq!(q.depth(), Some(2));
-        assert_eq!(q.admitted(), 0);
+        assert_eq!(q.admitted(), 3);
     }
 
     #[test]

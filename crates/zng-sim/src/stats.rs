@@ -2,192 +2,12 @@
 
 use zng_types::Cycle;
 
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// let mut c = zng_sim::Counter::default();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Adds one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Resets to zero.
-    #[inline]
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
-}
-
-/// A hit/total ratio (cache hit rate, predictor accuracy, waste ratio…).
-///
-/// # Examples
-///
-/// ```
-/// let mut r = zng_sim::Ratio::default();
-/// r.record(true);
-/// r.record(true);
-/// r.record(false);
-/// assert!((r.value() - 2.0 / 3.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Ratio {
-    hits: u64,
-    total: u64,
-}
-
-impl Ratio {
-    /// Records one outcome.
-    #[inline]
-    pub fn record(&mut self, hit: bool) {
-        self.total += 1;
-        if hit {
-            self.hits += 1;
-        }
-    }
-
-    /// Hits so far.
-    pub fn hits(self) -> u64 {
-        self.hits
-    }
-
-    /// Samples so far.
-    pub fn total(self) -> u64 {
-        self.total
-    }
-
-    /// The ratio, or 0.0 if nothing was recorded.
-    pub fn value(self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.total as f64
-        }
-    }
-
-    /// Resets both counters.
-    pub fn reset(&mut self) {
-        *self = Ratio::default();
-    }
-}
-
-/// A power-of-two bucketed histogram of `u64` samples (latency, queue
-/// depth, reuse counts).
-///
-/// Bucket `i` holds samples in `[2^(i-1), 2^i)`, with bucket 0 holding the
-/// value 0 and 1.
-///
-/// # Examples
-///
-/// ```
-/// let mut h = zng_sim::Histogram::new();
-/// h.record(1);
-/// h.record(100);
-/// assert_eq!(h.count(), 2);
-/// assert!(h.mean() > 50.0);
-/// ```
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let bucket = 64 - value.leading_zeros() as usize; // 0 -> 0, 1 -> 1, ...
-        if self.buckets.len() <= bucket {
-            self.buckets.resize(bucket + 1, 0);
-        }
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of samples (0.0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Largest sample seen.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Approximate p-th percentile (0.0–1.0) from bucket upper bounds.
-    pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (p.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return if i == 0 { 0 } else { 1u64 << (i - 1) };
-            }
-        }
-        self.max
-    }
-
-    /// The raw buckets (`bucket[i]` counts samples with
-    /// `highest_set_bit == i`).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-}
-
 /// An exact-percentile accumulator: keeps every sample and answers
 /// nearest-rank percentile queries precisely.
 ///
-/// [`Histogram`] trades accuracy for O(log max) memory; `Percentiles`
-/// stores all samples, so it is reserved for bounded-cardinality series
-/// (per-request latencies of a single run) where the QoS report needs
-/// exact p50/p95/p99 numbers rather than power-of-two bucket bounds.
+/// It stores all samples, so it is reserved for bounded-cardinality
+/// series (per-request latencies of a single run) where the QoS report
+/// needs exact p50/p95/p99 numbers.
 ///
 /// # Examples
 ///
@@ -250,12 +70,6 @@ impl Percentiles {
         let n = self.samples.len();
         let rank = (p.clamp(0.0, 1.0) * n as f64).ceil() as usize;
         self.samples[rank.max(1) - 1]
-    }
-
-    /// Forgets all samples.
-    pub fn reset(&mut self) {
-        self.samples.clear();
-        self.sorted = true;
     }
 }
 
@@ -330,68 +144,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_ops() {
-        let mut c = Counter::default();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn ratio_empty_is_zero() {
-        assert_eq!(Ratio::default().value(), 0.0);
-    }
-
-    #[test]
-    fn ratio_counts() {
-        let mut r = Ratio::default();
-        for i in 0..10 {
-            r.record(i % 2 == 0);
-        }
-        assert_eq!(r.hits(), 5);
-        assert_eq!(r.total(), 10);
-        assert!((r.value() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_moments() {
-        let mut h = Histogram::new();
-        for v in [0u64, 1, 2, 4, 8, 1024] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.max(), 1024);
-        assert_eq!(h.sum(), 1039);
-        assert!((h.mean() - 1039.0 / 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_percentile_monotone() {
-        let mut h = Histogram::new();
-        for v in 0..1000u64 {
-            h.record(v);
-        }
-        let p50 = h.percentile(0.5);
-        let p99 = h.percentile(0.99);
-        assert!(p50 <= p99);
-        assert!(p99 <= h.max());
-        assert_eq!(Histogram::new().percentile(0.5), 0);
-    }
-
-    #[test]
-    fn histogram_bucket_layout() {
-        let mut h = Histogram::new();
-        h.record(0); // bucket 0
-        h.record(1); // bucket 1
-        h.record(3); // bucket 2
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[1], 1);
-        assert_eq!(h.buckets()[2], 1);
-    }
-
-    #[test]
     fn percentiles_exact_on_hand_checked_inputs() {
         // Nearest-rank on [15, 20, 35, 40, 50] (the canonical worked
         // example): p30 -> rank ceil(0.3*5)=2 -> 20; p40 -> rank 2 -> 20;
@@ -419,9 +171,6 @@ mod tests {
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(p.percentile(q), 7);
         }
-        p.reset();
-        assert_eq!(p.count(), 0);
-        assert_eq!(p.percentile(0.5), 0);
     }
 
     #[test]

@@ -1,41 +1,10 @@
 //! Property tests for the statistics primitives.
 
 use proptest::prelude::*;
-use zng_sim::{Histogram, Ratio, TimeSeries};
+use zng_sim::TimeSeries;
 use zng_types::Cycle;
 
 proptest! {
-    #[test]
-    fn histogram_moments_consistent(values in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut h = Histogram::new();
-        for &v in &values {
-            h.record(v);
-        }
-        prop_assert_eq!(h.count(), values.len() as u64);
-        prop_assert_eq!(h.sum(), values.iter().sum::<u64>());
-        prop_assert_eq!(h.max(), *values.iter().max().unwrap());
-        let mean = h.mean();
-        let lo = *values.iter().min().unwrap() as f64;
-        let hi = h.max() as f64;
-        prop_assert!(mean >= lo - 1e-9 && mean <= hi + 1e-9);
-        // Percentiles are monotone in p.
-        let p50 = h.percentile(0.5);
-        let p90 = h.percentile(0.9);
-        prop_assert!(p50 <= p90);
-        prop_assert!(p90 <= h.max());
-    }
-
-    #[test]
-    fn ratio_is_bounded(outcomes in prop::collection::vec(any::<bool>(), 0..300)) {
-        let mut r = Ratio::default();
-        for &o in &outcomes {
-            r.record(o);
-        }
-        prop_assert!(r.value() >= 0.0 && r.value() <= 1.0);
-        prop_assert_eq!(r.total() as usize, outcomes.len());
-        prop_assert_eq!(r.hits() as usize, outcomes.iter().filter(|&&b| b).count());
-    }
-
     #[test]
     fn time_series_conserves_events(
         events in prop::collection::vec((0u64..10_000, 1u64..5), 0..200),

@@ -109,24 +109,21 @@ impl SsdModule {
         Ok(done)
     }
 
-    /// Bounds the module's in-flight request population (`None` =
-    /// unbounded, the default) and the flash backbone behind it.
+    /// Bounds the module's submission queue (`None` = unbounded, the
+    /// default). This is HybridGPU's one bounded queue: the flash
+    /// channels behind the engine are never bounded.
     pub fn set_queue_depth(&mut self, depth: Option<usize>) {
         self.admission.set_depth(depth);
-        self.device.set_queue_depth(depth);
     }
 
-    /// Requests refused by module admission plus flash-level rejections.
+    /// Requests refused by the submission queue.
     pub fn qos_rejections(&self) -> u64 {
-        self.admission.rejected() + self.device.qos_rejections()
+        self.admission.rejected()
     }
 
-    /// Largest in-flight population admitted to the module queue or any
-    /// flash channel queue.
+    /// Largest in-flight population admitted to the submission queue.
     pub fn qos_max_occupancy(&self) -> u64 {
-        self.admission
-            .max_occupancy()
-            .max(self.device.qos_max_occupancy())
+        self.admission.max_occupancy()
     }
 
     /// Simulates a power cut at `now` followed by FTL recovery.
@@ -161,11 +158,6 @@ impl SsdModule {
     /// The internal page buffer (for hit-rate inspection).
     pub fn buffer(&self) -> &PageBuffer {
         &self.buffer
-    }
-
-    /// Mutable access to the page buffer (flush on GC/shutdown).
-    pub fn buffer_mut(&mut self) -> &mut PageBuffer {
-        &mut self.buffer
     }
 
     /// The FTL (for GC statistics).
@@ -231,7 +223,7 @@ mod tests {
     fn writes_dirty_the_buffer() {
         let mut m = module();
         m.access_sector(Cycle(0), 9, AccessKind::Write).unwrap();
-        assert_eq!(m.buffer_mut().flush_dirty(), vec![9]);
+        assert_eq!(m.buffer.flush_dirty(), vec![9]);
     }
 
     #[test]

@@ -45,12 +45,6 @@ macro_rules! addr_newtype {
                 self.0 % page_size
             }
 
-            /// The 128 B sector number containing this address.
-            #[inline]
-            pub const fn sector_number(self) -> u64 {
-                self.0 / CACHE_LINE as u64
-            }
-
             /// This address aligned down to its 128 B sector base.
             #[inline]
             pub const fn sector_base(self) -> $name {
@@ -220,7 +214,6 @@ mod tests {
         let a = VirtAddr(4096 * 3 + 130);
         assert_eq!(a.page_number(4096), 3);
         assert_eq!(a.page_offset(4096), 130);
-        assert_eq!(a.sector_number(), (4096 * 3 + 130) / 128);
         assert_eq!(a.sector_base(), VirtAddr(4096 * 3 + 128));
     }
 

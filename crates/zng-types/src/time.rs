@@ -186,8 +186,8 @@ impl fmt::Display for Nanos {
 ///
 /// ```
 /// use zng_types::Freq;
-/// let onfi = Freq::mhz(800.0);
-/// assert_eq!(onfi.hz(), 8e8);
+/// let core = Freq::ghz(1.2);
+/// assert_eq!(core.hz(), 1.2e9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Freq(f64);
@@ -199,11 +199,6 @@ impl Freq {
         Freq(hz)
     }
 
-    /// Frequency in megahertz.
-    pub fn mhz(mhz: f64) -> Freq {
-        Freq::hz_new(mhz * 1e6)
-    }
-
     /// Frequency in gigahertz.
     pub fn ghz(ghz: f64) -> Freq {
         Freq::hz_new(ghz * 1e9)
@@ -213,12 +208,6 @@ impl Freq {
     #[inline]
     pub fn hz(self) -> f64 {
         self.0
-    }
-
-    /// The period of one clock tick.
-    #[inline]
-    pub fn period(self) -> Nanos {
-        Nanos(1e9 / self.0)
     }
 }
 
@@ -307,7 +296,7 @@ mod tests {
     fn display_formats() {
         assert_eq!(Cycle(7).to_string(), "7cy");
         assert_eq!(Freq::ghz(1.2).to_string(), "1.20GHz");
-        assert_eq!(Freq::mhz(800.0).to_string(), "800MHz");
+        assert_eq!(Freq::hz_new(8e8).to_string(), "800MHz");
         assert_eq!(Nanos(3.25).to_string(), "3.2ns");
     }
 }

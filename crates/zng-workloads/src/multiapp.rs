@@ -87,7 +87,7 @@ mod tests {
             assert_eq!(m.total_warps(), 2 * TraceParams::tiny().total_warps);
             // Read-intensive first, write-intensive second.
             assert!(m.apps[0].0.read_ratio > 0.8, "{}", m.name);
-            assert!(m.apps[1].0.is_write_intensive(), "{}", m.name);
+            assert!(m.apps[1].0.read_ratio < 0.8, "{}", m.name);
         }
     }
 

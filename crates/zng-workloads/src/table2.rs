@@ -38,14 +38,6 @@ pub struct WorkloadSpec {
     pub class: Class,
 }
 
-impl WorkloadSpec {
-    /// Whether the paper treats this workload as write-intensive
-    /// (read ratio below 0.8 — `back`, `gaus`, `FDT`, `gram`).
-    pub fn is_write_intensive(&self) -> bool {
-        self.read_ratio < 0.8
-    }
-}
-
 /// All 16 Table II workloads, in the paper's order.
 pub fn table2() -> &'static [WorkloadSpec] {
     use Class::*;
@@ -209,7 +201,7 @@ mod tests {
     fn write_intensive_set_is_the_scientific_four() {
         let wi: Vec<&str> = table2()
             .iter()
-            .filter(|w| w.is_write_intensive())
+            .filter(|w| w.read_ratio < 0.8)
             .map(|w| w.name)
             .collect();
         assert_eq!(wi, vec!["back", "gaus", "FDT", "gram"]);

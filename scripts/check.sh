@@ -26,27 +26,5 @@ cargo test -q --workspace
 # main test run is filtered.
 cargo test -q --test golden
 
-# Self-healing end-to-end smoke: a die failure plus a severed mesh link
-# mid-run must still complete and rebuild (exercises the RAIN paths the
-# unit tests cover piecewise).
-cargo run -q --example redundancy_rebuild >/dev/null
-
-# Data-integrity end-to-end smoke: a silent bit flip must fail loudly
-# (poisoned L2 line, IntegrityViolation) without redundancy and heal in
-# place with RAIN on (exercises the verified-read paths end to end).
-cargo run -q --example integrity_poison >/dev/null
-
-# Endurance end-to-end smoke: the refresh scheduler must ride along on
-# healthy media, and an end-of-life run must complete with a graceful
-# capacity step instead of the DeviceWornOut cliff.
-cargo run -q --example lifetime_refresh >/dev/null
-
-# Crash-recovery end-to-end smoke: a checkpointed power cut must restore
-# through the fast path and beat the full OOB scan (exercises the
-# checkpoint writer, delta journal and verified restore end to end).
-cargo run -q --release --example fast_recovery >/dev/null
-
-# Predictive-health end-to-end smoke: the monitor must flag a degrading
-# die, evacuate its live data and fence it at death with zero dead-die
-# reads, while the unmonitored twin pays the reconstruction fan-out.
-cargo run -q --release --example health_evacuation >/dev/null
+# End-to-end example smokes (the same list the CI quick lane runs).
+./scripts/smoke.sh

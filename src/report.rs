@@ -37,13 +37,6 @@ impl Table {
         self
     }
 
-    /// Convenience: a row of a label plus formatted numbers.
-    pub fn num_row(&mut self, label: &str, values: &[f64]) -> &mut Table {
-        let mut cells = vec![label.to_string()];
-        cells.extend(values.iter().map(|v| format!("{v:.3}")));
-        self.row(cells)
-    }
-
     /// The table's headline metric: the label of the first data row that
     /// contains a numeric cell, paired with that cell's value.
     ///
@@ -132,15 +125,6 @@ mod tests {
         let col = lines[0].find("bbbb").unwrap();
         assert_eq!(&lines[2][col..col + 1], "1");
         assert_eq!(&lines[3][col..col + 2], "22");
-    }
-
-    #[test]
-    fn num_row_formats() {
-        let mut t = Table::new(vec!["w".into(), "v".into()]);
-        t.num_row("x", &[1.23456]);
-        assert!(t.render().contains("1.235"));
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
     }
 
     #[test]
