@@ -31,6 +31,8 @@
 //!     --footprint 16384 --json > tests/golden/run_hybrid.json
 //! ./target/release/zng-cli run -p hetero -w betw,back --warps 32 --ops 200 \
 //!     --footprint 4096 --json > tests/golden/run_hetero.json
+//! ./target/release/zng-cli run -p hetero -w betw,back --warps 16 --ops 100 \
+//!     --footprint 1024 --crash-at 500 --json > tests/golden/run_crash_hetero.json
 //! ./target/release/zng-cli run -p zng -w back,gaus,FDT,gram --warps 32 \
 //!     --ops 60 --footprint 16384 --qos --json > tests/golden/run_qos.json
 //! ./target/release/zng-cli run -p hybrid -w back,gaus,FDT,gram --warps 32 \
@@ -179,6 +181,17 @@ fn hetero_run_matches_golden() {
     let args = "run -p hetero -w betw,back --warps 32 --ops 200 --footprint 4096 --json";
     let got = cli(&args.split(' ').collect::<Vec<_>>());
     assert_bytes_match(&got, &golden("run_hetero.json"), "Hetero run");
+}
+
+/// Pins a power cut on the Hetero baseline: `PageMapFtl`'s OOB-scan
+/// recovery (pages scanned, scan cycles) and the recovered run's
+/// results.
+#[test]
+fn hetero_crash_run_matches_golden() {
+    let args =
+        "run -p hetero -w betw,back --warps 16 --ops 100 --footprint 1024 --crash-at 500 --json";
+    let got = cli(&args.split(' ').collect::<Vec<_>>());
+    assert_bytes_match(&got, &golden("run_crash_hetero.json"), "Hetero crash run");
 }
 
 /// Pins a four-app ZnG co-run under the bounded QoS policy: admission
