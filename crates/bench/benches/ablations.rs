@@ -572,20 +572,17 @@ fn recovery_ablation() {
         let mut dev = FlashDevice::zng_config(geometry, Freq::default(), RegisterTopology::Private)
             .expect("device");
         let mut ftl = PageMapFtl::new(&dev);
-        ftl.set_checkpointing(Some(CheckpointConfig {
-            every_ops: 1,
-            journal_cap: 0,
-        }));
+        ftl.set_checkpointing(Some(CheckpointConfig { journal_cap: 0 }));
         // Sequential fill to the target level, then checkpoint, then a
         // short tail of post-checkpoint writes the journal must cover.
         let pages = (capacity as f64 * fill) as u64;
         let mut now = Cycle::ZERO;
         for lpn in 0..pages {
-            now = ftl.write_page(now, &mut dev, lpn).expect("fill write");
+            now = ftl.write(now, &mut dev, lpn).expect("fill write").done;
         }
         now = ftl.checkpoint_step(now, &mut dev);
         for lpn in 0..64 {
-            now = ftl.write_page(now, &mut dev, lpn).expect("tail write");
+            now = ftl.write(now, &mut dev, lpn).expect("tail write").done;
         }
         // Cut power on two identical twins: one recovers through the
         // checkpoint, the other is stripped and must scan everything.

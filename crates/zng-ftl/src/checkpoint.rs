@@ -75,38 +75,14 @@ pub const CKPT_LOAD_CYCLES_PER_PAGE: Cycle = Cycle(1_500);
 /// tables.
 pub const JOURNAL_REPLAY_CYCLES_PER_RECORD: Cycle = Cycle(24);
 
-/// Checkpoint subsystem configuration. `off()` (the default) disables
-/// checkpointing entirely and leaves every output byte-identical.
+/// Checkpoint subsystem configuration. Checkpointing is on while an FTL
+/// holds one (see [`crate::Ftl::set_checkpointing`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointConfig {
-    /// Completed foreground operations between background checkpoints
-    /// (the runner's cadence). Zero disables checkpointing.
-    pub every_ops: u64,
     /// Journal records retained between checkpoints before the epoch is
     /// declared overflowed (its fast path falls back to the full scan
     /// until the next checkpoint). Zero means unbounded.
     pub journal_cap: u64,
-}
-
-impl CheckpointConfig {
-    /// Checkpointing disabled (the default).
-    pub fn off() -> CheckpointConfig {
-        CheckpointConfig {
-            every_ops: 0,
-            journal_cap: 0,
-        }
-    }
-
-    /// Whether checkpointing is on.
-    pub fn enabled(&self) -> bool {
-        self.every_ops > 0
-    }
-}
-
-impl Default for CheckpointConfig {
-    fn default() -> CheckpointConfig {
-        CheckpointConfig::off()
-    }
 }
 
 /// Event counters of the checkpoint subsystem.

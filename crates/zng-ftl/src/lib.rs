@@ -47,7 +47,7 @@ pub use checkpoint::{
 pub use engine::SsdEngine;
 pub use health::{HealthCounters, HealthPolicy, QUARANTINE_EXTRA_READ_ATTEMPTS, REHAB_CLEAN_TICKS};
 pub use integrity::IntegrityCounters;
-pub use maint::Ftl;
+pub use maint::{Ftl, WriteResult};
 pub use pacing::GcPacing;
 pub use pagemap::PageMapFtl;
 pub use rain::{RainConfig, RainCounters, RainState, RAIN_XOR_CYCLES};

@@ -9,11 +9,12 @@
 //!
 //! The maintenance steps (patrol scrub, refresh and levelling, health
 //! evacuation, checkpoints, die fencing and rebuild) are written once as
-//! provided methods of the [`Ftl`] trait. Each FTL supplies only its
-//! mapping primitives: where a logical page lives now, how to rewrite
-//! one page, and how to pick and migrate a refresh, levelling or
-//! evacuation victim. Where the two FTLs really behave differently, the
-//! difference stays inside that FTL's primitive.
+//! provided methods of the [`Ftl`] trait. Each FTL supplies its demand
+//! path (read, write, recovery, lookup) as the trait's required methods
+//! and its mapping primitives: how to rewrite one page, and how to pick
+//! and migrate a refresh, levelling or evacuation victim. Where the two
+//! FTLs really behave differently, the difference stays inside that
+//! FTL's implementation.
 
 use zng_flash::{BlockKind, FlashDevice};
 use zng_types::{BlockAddr, Cycle, Error, FlashAddr, Result};
@@ -26,6 +27,7 @@ use crate::pacing::{pace, GcPacing};
 use crate::rain::{Claim, RainConfig, RainState};
 use crate::recovery::{self, RecoveryReport, Scan, ScannedBlock};
 use crate::refresh::{EnduranceCounters, EnduranceState, RefreshPolicy, RefreshReason};
+use crate::zngftl::GcReport;
 use crate::GC_READ_ATTEMPTS;
 
 /// The `(channel, die)` key the health monitor tracks `block` under.
@@ -432,9 +434,6 @@ pub trait Primitives {
     /// The shared reliability state, mutably.
     fn core_mut(&mut self) -> &mut FtlCore;
 
-    /// Where logical page `key` lives now, if it is mapped.
-    fn mapped_at(&self, key: u64) -> Option<FlashAddr>;
-
     /// Rewrites `key`, currently at `src`, onto a fresh location through
     /// the FTL's normal write path (a scrub rewrite).
     fn rewrite_page(
@@ -481,13 +480,87 @@ pub trait Primitives {
     fn rebuild_lost(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<(Cycle, u64)>;
 }
 
-/// A flash translation layer's subsystem controls, counters and
-/// background maintenance steps, shared by [`crate::PageMapFtl`] and
-/// [`crate::ZngFtl`].
+/// A completed write and any garbage collection it triggered.
+#[derive(Debug, Clone, Default)]
+pub struct WriteResult {
+    /// When the write retires from the writer's perspective.
+    pub done: Cycle,
+    /// A log-block merge that ran to make room ([`crate::ZngFtl`] only;
+    /// [`crate::PageMapFtl`] collects inside the write's own latency).
+    pub gc: Option<GcReport>,
+    /// The flash registers' thrashing-checker verdict (ZnG's buffered
+    /// write mode only) — the trigger for ZnG's pinned-L2 write
+    /// redirection.
+    pub thrashing: bool,
+}
+
+/// The whole contract of a flash translation layer, implemented by
+/// [`crate::PageMapFtl`] and [`crate::ZngFtl`]: the demand path (read,
+/// write, power-loss recovery and lookup), the subsystem controls and
+/// counters, and the background maintenance steps.
 ///
-/// Demand reads and writes stay inherent methods of each FTL. This
-/// trait is object-safe and sealed: only this crate implements it.
+/// Each FTL implements the demand path; everything else is written once
+/// here. Callers that hold a concrete FTL (the platform backends and SSD
+/// models) dispatch the demand path statically; maintenance and
+/// subsystem setup may go through `dyn Ftl`. This trait is object-safe
+/// and sealed: only this crate implements it.
 pub trait Ftl: Primitives {
+    /// Reads logical page `key`, delivering `bytes` to the controller;
+    /// returns when the data arrives. A page never written reads the
+    /// workload's initial dataset, installed on first touch. With
+    /// integrity on, a payload whose checksum fails is reconstructed
+    /// from its stripe and healed, or fails with
+    /// [`Error::IntegrityViolation`] without redundancy.
+    ///
+    /// # Errors
+    ///
+    /// Propagates allocation and flash-protocol errors; an end-of-life
+    /// allocation failure becomes [`Error::CapacityDegraded`] with
+    /// endurance management on. Under a bounded queue configuration a
+    /// saturated [`crate::ZngFtl`] channel rejects the read with
+    /// [`Error::Backpressure`] before touching the media.
+    fn read(
+        &mut self,
+        now: Cycle,
+        device: &mut FlashDevice,
+        key: u64,
+        bytes: usize,
+    ) -> Result<Cycle>;
+
+    /// Writes logical page `key`: a whole page on [`crate::PageMapFtl`],
+    /// one 128 B sector on [`crate::ZngFtl`]. A program that fails
+    /// verification is re-driven elsewhere, and the superseded copy is
+    /// invalidated only once the new one verifies, so a failure never
+    /// strands acknowledged data.
+    ///
+    /// # Errors
+    ///
+    /// Propagates allocation and flash-protocol errors; an end-of-life
+    /// allocation failure becomes [`Error::CapacityDegraded`] with
+    /// endurance management on. Under a bounded queue configuration a
+    /// saturated [`crate::ZngFtl`] log-home channel rejects the write
+    /// with [`Error::Backpressure`] before any state changes, so a
+    /// rejected write can simply be retried.
+    fn write(&mut self, now: Cycle, device: &mut FlashDevice, key: u64) -> Result<WriteResult>;
+
+    /// Rebuilds the mapping after a power loss purely from the device's
+    /// out-of-band metadata: per logical page the newest intact copy
+    /// wins, torn pages are discarded, unreferenced blocks are erased
+    /// back into the free pool and the allocator is re-derived. With
+    /// checkpointing on, a verified checkpoint plus its journal tail
+    /// replaces the full scan and rebuilds the same state. Deterministic
+    /// and idempotent: scanning the same media twice rebuilds the same
+    /// mapping.
+    ///
+    /// # Errors
+    ///
+    /// Propagates flash-protocol errors from the dead-block reclaim.
+    fn recover(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<RecoveryReport>;
+
+    /// Where logical page `key` lives now, if it is mapped. Charges no
+    /// time and allocates nothing.
+    fn locate(&self, key: u64) -> Option<FlashAddr>;
+
     /// Installs (or clears) the one pacing contract of the background
     /// steps: a scrub, refresh, checkpoint or health step — and, on
     /// [`crate::ZngFtl`], a log-block merge — stalls the foreground no
@@ -542,10 +615,10 @@ pub trait Ftl: Primitives {
     }
 
     /// Installs (or clears) mapping checkpoints + the delta journal.
-    /// `None` (or a disabled config) allocates no checkpoint blocks, and
-    /// recovery always runs the full OOB scan.
+    /// `None` allocates no checkpoint blocks, and recovery always runs
+    /// the full OOB scan.
     fn set_checkpointing(&mut self, config: Option<CheckpointConfig>) {
-        self.core_mut().checkpoint = config.filter(|c| c.enabled()).map(CheckpointState::new);
+        self.core_mut().checkpoint = config.map(CheckpointState::new);
     }
 
     /// Event counters of the checkpoint subsystem, when enabled.
@@ -643,7 +716,7 @@ pub trait Ftl: Primitives {
         let config = rain.config();
         rain.scrub_scanned += 1;
         if (depth >= config.scrub_threshold as u64 || strained || corrupt)
-            && self.mapped_at(key) == Some(addr)
+            && self.locate(key) == Some(addr)
         {
             if corrupt {
                 let core = self.core_mut();

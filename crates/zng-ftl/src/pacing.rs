@@ -26,9 +26,6 @@ pub struct GcPacing {
     /// later than `started + stall_budget` is a deadline miss and blocks
     /// only up to the deadline.
     pub stall_budget: Cycle,
-    /// How many foreground events one merge may stall before the runner
-    /// releases the victim app early (0 = never stall).
-    pub credit_writes: u64,
 }
 
 impl GcPacing {
@@ -64,7 +61,6 @@ mod tests {
     fn deadline_is_start_plus_budget() {
         let p = GcPacing {
             stall_budget: Cycle(10_000),
-            credit_writes: 4,
         };
         assert_eq!(p.deadline(Cycle(500)), Cycle(10_500));
     }
@@ -73,7 +69,6 @@ mod tests {
     fn pace_caps_the_stall_and_counts_overruns() {
         let p = Some(GcPacing {
             stall_budget: Cycle(1_000),
-            credit_writes: 4,
         });
         let mut overruns = 0;
         assert_eq!(pace(p, Cycle(0), Cycle(500), &mut overruns), Cycle(500));

@@ -13,7 +13,7 @@ use zng_flash::{BlockKind, FlashDevice};
 use zng_types::{BlockAddr, Cycle, Error, FlashAddr, Result};
 
 use crate::allocator::BlockAllocator;
-use crate::maint::{Ftl, FtlCore, Primitives};
+use crate::maint::{Ftl, FtlCore, Primitives, WriteResult};
 use crate::recovery::RecoveryReport;
 use crate::refresh::RefreshReason;
 use crate::MAX_WRITE_REDRIVES;
@@ -63,11 +63,6 @@ impl PageMapFtl {
             gc_active: false,
             pages_migrated: 0,
         }
-    }
-
-    /// Current flash location of `lpn`, if mapped.
-    pub fn translate(&self, lpn: u64) -> Option<FlashAddr> {
-        self.map.get(&lpn).copied()
     }
 
     /// The one allocation chokepoint: collects garbage first when the
@@ -132,31 +127,7 @@ impl PageMapFtl {
         }
     }
 
-    /// Writes one logical page; returns program-complete time.
-    ///
-    /// A program that fails verification seals the stricken block and
-    /// re-drives the write into another channel's active block; the
-    /// superseded copy is invalidated only after the replacement program
-    /// verifies, so a failure never strands acknowledged data.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation and flash-protocol errors.
-    pub fn write_page(&mut self, now: Cycle, device: &mut FlashDevice, lpn: u64) -> Result<Cycle> {
-        let r = self
-            .write_page_inner(now, device, lpn)
-            .map_err(|e| self.core.degrade(e, self.map.len() as u64));
-        let t = *r.as_ref().unwrap_or(&now);
-        self.core.ckpt_sync(t, device);
-        r
-    }
-
-    fn write_page_inner(
-        &mut self,
-        now: Cycle,
-        device: &mut FlashDevice,
-        lpn: u64,
-    ) -> Result<Cycle> {
+    fn write_inner(&mut self, now: Cycle, device: &mut FlashDevice, lpn: u64) -> Result<Cycle> {
         for _ in 0..MAX_WRITE_REDRIVES {
             let block = self.next_slot(device, now)?;
             let report = device.program(now, block, lpn)?;
@@ -198,38 +169,6 @@ impl PageMapFtl {
         self.record_mapping(device, lpn, FlashAddr::new(block, page));
         self.core.ckpt_sync(Cycle::ZERO, device);
         Ok(())
-    }
-
-    /// Reads `lpn`, installing it first if it was part of the initial
-    /// dataset; delivers `transfer_bytes` to the controller.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flash-protocol errors.
-    pub fn read_page(
-        &mut self,
-        now: Cycle,
-        device: &mut FlashDevice,
-        lpn: u64,
-        transfer_bytes: usize,
-    ) -> Result<Cycle> {
-        if !self.map.contains_key(&lpn) {
-            // The install allocates; at end of life it can hit the spare
-            // pool cliff, which endurance mode reports as a capacity
-            // step (already-mapped pages read without allocating).
-            self.install(device, lpn)
-                .map_err(|e| self.core.degrade(e, self.map.len() as u64))?;
-        }
-        let addr = *self.map.get(&lpn).expect("lpn just installed above");
-        let done = self
-            .core
-            .retried_read(device, now, addr, lpn, transfer_bytes)?;
-        let r = self.verify_read(done, device, addr, lpn, transfer_bytes);
-        // The read path mutates media too (install preloads, integrity
-        // heals): flush any critical journal records before acking.
-        let t = *r.as_ref().unwrap_or(&done);
-        self.core.ckpt_sync(t, device);
-        r
     }
 
     /// Validates the delivered payload against its OOB checksum; a
@@ -349,74 +288,6 @@ impl PageMapFtl {
         Ok(done)
     }
 
-    /// Rebuilds the mapping tables after a power loss.
-    ///
-    /// Call after [`FlashDevice::power_loss`]: the page map, reverse map,
-    /// sealed list and per-channel active blocks are reconstructed from a
-    /// full-device OOB scan. Duplicate logical pages resolve by program
-    /// stamp (newest intact copy wins), torn pages are discarded, dead
-    /// blocks are erased back into the free pool, and the allocator is
-    /// re-derived. Deterministic and idempotent: scanning the same media
-    /// twice rebuilds the same mapping state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flash-protocol errors from the dead-block reclaim.
-    pub fn recover(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<RecoveryReport> {
-        let rs = self.core.recovery_scan(device);
-        let scan = &rs.scan;
-        let winners = crate::recovery::resolve_winners(&scan.blocks);
-        let candidates: u64 = scan.blocks.iter().map(|b| b.entries.len() as u64).sum();
-        let geo = *device.geometry();
-
-        self.map.clear();
-        self.rmap.iter_mut().for_each(|p| *p = None);
-        self.sealed.clear();
-        self.active = vec![None; geo.channels];
-        self.cursor = 0;
-
-        // Winners per owning block; rebuilding map + rmap together.
-        let mut live_by_block: BTreeMap<u64, Vec<(u32, u64)>> = BTreeMap::new();
-        for (&lpn, &(_, addr)) in &winners {
-            self.map.insert(lpn, addr);
-            live_by_block
-                .entry(geo.index_for_block(addr.block))
-                .or_default()
-                .push((addr.page, lpn));
-        }
-
-        let mut referenced = 0u64;
-        let mut dead = Vec::new();
-        for blk in &scan.blocks {
-            let Some(live) = live_by_block.get(&blk.idx) else {
-                dead.push(blk);
-                continue;
-            };
-            referenced += 1;
-            let b = device.block_mut(blk.addr)?;
-            b.set_kind(BlockKind::Data);
-            let mut pages = vec![None; geo.pages_per_block];
-            for &(page, lpn) in live {
-                b.restore_valid(page);
-                pages[page as usize] = Some(lpn);
-            }
-            self.rmap[blk.idx as usize] = Some(pages);
-            // A partial healthy block resumes in-order writes as its
-            // channel's active block; everything else (full, failed, or a
-            // second partial on the same channel) is sealed for GC.
-            let ch = blk.addr.channel.index();
-            if !blk.full && !blk.failed && self.active[ch].is_none() {
-                self.active[ch] = Some(blk.addr);
-            } else {
-                self.sealed.push(blk.addr);
-            }
-        }
-
-        let stale_dropped = candidates - winners.len() as u64;
-        self.core
-            .finish_recovery(now, device, &rs, dead, referenced, stale_dropped)
-    }
-
     /// Migrates every live page of `victim` (verified reads with the
     /// retry/reconstruction ladder; corrupt flags move along, never
     /// laundered), then erases the victim and returns it to the pool.
@@ -478,7 +349,113 @@ impl PageMapFtl {
     }
 }
 
-impl Ftl for PageMapFtl {}
+impl Ftl for PageMapFtl {
+    /// A page never written is installed first as part of the initial
+    /// dataset.
+    fn read(
+        &mut self,
+        now: Cycle,
+        device: &mut FlashDevice,
+        lpn: u64,
+        transfer_bytes: usize,
+    ) -> Result<Cycle> {
+        if !self.map.contains_key(&lpn) {
+            // The install allocates; at end of life it can hit the spare
+            // pool cliff, which endurance mode reports as a capacity
+            // step (already-mapped pages read without allocating).
+            self.install(device, lpn)
+                .map_err(|e| self.core.degrade(e, self.map.len() as u64))?;
+        }
+        let addr = *self.map.get(&lpn).expect("lpn just installed above");
+        let done = self
+            .core
+            .retried_read(device, now, addr, lpn, transfer_bytes)?;
+        let r = self.verify_read(done, device, addr, lpn, transfer_bytes);
+        // The read path mutates media too (install preloads, integrity
+        // heals): flush any critical journal records before acking.
+        let t = *r.as_ref().unwrap_or(&done);
+        self.core.ckpt_sync(t, device);
+        r
+    }
+
+    /// A program that fails verification seals the stricken block and
+    /// re-drives the write into another channel's active block. Garbage
+    /// collection runs inside the write's own latency, so the result
+    /// never carries a [`crate::GcReport`].
+    fn write(&mut self, now: Cycle, device: &mut FlashDevice, lpn: u64) -> Result<WriteResult> {
+        let r = self
+            .write_inner(now, device, lpn)
+            .map_err(|e| self.core.degrade(e, self.map.len() as u64));
+        let t = *r.as_ref().unwrap_or(&now);
+        self.core.ckpt_sync(t, device);
+        r.map(|done| WriteResult {
+            done,
+            gc: None,
+            thrashing: false,
+        })
+    }
+
+    /// The page map, reverse map, sealed list and per-channel active
+    /// blocks are rebuilt from the scan.
+    fn recover(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<RecoveryReport> {
+        let rs = self.core.recovery_scan(device);
+        let scan = &rs.scan;
+        let winners = crate::recovery::resolve_winners(&scan.blocks);
+        let candidates: u64 = scan.blocks.iter().map(|b| b.entries.len() as u64).sum();
+        let geo = *device.geometry();
+
+        self.map.clear();
+        self.rmap.iter_mut().for_each(|p| *p = None);
+        self.sealed.clear();
+        self.active = vec![None; geo.channels];
+        self.cursor = 0;
+
+        // Winners per owning block; rebuilding map + rmap together.
+        let mut live_by_block: BTreeMap<u64, Vec<(u32, u64)>> = BTreeMap::new();
+        for (&lpn, &(_, addr)) in &winners {
+            self.map.insert(lpn, addr);
+            live_by_block
+                .entry(geo.index_for_block(addr.block))
+                .or_default()
+                .push((addr.page, lpn));
+        }
+
+        let mut referenced = 0u64;
+        let mut dead = Vec::new();
+        for blk in &scan.blocks {
+            let Some(live) = live_by_block.get(&blk.idx) else {
+                dead.push(blk);
+                continue;
+            };
+            referenced += 1;
+            let b = device.block_mut(blk.addr)?;
+            b.set_kind(BlockKind::Data);
+            let mut pages = vec![None; geo.pages_per_block];
+            for &(page, lpn) in live {
+                b.restore_valid(page);
+                pages[page as usize] = Some(lpn);
+            }
+            self.rmap[blk.idx as usize] = Some(pages);
+            // A partial healthy block resumes in-order writes as its
+            // channel's active block; everything else (full, failed, or a
+            // second partial on the same channel) is sealed for GC.
+            let ch = blk.addr.channel.index();
+            if !blk.full && !blk.failed && self.active[ch].is_none() {
+                self.active[ch] = Some(blk.addr);
+            } else {
+                self.sealed.push(blk.addr);
+            }
+        }
+
+        let stale_dropped = candidates - winners.len() as u64;
+        self.core
+            .finish_recovery(now, device, &rs, dead, referenced, stale_dropped)
+    }
+
+    fn locate(&self, lpn: u64) -> Option<FlashAddr> {
+        self.map.get(&lpn).copied()
+    }
+}
 
 impl Primitives for PageMapFtl {
     fn core(&self) -> &FtlCore {
@@ -487,10 +464,6 @@ impl Primitives for PageMapFtl {
 
     fn core_mut(&mut self) -> &mut FtlCore {
         &mut self.core
-    }
-
-    fn mapped_at(&self, lpn: u64) -> Option<FlashAddr> {
-        self.translate(lpn)
     }
 
     fn rewrite_page(
@@ -723,21 +696,21 @@ mod tests {
     #[test]
     fn write_then_read() {
         let (mut d, mut f) = setup();
-        let t = f.write_page(Cycle(0), &mut d, 42).unwrap();
+        let t = f.write(Cycle(0), &mut d, 42).unwrap().done;
         assert!(t >= Cycle(120_000));
-        let addr = f.translate(42).expect("mapped");
-        let r = f.read_page(t, &mut d, 42, 4096).unwrap();
+        let addr = f.locate(42).expect("mapped");
+        let r = f.read(t, &mut d, 42, 4096).unwrap();
         assert!(r > t);
-        assert_eq!(f.translate(42), Some(addr));
+        assert_eq!(f.locate(42), Some(addr));
     }
 
     #[test]
     fn overwrite_remaps_and_invalidates() {
         let (mut d, mut f) = setup();
-        f.write_page(Cycle(0), &mut d, 1).unwrap();
-        let first = f.translate(1).unwrap();
-        f.write_page(Cycle(0), &mut d, 1).unwrap();
-        let second = f.translate(1).unwrap();
+        f.write(Cycle(0), &mut d, 1).unwrap();
+        let first = f.locate(1).unwrap();
+        f.write(Cycle(0), &mut d, 1).unwrap();
+        let second = f.locate(1).unwrap();
         assert_ne!(first, second);
         let b = d.block(first.block).unwrap();
         assert!(!b.is_valid(first.page), "old copy must be stale");
@@ -746,20 +719,20 @@ mod tests {
     #[test]
     fn reads_install_initial_data_for_free() {
         let (mut d, mut f) = setup();
-        let t = f.read_page(Cycle(0), &mut d, 99, 128).unwrap();
+        let t = f.read(Cycle(0), &mut d, 99, 128).unwrap();
         // Only the read cost, no program cost (data pre-resided).
         assert!(t < Cycle(120_000), "{t}");
-        assert!(f.translate(99).is_some());
+        assert!(f.locate(99).is_some());
         assert_eq!(f.mapped(), 1);
     }
 
     #[test]
     fn page_striping_spreads_channels() {
         let (mut d, mut f) = setup();
-        f.write_page(Cycle(0), &mut d, 1).unwrap();
-        f.write_page(Cycle(0), &mut d, 2).unwrap();
-        let a = f.translate(1).unwrap();
-        let b = f.translate(2).unwrap();
+        f.write(Cycle(0), &mut d, 1).unwrap();
+        f.write(Cycle(0), &mut d, 2).unwrap();
+        let a = f.locate(1).unwrap();
+        let b = f.locate(2).unwrap();
         assert_ne!(a.block.channel, b.block.channel);
     }
 
@@ -770,14 +743,14 @@ mod tests {
         // Overwrite a small working set far beyond capacity.
         let mut t = Cycle(0);
         for i in 0..40_000u64 {
-            t = f.write_page(t, &mut d, i % 256).unwrap();
+            t = f.write(t, &mut d, i % 256).unwrap().done;
         }
         assert!(f.gcs() > 0, "GC must have run");
         assert!(f.pages_migrated() < 40_000, "migration is bounded");
         // All 256 logical pages still readable.
         for lpn in 0..256 {
-            assert!(f.translate(lpn).is_some());
-            f.read_page(t, &mut d, lpn, 128).unwrap();
+            assert!(f.locate(lpn).is_some());
+            f.read(t, &mut d, lpn, 128).unwrap();
         }
     }
 
@@ -788,7 +761,7 @@ mod tests {
         let mut t = Cycle(0);
         let mut worn = false;
         for i in 0..400_000u64 {
-            match f.write_page(t, &mut d, i % 256) {
+            match f.write(t, &mut d, i % 256).map(|w| w.done) {
                 Ok(done) => t = done,
                 Err(Error::DeviceWornOut { retired_blocks }) => {
                     assert!(retired_blocks > 0);
@@ -812,8 +785,8 @@ mod tests {
             retention_threshold: 1_000_000,
             wear_spread: 0.0,
         }));
-        let t = f.write_page(Cycle(0), &mut d, 42).unwrap();
-        let addr = f.translate(42).unwrap();
+        let t = f.write(Cycle(0), &mut d, 42).unwrap().done;
+        let addr = f.locate(42).unwrap();
         f.seal_active(addr.block);
         // Long idle: the copy ages past the retention threshold.
         let mut t = t + Cycle(10_000_000);
@@ -826,9 +799,9 @@ mod tests {
         let c = f.endurance_counters().unwrap();
         assert_eq!(c.refreshes, 1, "the aged block must refresh");
         assert_eq!(c.retention_refreshes, 1);
-        let moved = f.translate(42).unwrap();
+        let moved = f.locate(42).unwrap();
         assert_ne!(moved.block, addr.block, "data moved to fresh cells");
-        f.read_page(t, &mut d, 42, 128).unwrap();
+        f.read(t, &mut d, 42, 128).unwrap();
         // The victim was erased back into the pool: nothing maps to it.
         assert!(d
             .block(addr.block)
@@ -848,7 +821,7 @@ mod tests {
         let mut t = Cycle(0);
         let mut degraded = None;
         for i in 0..400_000u64 {
-            match f.write_page(t, &mut d, i % 256) {
+            match f.write(t, &mut d, i % 256).map(|w| w.done) {
                 Ok(done) => t = done,
                 Err(Error::CapacityDegraded { remaining_pages }) => {
                     degraded = Some(remaining_pages);
@@ -864,10 +837,10 @@ mod tests {
         assert!(remaining > 0, "mapped data remains advertised");
         assert_eq!(f.endurance_counters().unwrap().capacity_steps, 1);
         for lpn in 0..256u64 {
-            if f.translate(lpn).is_none() {
+            if f.locate(lpn).is_none() {
                 continue; // never successfully acked under EOL faults
             }
-            match f.read_page(t, &mut d, lpn, 128) {
+            match f.read(t, &mut d, lpn, 128) {
                 Ok(_) | Err(Error::UncorrectableRead { .. }) => {}
                 Err(e) => panic!("read of acked lpn {lpn} failed: {e}"),
             }
@@ -879,37 +852,37 @@ mod tests {
         let (mut d, mut f) = setup();
         let mut t = Cycle(0);
         for i in 0..500u64 {
-            t = f.write_page(t, &mut d, i % 64).unwrap();
+            t = f.write(t, &mut d, i % 64).unwrap().done;
         }
-        let before: Vec<_> = (0..64u64).map(|l| f.translate(l)).collect();
+        let before: Vec<_> = (0..64u64).map(|l| f.locate(l)).collect();
         // `t` is the last program's completion, so nothing is in flight.
         d.power_loss(t);
         let rep = f.recover(t, &mut d).unwrap();
         assert!(rep.pages_scanned >= 500);
         assert!(rep.stale_dropped > 0, "overwrites left stale versions");
         assert_eq!(rep.torn_discarded, 0);
-        let after: Vec<_> = (0..64u64).map(|l| f.translate(l)).collect();
+        let after: Vec<_> = (0..64u64).map(|l| f.locate(l)).collect();
         assert_eq!(before, after, "mappings survive the crash exactly");
         for l in 0..64u64 {
-            f.read_page(t + rep.scan_cycles, &mut d, l, 128).unwrap();
+            f.read(t + rep.scan_cycles, &mut d, l, 128).unwrap();
         }
-        f.write_page(t + rep.scan_cycles, &mut d, 7).unwrap();
+        f.write(t + rep.scan_cycles, &mut d, 7).unwrap();
     }
 
     #[test]
     fn recovery_rolls_torn_write_back_to_previous_copy() {
         let (mut d, mut f) = setup();
-        let t1 = f.write_page(Cycle(0), &mut d, 9).unwrap();
-        let a1 = f.translate(9).unwrap();
+        let t1 = f.write(Cycle(0), &mut d, 9).unwrap().done;
+        let a1 = f.locate(9).unwrap();
         // Second write of the same page is cut mid-program.
-        f.write_page(t1, &mut d, 9).unwrap();
+        f.write(t1, &mut d, 9).unwrap();
         let cut = t1 + Cycle(1);
         let lost = d.power_loss(cut);
         assert_eq!(lost.pages_torn, 1);
         let rep = f.recover(cut, &mut d).unwrap();
         assert_eq!(rep.torn_discarded, 1);
-        assert_eq!(f.translate(9), Some(a1), "rolls back to the acked copy");
-        f.read_page(cut + rep.scan_cycles, &mut d, 9, 128).unwrap();
+        assert_eq!(f.locate(9), Some(a1), "rolls back to the acked copy");
+        f.read(cut + rep.scan_cycles, &mut d, 9, 128).unwrap();
     }
 
     #[test]
@@ -917,26 +890,23 @@ mod tests {
         let (mut d, mut f) = setup();
         let mut t = Cycle(0);
         for i in 0..300u64 {
-            t = f.write_page(t, &mut d, i % 64).unwrap();
+            t = f.write(t, &mut d, i % 64).unwrap().done;
         }
         let cut = t - Cycle(60_000); // the last program is mid-flight
         d.power_loss(cut);
         f.recover(cut, &mut d).unwrap();
-        let first: Vec<_> = (0..64u64).map(|l| f.translate(l)).collect();
+        let first: Vec<_> = (0..64u64).map(|l| f.locate(l)).collect();
         let free = f.free_blocks();
         // Crash during recovery, recover again: same mapping state.
         d.power_loss(cut);
         f.recover(cut, &mut d).unwrap();
-        let second: Vec<_> = (0..64u64).map(|l| f.translate(l)).collect();
+        let second: Vec<_> = (0..64u64).map(|l| f.locate(l)).collect();
         assert_eq!(first, second);
         assert_eq!(f.free_blocks(), free);
     }
 
     fn ckpt_cfg(journal_cap: u64) -> crate::checkpoint::CheckpointConfig {
-        crate::checkpoint::CheckpointConfig {
-            every_ops: 100,
-            journal_cap,
-        }
+        crate::checkpoint::CheckpointConfig { journal_cap }
     }
 
     /// The first checkpoint-tagged page on media (for fault injection).
@@ -958,13 +928,13 @@ mod tests {
         f.set_checkpointing(Some(ckpt_cfg(0)));
         let mut t = Cycle(0);
         for i in 0..400u64 {
-            t = f.write_page(t, &mut d, i % 64).unwrap();
+            t = f.write(t, &mut d, i % 64).unwrap().done;
         }
         t = f.checkpoint_step(t, &mut d);
         // Enough post-checkpoint churn to flush at least one journal
         // page (remaps batch up; a full batch forces a flush).
         for i in 0..200u64 {
-            t = f.write_page(t, &mut d, i % 16).unwrap();
+            t = f.write(t, &mut d, i % 16).unwrap().done;
         }
         // Clone the crashed state: one twin recovers fast, the other is
         // stripped of its checkpoint and must full-scan the same media.
@@ -977,8 +947,8 @@ mod tests {
         assert!(rep.blocks_rescanned > 0, "{rep:?}");
         let full = f2.recover(t, &mut d2).unwrap();
         assert!(!full.fast_path && !full.fallback, "{full:?}");
-        let a: Vec<_> = (0..64u64).map(|l| f.translate(l)).collect();
-        let b: Vec<_> = (0..64u64).map(|l| f2.translate(l)).collect();
+        let a: Vec<_> = (0..64u64).map(|l| f.locate(l)).collect();
+        let b: Vec<_> = (0..64u64).map(|l| f2.locate(l)).collect();
         assert_eq!(a, b, "fast path rebuilds the exact full-scan mapping");
         assert_eq!(f.free_blocks(), f2.free_blocks());
     }
@@ -989,13 +959,13 @@ mod tests {
         f.set_checkpointing(Some(ckpt_cfg(0)));
         let mut t = Cycle(0);
         for i in 0..100u64 {
-            t = f.write_page(t, &mut d, i % 32).unwrap();
+            t = f.write(t, &mut d, i % 32).unwrap().done;
         }
         d.power_loss(t);
         let rep = f.recover(t, &mut d).unwrap();
         assert!(!rep.fast_path && rep.fallback, "{rep:?}");
         for l in 0..32u64 {
-            assert!(f.translate(l).is_some());
+            assert!(f.locate(l).is_some());
         }
     }
 
@@ -1005,15 +975,15 @@ mod tests {
         f.set_checkpointing(Some(ckpt_cfg(0)));
         let mut t = Cycle(0);
         for i in 0..200u64 {
-            t = f.write_page(t, &mut d, i % 64).unwrap();
+            t = f.write(t, &mut d, i % 64).unwrap().done;
         }
         t = f.checkpoint_step(t, &mut d);
-        let before: Vec<_> = (0..64u64).map(|l| f.translate(l)).collect();
+        let before: Vec<_> = (0..64u64).map(|l| f.locate(l)).collect();
         d.mark_page_corrupt(first_checkpoint_page(&d)).unwrap();
         d.power_loss(t);
         let rep = f.recover(t, &mut d).unwrap();
         assert!(!rep.fast_path && rep.fallback, "{rep:?}");
-        let after: Vec<_> = (0..64u64).map(|l| f.translate(l)).collect();
+        let after: Vec<_> = (0..64u64).map(|l| f.locate(l)).collect();
         assert_eq!(before, after, "the fallback still rebuilds everything");
     }
 
@@ -1023,7 +993,7 @@ mod tests {
         f.set_checkpointing(Some(ckpt_cfg(0)));
         let mut t = Cycle(0);
         for i in 0..200u64 {
-            t = f.write_page(t, &mut d, i % 64).unwrap();
+            t = f.write(t, &mut d, i % 64).unwrap().done;
         }
         t = f.checkpoint_step(t, &mut d);
         let ck = first_checkpoint_page(&d);
@@ -1039,13 +1009,13 @@ mod tests {
         f.set_checkpointing(Some(ckpt_cfg(8)));
         let mut t = Cycle(0);
         for i in 0..100u64 {
-            t = f.write_page(t, &mut d, i % 32).unwrap();
+            t = f.write(t, &mut d, i % 32).unwrap().done;
         }
         t = f.checkpoint_step(t, &mut d);
         // Far more map mutations than the cap: the journal overflows and
         // the epoch stops being trustworthy.
         for i in 0..200u64 {
-            t = f.write_page(t, &mut d, i % 32).unwrap();
+            t = f.write(t, &mut d, i % 32).unwrap().done;
         }
         let c = f.checkpoint_counters().unwrap();
         assert!(c.journal_overflows > 0, "{c:?}");
@@ -1053,7 +1023,7 @@ mod tests {
         let rep = f.recover(t, &mut d).unwrap();
         assert!(!rep.fast_path && rep.fallback, "{rep:?}");
         for l in 0..32u64 {
-            assert!(f.translate(l).is_some());
+            assert!(f.locate(l).is_some());
         }
     }
 
@@ -1063,7 +1033,7 @@ mod tests {
         f.set_checkpointing(Some(ckpt_cfg(0)));
         let mut t = Cycle(0);
         for i in 0..200u64 {
-            t = f.write_page(t, &mut d, i % 64).unwrap();
+            t = f.write(t, &mut d, i % 64).unwrap().done;
         }
         t = f.checkpoint_step(t, &mut d);
         d.power_loss(t);
@@ -1076,7 +1046,7 @@ mod tests {
         assert!(!rep2.fast_path && rep2.fallback, "{rep2:?}");
         let mut t2 = t + rep.scan_cycles + rep2.scan_cycles;
         for i in 0..50u64 {
-            t2 = f.write_page(t2, &mut d, i % 16).unwrap();
+            t2 = f.write(t2, &mut d, i % 16).unwrap().done;
         }
         t2 = f.checkpoint_step(t2, &mut d);
         d.power_loss(t2);
@@ -1087,12 +1057,12 @@ mod tests {
     #[test]
     fn integrity_off_serves_corrupt_pages_unchanged() {
         let (mut d, mut f) = setup();
-        let t = f.write_page(Cycle(0), &mut d, 5).unwrap();
-        let addr = f.translate(5).unwrap();
+        let t = f.write(Cycle(0), &mut d, 5).unwrap().done;
+        let addr = f.locate(5).unwrap();
         d.mark_page_corrupt(addr).unwrap();
         // Baseline semantics: without the opt-in there is no checksum to
         // fail, so the corrupt payload flows through silently.
-        f.read_page(t, &mut d, 5, 128).unwrap();
+        f.read(t, &mut d, 5, 128).unwrap();
         assert_eq!(f.integrity_counters(), IntegrityCounters::default());
     }
 
@@ -1100,10 +1070,10 @@ mod tests {
     fn integrity_read_fails_loudly_without_redundancy() {
         let (mut d, mut f) = setup();
         f.set_integrity(true);
-        let t = f.write_page(Cycle(0), &mut d, 5).unwrap();
-        let addr = f.translate(5).unwrap();
+        let t = f.write(Cycle(0), &mut d, 5).unwrap().done;
+        let addr = f.locate(5).unwrap();
         d.mark_page_corrupt(addr).unwrap();
-        match f.read_page(t, &mut d, 5, 128) {
+        match f.read(t, &mut d, 5, 128) {
             Err(Error::IntegrityViolation { .. }) => {}
             other => panic!("expected IntegrityViolation, got {other:?}"),
         }
@@ -1118,20 +1088,20 @@ mod tests {
         let (mut d, mut f) = setup();
         f.set_redundancy(&d, Some(RainConfig::default()));
         f.set_integrity(true);
-        let t = f.write_page(Cycle(0), &mut d, 5).unwrap();
-        let addr = f.translate(5).unwrap();
+        let t = f.write(Cycle(0), &mut d, 5).unwrap().done;
+        let addr = f.locate(5).unwrap();
         d.mark_page_corrupt(addr).unwrap();
-        let t = f.read_page(t, &mut d, 5, 128).unwrap();
+        let t = f.read(t, &mut d, 5, 128).unwrap();
         let c = f.integrity_counters();
         assert_eq!(c.detected, 1);
         assert_eq!(c.reconstructed, 1);
         assert_eq!(c.quarantined, 1);
         // Healed: the lpn now maps to a clean copy; re-reading it detects
         // nothing new.
-        let healed = f.translate(5).unwrap();
+        let healed = f.locate(5).unwrap();
         assert_ne!(healed, addr);
         assert!(!d.page_is_corrupt(healed));
-        f.read_page(t, &mut d, 5, 128).unwrap();
+        f.read(t, &mut d, 5, 128).unwrap();
         assert_eq!(f.integrity_counters().detected, 1);
     }
 
@@ -1139,13 +1109,13 @@ mod tests {
     fn gc_never_launders_corruption() {
         let (mut d, mut f) = setup();
         f.set_integrity(true);
-        let t = f.write_page(Cycle(0), &mut d, 5).unwrap();
-        let addr = f.translate(5).unwrap();
+        let t = f.write(Cycle(0), &mut d, 5).unwrap().done;
+        let addr = f.locate(5).unwrap();
         d.mark_page_corrupt(addr).unwrap();
         // Seal the stricken block and migrate its one live page.
         f.seal_active(addr.block);
         let t = f.gc(t, &mut d).unwrap();
-        let moved = f.translate(5).unwrap();
+        let moved = f.locate(5).unwrap();
         assert_ne!(moved.block, addr.block);
         assert!(
             d.page_is_corrupt(moved),
@@ -1153,7 +1123,7 @@ mod tests {
         );
         // The verified read still refuses to serve it.
         assert!(matches!(
-            f.read_page(t, &mut d, 5, 128),
+            f.read(t, &mut d, 5, 128),
             Err(Error::IntegrityViolation { .. })
         ));
     }
@@ -1165,7 +1135,7 @@ mod tests {
         f.set_redundancy(&d, Some(RainConfig::default()));
         let mut t = Cycle(0);
         for lpn in 0..2048u64 {
-            t = f.write_page(t, &mut d, lpn).unwrap();
+            t = f.write(t, &mut d, lpn).unwrap().done;
         }
         d.fail_die(ChannelId(0), DieId(0));
         let lost: Vec<u64> = f
@@ -1200,7 +1170,7 @@ mod tests {
         assert!(!stranded.is_empty(), "some pages must still await spares");
         let mut t = t;
         for &lpn in &stranded {
-            t = f.read_page(t, &mut d, lpn, 128).unwrap();
+            t = f.read(t, &mut d, lpn, 128).unwrap();
         }
         // Once spares return, a second pass finishes the job.
         for idx in drained {
@@ -1220,21 +1190,21 @@ mod tests {
     fn recovery_quarantines_corrupt_copies() {
         let (mut d, mut f) = setup();
         f.set_integrity(true);
-        let t1 = f.write_page(Cycle(0), &mut d, 9).unwrap();
-        let a1 = f.translate(9).unwrap();
-        let t2 = f.write_page(t1, &mut d, 9).unwrap();
-        let a2 = f.translate(9).unwrap();
+        let t1 = f.write(Cycle(0), &mut d, 9).unwrap().done;
+        let a1 = f.locate(9).unwrap();
+        let t2 = f.write(t1, &mut d, 9).unwrap().done;
+        let a2 = f.locate(9).unwrap();
         d.mark_page_corrupt(a2).unwrap();
         d.power_loss(t2);
         let rep = f.recover(t2, &mut d).unwrap();
         assert_eq!(rep.corrupt_quarantined, 1);
         assert_eq!(f.integrity_counters().quarantined, 1);
         assert_eq!(
-            f.translate(9),
+            f.locate(9),
             Some(a1),
             "rolls back to the newest intact copy"
         );
-        f.read_page(t2 + rep.scan_cycles, &mut d, 9, 128).unwrap();
+        f.read(t2 + rep.scan_cycles, &mut d, 9, 128).unwrap();
     }
 
     #[test]
@@ -1243,11 +1213,11 @@ mod tests {
         d.set_fault_config(&zng_flash::FaultConfig::nominal());
         let mut t = Cycle(0);
         for i in 0..20_000u64 {
-            t = f.write_page(t, &mut d, i % 256).unwrap();
+            t = f.write(t, &mut d, i % 256).unwrap().done;
         }
         for lpn in 0..256 {
-            assert!(f.translate(lpn).is_some());
-            f.read_page(t, &mut d, lpn, 128).unwrap();
+            assert!(f.locate(lpn).is_some());
+            f.read(t, &mut d, lpn, 128).unwrap();
         }
     }
 
@@ -1264,7 +1234,7 @@ mod tests {
     fn live_on_suspect(f: &PageMapFtl) -> usize {
         (0..256u64)
             .filter(|&l| {
-                f.translate(l)
+                f.locate(l)
                     .is_some_and(|a| a.block.channel.index() == 0 && a.block.die.index() == 0)
             })
             .count()
@@ -1288,7 +1258,7 @@ mod tests {
         }));
         let mut t = Cycle(0);
         for lpn in 0..256u64 {
-            t = f.write_page(t, &mut d, lpn).unwrap();
+            t = f.write(t, &mut d, lpn).unwrap().done;
         }
         assert!(live_on_suspect(&f) > 0, "working set must touch die (0,0)");
         let onset = t.raw() + 1_000_000;
@@ -1299,7 +1269,7 @@ mod tests {
         let mut completed = false;
         for _ in 0..96 {
             for lpn in 0..256u64 {
-                let _ = f.read_page(clock, &mut d, lpn, 128);
+                let _ = f.read(clock, &mut d, lpn, 128);
             }
             clock += Cycle(step);
             f.health_step(clock, &mut d).unwrap();
@@ -1325,7 +1295,7 @@ mod tests {
         assert!(d.dead_dies().contains(&(0, 0)));
         assert_eq!(f.health_counters().unwrap().dead_dies_fenced, 1);
         for lpn in 0..256u64 {
-            f.read_page(clock, &mut d, lpn, 128).unwrap();
+            f.read(clock, &mut d, lpn, 128).unwrap();
         }
         assert_eq!(d.dead_die_reads(), 0, "the death cost zero reads");
     }

@@ -27,7 +27,7 @@ use zng_flash::{BlockKind, FlashDevice, RowDecoder, CAM_SEARCH_CYCLES};
 use zng_types::{BlockAddr, Cycle, Error, FlashAddr, Result};
 
 use crate::densemap::DenseMap;
-use crate::maint::{Ftl, FtlCore, Primitives};
+use crate::maint::{Ftl, FtlCore, Primitives, WriteResult};
 use crate::pacing::pace;
 use crate::recovery::{self, RecoveryReport};
 use crate::refresh::RefreshReason;
@@ -65,18 +65,6 @@ pub struct GcReport {
     pub flushed_vpns: Vec<u64>,
 }
 
-/// A completed write and any GC it triggered.
-#[derive(Debug, Clone)]
-pub struct WriteResult {
-    /// When the write retires from the warp's perspective.
-    pub done: Cycle,
-    /// A garbage collection that ran to make room, if any.
-    pub gc: Option<GcReport>,
-    /// The flash registers' thrashing-checker verdict (buffered mode
-    /// only) — the trigger for ZnG's pinned-L2 write redirection.
-    pub thrashing: bool,
-}
-
 #[derive(Debug, Clone)]
 struct LogBlock {
     addr: BlockAddr,
@@ -99,7 +87,6 @@ pub struct ZngFtl {
     /// The allocator and reliability state shared with
     /// [`crate::PageMapFtl`].
     core: FtlCore,
-    migrated: u64,
     /// (start, end) of each GC, for the Fig. 17 time series.
     gc_events: Vec<(Cycle, Cycle)>,
     /// Merges whose media completion overran the blocking deadline.
@@ -148,7 +135,6 @@ impl ZngFtl {
                 g.total_blocks() as u64,
                 policy,
             )),
-            migrated: 0,
             gc_events: Vec::new(),
             gc_deadline_misses: 0,
             paced_gcs: 0,
@@ -242,29 +228,6 @@ impl ZngFtl {
         Ok((FlashAddr::new(data, offset), Cycle::ZERO))
     }
 
-    /// Reads virtual page `vpn`, delivering `transfer_bytes`.
-    ///
-    /// The DBMT lookup itself is free (it rides the MMU/TLB); only a log
-    /// block's CAM search adds cycles.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation and flash-protocol errors. Under a bounded
-    /// queue configuration a saturated channel controller rejects the
-    /// read with [`Error::Backpressure`] before touching the media;
-    /// register-served reads bypass admission (they never reach the
-    /// channel's request queue).
-    pub fn read(
-        &mut self,
-        now: Cycle,
-        device: &mut FlashDevice,
-        vpn: u64,
-        transfer_bytes: usize,
-    ) -> Result<Cycle> {
-        self.read_inner(now, device, vpn, transfer_bytes)
-            .map_err(|e| self.degrade_worn(e))
-    }
-
     fn read_inner(
         &mut self,
         now: Cycle,
@@ -349,25 +312,6 @@ impl ZngFtl {
                 r => return r,
             }
         }
-    }
-
-    /// Writes one 128 B sector of `vpn`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation and flash-protocol errors. Under a bounded
-    /// queue configuration a saturated log-home channel rejects the write
-    /// with [`Error::Backpressure`] before any state changes, so a
-    /// rejected write can simply be retried later. GC traffic triggered
-    /// by an admitted write bypasses admission (reclamation must always
-    /// make progress).
-    pub fn write(&mut self, now: Cycle, device: &mut FlashDevice, vpn: u64) -> Result<WriteResult> {
-        let r = self
-            .write_inner(now, device, vpn)
-            .map_err(|e| self.degrade_worn(e));
-        let t = r.as_ref().map(|wr| wr.done).unwrap_or(now);
-        self.core.ckpt_sync(t, device);
-        r
     }
 
     fn write_inner(
@@ -616,7 +560,6 @@ impl ZngFtl {
         self.invalidate_whole_block(device, lb.addr)?;
         done = done.max(self.erase_or_fence(done, device, lb.addr, &mut erased)?);
 
-        self.migrated += migrated;
         self.gc_events.push((now, done));
         // With a pacing contract (`Ftl::set_pacing`) the victim blocks
         // only up to the deadline, and a later merge is a deadline miss.
@@ -762,20 +705,94 @@ impl ZngFtl {
         Ok(())
     }
 
-    /// Rebuilds every volatile mapping structure after a power loss.
-    ///
-    /// Call after [`FlashDevice::power_loss`]: the DBMT, the LBMT and
-    /// every row-decoder LPMT are reconstructed from a full-device OOB
-    /// scan. Duplicate logical pages resolve by program stamp (newest
-    /// intact copy wins), torn pages are discarded, dead blocks are
-    /// erased back into the free pool, and the allocator is re-derived
-    /// (spare pool plus per-block wear). Deterministic and idempotent:
-    /// scanning the same media twice rebuilds the same mapping state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flash-protocol errors from the dead-block reclaim.
-    pub fn recover(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<RecoveryReport> {
+    fn group_of_vbn(&self, vbn: u64) -> u64 {
+        vbn / self.group_size
+    }
+
+    /// Whether `vbn`'s group log block holds a mapping for any of `vbn`'s
+    /// pages (a newer copy that outranks the data block's).
+    fn group_has_logged_pages(&self, vbn: u64) -> bool {
+        self.lbmt.get(self.group_of_vbn(vbn)).is_some_and(|lb| {
+            lb.decoder
+                .mappings()
+                .iter()
+                .any(|&(vpn, _)| self.vbn_of(vpn) == vbn)
+        })
+    }
+
+    /// Rewrites `vbn`'s data block to a newly allocated block (the
+    /// most-worn spare when `most_worn`), page by page with verified
+    /// reads — corrupt flags move along, never laundered — then erases
+    /// the old block and remaps. The caller guarantees no newer log copy
+    /// of any page exists (see [`ZngFtl::group_has_logged_pages`]).
+    fn migrate_data_block(
+        &mut self,
+        now: Cycle,
+        device: &mut FlashDevice,
+        vbn: u64,
+        most_worn: bool,
+    ) -> Result<(Cycle, u64)> {
+        let old = *self.dbmt.get(vbn).expect("caller verified the mapping");
+        let copy = self.copy_block(now, device, vbn, old, most_worn, false, |_, offset| {
+            FlashAddr::new(old, offset)
+        })?;
+        let mut erased = 0u64;
+        self.invalidate_whole_block(device, old)?;
+        let done = copy
+            .programmed
+            .max(self.erase_or_fence(copy.read, device, old, &mut erased)?);
+        self.dbmt.insert(vbn, copy.fresh);
+        self.core.note_remap(vbn);
+        Ok((done, self.pages_per_block))
+    }
+
+    /// (start, end) of every GC, for time-series plots.
+    pub fn gc_events(&self) -> &[(Cycle, Cycle)] {
+        &self.gc_events
+    }
+}
+
+/// A completed [`ZngFtl::copy_block`].
+struct BlockCopy {
+    /// The destination block.
+    fresh: BlockAddr,
+    /// When the last source read completed.
+    read: Cycle,
+    /// When the last program completed.
+    programmed: Cycle,
+    /// Pages programmed, abandoned attempts included.
+    pages: u64,
+}
+
+impl Ftl for ZngFtl {
+    /// The DBMT lookup itself is free (it rides the MMU/TLB); only a log
+    /// block's CAM search adds cycles. Register-served reads bypass
+    /// admission: they never reach the channel's request queue.
+    fn read(
+        &mut self,
+        now: Cycle,
+        device: &mut FlashDevice,
+        vpn: u64,
+        transfer_bytes: usize,
+    ) -> Result<Cycle> {
+        self.read_inner(now, device, vpn, transfer_bytes)
+            .map_err(|e| self.degrade_worn(e))
+    }
+
+    /// GC traffic triggered by an admitted write bypasses admission:
+    /// reclamation must always make progress.
+    fn write(&mut self, now: Cycle, device: &mut FlashDevice, vpn: u64) -> Result<WriteResult> {
+        let r = self
+            .write_inner(now, device, vpn)
+            .map_err(|e| self.degrade_worn(e));
+        let t = r.as_ref().map(|wr| wr.done).unwrap_or(now);
+        self.core.ckpt_sync(t, device);
+        r
+    }
+
+    /// The DBMT, the LBMT and every row-decoder LPMT are rebuilt from
+    /// the scan.
+    fn recover(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<RecoveryReport> {
         let rs = self.core.recovery_scan(device);
         let scan = &rs.scan;
         let winners = recovery::resolve_winners(&scan.blocks);
@@ -870,61 +887,9 @@ impl ZngFtl {
         )
     }
 
-    fn group_of_vbn(&self, vbn: u64) -> u64 {
-        vbn / self.group_size
-    }
-
-    /// Whether `vbn`'s group log block holds a mapping for any of `vbn`'s
-    /// pages (a newer copy that outranks the data block's).
-    fn group_has_logged_pages(&self, vbn: u64) -> bool {
-        self.lbmt.get(self.group_of_vbn(vbn)).is_some_and(|lb| {
-            lb.decoder
-                .mappings()
-                .iter()
-                .any(|&(vpn, _)| self.vbn_of(vpn) == vbn)
-        })
-    }
-
-    /// Rewrites `vbn`'s data block to a newly allocated block (the
-    /// most-worn spare when `most_worn`), page by page with verified
-    /// reads — corrupt flags move along, never laundered — then erases
-    /// the old block and remaps. The caller guarantees no newer log copy
-    /// of any page exists (see [`ZngFtl::group_has_logged_pages`]).
-    fn migrate_data_block(
-        &mut self,
-        now: Cycle,
-        device: &mut FlashDevice,
-        vbn: u64,
-        most_worn: bool,
-    ) -> Result<(Cycle, u64)> {
-        let old = *self.dbmt.get(vbn).expect("caller verified the mapping");
-        let copy = self.copy_block(now, device, vbn, old, most_worn, false, |_, offset| {
-            FlashAddr::new(old, offset)
-        })?;
-        let mut erased = 0u64;
-        self.invalidate_whole_block(device, old)?;
-        let done = copy
-            .programmed
-            .max(self.erase_or_fence(copy.read, device, old, &mut erased)?);
-        self.dbmt.insert(vbn, copy.fresh);
-        self.core.note_remap(vbn);
-        Ok((done, self.pages_per_block))
-    }
-
-    /// Pages migrated by GC.
-    pub fn migrated_pages(&self) -> u64 {
-        self.migrated
-    }
-
-    /// (start, end) of every GC, for time-series plots.
-    pub fn gc_events(&self) -> &[(Cycle, Cycle)] {
-        &self.gc_events
-    }
-
-    /// Where `vpn` currently resolves on flash, if its data block exists
-    /// (a verification aid for the fault property tests; does not count
-    /// CAM searches or allocate blocks).
-    pub fn locate(&self, vpn: u64) -> Option<FlashAddr> {
+    /// The log block's LPMT when it holds `vpn`, else its data block
+    /// (when that exists). Counts no CAM search.
+    fn locate(&self, vpn: u64) -> Option<FlashAddr> {
         let group = self.group_of(vpn);
         if let Some(lb) = self.lbmt.get(group) {
             if let Some((_, slot)) = lb.decoder.mappings().iter().find(|&&(k, _)| k == vpn) {
@@ -936,20 +901,6 @@ impl ZngFtl {
     }
 }
 
-/// A completed [`ZngFtl::copy_block`].
-struct BlockCopy {
-    /// The destination block.
-    fresh: BlockAddr,
-    /// When the last source read completed.
-    read: Cycle,
-    /// When the last program completed.
-    programmed: Cycle,
-    /// Pages programmed, abandoned attempts included.
-    pages: u64,
-}
-
-impl Ftl for ZngFtl {}
-
 impl Primitives for ZngFtl {
     fn core(&self) -> &FtlCore {
         &self.core
@@ -957,10 +908,6 @@ impl Primitives for ZngFtl {
 
     fn core_mut(&mut self) -> &mut FtlCore {
         &mut self.core
-    }
-
-    fn mapped_at(&self, vpn: u64) -> Option<FlashAddr> {
-        self.locate(vpn)
     }
 
     /// Re-logs `vpn` through the log path.
@@ -1663,10 +1610,7 @@ mod tests {
     }
 
     fn ckpt_cfg(journal_cap: u64) -> crate::checkpoint::CheckpointConfig {
-        crate::checkpoint::CheckpointConfig {
-            every_ops: 100,
-            journal_cap,
-        }
+        crate::checkpoint::CheckpointConfig { journal_cap }
     }
 
     #[test]

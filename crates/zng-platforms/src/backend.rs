@@ -2,7 +2,7 @@
 
 use zng_flash::{FlashDevice, RegisterTopology, DISTURB_READS_PER_CYCLE};
 use zng_ftl::{
-    Ftl, GcPacing, GcReport, RainConfig, RecoveryReport, RefreshPolicy, WriteMode, ZngFtl,
+    Ftl, GcPacing, RainConfig, RecoveryReport, RefreshPolicy, WriteMode, WriteResult, ZngFtl,
 };
 use zng_mem::{MemSubsystem, MemTiming, PcieLink};
 use zng_ssd::{NvmeSsd, PageBuffer, SsdModule};
@@ -10,17 +10,6 @@ use zng_types::ids::{ChannelId, DieId};
 use zng_types::{AccessKind, Cycle, Error, Freq, Result};
 
 use crate::config::{PlatformKind, SimConfig};
-
-/// A completed backend write.
-#[derive(Debug, Clone, Default)]
-pub struct BackendWrite {
-    /// When the write retires.
-    pub done: Cycle,
-    /// A garbage collection the write triggered (ZnG platforms).
-    pub gc: Option<GcReport>,
-    /// Flash-register thrashing verdict (ZnG wropt platforms).
-    pub thrashing: bool,
-}
 
 /// The memory system below the GPU's shared L2.
 #[derive(Debug)]
@@ -130,10 +119,11 @@ impl Backend {
             // Every background step, and ZnG's log-block merges, inherit
             // the QoS GC stall budget, so maintenance and foreground
             // traffic share one pacing contract.
-            ftl.set_pacing(cfg.qos.gc_stall_budget.map(|budget| GcPacing {
-                stall_budget: budget,
-                credit_writes: cfg.qos.gc_credit_writes,
-            }));
+            ftl.set_pacing(
+                cfg.qos
+                    .gc_stall_budget
+                    .map(|stall_budget| GcPacing { stall_budget }),
+            );
             // Each subsystem is off by default: no parity, checksums,
             // counters or checkpoint pages, and byte-identical output.
             // Redundancy: RAIN parity + patrol scrub.
@@ -298,19 +288,19 @@ impl Backend {
     /// # Errors
     ///
     /// Propagates FTL/flash errors.
-    pub fn write(&mut self, now: Cycle, sector: u64, vpn: u64) -> Result<BackendWrite> {
+    pub fn write(&mut self, now: Cycle, sector: u64, vpn: u64) -> Result<WriteResult> {
         match self {
-            Backend::Ideal { mem } => Ok(BackendWrite {
+            Backend::Ideal { mem } => Ok(WriteResult {
                 done: mem.access(now, sector, AccessKind::Write, 128),
-                ..BackendWrite::default()
+                ..WriteResult::default()
             }),
-            Backend::Optane { mem } => Ok(BackendWrite {
+            Backend::Optane { mem } => Ok(WriteResult {
                 done: mem.access(now, sector, AccessKind::Write, 128),
-                ..BackendWrite::default()
+                ..WriteResult::default()
             }),
-            Backend::HybridGpu { ssd } => Ok(BackendWrite {
+            Backend::HybridGpu { ssd } => Ok(WriteResult {
                 done: ssd.access_sector(now, vpn, AccessKind::Write)?,
-                ..BackendWrite::default()
+                ..WriteResult::default()
             }),
             Backend::Hetero {
                 gddr5,
@@ -322,9 +312,9 @@ impl Backend {
                 let t = Self::hetero_ensure_resident(now, vpn, resident, ssd, pcie, host_dram)?;
                 // Dirty the resident page.
                 resident.access(vpn, true);
-                Ok(BackendWrite {
+                Ok(WriteResult {
                     done: gddr5.access(t, sector, AccessKind::Write, 128),
-                    ..BackendWrite::default()
+                    ..WriteResult::default()
                 })
             }
             Backend::Zng {
@@ -332,24 +322,12 @@ impl Backend {
                 ftl,
                 free_gc,
             } => {
-                let r = ftl.write(now, device, vpn)?;
-                if *free_gc {
+                let mut r = ftl.write(now, device, vpn)?;
+                if *free_gc && r.gc.take().is_some() {
                     // Counterfactual: the GC was free and non-blocking.
-                    return Ok(BackendWrite {
-                        done: if r.gc.is_some() {
-                            now + Cycle(1)
-                        } else {
-                            r.done
-                        },
-                        gc: None,
-                        thrashing: r.thrashing,
-                    });
+                    r.done = now + Cycle(1);
                 }
-                Ok(BackendWrite {
-                    done: r.done,
-                    gc: r.gc,
-                    thrashing: r.thrashing,
-                })
+                Ok(r)
             }
         }
     }

@@ -317,7 +317,6 @@ impl CheckpointConfig {
     /// The FTL-side policy.
     pub fn ftl(&self) -> zng_ftl::CheckpointConfig {
         zng_ftl::CheckpointConfig {
-            every_ops: self.every_ops,
             journal_cap: self.journal_cap,
         }
     }

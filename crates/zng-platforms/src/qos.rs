@@ -119,9 +119,17 @@ impl QosConfig {
     ///
     /// # Errors
     ///
-    /// Rejects a zero backoff base (retries would never advance time), a
-    /// base above [`MAX_BACKOFF_BASE`] and a cap below the base.
+    /// Rejects a zero queue depth (an empty queue would already be full
+    /// and could never admit), a zero backoff base (retries would never
+    /// advance time), a base above [`MAX_BACKOFF_BASE`] and a cap below
+    /// the base.
     pub fn validate(&self) -> Result<()> {
+        if self.queue_depth == Some(0) {
+            return Err(Error::invalid_config(
+                "qos.queue_depth",
+                "must be positive or no request is ever admitted",
+            ));
+        }
         if self.backoff_base == Cycle::ZERO {
             return Err(Error::invalid_config(
                 "qos.backoff_base",
@@ -441,6 +449,15 @@ mod tests {
         let mut q = QosConfig::unbounded();
         q.backoff_cap = Cycle(1);
         assert!(q.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_a_zero_queue_depth() {
+        QosConfig::bounded(1).validate().unwrap();
+        match QosConfig::bounded(0).validate() {
+            Err(Error::InvalidConfig { what, .. }) => assert_eq!(what, "qos.queue_depth"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 
     #[test]

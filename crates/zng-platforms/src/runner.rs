@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use fxhash::FxHashMap;
-use zng_ftl::GcReport;
+use zng_ftl::{GcReport, WriteResult};
 use zng_gpu::{
     AccessMonitor, GpuConfig, Interconnect, L2Cache, L2Technology, Mmu, Mshr, Predictor,
     PrefetchPolicy, Sm, Warp, WarpOp,
@@ -24,7 +24,7 @@ use zng_types::{
 };
 use zng_workloads::MultiApp;
 
-use crate::backend::{Backend, BackendWrite};
+use crate::backend::Backend;
 use crate::config::{PlatformKind, SimConfig};
 use crate::lane::WarpQueue;
 use crate::metrics::{
@@ -984,9 +984,9 @@ impl Simulation {
         let w = match self.backend_write(t, sector, vpn) {
             Err(Error::CapacityDegraded { .. }) => {
                 self.writes_refused += 1;
-                BackendWrite {
+                WriteResult {
                     done: t,
-                    ..BackendWrite::default()
+                    ..WriteResult::default()
                 }
             }
             other => other?,
@@ -1059,7 +1059,7 @@ impl Simulation {
 
     /// Write-side twin of [`Simulation::backend_read`]. Rejections happen
     /// before any FTL state changes, so a re-issue is idempotent.
-    fn backend_write(&mut self, now: Cycle, sector: u64, vpn: u64) -> Result<BackendWrite> {
+    fn backend_write(&mut self, now: Cycle, sector: u64, vpn: u64) -> Result<WriteResult> {
         let mut t = now;
         let mut attempt = 0u32;
         loop {

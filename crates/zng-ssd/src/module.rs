@@ -9,7 +9,7 @@
 //! 4. the **ONFI bus** flash network with private plane registers.
 
 use zng_flash::{FlashDevice, FlashGeometry};
-use zng_ftl::{PageMapFtl, RecoveryReport, SsdEngine};
+use zng_ftl::{Ftl, PageMapFtl, RecoveryReport, SsdEngine};
 use zng_mem::{MemSubsystem, MemTiming};
 use zng_sim::{AdmissionQueue, Resource};
 use zng_types::{AccessKind, Cycle, Error, Freq, Nanos, Result};
@@ -62,7 +62,9 @@ impl SsdModule {
     /// completion time.
     fn writeback(&mut self, now: Cycle, ppn: u64) -> Result<Cycle> {
         let translated = self.engine.process(now);
-        self.ftl.write_page(translated, &mut self.device, ppn)
+        self.ftl
+            .write(translated, &mut self.device, ppn)
+            .map(|w| w.done)
     }
 
     /// Services one 128 B sector access (`vpn` is the 4 KB page number).
@@ -89,7 +91,7 @@ impl SsdModule {
             let page_bytes = self.page_bytes();
             ready = self
                 .ftl
-                .read_page(translated, &mut self.device, vpn, page_bytes)?;
+                .read(translated, &mut self.device, vpn, page_bytes)?;
             // Fill the buffer DRAM with the page (future-time side
             // effect: fixed latency, no controller reservation).
             ready = self

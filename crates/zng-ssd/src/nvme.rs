@@ -7,7 +7,7 @@
 //! software/controller overhead on top of engine + flash time.
 
 use zng_flash::{FlashDevice, FlashGeometry};
-use zng_ftl::{PageMapFtl, RecoveryReport, SsdEngine};
+use zng_ftl::{Ftl, PageMapFtl, RecoveryReport, SsdEngine};
 use zng_types::{Cycle, Freq, Nanos, Result};
 
 /// A discrete NVMe SSD servicing page-granular I/O.
@@ -51,8 +51,7 @@ impl NvmeSsd {
         let queued = now + self.command_overhead;
         let translated = self.engine.process(queued);
         let page_bytes = self.device.geometry().page_bytes;
-        self.ftl
-            .read_page(translated, &mut self.device, ppn, page_bytes)
+        self.ftl.read(translated, &mut self.device, ppn, page_bytes)
     }
 
     /// Writes a 4 KB page (`ppn`); returns program-complete time.
@@ -64,7 +63,9 @@ impl NvmeSsd {
         self.writes += 1;
         let queued = now + self.command_overhead;
         let translated = self.engine.process(queued);
-        self.ftl.write_page(translated, &mut self.device, ppn)
+        self.ftl
+            .write(translated, &mut self.device, ppn)
+            .map(|w| w.done)
     }
 
     /// Simulates a power cut at `now` followed by FTL recovery: flash

@@ -67,11 +67,6 @@ id_newtype!(
     "ch"
 );
 id_newtype!(
-    /// A flash package.
-    PackageId(u16),
-    "pkg"
-);
-id_newtype!(
     /// A die within a package (Table I: 8 dies).
     DieId(u16),
     "die"

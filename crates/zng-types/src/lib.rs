@@ -1,33 +1,24 @@
 //! Common vocabulary types for the ZnG simulator.
 //!
 //! This crate defines the newtypes shared by every other crate in the
-//! workspace: simulation time ([`Cycle`], [`Nanos`]), data sizes
-//! ([`size`]), the address spaces that a request traverses
-//! (virtual → logical → flash-physical, see [`addr`]), hardware
-//! identifiers ([`ids`]), the memory-request descriptor
-//! ([`MemoryRequest`]) and the crate-wide error type ([`Error`]).
+//! workspace: simulation time ([`Cycle`], [`Nanos`], [`Freq`]), data
+//! sizes ([`size`]), virtual and flash-physical addresses ([`VirtAddr`],
+//! [`FlashAddr`], [`BlockAddr`], see [`addr`]), hardware and software
+//! identifiers ([`ids`]), the kind of a memory access ([`AccessKind`])
+//! and the crate-wide error type ([`Error`]).
 //!
-//! # Address spaces
-//!
-//! ZnG requests cross three address spaces, mirroring the paper's
-//! zero-overhead FTL (§IV-A):
-//!
-//! 1. **Virtual** ([`VirtAddr`]) — what a GPU thread computes.
-//! 2. **Logical** ([`LogicalAddr`]) — the global memory address after the
-//!    MMU's page table; indexes caches.
-//! 3. **Flash-physical** ([`FlashAddr`]) — channel/die/plane/block/page,
-//!    produced by the DBMT (block-granular, read-only) plus the
-//!    row-decoder LPMT (log-block pages).
+//! The FTLs key every logical page by a raw `u64` page number; a flash
+//! page is a [`FlashAddr`] (channel/die/plane/block/page).
 //!
 //! # Examples
 //!
 //! ```
-//! use zng_types::{Cycle, size::FLASH_PAGE, addr::VirtAddr};
+//! use zng_types::{BlockAddr, Cycle, FlashAddr, ids::{ChannelId, DieId, PlaneId}};
 //!
 //! let t = Cycle(100) + Cycle(20);
 //! assert_eq!(t, Cycle(120));
-//! let va = VirtAddr(0x4000_1234);
-//! assert_eq!(va.page_number(FLASH_PAGE as u64), 0x4000_1234 / 4096);
+//! let block = BlockAddr::new(ChannelId(0), DieId(1), PlaneId(2), 3);
+//! assert_eq!(block.page(4), FlashAddr::new(block, 4));
 //! ```
 
 pub mod addr;
@@ -37,11 +28,11 @@ pub mod request;
 pub mod size;
 pub mod time;
 
-pub use addr::{BlockAddr, FlashAddr, Lbn, LogicalAddr, Pdbn, Plbn, Vbn, VirtAddr};
+pub use addr::{BlockAddr, FlashAddr, VirtAddr};
 pub use error::Error;
-pub use ids::{AppId, BankId, ChannelId, DieId, PackageId, Pc, PlaneId, SmId, WarpId};
-pub use request::{AccessKind, MemoryRequest, RequestId};
-pub use size::{CACHE_LINE, FLASH_PAGE, SECTORS_PER_PAGE};
+pub use ids::{AppId, BankId, ChannelId, DieId, Pc, PlaneId, SmId, WarpId};
+pub use request::AccessKind;
+pub use size::CACHE_LINE;
 pub use time::{Cycle, Freq, Nanos};
 
 /// Convenient result alias used across the workspace.

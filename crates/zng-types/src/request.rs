@@ -1,14 +1,6 @@
-//! Memory-request descriptors.
-//!
-//! A [`MemoryRequest`] is the unit of traffic below the coalescing unit:
-//! one 128 B sector access tagged with the issuing warp, application and
-//! the PC of the LD/ST instruction (the prefetch predictor's key).
+//! The kind of a memory access.
 
 use std::fmt;
-
-use crate::addr::VirtAddr;
-use crate::ids::{AppId, Pc, WarpId};
-use crate::size::CACHE_LINE;
 
 /// Whether an access reads or writes memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -43,113 +35,13 @@ impl fmt::Display for AccessKind {
     }
 }
 
-/// A monotonically assigned request identifier (unique per simulation run).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RequestId(pub u64);
-
-impl fmt::Display for RequestId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "req{}", self.0)
-    }
-}
-
-/// One coalesced 128 B memory access.
-///
-/// # Examples
-///
-/// ```
-/// use zng_types::{AccessKind, MemoryRequest, VirtAddr, WarpId, AppId, ids::Pc};
-/// let req = MemoryRequest::new(
-///     VirtAddr(0x1000),
-///     AccessKind::Read,
-///     WarpId(4),
-///     AppId(0),
-///     Pc(0x400),
-/// );
-/// assert!(req.kind.is_read());
-/// assert_eq!(req.size, 128);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MemoryRequest {
-    /// Sector-aligned virtual address.
-    pub addr: VirtAddr,
-    /// Read or write.
-    pub kind: AccessKind,
-    /// Issuing warp.
-    pub warp: WarpId,
-    /// Owning application (multi-app mixes).
-    pub app: AppId,
-    /// PC of the LD/ST instruction (prefetch predictor key).
-    pub pc: Pc,
-    /// Access size in bytes (always [`CACHE_LINE`] below the coalescer).
-    pub size: u32,
-}
-
-impl MemoryRequest {
-    /// Creates a sector-sized request; the address is aligned down to its
-    /// 128 B sector base.
-    pub fn new(addr: VirtAddr, kind: AccessKind, warp: WarpId, app: AppId, pc: Pc) -> Self {
-        MemoryRequest {
-            addr: addr.sector_base(),
-            kind,
-            warp,
-            app,
-            pc,
-            size: CACHE_LINE as u32,
-        }
-    }
-
-    /// The flash/virtual page number this request falls in (4 KB pages).
-    #[inline]
-    pub fn page_number(&self) -> u64 {
-        self.addr.page_number(crate::size::VIRT_PAGE as u64)
-    }
-}
-
-impl fmt::Display for MemoryRequest {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}@{:#x} {} {}",
-            self.kind,
-            self.addr.raw(),
-            self.warp,
-            self.app
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn request_aligns_address() {
-        let r = MemoryRequest::new(
-            VirtAddr(4096 + 200),
-            AccessKind::Write,
-            WarpId(1),
-            AppId(0),
-            Pc(8),
-        );
-        assert_eq!(r.addr.raw(), 4096 + 128);
-        assert_eq!(r.page_number(), 1);
-        assert!(r.kind.is_write());
-        assert!(!r.kind.is_read());
-    }
-
-    #[test]
     fn kind_display() {
         assert_eq!(AccessKind::Read.to_string(), "R");
         assert_eq!(AccessKind::Write.to_string(), "W");
-    }
-
-    #[test]
-    fn request_display_mentions_parts() {
-        let r = MemoryRequest::new(VirtAddr(0x80), AccessKind::Read, WarpId(9), AppId(2), Pc(1));
-        let s = r.to_string();
-        assert!(s.contains("R@"), "{s}");
-        assert!(s.contains("w9"), "{s}");
-        assert!(s.contains("app2"), "{s}");
     }
 }

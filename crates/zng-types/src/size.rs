@@ -1,10 +1,10 @@
 //! Data-size constants and helpers.
 //!
-//! All sizes are plain `usize` byte counts; the constants here pin down the
-//! granularities the paper's analysis revolves around (§III-A): the GPU
-//! memory access size (128 B) versus the Z-NAND minimum access granularity
-//! (a 4 KB page) — the mismatch that wastes 97 % of flash bandwidth when
-//! flash is accessed directly.
+//! All sizes are plain `usize` byte counts. [`CACHE_LINE`] is the GPU
+//! memory access size (128 B) the paper's analysis revolves around
+//! (§III-A): a 32nd of the Z-NAND minimum access granularity (a 4 KB
+//! page), the mismatch that wastes 97 % of flash bandwidth when flash is
+//! accessed directly.
 
 /// One kibibyte.
 pub const KIB: usize = 1024;
@@ -18,15 +18,6 @@ pub const GIB: usize = 1024 * MIB;
 /// This is the granularity produced by the coalescing unit and tracked by
 /// the L1/L2 caches.
 pub const CACHE_LINE: usize = 128;
-
-/// Z-NAND flash page size: 4 KB (minimum flash access granularity).
-pub const FLASH_PAGE: usize = 4 * KIB;
-
-/// Number of 128 B sectors in one flash page (32).
-pub const SECTORS_PER_PAGE: usize = FLASH_PAGE / CACHE_LINE;
-
-/// OS/GPU virtual page size used by the MMU (4 KB, matches the flash page).
-pub const VIRT_PAGE: usize = 4 * KIB;
 
 /// Formats a byte count with a binary-unit suffix.
 ///
@@ -62,12 +53,6 @@ pub const fn div_ceil(a: usize, b: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sector_page_relation() {
-        assert_eq!(SECTORS_PER_PAGE, 32);
-        assert_eq!(SECTORS_PER_PAGE * CACHE_LINE, FLASH_PAGE);
-    }
 
     #[test]
     fn format_units() {

@@ -20,6 +20,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo test -q --workspace
 
+# The repository benchmark is a package of its own with its own
+# Cargo.lock: build it the way BENCHMARK.json runs it, so an API change
+# it calls, or a lock that would need rewriting, fails here.
+cargo build --release -q --locked --offline \
+  --manifest-path crates/bench/src/bin/benchmark/Cargo.toml --target-dir target/benchmark
+
 # Golden-determinism gate: the default-config JSON output is pinned
 # byte-for-byte against tests/golden/ (determinism + opt-in features
 # stay inert when off). Run by name so drift fails loudly even when the

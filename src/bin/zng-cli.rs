@@ -325,15 +325,15 @@ impl Opts {
                         .map(str::to_string)
                         .collect();
                 }
-                "--warps" => params.total_warps = parse_num(&value(flag)?)?,
-                "--ops" => params.mem_ops_per_warp = parse_num(&value(flag)?)?,
-                "--footprint" => params.footprint_pages = parse_num(&value(flag)?)?,
-                "--seed" => params.seed = parse_num(&value(flag)?)? as u64,
+                "--warps" => params.total_warps = parse_num(flag, &value(flag)?)?,
+                "--ops" => params.mem_ops_per_warp = parse_num(flag, &value(flag)?)?,
+                "--footprint" => params.footprint_pages = parse_num(flag, &value(flag)?)?,
+                "--seed" => params.seed = parse_num(flag, &value(flag)?)?,
                 "--faults" => {
                     cfg.fault.profile =
                         FaultProfile::parse(&value(flag)?).map_err(|e| e.to_string())?;
                 }
-                "--crash-at" => cfg.crash_at = Some(parse_num(&value(flag)?)? as u64),
+                "--crash-at" => cfg.crash_at = Some(parse_num(flag, &value(flag)?)?),
                 "--qos" | "--queue-depth" | "--retry-budget" | "--gc-stall-budget"
                 | "--gc-credits" | "--fair-window" => {
                     if cfg.qos.is_unbounded() {
@@ -341,13 +341,13 @@ impl Opts {
                     }
                     let q = &mut cfg.qos;
                     match flag {
-                        "--queue-depth" => q.queue_depth = Some(parse_num(&value(flag)?)?),
-                        "--retry-budget" => q.retry_budget = parse_num(&value(flag)?)? as u32,
+                        "--queue-depth" => q.queue_depth = Some(parse_num(flag, &value(flag)?)?),
+                        "--retry-budget" => q.retry_budget = parse_num(flag, &value(flag)?)?,
                         "--gc-stall-budget" => {
-                            q.gc_stall_budget = Some(Cycle(parse_num(&value(flag)?)? as u64));
+                            q.gc_stall_budget = Some(Cycle(parse_num(flag, &value(flag)?)?));
                         }
-                        "--gc-credits" => q.gc_credit_writes = parse_num(&value(flag)?)? as u64,
-                        "--fair-window" => q.fair_window = parse_num(&value(flag)?)? as u64,
+                        "--gc-credits" => q.gc_credit_writes = parse_num(flag, &value(flag)?)?,
+                        "--fair-window" => q.fair_window = parse_num(flag, &value(flag)?)?,
                         _ => {}
                     }
                 }
@@ -358,19 +358,19 @@ impl Opts {
                     }
                     let r = &mut cfg.redundancy;
                     match flag {
-                        "--scrub-every" => r.scrub_every_ops = parse_num(&value(flag)?)? as u64,
+                        "--scrub-every" => r.scrub_every_ops = parse_num(flag, &value(flag)?)?,
                         "--scrub-threshold" => {
-                            r.scrub_threshold = parse_num(&value(flag)?)? as u32;
+                            r.scrub_threshold = parse_num(flag, &value(flag)?)?;
                         }
-                        "--die-fail-at" => r.die_fail_at = Some(parse_num(&value(flag)?)? as u64),
+                        "--die-fail-at" => r.die_fail_at = Some(parse_num(flag, &value(flag)?)?),
                         "--die-fail" => {
                             let spec = value(flag)?;
                             let (ch, die) = spec
                                 .split_once(':')
                                 .ok_or_else(|| format!("--die-fail wants ch:die, got `{spec}`"))?;
-                            r.die_fail = (parse_num(ch)? as u16, parse_num(die)? as u16);
+                            r.die_fail = (parse_num(flag, ch)?, parse_num(flag, die)?);
                         }
-                        "--link-fail" => r.link_fail = Some(parse_num(&value(flag)?)? as u16),
+                        "--link-fail" => r.link_fail = Some(parse_num(flag, &value(flag)?)?),
                         _ => {}
                     }
                 }
@@ -384,7 +384,7 @@ impl Opts {
                     let i = &mut cfg.integrity;
                     match flag {
                         "--sdc-rate" => i.sdc_rate = parse_float(&value(flag)?)?,
-                        "--sdc-at" => i.sdc_at = Some(parse_num(&value(flag)?)? as u64),
+                        "--sdc-at" => i.sdc_at = Some(parse_num(flag, &value(flag)?)?),
                         _ => {}
                     }
                 }
@@ -398,12 +398,12 @@ impl Opts {
                     }
                     let e = &mut cfg.endurance;
                     match flag {
-                        "--refresh-every" => e.refresh_every_ops = parse_num(&value(flag)?)? as u64,
+                        "--refresh-every" => e.refresh_every_ops = parse_num(flag, &value(flag)?)?,
                         "--disturb-threshold" => {
-                            e.disturb_threshold = parse_num(&value(flag)?)? as u64;
+                            e.disturb_threshold = parse_num(flag, &value(flag)?)?;
                         }
                         "--retention-threshold" => {
-                            e.retention_threshold = parse_num(&value(flag)?)? as u64;
+                            e.retention_threshold = parse_num(flag, &value(flag)?)?;
                         }
                         "--wear-spread" => e.wear_spread = parse_float(&value(flag)?)?,
                         _ => {}
@@ -415,8 +415,8 @@ impl Opts {
                     }
                     let c = &mut cfg.checkpoint;
                     match flag {
-                        "--checkpoint-every" => c.every_ops = parse_num(&value(flag)?)? as u64,
-                        "--journal-cap" => c.journal_cap = parse_num(&value(flag)?)? as u64,
+                        "--checkpoint-every" => c.every_ops = parse_num(flag, &value(flag)?)?,
+                        "--journal-cap" => c.journal_cap = parse_num(flag, &value(flag)?)?,
                         _ => {}
                     }
                 }
@@ -426,8 +426,8 @@ impl Opts {
                     }
                     let h = &mut cfg.health;
                     match flag {
-                        "--health" => h.every_ops = parse_num(&value(flag)?)? as u64,
-                        "--health-window" => h.window = parse_num(&value(flag)?)? as u64,
+                        "--health" => h.every_ops = parse_num(flag, &value(flag)?)?,
+                        "--health-window" => h.window = parse_num(flag, &value(flag)?)?,
                         "--suspect-threshold" => h.suspect_threshold = parse_float(&value(flag)?)?,
                         _ => h.evacuate = true,
                     }
@@ -441,13 +441,13 @@ impl Opts {
                         ));
                     };
                     cfg.fault.degrading = Some(DegradingDie {
-                        channel: parse_num(ch)? as u16,
-                        die: parse_num(die)? as u16,
-                        onset: parse_num(onset)? as u64,
-                        death: parse_num(death)? as u64,
+                        channel: parse_num(flag, ch)?,
+                        die: parse_num(flag, die)?,
+                        onset: parse_num(flag, onset)?,
+                        death: parse_num(flag, death)?,
                     });
                 }
-                "--watchdog" => cfg.watchdog = Some(parse_num(&value(flag)?)? as u64),
+                "--watchdog" => cfg.watchdog = Some(parse_num(flag, &value(flag)?)?),
                 "--perf" => cfg.perf = true,
                 "--json" => json = true,
                 other => {
@@ -486,8 +486,11 @@ fn refs(names: &[String]) -> Vec<&str> {
     names.iter().map(String::as_str).collect()
 }
 
-fn parse_num(s: &str) -> Result<usize, String> {
-    s.parse().map_err(|_| format!("`{s}` is not a number"))
+/// Parses `s`, the value given to `flag`, into the flag's field type. A
+/// number the field cannot hold is refused, never wrapped.
+fn parse_num<T: TryFrom<u64>>(flag: &str, s: &str) -> Result<T, String> {
+    let n: u64 = s.parse().map_err(|_| format!("`{s}` is not a number"))?;
+    T::try_from(n).map_err(|_| format!("`{s}` is out of range for {flag}"))
 }
 
 fn parse_float(s: &str) -> Result<f64, String> {

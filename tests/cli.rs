@@ -516,3 +516,62 @@ fn default_run_has_no_integrity_rows() {
         "default output must be integrity-free:\n{text}"
     );
 }
+
+#[test]
+fn zero_queue_depth_is_a_named_configuration_error() {
+    // An empty queue of depth 0 would already be full: the run is
+    // refused as an invalid configuration on both bounded platforms.
+    for platform in ["zng", "hybrid"] {
+        let out = cli()
+            .args([
+                "run",
+                "-p",
+                platform,
+                "-w",
+                "back",
+                "--warps",
+                "8",
+                "--ops",
+                "60",
+                "--footprint",
+                "64",
+                "--qos",
+                "--queue-depth",
+                "0",
+            ])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{platform}: exit 1");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("invalid configuration for qos.queue_depth"),
+            "{platform}: {err}"
+        );
+    }
+}
+
+#[test]
+fn out_of_range_numbers_are_usage_errors() {
+    // Each value parses as a number but overflows its field's type; it
+    // must be refused with the flag and the value named, not wrapped.
+    for (flags, value) in [
+        (vec!["--link-fail", "65536"], "65536"),
+        (vec!["--qos", "--retry-budget", "4294967296"], "4294967296"),
+        (vec!["--die-fail", "0:65536"], "65536"),
+        (vec!["--scrub-threshold", "4294967296"], "4294967296"),
+        (vec!["--degrading-die", "65536:0:100:200"], "65536"),
+    ] {
+        let out = cli()
+            .args(["run", "-p", "zng", "-w", "betw"])
+            .args(&flags)
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: usage error");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let flag = flags[flags.len() - 2];
+        assert!(
+            err.contains(flag) && err.contains(&format!("`{value}`")),
+            "{flags:?}: {err}"
+        );
+    }
+}

@@ -54,13 +54,13 @@ fn pagemap_ftl_keeps_mapping_bijective_under_gc() {
     let mut f = PageMapFtl::new(&d);
     let mut t = Cycle::ZERO;
     for i in 0..30_000u64 {
-        t = f.write_page(t, &mut d, i % 128).unwrap();
+        t = f.write(t, &mut d, i % 128).unwrap().done;
     }
     assert!(f.gcs() > 0);
     // All lpns map to distinct, valid flash pages.
     let mut seen = std::collections::HashSet::new();
     for lpn in 0..128u64 {
-        let addr = f.translate(lpn).expect("mapped");
+        let addr = f.locate(lpn).expect("mapped");
         assert!(seen.insert(addr), "two lpns map to {addr}");
         let block = d.block(addr.block).expect("block exists");
         assert!(block.is_valid(addr.page), "mapped page must be valid");

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use zng_flash::{FaultConfig, FaultProfile, FlashDevice, FlashGeometry, RegisterTopology};
-use zng_ftl::{Ftl as _, PageMapFtl, WriteMode, ZngFtl};
+use zng_ftl::{Ftl, PageMapFtl, WriteMode, ZngFtl};
 use zng_types::{Cycle, Error, Freq};
 
 fn device(profile: u8, seed: u64, degrading: bool) -> FlashDevice {
@@ -77,78 +77,9 @@ fn durable_versions(d: &FlashDevice, t_cut: Cycle) -> HashMap<u64, u64> {
     durable
 }
 
-enum Ftl {
-    Zng(ZngFtl),
-    Map(PageMapFtl),
-}
-
-impl Ftl {
-    fn locate(&self, lpn: u64) -> Option<zng_types::FlashAddr> {
-        match self {
-            Ftl::Zng(f) => f.locate(lpn),
-            Ftl::Map(f) => f.translate(lpn),
-        }
-    }
-
-    fn free_blocks(&self) -> u64 {
-        match self {
-            Ftl::Zng(f) => f.free_blocks(),
-            Ftl::Map(f) => f.free_blocks(),
-        }
-    }
-
-    fn recover(
-        &mut self,
-        now: Cycle,
-        d: &mut FlashDevice,
-    ) -> zng_types::Result<zng_ftl::RecoveryReport> {
-        match self {
-            Ftl::Zng(f) => f.recover(now, d),
-            Ftl::Map(f) => f.recover(now, d),
-        }
-    }
-
-    fn read(&mut self, now: Cycle, d: &mut FlashDevice, lpn: u64) -> zng_types::Result<Cycle> {
-        match self {
-            Ftl::Zng(f) => f.read(now, d, lpn, 128),
-            Ftl::Map(f) => f.read_page(now, d, lpn, 128),
-        }
-    }
-
-    fn clone_box(&self) -> Ftl {
-        match self {
-            Ftl::Zng(f) => Ftl::Zng(f.clone()),
-            Ftl::Map(f) => Ftl::Map(f.clone()),
-        }
-    }
-
-    fn set_checkpointing(&mut self, config: Option<zng_ftl::CheckpointConfig>) {
-        match self {
-            Ftl::Zng(f) => f.set_checkpointing(config),
-            Ftl::Map(f) => f.set_checkpointing(config),
-        }
-    }
-
-    fn checkpoint_step(&mut self, now: Cycle, d: &mut FlashDevice) -> Cycle {
-        match self {
-            Ftl::Zng(f) => f.checkpoint_step(now, d),
-            Ftl::Map(f) => f.checkpoint_step(now, d),
-        }
-    }
-
-    fn set_health(&mut self, policy: Option<zng_ftl::HealthPolicy>) {
-        match self {
-            Ftl::Zng(f) => f.set_health(policy),
-            Ftl::Map(f) => f.set_health(policy),
-        }
-    }
-
-    fn health_step(&mut self, now: Cycle, d: &mut FlashDevice) -> zng_types::Result<Cycle> {
-        match self {
-            Ftl::Zng(f) => f.health_step(now, d),
-            Ftl::Map(f) => f.health_step(now, d),
-        }
-    }
+/// A `ZngFtl` constructor with two data blocks per log block.
+fn zng(mode: WriteMode) -> impl Fn(&FlashDevice) -> ZngFtl {
+    move |d| ZngFtl::new(d, 2, mode)
 }
 
 /// Runs the full crash scenario and checks all four invariants.
@@ -164,26 +95,20 @@ impl Ftl {
     clippy::too_many_arguments,
     clippy::fn_params_excessive_bools
 )]
-fn check_crash(
+fn check_crash<F: Ftl + Clone>(
+    new_ftl: impl Fn(&FlashDevice) -> F,
     profile: u8,
     seed: u64,
     writes: &[u64],
     crash_at: usize,
     settle: bool,
-    mode: Option<WriteMode>,
     ckpt: Option<(usize, u64)>,
     health: bool,
 ) -> Result<(), TestCaseError> {
     let mut d = device(profile, seed, health);
-    let mut f = match mode {
-        Some(m) => Ftl::Zng(ZngFtl::new(&d, 2, m)),
-        None => Ftl::Map(PageMapFtl::new(&d)),
-    };
+    let mut f = new_ftl(&d);
     if let Some((_, cap)) = ckpt {
-        f.set_checkpointing(Some(zng_ftl::CheckpointConfig {
-            every_ops: 1,
-            journal_cap: cap,
-        }));
+        f.set_checkpointing(Some(zng_ftl::CheckpointConfig { journal_cap: cap }));
     }
     if health {
         // A hair-trigger threshold: the degrading die is quarantined on
@@ -200,12 +125,8 @@ fn check_crash(
     let crash_at = crash_at.min(writes.len());
     let mut t = Cycle::ZERO;
     for (i, &lpn) in writes[..crash_at].iter().enumerate() {
-        let r = match &mut f {
-            Ftl::Zng(z) => z.write(t, &mut d, lpn).map(|r| r.done),
-            Ftl::Map(m) => m.write_page(t, &mut d, lpn),
-        };
-        match r {
-            Ok(done) => t = done,
+        match f.write(t, &mut d, lpn) {
+            Ok(w) => t = w.done,
             Err(Error::DeviceWornOut { .. }) => break,
             Err(Error::UncorrectableRead { .. }) => {}
             // A redrive-exhausted write on the degrading die was never
@@ -231,7 +152,7 @@ fn check_crash(
     // Phase 2: the cut. Judge durability from the media itself, then
     // drop all volatile state.
     let mut d2 = d.clone();
-    let mut f2 = f.clone_box();
+    let mut f2 = f.clone();
     d.power_loss(t_cut);
     let durable = durable_versions(&d, t_cut);
     let report = f
@@ -257,7 +178,7 @@ fn check_crash(
             got >= seq,
             "lpn {lpn} rolled back past a durable version ({got} < {seq})"
         );
-        match f.read(t_after, &mut d, lpn) {
+        match f.read(t_after, &mut d, lpn, 128) {
             Ok(_) | Err(Error::UncorrectableRead { .. }) => {}
             Err(Error::TornPage { .. }) => {
                 return Err(TestCaseError::fail(format!("torn page served for {lpn}")))
@@ -269,7 +190,7 @@ fn check_crash(
     // Invariant 3: a second cut immediately after recovery (a crash
     // during/just after recovery) recovers to the same mapping state.
     let mut d_again = d.clone();
-    let mut f_again = f.clone_box();
+    let mut f_again = f.clone();
     d_again.power_loss(t_after);
     f_again
         .recover(t_after, &mut d_again)
@@ -287,7 +208,7 @@ fn check_crash(
     // Invariant 4: recovery of an identical crashed clone is
     // deterministic — same report, same mappings.
     let mut d3 = d2.clone();
-    let mut f3 = f2.clone_box();
+    let mut f3 = f2.clone();
     d2.power_loss(t_cut);
     let report2 = f2
         .recover(t_cut, &mut d2)
@@ -338,7 +259,7 @@ proptest! {
         crash_at in 0usize..100,
         settle in any::<bool>(),
     ) {
-        check_crash(profile, seed, &writes, crash_at, settle, Some(WriteMode::Direct), None, false)?;
+        check_crash(zng(WriteMode::Direct), profile, seed, &writes, crash_at, settle, None, false)?;
     }
 
     /// ZnG FTL, buffered (register-grouped) writes: register-resident
@@ -351,7 +272,7 @@ proptest! {
         crash_at in 0usize..100,
         settle in any::<bool>(),
     ) {
-        check_crash(profile, seed, &writes, crash_at, settle, Some(WriteMode::Buffered), None, false)?;
+        check_crash(zng(WriteMode::Buffered), profile, seed, &writes, crash_at, settle, None, false)?;
     }
 
     /// Conventional page-map FTL: same headline invariant.
@@ -363,7 +284,7 @@ proptest! {
         crash_at in 0usize..100,
         settle in any::<bool>(),
     ) {
-        check_crash(profile, seed, &writes, crash_at, settle, None, None, false)?;
+        check_crash(PageMapFtl::new, profile, seed, &writes, crash_at, settle, None, false)?;
     }
 
     /// ZnG FTL with checkpointing: arbitrary cadences, journal caps and
@@ -382,8 +303,8 @@ proptest! {
     ) {
         let cap = [0u64, 4, 16, 256][cap_sel];
         check_crash(
-            profile, seed, &writes, crash_at, settle,
-            Some(WriteMode::Direct), Some((every, cap)), false,
+            zng(WriteMode::Direct), profile, seed, &writes, crash_at, settle,
+            Some((every, cap)), false,
         )?;
     }
 
@@ -399,7 +320,7 @@ proptest! {
         cap_sel in 0usize..4,
     ) {
         let cap = [0u64, 4, 16, 256][cap_sel];
-        check_crash(profile, seed, &writes, crash_at, settle, None, Some((every, cap)), false)?;
+        check_crash(PageMapFtl::new, profile, seed, &writes, crash_at, settle, Some((every, cap)), false)?;
     }
 
     /// Chaos lane: every robustness subsystem at once — RAIN redundancy,
@@ -486,8 +407,8 @@ proptest! {
         every in 2usize..25,
     ) {
         check_crash(
-            profile, seed, &writes, crash_at, settle,
-            Some(WriteMode::Direct), Some((every, 256)), true,
+            zng(WriteMode::Direct), profile, seed, &writes, crash_at, settle,
+            Some((every, 256)), true,
         )?;
     }
 
@@ -502,7 +423,7 @@ proptest! {
         settle in any::<bool>(),
         every in 2usize..25,
     ) {
-        check_crash(profile, seed, &writes, crash_at, settle, None, Some((every, 256)), true)?;
+        check_crash(PageMapFtl::new, profile, seed, &writes, crash_at, settle, Some((every, 256)), true)?;
     }
 }
 

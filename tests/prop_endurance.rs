@@ -27,7 +27,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use zng_flash::{FaultConfig, FlashDevice, FlashGeometry, RegisterTopology};
-use zng_ftl::{Ftl as _, PageMapFtl, RainConfig, RefreshPolicy, WriteMode, ZngFtl};
+use zng_ftl::{Ftl, PageMapFtl, RainConfig, RefreshPolicy, WriteMode, ZngFtl};
 use zng_types::{Cycle, Error, Freq};
 
 fn device(profile: u8, seed: u64) -> FlashDevice {
@@ -46,79 +46,9 @@ fn device(profile: u8, seed: u64) -> FlashDevice {
     d
 }
 
-enum Ftl {
-    Zng(ZngFtl),
-    Map(PageMapFtl),
-}
-
-impl Ftl {
-    fn new(d: &FlashDevice, mode: Option<WriteMode>, rain: bool, policy: RefreshPolicy) -> Ftl {
-        let mut f = match mode {
-            Some(m) => Ftl::Zng(ZngFtl::new(d, 2, m)),
-            None => Ftl::Map(PageMapFtl::new(d)),
-        };
-        match &mut f {
-            Ftl::Zng(z) => {
-                if rain {
-                    z.set_redundancy(d, Some(RainConfig::default()));
-                }
-                z.set_endurance(Some(policy));
-            }
-            Ftl::Map(m) => {
-                if rain {
-                    m.set_redundancy(d, Some(RainConfig::default()));
-                }
-                m.set_endurance(Some(policy));
-            }
-        }
-        f
-    }
-
-    fn locate(&self, lpn: u64) -> Option<zng_types::FlashAddr> {
-        match self {
-            Ftl::Zng(f) => f.locate(lpn),
-            Ftl::Map(f) => f.translate(lpn),
-        }
-    }
-
-    fn write(&mut self, now: Cycle, d: &mut FlashDevice, lpn: u64) -> zng_types::Result<Cycle> {
-        match self {
-            Ftl::Zng(f) => f.write(now, d, lpn).map(|r| r.done),
-            Ftl::Map(f) => f.write_page(now, d, lpn),
-        }
-    }
-
-    fn read(&mut self, now: Cycle, d: &mut FlashDevice, lpn: u64) -> zng_types::Result<Cycle> {
-        match self {
-            Ftl::Zng(f) => f.read(now, d, lpn, 128),
-            Ftl::Map(f) => f.read_page(now, d, lpn, 128),
-        }
-    }
-
-    fn refresh_step(&mut self, now: Cycle, d: &mut FlashDevice) -> zng_types::Result<Cycle> {
-        match self {
-            Ftl::Zng(f) => f.refresh_step(now, d),
-            Ftl::Map(f) => f.refresh_step(now, d),
-        }
-    }
-
-    fn recover(
-        &mut self,
-        now: Cycle,
-        d: &mut FlashDevice,
-    ) -> zng_types::Result<zng_ftl::RecoveryReport> {
-        match self {
-            Ftl::Zng(f) => f.recover(now, d),
-            Ftl::Map(f) => f.recover(now, d),
-        }
-    }
-
-    fn counters(&self) -> zng_ftl::EnduranceCounters {
-        match self {
-            Ftl::Zng(f) => f.endurance_counters().unwrap_or_default(),
-            Ftl::Map(f) => f.endurance_counters().unwrap_or_default(),
-        }
-    }
+/// A `ZngFtl` constructor with two data blocks per log block.
+fn zng(mode: WriteMode) -> impl Fn(&FlashDevice) -> ZngFtl {
+    move |d| ZngFtl::new(d, 2, mode)
 }
 
 /// The lower-bound durable version of each logical page at cut time
@@ -152,7 +82,7 @@ fn durable_versions(d: &FlashDevice, t_cut: Cycle) -> HashMap<u64, u64> {
 /// resolves to its own data at a stamp no older than the recorded one,
 /// and reads stay serviceable.
 fn check_no_stale(
-    f: &mut Ftl,
+    f: &mut impl Ftl,
     d: &mut FlashDevice,
     t: Cycle,
     latest: &HashMap<u64, u64>,
@@ -170,7 +100,7 @@ fn check_no_stale(
             got >= seq,
             "maintenance rolled lpn {lpn} back to a stale copy ({got} < {seq})"
         );
-        match f.read(t, d, lpn) {
+        match f.read(t, d, lpn, 128) {
             Ok(done) => t = done,
             Err(Error::UncorrectableRead { .. } | Error::CapacityDegraded { .. }) => {}
             Err(e) => return Err(TestCaseError::fail(format!("read of {lpn} failed: {e}"))),
@@ -185,7 +115,8 @@ fn check_no_stale(
 /// re-checks against the media's own durable versions, and replays the
 /// whole scenario for determinism.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn check_endurance(
+fn check_endurance<F: Ftl>(
+    new_ftl: impl Fn(&FlashDevice) -> F,
     profile: u8,
     seed: u64,
     writes: &[u64],
@@ -193,11 +124,18 @@ fn check_endurance(
     crash_at: usize,
     settle: bool,
     rain: bool,
-    mode: Option<WriteMode>,
     policy: RefreshPolicy,
 ) -> Result<(), TestCaseError> {
+    let build = |d: &FlashDevice| {
+        let mut f = new_ftl(d);
+        if rain {
+            f.set_redundancy(d, Some(RainConfig::default()));
+        }
+        f.set_endurance(Some(policy));
+        f
+    };
     let run = |d: &mut FlashDevice,
-               f: &mut Ftl,
+               f: &mut F,
                crash_at: usize|
      -> Result<(Cycle, HashMap<u64, u64>), TestCaseError> {
         let mut t = Cycle::ZERO;
@@ -206,7 +144,7 @@ fn check_endurance(
         let mut latest: HashMap<u64, u64> = HashMap::new();
         for (i, &lpn) in writes[..crash_at.min(writes.len())].iter().enumerate() {
             match f.write(t, d, lpn) {
-                Ok(done) => t = done,
+                Ok(w) => t = w.done,
                 Err(Error::CapacityDegraded { .. }) => {}
                 Err(Error::UncorrectableRead { .. }) => {}
                 Err(Error::DeviceWornOut { .. }) => {
@@ -226,7 +164,7 @@ fn check_endurance(
             }
             // Re-reads accumulate read disturb on the mapped blocks.
             if i % 3 == 0 {
-                match f.read(t, d, lpn) {
+                match f.read(t, d, lpn, 128) {
                     Ok(done) => t = done,
                     Err(Error::UncorrectableRead { .. } | Error::CapacityDegraded { .. }) => {}
                     Err(e) => return Err(TestCaseError::fail(format!("read failed: {e}"))),
@@ -243,7 +181,7 @@ fn check_endurance(
 
     let mut d = device(profile, seed);
     d.set_endurance_tracking(Some(1));
-    let mut f = Ftl::new(&d, mode, rain, policy);
+    let mut f = build(&d);
     let (t, latest) = run(&mut d, &mut f, crash_at)?;
 
     // Invariants 1+2 while powered, after all maintenance bursts.
@@ -278,7 +216,7 @@ fn check_endurance(
             got >= seq,
             "recovery rolled lpn {lpn} back past a durable version ({got} < {seq})"
         );
-        match f.read(t_after, &mut d, lpn) {
+        match f.read(t_after, &mut d, lpn, 128) {
             Ok(done) => t_after = done,
             Err(Error::UncorrectableRead { .. } | Error::CapacityDegraded { .. }) => {}
             Err(Error::TornPage { .. }) => {
@@ -290,14 +228,14 @@ fn check_endurance(
 
     // State to check determinism against, captured before any further
     // maintenance mutates it.
-    let counters_at_recovery = f.counters();
+    let counters_at_recovery = f.endurance_counters();
     let recovered: Vec<_> = writes.iter().map(|&l| (l, f.locate(l))).collect();
 
     // Invariant 3: the whole scenario replays deterministically — same
     // observed stamps, same endurance counters, same recovered mappings.
     let mut d2 = device(profile, seed);
     d2.set_endurance_tracking(Some(1));
-    let mut f2 = Ftl::new(&d2, mode, rain, policy);
+    let mut f2 = build(&d2);
     let (_, latest2) = run(&mut d2, &mut f2, crash_at)?;
     prop_assert_eq!(&latest, &latest2, "replay observed different media stamps");
     d2.power_loss(t_cut);
@@ -308,7 +246,7 @@ fn check_endurance(
     prop_assert_eq!(report.torn_discarded, report2.torn_discarded);
     prop_assert_eq!(
         counters_at_recovery,
-        f2.counters(),
+        f2.endurance_counters(),
         "endurance counters diverged on replay"
     );
     for &(lpn, addr) in &recovered {
@@ -362,9 +300,8 @@ proptest! {
         rain in any::<bool>(),
         knobs in (0u8..3, 0u8..3, 0u8..3),
     ) {
-        check_endurance(profile, seed, &writes, refresh_every, crash_at,
-            settle, rain, Some(WriteMode::Direct),
-            policy_of(knobs.0, knobs.1, knobs.2))?;
+        check_endurance(zng(WriteMode::Direct), profile, seed, &writes, refresh_every,
+            crash_at, settle, rain, policy_of(knobs.0, knobs.1, knobs.2))?;
     }
 
     /// ZnG FTL, buffered (register-grouped) writes: same contract.
@@ -379,9 +316,8 @@ proptest! {
         rain in any::<bool>(),
         knobs in (0u8..3, 0u8..3, 0u8..3),
     ) {
-        check_endurance(profile, seed, &writes, refresh_every, crash_at,
-            settle, rain, Some(WriteMode::Buffered),
-            policy_of(knobs.0, knobs.1, knobs.2))?;
+        check_endurance(zng(WriteMode::Buffered), profile, seed, &writes, refresh_every,
+            crash_at, settle, rain, policy_of(knobs.0, knobs.1, knobs.2))?;
     }
 
     /// Conventional page-map FTL: same contract.
@@ -396,8 +332,8 @@ proptest! {
         rain in any::<bool>(),
         knobs in (0u8..3, 0u8..3, 0u8..3),
     ) {
-        check_endurance(profile, seed, &writes, refresh_every, crash_at,
-            settle, rain, None, policy_of(knobs.0, knobs.1, knobs.2))?;
+        check_endurance(PageMapFtl::new, profile, seed, &writes, refresh_every,
+            crash_at, settle, rain, policy_of(knobs.0, knobs.1, knobs.2))?;
     }
 
     /// Endurance off is inert: explicitly installing the disabled state
@@ -518,16 +454,16 @@ fn pagemap_levelling_reduces_wear_spread_under_skew() {
         }
         let mut t = Cycle::ZERO;
         for lpn in 8..136u64 {
-            t = f.write_page(t, &mut d, lpn).unwrap();
+            t = f.write(t, &mut d, lpn).unwrap().done;
         }
         for i in 0..3_000u64 {
-            t = f.write_page(t, &mut d, i % 8).unwrap();
+            t = f.write(t, &mut d, i % 8).unwrap().done;
             if endurance && i % 16 == 0 {
                 t = f.refresh_step(t, &mut d).unwrap();
             }
         }
         for lpn in 8..136u64 {
-            t = f.read_page(t, &mut d, lpn, 128).unwrap();
+            t = f.read(t, &mut d, lpn, 128).unwrap();
         }
         (
             d.endurance().wear_spread(),

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use zng_flash::{FaultConfig, FlashDevice, FlashGeometry, RegisterTopology};
-use zng_ftl::{PageMapFtl, WriteMode, ZngFtl};
+use zng_ftl::{Ftl, PageMapFtl, WriteMode, ZngFtl};
 use zng_types::{Cycle, Error, Freq};
 
 fn device(cfg: &FaultConfig) -> FlashDevice {
@@ -98,10 +98,10 @@ fn check_pagemap(seed: u64, eol: bool, writes: &[u64]) -> Result<(), TestCaseErr
     let mut acked: HashMap<u64, (u64, u64)> = HashMap::new();
     let mut t = Cycle::ZERO;
     for &lpn in writes {
-        match f.write_page(t, &mut d, lpn) {
-            Ok(done) => {
-                t = done;
-                let addr = f.translate(lpn).expect("acked write must be mapped");
+        match f.write(t, &mut d, lpn) {
+            Ok(w) => {
+                t = w.done;
+                let addr = f.locate(lpn).expect("acked write must be mapped");
                 let stamp = d
                     .page_stamp(addr)
                     .expect("page-level FTL programs always stamp");
@@ -114,7 +114,7 @@ fn check_pagemap(seed: u64, eol: bool, writes: &[u64]) -> Result<(), TestCaseErr
     }
 
     for (&lpn, &(_, ack_seq)) in &acked {
-        let addr = f.translate(lpn);
+        let addr = f.locate(lpn);
         prop_assert!(addr.is_some(), "acked lpn {lpn} lost its mapping");
         let stamp = d.page_stamp(addr.unwrap());
         prop_assert!(stamp.is_some(), "acked lpn {lpn} points at unstamped media");

@@ -20,7 +20,7 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 use zng_flash::{DegradingDie, FaultConfig, FlashDevice, FlashGeometry, RegisterTopology};
-use zng_ftl::{Ftl as _, HealthPolicy, PageMapFtl, RainConfig, WriteMode, ZngFtl};
+use zng_ftl::{Ftl, HealthCounters, HealthPolicy, PageMapFtl, RainConfig, WriteMode, ZngFtl};
 use zng_types::{Cycle, Error, Freq};
 
 /// A hair-trigger policy: the degrading die is flagged on its first
@@ -55,95 +55,30 @@ fn device(profile: u8, seed: u64, degrading: Option<DegradingDie>) -> FlashDevic
     d
 }
 
-enum Ftl {
-    Zng(ZngFtl),
-    Map(PageMapFtl),
+/// The ZnG FTL with two data blocks per log block and direct writes.
+fn zng(d: &FlashDevice) -> ZngFtl {
+    ZngFtl::new(d, 2, WriteMode::Direct)
 }
 
-impl Ftl {
-    fn new(zng: bool, d: &FlashDevice, rain: bool) -> Ftl {
-        let mut f = if zng {
-            Ftl::Zng(ZngFtl::new(d, 2, WriteMode::Direct))
-        } else {
-            Ftl::Map(PageMapFtl::new(d))
-        };
-        if rain {
-            match &mut f {
-                Ftl::Zng(z) => z.set_redundancy(d, Some(RainConfig::default())),
-                Ftl::Map(m) => m.set_redundancy(d, Some(RainConfig::default())),
-            }
-        }
-        f
+/// `f` with RAIN redundancy installed when `rain`.
+fn with_rain<F: Ftl>(mut f: F, d: &FlashDevice, rain: bool) -> F {
+    if rain {
+        f.set_redundancy(d, Some(RainConfig::default()));
     }
+    f
+}
 
-    fn write(&mut self, now: Cycle, d: &mut FlashDevice, lpn: u64) -> zng_types::Result<Cycle> {
-        match self {
-            Ftl::Zng(f) => f.write(now, d, lpn).map(|r| r.done),
-            Ftl::Map(f) => f.write_page(now, d, lpn),
-        }
-    }
-
-    fn read(&mut self, now: Cycle, d: &mut FlashDevice, lpn: u64) -> zng_types::Result<Cycle> {
-        match self {
-            Ftl::Zng(f) => f.read(now, d, lpn, 128),
-            Ftl::Map(f) => f.read_page(now, d, lpn, 128),
-        }
-    }
-
-    fn locate(&self, lpn: u64) -> Option<zng_types::FlashAddr> {
-        match self {
-            Ftl::Zng(f) => f.locate(lpn),
-            Ftl::Map(f) => f.translate(lpn),
-        }
-    }
-
-    fn free_blocks(&self) -> u64 {
-        match self {
-            Ftl::Zng(f) => f.free_blocks(),
-            Ftl::Map(f) => f.free_blocks(),
-        }
-    }
-
-    fn recover(
-        &mut self,
-        now: Cycle,
-        d: &mut FlashDevice,
-    ) -> zng_types::Result<zng_ftl::RecoveryReport> {
-        match self {
-            Ftl::Zng(f) => f.recover(now, d),
-            Ftl::Map(f) => f.recover(now, d),
-        }
-    }
-
-    fn set_health(&mut self, policy: Option<HealthPolicy>) {
-        match self {
-            Ftl::Zng(f) => f.set_health(policy),
-            Ftl::Map(f) => f.set_health(policy),
-        }
-    }
-
-    fn health_step(&mut self, now: Cycle, d: &mut FlashDevice) -> zng_types::Result<Cycle> {
-        match self {
-            Ftl::Zng(f) => f.health_step(now, d),
-            Ftl::Map(f) => f.health_step(now, d),
-        }
-    }
-
-    fn health_counters(&self) -> zng_ftl::HealthCounters {
-        match self {
-            Ftl::Zng(f) => f.health_counters(),
-            Ftl::Map(f) => f.health_counters(),
-        }
-        .unwrap_or_default()
-    }
+/// The health counters (all zero with health monitoring off).
+fn counters(f: &impl Ftl) -> HealthCounters {
+    f.health_counters().unwrap_or_default()
 }
 
 /// Invariant 1: a degrading die, a hair-trigger monitor, and a power
 /// cut at an arbitrary point (including mid-evacuation) never lose an
 /// acknowledged write — after recovery every acked logical page is
 /// still mapped to its own data, never to a torn page or foreign key.
-fn check_no_acked_write_lost(
-    zng: bool,
+fn check_no_acked_write_lost<F: Ftl>(
+    new_ftl: impl Fn(&FlashDevice) -> F,
     profile: u8,
     seed: u64,
     writes: &[u64],
@@ -159,7 +94,7 @@ fn check_no_acked_write_lost(
         death: 200_000_000,
     };
     let mut d = device(profile, seed, Some(dd));
-    let mut f = Ftl::new(zng, &d, rain);
+    let mut f = with_rain(new_ftl(&d), &d, rain);
     f.set_health(Some(hair_trigger()));
 
     let crash_at = crash_at.min(writes.len());
@@ -167,8 +102,8 @@ fn check_no_acked_write_lost(
     let mut acked: HashSet<u64> = HashSet::new();
     for &lpn in &writes[..crash_at] {
         match f.write(t, &mut d, lpn) {
-            Ok(done) => {
-                t = done;
+            Ok(w) => {
+                t = w.done;
                 acked.insert(lpn);
             }
             Err(Error::DeviceWornOut { .. }) => break,
@@ -203,7 +138,7 @@ fn check_no_acked_write_lost(
         prop_assert!(stamp.is_some(), "acked lpn {lpn} mapped to unstamped media");
         let (key, _) = stamp.unwrap();
         prop_assert_eq!(key, lpn, "acked lpn {} resolves to foreign data", lpn);
-        match f.read(t_after, &mut d, lpn) {
+        match f.read(t_after, &mut d, lpn, 128) {
             // Media errors under injected fault profiles are allowed;
             // serving a torn page or losing the mapping is not.
             Ok(_) | Err(Error::UncorrectableRead { .. }) => {}
@@ -218,11 +153,11 @@ fn check_no_acked_write_lost(
 
 /// Invariant 2: once the monitor reports the evacuation complete, the
 /// die can drop dead outright and no read ever touches it again.
-fn check_evacuation_beats_death(
-    zng: bool,
+fn check_evacuation_beats_death<F: Ftl>(
+    new_ftl: impl Fn(&FlashDevice) -> F,
     seed: u64,
     writes: &[u64],
-) -> Result<zng_ftl::HealthCounters, TestCaseError> {
+) -> Result<HealthCounters, TestCaseError> {
     const DEATH: u64 = 80_000_000;
 
     // Dry run on a healthy twin to find the die the allocator loads
@@ -231,12 +166,12 @@ fn check_evacuation_beats_death(
     // could end up holding only parity).
     let (victim_ch, victim_die) = {
         let mut d = device(0, seed, None);
-        let mut f = Ftl::new(zng, &d, true);
+        let mut f = with_rain(new_ftl(&d), &d, true);
         let mut t = Cycle::ZERO;
         let mut per_die = std::collections::BTreeMap::new();
         for &lpn in writes {
-            if let Ok(done) = f.write(t, &mut d, lpn) {
-                t = done;
+            if let Ok(w) = f.write(t, &mut d, lpn) {
+                t = w.done;
             }
         }
         for &lpn in writes {
@@ -261,15 +196,15 @@ fn check_evacuation_beats_death(
     // (Organic fault profiles are lane 1's concern; under end-of-life
     // noise a hair trigger would quarantine every die on the device.)
     let mut d = device(0, seed, Some(dd));
-    let mut f = Ftl::new(zng, &d, true);
+    let mut f = with_rain(new_ftl(&d), &d, true);
     f.set_health(Some(hair_trigger()));
 
     let mut t = Cycle::ZERO;
     let mut acked: Vec<u64> = Vec::new();
     for &lpn in writes {
         match f.write(t, &mut d, lpn) {
-            Ok(done) => {
-                t = done;
+            Ok(w) => {
+                t = w.done;
                 acked.push(lpn);
             }
             Err(Error::DeviceWornOut { .. }) => break,
@@ -288,7 +223,7 @@ fn check_evacuation_beats_death(
     // towards 1, so the die's programs start failing and its reads burn
     // retries; the monitor flags it and the evacuation runs — all well
     // before the death cycle.
-    let on_suspect_die = |f: &Ftl, lpn: u64| {
+    let on_suspect_die = |f: &F, lpn: u64| {
         f.locate(lpn).is_some_and(|a| {
             a.block.channel.index() as u16 == dd.channel && a.block.die.index() as u16 == dd.die
         })
@@ -303,23 +238,23 @@ fn check_evacuation_beats_death(
         }
     }
     let mut rounds = 0u32;
-    'burn_in: while f.health_counters().evacuations_completed == 0 {
+    'burn_in: while counters(&f).evacuations_completed == 0 {
         rounds += 1;
         prop_assert!(
             rounds < 512 && t.raw() < DEATH,
             "evacuation never completed before death: {:?}",
-            f.health_counters()
+            counters(&f)
         );
         for &lpn in &filler {
             match f.write(t, &mut d, lpn) {
-                Ok(done) => t = done,
+                Ok(w) => t = w.done,
                 Err(Error::DeviceWornOut { .. }) => break 'burn_in,
                 Err(Error::UncorrectableRead { .. } | Error::FlashProtocol { .. }) => {}
                 Err(e) => return Err(TestCaseError::fail(format!("burn-in write failed: {e}"))),
             }
         }
         for &lpn in &acked {
-            match f.read(t, &mut d, lpn) {
+            match f.read(t, &mut d, lpn, 128) {
                 Ok(_) | Err(Error::UncorrectableRead { .. }) => {}
                 Err(e) => return Err(TestCaseError::fail(format!("burn-in read failed: {e}"))),
             }
@@ -332,7 +267,7 @@ fn check_evacuation_beats_death(
         t += Cycle(DEATH / 256);
         // A die that holds no data and was never flagged has nothing to
         // evacuate — the post-death check below is then vacuous.
-        if f.health_counters().suspects_flagged == 0
+        if counters(&f).suspects_flagged == 0
             && rounds >= 16
             && !acked.iter().any(|&lpn| on_suspect_die(&f, lpn))
         {
@@ -346,7 +281,7 @@ fn check_evacuation_beats_death(
     // silicon — the device-level dead-die read counter stays at zero.
     let t_dead = Cycle(DEATH + 1_000_000);
     for &lpn in &acked {
-        match f.read(t_dead, &mut d, lpn) {
+        match f.read(t_dead, &mut d, lpn, 128) {
             Ok(_) | Err(Error::UncorrectableRead { .. }) => {}
             Err(e) => return Err(TestCaseError::fail(format!("post-death read failed: {e}"))),
         }
@@ -356,37 +291,39 @@ fn check_evacuation_beats_death(
         0,
         "a completed evacuation must leave nothing on the dead die"
     );
-    Ok(f.health_counters())
+    Ok(counters(&f))
 }
 
 /// Invariant 3: on a healthy, fault-free device the monitor flags
 /// nothing, moves nothing, and leaves the mapping state identical to a
 /// twin that never ran it.
-fn check_inert_on_healthy_device(
-    zng: bool,
+fn check_inert_on_healthy_device<F: Ftl>(
+    new_ftl: impl Fn(&FlashDevice) -> F,
     seed: u64,
     writes: &[u64],
 ) -> Result<(), TestCaseError> {
     let mut d_mon = device(0, seed, None);
     let mut d_off = device(0, seed, None);
-    let mut f_mon = Ftl::new(zng, &d_mon, false);
-    let mut f_off = Ftl::new(zng, &d_off, false);
+    let mut f_mon = new_ftl(&d_mon);
+    let mut f_off = new_ftl(&d_off);
     f_mon.set_health(Some(HealthPolicy::default()));
 
     let (mut t_mon, mut t_off) = (Cycle::ZERO, Cycle::ZERO);
     for &lpn in writes {
         t_mon = f_mon
             .write(t_mon, &mut d_mon, lpn)
+            .map(|w| w.done)
             .map_err(|e| TestCaseError::fail(format!("monitored write failed: {e}")))?;
         t_mon = f_mon
             .health_step(t_mon, &mut d_mon)
             .map_err(|e| TestCaseError::fail(format!("health step failed: {e}")))?;
         t_off = f_off
             .write(t_off, &mut d_off, lpn)
+            .map(|w| w.done)
             .map_err(|e| TestCaseError::fail(format!("plain write failed: {e}")))?;
     }
 
-    let c = f_mon.health_counters();
+    let c = counters(&f_mon);
     prop_assert_eq!(c.suspects_flagged, 0, "healthy die flagged: {:?}", c);
     prop_assert_eq!(c.pages_evacuated, 0, "healthy die evacuated: {:?}", c);
     prop_assert_eq!(c.dead_dies_fenced, 0);
@@ -413,7 +350,7 @@ proptest! {
         crash_at in 0usize..80,
         rain in any::<bool>(),
     ) {
-        check_no_acked_write_lost(true, profile, seed, &writes, crash_at, rain)?;
+        check_no_acked_write_lost(zng, profile, seed, &writes, crash_at, rain)?;
     }
 
     /// Conventional page-map FTL: same headline invariant.
@@ -425,7 +362,7 @@ proptest! {
         crash_at in 0usize..80,
         rain in any::<bool>(),
     ) {
-        check_no_acked_write_lost(false, profile, seed, &writes, crash_at, rain)?;
+        check_no_acked_write_lost(PageMapFtl::new, profile, seed, &writes, crash_at, rain)?;
     }
 
     /// ZnG FTL: a completed evacuation leaves nothing behind — the die
@@ -435,7 +372,7 @@ proptest! {
         seed in 0u64..30,
         writes in prop::collection::vec(0u64..48, 4..60),
     ) {
-        check_evacuation_beats_death(true, seed, &writes)?;
+        check_evacuation_beats_death(zng, seed, &writes)?;
     }
 
     /// Conventional page-map FTL: same invariant.
@@ -444,7 +381,7 @@ proptest! {
         seed in 0u64..30,
         writes in prop::collection::vec(0u64..256, 4..60),
     ) {
-        check_evacuation_beats_death(false, seed, &writes)?;
+        check_evacuation_beats_death(PageMapFtl::new, seed, &writes)?;
     }
 
     /// ZnG FTL: monitoring healthy hardware is free of side effects.
@@ -453,7 +390,7 @@ proptest! {
         seed in 0u64..40,
         writes in prop::collection::vec(0u64..48, 1..80),
     ) {
-        check_inert_on_healthy_device(true, seed, &writes)?;
+        check_inert_on_healthy_device(zng, seed, &writes)?;
     }
 
     /// Conventional page-map FTL: same inertness guarantee.
@@ -462,7 +399,7 @@ proptest! {
         seed in 0u64..40,
         writes in prop::collection::vec(0u64..256, 1..80),
     ) {
-        check_inert_on_healthy_device(false, seed, &writes)?;
+        check_inert_on_healthy_device(PageMapFtl::new, seed, &writes)?;
     }
 }
 
@@ -471,11 +408,17 @@ proptest! {
 /// must report a flagged suspect and a completed evacuation.
 #[test]
 fn evacuation_lane_exercises_the_machinery() {
-    for zng in [true, false] {
-        let writes: Vec<u64> = (0..48).collect();
-        let c = check_evacuation_beats_death(zng, 0, &writes).unwrap();
-        assert!(c.suspects_flagged >= 1, "zng={zng}: {c:?}");
-        assert!(c.evacuations_completed >= 1, "zng={zng}: {c:?}");
-        assert!(c.pages_evacuated >= 1, "zng={zng}: {c:?}");
+    let writes: Vec<u64> = (0..48).collect();
+    for (ftl, c) in [
+        ("zng", check_evacuation_beats_death(zng, 0, &writes)),
+        (
+            "pagemap",
+            check_evacuation_beats_death(PageMapFtl::new, 0, &writes),
+        ),
+    ] {
+        let c = c.unwrap();
+        assert!(c.suspects_flagged >= 1, "{ftl}: {c:?}");
+        assert!(c.evacuations_completed >= 1, "{ftl}: {c:?}");
+        assert!(c.pages_evacuated >= 1, "{ftl}: {c:?}");
     }
 }

@@ -24,7 +24,7 @@
 
 use proptest::prelude::*;
 use zng_flash::{FaultConfig, FlashDevice, FlashGeometry, RegisterTopology};
-use zng_ftl::{Ftl as _, PageMapFtl, RainConfig, WriteMode, ZngFtl};
+use zng_ftl::{Ftl, PageMapFtl, RainConfig, WriteMode, ZngFtl};
 use zng_types::{Cycle, Error, Freq};
 
 fn device(profile: u8, seed: u64) -> FlashDevice {
@@ -43,76 +43,9 @@ fn device(profile: u8, seed: u64) -> FlashDevice {
     d
 }
 
-enum Ftl {
-    Zng(ZngFtl),
-    Map(PageMapFtl),
-}
-
-impl Ftl {
-    fn new(d: &FlashDevice, mode: Option<WriteMode>, rain: bool) -> Ftl {
-        let mut f = match mode {
-            Some(m) => Ftl::Zng(ZngFtl::new(d, 2, m)),
-            None => Ftl::Map(PageMapFtl::new(d)),
-        };
-        match &mut f {
-            Ftl::Zng(z) => {
-                if rain {
-                    z.set_redundancy(d, Some(RainConfig::default()));
-                }
-                z.set_integrity(true);
-            }
-            Ftl::Map(m) => {
-                if rain {
-                    m.set_redundancy(d, Some(RainConfig::default()));
-                }
-                m.set_integrity(true);
-            }
-        }
-        f
-    }
-
-    fn locate(&self, lpn: u64) -> Option<zng_types::FlashAddr> {
-        match self {
-            Ftl::Zng(f) => f.locate(lpn),
-            Ftl::Map(f) => f.translate(lpn),
-        }
-    }
-
-    fn write(&mut self, now: Cycle, d: &mut FlashDevice, lpn: u64) -> zng_types::Result<Cycle> {
-        match self {
-            Ftl::Zng(f) => f.write(now, d, lpn).map(|r| r.done),
-            Ftl::Map(f) => f.write_page(now, d, lpn),
-        }
-    }
-
-    fn read(&mut self, now: Cycle, d: &mut FlashDevice, lpn: u64) -> zng_types::Result<Cycle> {
-        match self {
-            Ftl::Zng(f) => f.read(now, d, lpn, 128),
-            Ftl::Map(f) => f.read_page(now, d, lpn, 128),
-        }
-    }
-
-    fn recover(
-        &mut self,
-        now: Cycle,
-        d: &mut FlashDevice,
-    ) -> zng_types::Result<zng_ftl::RecoveryReport> {
-        match self {
-            Ftl::Zng(f) => f.recover(now, d),
-            Ftl::Map(f) => f.recover(now, d),
-        }
-    }
-
-    fn counters(&self) -> zng_ftl::IntegrityCounters {
-        match self {
-            Ftl::Zng(f) => f.integrity_counters(),
-            Ftl::Map(f) => f.integrity_counters(),
-        }
-    }
-
-    fn is_media_only(&self) -> bool {
-        matches!(self, Ftl::Map(_))
-    }
+/// A `ZngFtl` constructor with two data blocks per log block.
+fn zng(mode: WriteMode) -> impl Fn(&FlashDevice) -> ZngFtl {
+    move |d| ZngFtl::new(d, 2, mode)
 }
 
 /// One read, with the full outcome contract applied: success, a loud
@@ -120,13 +53,13 @@ impl Ftl {
 /// of a corrupt copy (asserted via the post-read mapping when the read
 /// cannot have been satisfied by a register).
 fn checked_read(
-    f: &mut Ftl,
+    f: &mut impl Ftl,
     d: &mut FlashDevice,
     t: Cycle,
     lpn: u64,
     media_only: bool,
 ) -> Result<Cycle, TestCaseError> {
-    match f.read(t, d, lpn) {
+    match f.read(t, d, lpn, 128) {
         Ok(done) => {
             if media_only {
                 if let Some(addr) = f.locate(lpn) {
@@ -150,17 +83,29 @@ fn checked_read(
 /// Drives writes with interleaved corruption injection and verified
 /// reads, cuts power at an arbitrary point, recovers, and checks the
 /// quarantine + no-corrupt-serve invariants on every logical page.
-fn check_integrity(
+/// `media_only` says that every read of the FTL senses the media (no
+/// flash register serves it), as on the page-map FTL.
+#[allow(clippy::too_many_arguments)]
+fn check_integrity<F: Ftl>(
+    new_ftl: impl Fn(&FlashDevice) -> F,
+    media_only: bool,
     profile: u8,
     seed: u64,
     writes: &[u64],
     corrupt_every: usize,
     crash_at: usize,
     rain: bool,
-    mode: Option<WriteMode>,
 ) -> Result<(), TestCaseError> {
+    let build = |d: &FlashDevice| {
+        let mut f = new_ftl(d);
+        if rain {
+            f.set_redundancy(d, Some(RainConfig::default()));
+        }
+        f.set_integrity(true);
+        f
+    };
     let mut d = device(profile, seed);
-    let mut f = Ftl::new(&d, mode, rain);
+    let mut f = build(&d);
 
     // Phase 1: writes up to the crash point; every `corrupt_every`-th
     // write's media copy is silently corrupted, then read back through
@@ -169,7 +114,7 @@ fn check_integrity(
     let mut t = Cycle::ZERO;
     for (i, &lpn) in writes[..crash_at].iter().enumerate() {
         match f.write(t, &mut d, lpn) {
-            Ok(done) => t = done,
+            Ok(w) => t = w.done,
             Err(Error::DeviceWornOut { .. }) => break,
             // A write can fail loudly too: the RMW fetch of a corrupt
             // old copy refuses to fold unverifiable data forward.
@@ -182,7 +127,6 @@ fn check_integrity(
                     let _ = d.mark_page_corrupt(addr);
                 }
             }
-            let media_only = f.is_media_only();
             t = checked_read(&mut f, &mut d, t, lpn, media_only)?;
         }
     }
@@ -202,7 +146,7 @@ fn check_integrity(
     // (it has no older copy to roll back to) but is excluded from the
     // restored-valid set and contained by the verified read path, which
     // phase 3 exercises.
-    if f.is_media_only() {
+    if media_only {
         for &lpn in writes {
             if let Some(addr) = f.locate(lpn) {
                 prop_assert!(
@@ -215,7 +159,7 @@ fn check_integrity(
     // Mappings and counters as recovery left them, before phase-3 reads
     // fault in fresh pages and bump the detection counts.
     let recovered: Vec<_> = writes.iter().map(|&l| (l, f.locate(l))).collect();
-    let counters_at_recovery = f.counters();
+    let counters_at_recovery = f.integrity_counters();
 
     // Phase 3: with the registers gone, every read is a media read — the
     // sharpest form of invariant 1, on both FTLs.
@@ -226,11 +170,11 @@ fn check_integrity(
 
     // Invariant 3: the whole scenario replays deterministically.
     let mut d2 = device(profile, seed);
-    let mut f2 = Ftl::new(&d2, mode, rain);
+    let mut f2 = build(&d2);
     let mut t2 = Cycle::ZERO;
     for (i, &lpn) in writes[..crash_at].iter().enumerate() {
         match f2.write(t2, &mut d2, lpn) {
-            Ok(done) => t2 = done,
+            Ok(w) => t2 = w.done,
             Err(Error::DeviceWornOut { .. }) => break,
             Err(Error::UncorrectableRead { .. } | Error::IntegrityViolation { .. }) => {}
             Err(e) => return Err(TestCaseError::fail(format!("replay write failed: {e}"))),
@@ -241,7 +185,6 @@ fn check_integrity(
                     let _ = d2.mark_page_corrupt(addr);
                 }
             }
-            let media_only = f2.is_media_only();
             t2 = checked_read(&mut f2, &mut d2, t2, lpn, media_only)?;
         }
     }
@@ -251,7 +194,7 @@ fn check_integrity(
         .recover(t2_cut, &mut d2)
         .map_err(|e| TestCaseError::fail(format!("replay recovery failed: {e}")))?;
     prop_assert_eq!(report.corrupt_quarantined, report2.corrupt_quarantined);
-    prop_assert_eq!(counters_at_recovery, f2.counters());
+    prop_assert_eq!(counters_at_recovery, f2.integrity_counters());
     for (lpn, addr) in recovered {
         prop_assert_eq!(
             addr,
@@ -273,8 +216,8 @@ proptest! {
         corrupt_every in 1usize..6,
         crash_at in 0usize..80,
     ) {
-        check_integrity(profile, seed, &writes, corrupt_every, crash_at,
-            false, Some(WriteMode::Direct))?;
+        check_integrity(zng(WriteMode::Direct), false, profile, seed, &writes,
+            corrupt_every, crash_at, false)?;
     }
 
     /// ZnG FTL, direct writes, RAIN on: corrupt reads reconstruct.
@@ -286,8 +229,8 @@ proptest! {
         corrupt_every in 1usize..6,
         crash_at in 0usize..80,
     ) {
-        check_integrity(profile, seed, &writes, corrupt_every, crash_at,
-            true, Some(WriteMode::Direct))?;
+        check_integrity(zng(WriteMode::Direct), false, profile, seed, &writes,
+            corrupt_every, crash_at, true)?;
     }
 
     /// ZnG FTL, buffered (register-grouped) writes, both policies.
@@ -300,8 +243,8 @@ proptest! {
         crash_at in 0usize..80,
         rain in any::<bool>(),
     ) {
-        check_integrity(profile, seed, &writes, corrupt_every, crash_at,
-            rain, Some(WriteMode::Buffered))?;
+        check_integrity(zng(WriteMode::Buffered), false, profile, seed, &writes,
+            corrupt_every, crash_at, rain)?;
     }
 
     /// Conventional page-map FTL: the invariant holds on every read.
@@ -314,8 +257,8 @@ proptest! {
         crash_at in 0usize..80,
         rain in any::<bool>(),
     ) {
-        check_integrity(profile, seed, &writes, corrupt_every, crash_at,
-            rain, None)?;
+        check_integrity(PageMapFtl::new, true, profile, seed, &writes,
+            corrupt_every, crash_at, rain)?;
     }
 }
 
@@ -326,16 +269,14 @@ proptest! {
 fn integrity_off_serves_corruption_silently() {
     let mut d = device(0, 0);
     let mut f = PageMapFtl::new(&d);
-    let mut t = f.write_page(Cycle::ZERO, &mut d, 7).unwrap();
-    let addr = f.translate(7).unwrap();
+    let mut t = f.write(Cycle::ZERO, &mut d, 7).unwrap().done;
+    let addr = f.locate(7).unwrap();
     d.mark_page_corrupt(addr).unwrap();
-    t = f
-        .read_page(t, &mut d, 7, 128)
-        .expect("unverified read serves");
+    t = f.read(t, &mut d, 7, 128).expect("unverified read serves");
     assert!(d.page_is_corrupt(addr), "nothing healed it");
     // Flipping verification on turns the same read into a loud failure.
     f.set_integrity(true);
-    match f.read_page(t, &mut d, 7, 128) {
+    match f.read(t, &mut d, 7, 128) {
         Err(Error::IntegrityViolation { .. }) => {}
         other => panic!("expected IntegrityViolation, got {other:?}"),
     }

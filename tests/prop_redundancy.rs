@@ -8,8 +8,8 @@
 //!    failure stays readable afterwards — degraded reads reconstruct
 //!    from the surviving stripe members, and the mapping still resolves
 //!    to the acked version (OOB key matches, stamp never rolls back).
-//! 2. **Rebuild restores**: after [`ZngFtl::rebuild_dead_die`] /
-//!    [`PageMapFtl::rebuild_dead_die`], every logical page maps to a
+//! 2. **Rebuild restores**: after [`Ftl::rebuild_dead_die`], every
+//!    logical page maps to a
 //!    live die and reads stop touching the dead one.
 //! 3. **Scrub pacing**: a patrol-scrub step never blocks the foreground
 //!    past the configured stall budget, and scrubbing never loses data.
@@ -28,10 +28,10 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use zng_flash::{BlockKind, FaultConfig, FlashDevice, FlashGeometry, RegisterTopology};
-use zng_ftl::{Ftl as _, GcPacing, PageMapFtl, RainConfig, WriteMode, ZngFtl};
+use zng_ftl::{Ftl, GcPacing, PageMapFtl, RainConfig, RainCounters, WriteMode, ZngFtl};
 use zng_types::{
     ids::{ChannelId, DieId},
-    Cycle, Error, FlashAddr, Freq,
+    Cycle, Error, Freq,
 };
 
 fn device(profile: u8, seed: u64) -> FlashDevice {
@@ -50,112 +50,27 @@ fn device(profile: u8, seed: u64) -> FlashDevice {
     d
 }
 
-enum Ftl {
-    Zng(ZngFtl),
-    Map(PageMapFtl),
+/// A `ZngFtl` constructor with two data blocks per log block.
+fn zng(mode: WriteMode) -> impl Fn(&FlashDevice) -> ZngFtl {
+    move |d| ZngFtl::new(d, 2, mode)
 }
 
-impl Ftl {
-    fn new(d: &FlashDevice, mode: Option<WriteMode>, rain: RainConfig) -> Ftl {
-        let mut f = match mode {
-            Some(m) => Ftl::Zng(ZngFtl::new(d, 2, m)),
-            None => Ftl::Map(PageMapFtl::new(d)),
-        };
-        f.set_redundancy(d, Some(rain));
-        f
-    }
+/// `f` with RAIN redundancy installed under `rain`.
+fn with_rain<F: Ftl>(mut f: F, d: &FlashDevice, rain: RainConfig) -> F {
+    f.set_redundancy(d, Some(rain));
+    f
+}
 
-    fn set_redundancy(&mut self, d: &FlashDevice, config: Option<RainConfig>) {
-        match self {
-            Ftl::Zng(f) => f.set_redundancy(d, config),
-            Ftl::Map(f) => f.set_redundancy(d, config),
-        }
-    }
-
-    fn set_pacing(&mut self, pacing: Option<GcPacing>) {
-        match self {
-            Ftl::Zng(f) => f.set_pacing(pacing),
-            Ftl::Map(f) => f.set_pacing(pacing),
-        }
-    }
-
-    fn write(&mut self, now: Cycle, d: &mut FlashDevice, lpn: u64) -> zng_types::Result<Cycle> {
-        match self {
-            Ftl::Zng(f) => f.write(now, d, lpn).map(|r| r.done),
-            Ftl::Map(f) => f.write_page(now, d, lpn),
-        }
-    }
-
-    fn read(&mut self, now: Cycle, d: &mut FlashDevice, lpn: u64) -> zng_types::Result<Cycle> {
-        match self {
-            Ftl::Zng(f) => f.read(now, d, lpn, 128),
-            Ftl::Map(f) => f.read_page(now, d, lpn, 128),
-        }
-    }
-
-    fn locate(&self, lpn: u64) -> Option<FlashAddr> {
-        match self {
-            Ftl::Zng(f) => f.locate(lpn),
-            Ftl::Map(f) => f.translate(lpn),
-        }
-    }
-
-    fn fence_dead_die(&mut self, now: Cycle, d: &mut FlashDevice) -> zng_types::Result<Cycle> {
-        match self {
-            Ftl::Zng(f) => f.fence_dead_die(now, d),
-            Ftl::Map(f) => f.fence_dead_die(now, d),
-        }
-    }
-
-    fn rebuild_dead_die(
-        &mut self,
-        now: Cycle,
-        d: &mut FlashDevice,
-    ) -> zng_types::Result<(Cycle, u64)> {
-        match self {
-            Ftl::Zng(f) => f.rebuild_dead_die(now, d),
-            Ftl::Map(f) => f.rebuild_dead_die(now, d),
-        }
-    }
-
-    fn scrub_step(&mut self, now: Cycle, d: &mut FlashDevice) -> zng_types::Result<Cycle> {
-        match self {
-            Ftl::Zng(f) => f.scrub_step(now, d),
-            Ftl::Map(f) => f.scrub_step(now, d),
-        }
-    }
-
-    fn counters(&self) -> Option<zng_ftl::RainCounters> {
-        match self {
-            Ftl::Zng(f) => f.redundancy().map(|r| r.counters()),
-            Ftl::Map(f) => f.redundancy().map(|r| r.counters()),
-        }
-    }
-
-    fn recover(
-        &mut self,
-        now: Cycle,
-        d: &mut FlashDevice,
-    ) -> zng_types::Result<zng_ftl::RecoveryReport> {
-        match self {
-            Ftl::Zng(f) => f.recover(now, d),
-            Ftl::Map(f) => f.recover(now, d),
-        }
-    }
-
-    fn clone_box(&self) -> Ftl {
-        match self {
-            Ftl::Zng(f) => Ftl::Zng(f.clone()),
-            Ftl::Map(f) => Ftl::Map(f.clone()),
-        }
-    }
+/// The redundancy counters, when redundancy is installed.
+fn counters(f: &impl Ftl) -> Option<RainCounters> {
+    f.redundancy().map(|r| r.counters())
 }
 
 /// No logical page may ever resolve into a parity block: parity is
 /// reconstruction input, never mappable data (a crash that interrupts
 /// parity maintenance must not resurrect it as a winner).
 fn assert_no_parity_mapped(
-    f: &Ftl,
+    f: &impl Ftl,
     d: &FlashDevice,
     lpns: impl Iterator<Item = u64>,
     what: &str,
@@ -176,7 +91,7 @@ fn assert_no_parity_mapped(
 /// Stamp snapshot (`lpn -> seq`) of every acked logical page, taken
 /// through the FTL's own mapping. Pages whose mapping or stamp is
 /// unavailable (register-resident data) are left out.
-fn acked_stamps(f: &Ftl, d: &FlashDevice, acked: &HashMap<u64, u64>) -> HashMap<u64, u64> {
+fn acked_stamps(f: &impl Ftl, d: &FlashDevice, acked: &HashMap<u64, u64>) -> HashMap<u64, u64> {
     acked
         .keys()
         .filter_map(|&lpn| {
@@ -193,7 +108,7 @@ fn acked_stamps(f: &Ftl, d: &FlashDevice, acked: &HashMap<u64, u64>) -> HashMap<
 /// second stripe member, so there only torn-page serving and protocol
 /// errors are failures.
 fn check_readable(
-    f: &mut Ftl,
+    f: &mut impl Ftl,
     d: &mut FlashDevice,
     now: Cycle,
     baseline: &HashMap<u64, u64>,
@@ -212,7 +127,7 @@ fn check_readable(
             got >= seq,
             "{what}: lpn {lpn} rolled back past the acked version ({got} < {seq})"
         );
-        match f.read(now, d, lpn) {
+        match f.read(now, d, lpn, 128) {
             Ok(_) => {}
             Err(Error::UncorrectableRead { .. }) if !strict => {}
             Err(e) => {
@@ -227,26 +142,26 @@ fn check_readable(
 
 /// The full degraded lifecycle: write, fail one die mid-stream, keep
 /// writing in degraded mode, verify, rebuild, verify again.
-fn check_die_failure(
+fn check_die_failure<F: Ftl>(
+    new_ftl: impl Fn(&FlashDevice) -> F,
     profile: u8,
     seed: u64,
     writes: &[u64],
     fail_at: usize,
     ch: u16,
     die: u16,
-    mode: Option<WriteMode>,
 ) -> Result<(), TestCaseError> {
     let strict = profile == 0;
     let mut d = device(profile, seed);
-    let mut f = Ftl::new(&d, mode, RainConfig::default());
+    let mut f = with_rain(new_ftl(&d), &d, RainConfig::default());
 
     let mut acked: HashMap<u64, u64> = HashMap::new();
     let mut t = Cycle::ZERO;
     let fail_at = fail_at.min(writes.len());
     for &lpn in &writes[..fail_at] {
         match f.write(t, &mut d, lpn) {
-            Ok(done) => {
-                t = done;
+            Ok(w) => {
+                t = w.done;
                 *acked.entry(lpn).or_insert(0) += 1;
             }
             Err(Error::DeviceWornOut { .. }) => break,
@@ -270,8 +185,8 @@ fn check_die_failure(
     // allocator fences dead blocks, so only media faults may fail them).
     for &lpn in &writes[fail_at..] {
         match f.write(t, &mut d, lpn) {
-            Ok(done) => {
-                t = done;
+            Ok(w) => {
+                t = w.done;
                 *acked.entry(lpn).or_insert(0) += 1;
             }
             Err(Error::DeviceWornOut { .. }) => break,
@@ -313,7 +228,7 @@ fn check_die_failure(
     if strict {
         let dead_before = d.dead_die_reads();
         for &lpn in baseline.keys() {
-            f.read(t, &mut d, lpn)
+            f.read(t, &mut d, lpn, 128)
                 .map_err(|e| TestCaseError::fail(format!("post-rebuild read failed: {e}")))?;
         }
         prop_assert_eq!(
@@ -328,32 +243,31 @@ fn check_die_failure(
 /// Patrol scrub under a pacing contract: the foreground stall never
 /// exceeds the budget and no scrubbed (possibly rewritten) page loses
 /// its acked version.
-fn check_scrub(
+fn check_scrub<F: Ftl>(
+    new_ftl: impl Fn(&FlashDevice) -> F,
     profile: u8,
     seed: u64,
     writes: &[u64],
     steps: usize,
     threshold: u32,
     budget: u64,
-    mode: Option<WriteMode>,
 ) -> Result<(), TestCaseError> {
     let strict = profile == 0;
     let mut d = device(profile, seed);
     let rain = RainConfig {
         scrub_threshold: threshold,
     };
-    let mut f = Ftl::new(&d, mode, rain);
+    let mut f = with_rain(new_ftl(&d), &d, rain);
     f.set_pacing(Some(GcPacing {
         stall_budget: Cycle(budget),
-        credit_writes: 4,
     }));
 
     let mut acked: HashMap<u64, u64> = HashMap::new();
     let mut t = Cycle::ZERO;
     for &lpn in writes {
         match f.write(t, &mut d, lpn) {
-            Ok(done) => {
-                t = done;
+            Ok(w) => {
+                t = w.done;
                 *acked.entry(lpn).or_insert(0) += 1;
             }
             Err(Error::DeviceWornOut { .. }) => break,
@@ -363,7 +277,7 @@ fn check_scrub(
     }
     let baseline = acked_stamps(&f, &d, &acked);
 
-    let before = f.counters().expect("redundancy installed");
+    let before = counters(&f).expect("redundancy installed");
     for _ in 0..steps {
         let horizon = match f.scrub_step(t, &mut d) {
             Ok(h) => h,
@@ -380,7 +294,7 @@ fn check_scrub(
         );
         t = horizon.max(t) + Cycle(1);
     }
-    let after = f.counters().expect("redundancy installed");
+    let after = counters(&f).expect("redundancy installed");
     prop_assert!(
         after.scrub_scanned >= before.scrub_scanned,
         "scrub counter went backwards"
@@ -393,15 +307,15 @@ fn check_scrub(
 
 /// Two clones of the same device driven through the identical
 /// fail/fence/scrub/rebuild sequence must agree bit-for-bit.
-fn check_determinism(
+fn check_determinism<F: Ftl + Clone>(
+    new_ftl: impl Fn(&FlashDevice) -> F,
     profile: u8,
     seed: u64,
     writes: &[u64],
     fail_at: usize,
     scrub_steps: usize,
-    mode: Option<WriteMode>,
 ) -> Result<(), TestCaseError> {
-    let run = |d: &mut FlashDevice, f: &mut Ftl| -> zng_types::Result<Vec<Cycle>> {
+    let run = |d: &mut FlashDevice, f: &mut F| -> zng_types::Result<Vec<Cycle>> {
         let mut trace = Vec::new();
         let mut t = Cycle::ZERO;
         let fail_at = fail_at.min(writes.len());
@@ -412,7 +326,7 @@ fn check_determinism(
                 trace.push(t);
             }
             match f.write(t, d, lpn) {
-                Ok(done) => t = done,
+                Ok(w) => t = w.done,
                 Err(Error::DeviceWornOut { .. }) => break,
                 Err(Error::UncorrectableRead { .. }) => {}
                 Err(e) => return Err(e),
@@ -434,16 +348,16 @@ fn check_determinism(
     };
 
     let mut d1 = device(profile, seed);
-    let mut f1 = Ftl::new(&d1, mode, RainConfig::default());
+    let mut f1 = with_rain(new_ftl(&d1), &d1, RainConfig::default());
     let mut d2 = d1.clone();
-    let mut f2 = f1.clone_box();
+    let mut f2 = f1.clone();
 
     let t1 = run(&mut d1, &mut f1);
     let t2 = run(&mut d2, &mut f2);
     match (t1, t2) {
         (Ok(a), Ok(b)) => {
             prop_assert_eq!(a, b, "degraded lifecycle timings diverged");
-            prop_assert_eq!(f1.counters(), f2.counters(), "counters diverged");
+            prop_assert_eq!(counters(&f1), counters(&f2), "counters diverged");
             for &lpn in writes {
                 prop_assert_eq!(f1.locate(lpn), f2.locate(lpn), "mapping diverged");
             }
@@ -470,23 +384,20 @@ fn check_determinism(
 
 /// With redundancy off the write path must be exactly the old one: no
 /// parity blocks, no redundancy state, and bit-identical repeat runs.
-fn check_off_is_inert(
+fn check_off_is_inert<F: Ftl>(
+    new_ftl: impl Fn(&FlashDevice) -> F,
     profile: u8,
     seed: u64,
     writes: &[u64],
-    mode: Option<WriteMode>,
 ) -> Result<(), TestCaseError> {
-    let run = |writes: &[u64]| -> (Vec<Cycle>, FlashDevice, Ftl) {
+    let run = |writes: &[u64]| -> (Vec<Cycle>, FlashDevice, F) {
         let mut d = device(profile, seed);
-        let mut f = match mode {
-            Some(m) => Ftl::Zng(ZngFtl::new(&d, 2, m)),
-            None => Ftl::Map(PageMapFtl::new(&d)),
-        };
+        let mut f = new_ftl(&d);
         let mut trace = Vec::new();
         let mut t = Cycle::ZERO;
         for &lpn in writes {
             match f.write(t, &mut d, lpn) {
-                Ok(done) => t = done,
+                Ok(w) => t = w.done,
                 Err(Error::DeviceWornOut { .. }) => break,
                 Err(_) => {}
             }
@@ -497,7 +408,7 @@ fn check_off_is_inert(
     let (trace1, d1, f1) = run(writes);
     let (trace2, d2, _f2) = run(writes);
     prop_assert_eq!(trace1, trace2, "redundancy-off run is not deterministic");
-    prop_assert!(f1.counters().is_none(), "redundancy state grew unasked");
+    prop_assert!(f1.redundancy().is_none(), "redundancy state grew unasked");
     let geo = *d1.geometry();
     for idx in 0..geo.total_blocks() as u64 {
         let addr = geo.block_for_index(idx).expect("valid index");
@@ -519,27 +430,27 @@ fn check_off_is_inert(
 /// relocations must tear away cleanly — after OOB-scan recovery every
 /// settled write is still readable at no older a version, and no stale
 /// parity is resurrected as data.
-fn check_crash_mid_scrub(
+fn check_crash_mid_scrub<F: Ftl>(
+    new_ftl: impl Fn(&FlashDevice) -> F,
     profile: u8,
     seed: u64,
     writes: &[u64],
     threshold: u32,
     cut_pct: u64,
-    mode: Option<WriteMode>,
 ) -> Result<(), TestCaseError> {
     let strict = profile == 0;
     let mut d = device(profile, seed);
     let rain = RainConfig {
         scrub_threshold: threshold,
     };
-    let mut f = Ftl::new(&d, mode, rain);
+    let mut f = with_rain(new_ftl(&d), &d, rain);
 
     let mut acked: HashMap<u64, u64> = HashMap::new();
     let mut t = Cycle::ZERO;
     for &lpn in writes {
         match f.write(t, &mut d, lpn) {
-            Ok(done) => {
-                t = done;
+            Ok(w) => {
+                t = w.done;
                 *acked.entry(lpn).or_insert(0) += 1;
             }
             Err(Error::DeviceWornOut { .. }) => break,
@@ -572,25 +483,25 @@ fn check_crash_mid_scrub(
 /// A power cut in the middle of a dead-die rebuild: half-recreated
 /// spare copies tear away, the originals (reconstructable from the
 /// surviving members) win again, and no parity block is mapped as data.
-fn check_crash_mid_rebuild(
+fn check_crash_mid_rebuild<F: Ftl>(
+    new_ftl: impl Fn(&FlashDevice) -> F,
     profile: u8,
     seed: u64,
     writes: &[u64],
     fail_at: usize,
     cut_pct: u64,
-    mode: Option<WriteMode>,
 ) -> Result<(), TestCaseError> {
     let strict = profile == 0;
     let mut d = device(profile, seed);
-    let mut f = Ftl::new(&d, mode, RainConfig::default());
+    let mut f = with_rain(new_ftl(&d), &d, RainConfig::default());
 
     let mut acked: HashMap<u64, u64> = HashMap::new();
     let mut t = Cycle::ZERO;
     let fail_at = fail_at.min(writes.len());
     for &lpn in &writes[..fail_at] {
         match f.write(t, &mut d, lpn) {
-            Ok(done) => {
-                t = done;
+            Ok(w) => {
+                t = w.done;
                 *acked.entry(lpn).or_insert(0) += 1;
             }
             Err(Error::DeviceWornOut { .. }) => break,
@@ -656,7 +567,7 @@ fn check_crash_mid_rebuild(
             got >= seq,
             "mid-rebuild cut: lpn {lpn} rolled back past the acked version ({got} < {seq})"
         );
-        match f.read(t_after, &mut d, lpn) {
+        match f.read(t_after, &mut d, lpn, 128) {
             Ok(_) => {}
             Err(Error::UncorrectableRead { .. }) if !strict => {}
             Err(e) => {
@@ -681,7 +592,7 @@ proptest! {
         ch in 0u16..4,
         die in 0u16..2,
     ) {
-        check_die_failure(profile, seed, &writes, fail_at, ch, die, Some(WriteMode::Direct))?;
+        check_die_failure(zng(WriteMode::Direct), profile, seed, &writes, fail_at, ch, die)?;
     }
 
     /// Conventional page-map FTL: same single-die-failure guarantee.
@@ -694,7 +605,7 @@ proptest! {
         ch in 0u16..4,
         die in 0u16..2,
     ) {
-        check_die_failure(profile, seed, &writes, fail_at, ch, die, None)?;
+        check_die_failure(PageMapFtl::new, profile, seed, &writes, fail_at, ch, die)?;
     }
 
     /// ZnG FTL: patrol scrub respects the pacing budget and loses
@@ -708,7 +619,7 @@ proptest! {
         threshold in 0u32..4,
         budget in 1_000u64..80_000,
     ) {
-        check_scrub(profile, seed, &writes, steps, threshold, budget, Some(WriteMode::Direct))?;
+        check_scrub(zng(WriteMode::Direct), profile, seed, &writes, steps, threshold, budget)?;
     }
 
     /// Page-map FTL: same scrub pacing contract.
@@ -721,7 +632,7 @@ proptest! {
         threshold in 0u32..4,
         budget in 1_000u64..80_000,
     ) {
-        check_scrub(profile, seed, &writes, steps, threshold, budget, None)?;
+        check_scrub(PageMapFtl::new, profile, seed, &writes, steps, threshold, budget)?;
     }
 
     /// The degraded lifecycle is bit-deterministic on both FTLs (the
@@ -735,12 +646,11 @@ proptest! {
         scrub_steps in 0usize..8,
         flavor in 0u8..3,
     ) {
-        let mode = match flavor {
-            0 => Some(WriteMode::Direct),
-            1 => Some(WriteMode::Buffered),
-            _ => None,
-        };
-        check_determinism(profile, seed, &writes, fail_at, scrub_steps, mode)?;
+        match flavor {
+            0 => check_determinism(zng(WriteMode::Direct), profile, seed, &writes, fail_at, scrub_steps)?,
+            1 => check_determinism(zng(WriteMode::Buffered), profile, seed, &writes, fail_at, scrub_steps)?,
+            _ => check_determinism(PageMapFtl::new, profile, seed, &writes, fail_at, scrub_steps)?,
+        }
     }
 
     /// A crash in the middle of a patrol-scrub step loses no acked
@@ -755,10 +665,10 @@ proptest! {
         flavor in 0u8..2,
     ) {
         let mode = match flavor {
-            0 => Some(WriteMode::Direct),
-            _ => Some(WriteMode::Buffered),
+            0 => WriteMode::Direct,
+            _ => WriteMode::Buffered,
         };
-        check_crash_mid_scrub(profile, seed, &writes, threshold, cut_pct, mode)?;
+        check_crash_mid_scrub(zng(mode), profile, seed, &writes, threshold, cut_pct)?;
     }
 
     /// Page-map FTL: same mid-scrub crash contract.
@@ -770,7 +680,7 @@ proptest! {
         threshold in 0u32..4,
         cut_pct in 0u64..100,
     ) {
-        check_crash_mid_scrub(profile, seed, &writes, threshold, cut_pct, None)?;
+        check_crash_mid_scrub(PageMapFtl::new, profile, seed, &writes, threshold, cut_pct)?;
     }
 
     /// A crash in the middle of a dead-die rebuild: the half-built
@@ -783,7 +693,7 @@ proptest! {
         fail_at in 0usize..48,
         cut_pct in 0u64..100,
     ) {
-        check_crash_mid_rebuild(profile, seed, &writes, fail_at, cut_pct, Some(WriteMode::Direct))?;
+        check_crash_mid_rebuild(zng(WriteMode::Direct), profile, seed, &writes, fail_at, cut_pct)?;
     }
 
     /// Page-map FTL: same mid-rebuild crash contract.
@@ -795,7 +705,7 @@ proptest! {
         fail_at in 0usize..48,
         cut_pct in 0u64..100,
     ) {
-        check_crash_mid_rebuild(profile, seed, &writes, fail_at, cut_pct, None)?;
+        check_crash_mid_rebuild(PageMapFtl::new, profile, seed, &writes, fail_at, cut_pct)?;
     }
 
     /// Redundancy off = the previous write path, bit for bit.
@@ -806,11 +716,10 @@ proptest! {
         writes in prop::collection::vec(0u64..48, 1..60),
         flavor in 0u8..3,
     ) {
-        let mode = match flavor {
-            0 => Some(WriteMode::Direct),
-            1 => Some(WriteMode::Buffered),
-            _ => None,
-        };
-        check_off_is_inert(profile, seed, &writes, mode)?;
+        match flavor {
+            0 => check_off_is_inert(zng(WriteMode::Direct), profile, seed, &writes)?,
+            1 => check_off_is_inert(zng(WriteMode::Buffered), profile, seed, &writes)?,
+            _ => check_off_is_inert(PageMapFtl::new, profile, seed, &writes)?,
+        }
     }
 }
