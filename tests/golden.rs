@@ -610,3 +610,55 @@ fn paced_maint_library_runs_match_golden() {
         "library paced maintenance runs",
     );
 }
+
+/// Full ZnG's thrashing redirection (paper §III-C) in Fig. 13's regime:
+/// NiF-grouped registers with two per plane, so the register pools
+/// thrash, overflow writes pin dirty L2 lines and later drain back to
+/// the registers. No other golden redirects a write. Both cases run the
+/// `bfs3-FDT` mix through the library on `SimConfig::tiny()`:
+///
+/// - `redirect_short`: the smallest run found that redirects and drains;
+/// - `redirect_long`: five times the ops, so lines that are already
+///   pinned are pinned again.
+///
+/// In both, GC invalidates pinned lines of the pages it merges.
+///
+/// Regenerate with `ZNG_BLESS=1 cargo test --test golden
+/// redirection_library_runs_match_golden`.
+#[test]
+fn redirection_library_runs_match_golden() {
+    use zng::{Experiment, PlatformKind, RegisterTopology, SimConfig, TraceParams};
+    use zng_json::Value;
+
+    let runs = [("redirect_short", 60), ("redirect_long", 300)]
+        .into_iter()
+        .map(|(name, ops)| {
+            let mut cfg = SimConfig::tiny();
+            cfg.flash.registers_per_plane = 2;
+            cfg.register_topology = RegisterTopology::NiF;
+            let r = Experiment::quick()
+                .with_config(cfg)
+                .with_params(TraceParams {
+                    total_warps: 32,
+                    mem_ops_per_warp: ops,
+                    footprint_pages: 256,
+                    seed: 42,
+                })
+                .run(PlatformKind::Zng, &["bfs3", "FDT"])
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(r.redirected_writes > 0, "{name}: no write was redirected");
+            (name, r.to_json_value())
+        })
+        .collect();
+    let mut got = Value::object(runs).to_string_pretty();
+    got.push('\n');
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_redirect_library.json");
+    if std::env::var_os("ZNG_BLESS").is_some() {
+        std::fs::write(&path, &got).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    }
+    assert_bytes_match(
+        got.as_bytes(),
+        &golden("run_redirect_library.json"),
+        "library redirection runs",
+    );
+}
