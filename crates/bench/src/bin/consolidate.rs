@@ -67,8 +67,14 @@ fn main() -> ExitCode {
             .unwrap_or_default();
         quick |= record["quick_mode"].as_bool().unwrap_or(false);
         let mut entry = vec![("title", record["title"].clone())];
-        entry.push(("headline_label", record["headline_label"].clone()));
-        entry.push(("headline", record["headline"].clone()));
+        // A table with no numeric cell (a configuration listing) has no
+        // headline to track: it is marked non-metric instead.
+        if record["headline"].as_f64().is_none() {
+            entry.push(("metric", Value::from(false)));
+        } else {
+            entry.push(("headline_label", record["headline_label"].clone()));
+            entry.push(("headline", record["headline"].clone()));
+        }
         // Per-bench wall-clock metadata (from the bench process's own
         // stopwatch): tracked so harness speedups show up in one diff,
         // but kept out of the headline values.

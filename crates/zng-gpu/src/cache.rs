@@ -87,7 +87,8 @@ pub struct SetAssocCache {
     tick: u64,
     hits: u64,
     misses: u64,
-    evictions: u64,
+    /// Lines whose pin bit is set, kept exact wherever a pin bit changes.
+    pinned: usize,
     set_shift: u32,
     set_mask: u64,
 }
@@ -115,7 +116,7 @@ impl SetAssocCache {
             tick: 0,
             hits: 0,
             misses: 0,
-            evictions: 0,
+            pinned: 0,
             set_shift: geo.line_bytes.trailing_zeros(),
             set_mask: (geo.sets - 1) as u64,
         }
@@ -201,7 +202,6 @@ impl SetAssocCache {
         let slot = victim?;
         let old = self.lines[slot];
         let evicted = if old.valid {
-            self.evictions += 1;
             Some(EvictedLine {
                 addr: self.line_addr(set, old.tag),
                 dirty: old.dirty,
@@ -272,6 +272,7 @@ impl SetAssocCache {
                     // bad data for an eventual write-back; refuse.
                     return false;
                 }
+                self.pinned += usize::from(!line.pinned);
                 line.dirty = true;
                 line.pinned = true;
                 return true;
@@ -290,26 +291,30 @@ impl SetAssocCache {
                 if self.lines[i].valid && self.lines[i].pinned {
                     if self.lines[i].dirty {
                         if dirty.len() >= max {
-                            return self.finish_unpin(dirty);
+                            return dirty;
                         }
                         dirty.push(self.line_addr(set, self.lines[i].tag));
                     }
                     self.lines[i].pinned = false;
                     self.lines[i].dirty = false;
+                    self.pinned -= 1;
                 }
             }
         }
-        self.finish_unpin(dirty)
+        dirty
     }
 
-    fn finish_unpin(&self, mut dirty: Vec<u64>) -> Vec<u64> {
-        dirty.sort_unstable();
-        dirty
+    /// Whether `addr`'s line is resident and pinned.
+    pub fn is_pinned(&self, addr: u64) -> bool {
+        let set = self.set_of(addr);
+        let tag = self.tag_of(addr);
+        self.slot_range(set)
+            .any(|i| self.lines[i].valid && self.lines[i].tag == tag && self.lines[i].pinned)
     }
 
     /// Number of currently pinned lines.
     pub fn pinned(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid && l.pinned).count()
+        self.pinned
     }
 
     /// Invalidates `addr`'s line; returns whether it was dirty.
@@ -319,6 +324,7 @@ impl SetAssocCache {
         for i in self.slot_range(set) {
             let line = &mut self.lines[i];
             if line.valid && line.tag == tag {
+                self.pinned -= usize::from(line.pinned);
                 line.valid = false;
                 line.pinned = false;
                 line.poison = false;
@@ -340,12 +346,8 @@ impl SetAssocCache {
             }
             *line = Line::default();
         }
+        self.pinned = 0;
         lost
-    }
-
-    /// The cache's shape.
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geo
     }
 
     /// Demand hits.
@@ -356,11 +358,6 @@ impl SetAssocCache {
     /// Demand misses.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Evictions of valid lines.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Demand hit rate (0.0 if never accessed).

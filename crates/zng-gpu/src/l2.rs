@@ -145,11 +145,6 @@ impl L2Cache {
         self.banks[bank].poison_line(addr)
     }
 
-    /// Whether `addr`'s line is resident and poisoned.
-    pub fn is_poisoned(&self, addr: u64) -> bool {
-        self.banks[self.bank_of(addr).index()].is_poisoned(addr)
-    }
-
     /// Currently poisoned lines across all banks.
     pub fn poisoned(&self) -> usize {
         self.banks.iter().map(|b| b.poisoned()).sum()
@@ -226,11 +221,6 @@ impl L2Cache {
     /// Prefetch line fills.
     pub fn prefetch_fills(&self) -> u64 {
         self.prefetch_fills
-    }
-
-    /// The storage technology.
-    pub fn tech(&self) -> L2Technology {
-        self.tech
     }
 
     /// Line size in bytes.
@@ -331,7 +321,6 @@ mod tests {
         let mut c = l2();
         c.fill_line(Cycle(0), 0, false, AppId(0));
         assert!(c.poison_line(0));
-        assert!(c.is_poisoned(0));
         assert_eq!(c.poisoned(), 1);
         // A poisoned line still *hits* (the consumer checks the bit and
         // faults), never dirties, and drops cleanly on power loss.
@@ -340,7 +329,6 @@ mod tests {
         assert!(!c.pin_dirty(0));
         assert_eq!(c.power_loss(), 1);
         assert_eq!(c.poisoned(), 0);
-        assert!(!c.is_poisoned(0));
     }
 
     #[test]

@@ -20,9 +20,9 @@ use zng_gpu::{
 use zng_sim::{CrashSwitch, PatrolTicker, Percentiles, TimeSeries};
 use zng_types::{
     ids::{AppId, Pc, SmId, WarpId},
-    AccessKind, Cycle, Error, Freq, Result,
+    AccessKind, Cycle, Error, Result,
 };
-use zng_workloads::MultiApp;
+use zng_workloads::{generator::app_of, MultiApp};
 
 use crate::backend::Backend;
 use crate::config::{PlatformKind, SimConfig};
@@ -40,7 +40,7 @@ const SERIES_INTERVAL: Cycle = Cycle(12_000);
 const REDIRECT_PROBE: u64 = 8;
 /// "A few L2 cache space" (paper §III-C): at most this many lines may be
 /// pinned for redirected dirty data.
-const REDIRECT_CAP: u64 = 4096;
+const REDIRECT_CAP: usize = 4096;
 /// Redirected lines drained back to the registers per drain opportunity.
 const DRAIN_CHUNK: usize = 256;
 
@@ -88,13 +88,22 @@ impl Trigger {
     }
 }
 
+/// A hold on one app's memory requests.
+#[derive(Debug, Default)]
+struct Hold {
+    /// The app's memory requests wait until this cycle.
+    until: Cycle,
+    /// Foreground stalls left before a paced GC releases the app early
+    /// (`None`: the hold always runs in full).
+    credit: Option<u64>,
+}
+
 /// One platform instance ready to run workloads.
 #[derive(Debug)]
 pub struct Simulation {
     kind: PlatformKind,
     /// The configuration the platform was built from.
     cfg: SimConfig,
-    freq: Freq,
     sms: Vec<Sm>,
     mmu: Mmu,
     l2: L2Cache,
@@ -102,14 +111,13 @@ pub struct Simulation {
     backend: Backend,
     predictor: Predictor,
     monitor: AccessMonitor,
-    policy: PrefetchPolicy,
     page_mshr: Mshr,
-    page_bytes: usize,
-    app_blocked_until: FxHashMap<u16, Cycle>,
+    /// Per-app holds on memory requests (GC of the app's blocks, or
+    /// device-wide maintenance), keyed by app id.
+    holds: FxHashMap<u16, Hold>,
     redirected_writes: u64,
     write_probe: u64,
     thrash_mode: bool,
-    pinned_dirty: u64,
     /// The configured maintenance steps, in poll order, each with its
     /// trigger.
     tasks: Vec<(Task, Trigger)>,
@@ -125,8 +133,6 @@ pub struct Simulation {
     pinned_overflow_stalls: u64,
     /// Paced GCs whose stall credit ran out, releasing the victim early.
     gc_credit_exhausted: u64,
-    /// Remaining foreground-stall credit per victim app (GC pacing).
-    gc_credits: FxHashMap<u16, u64>,
     /// L2 lines poisoned after unrecoverable integrity violations.
     poisoned_lines: u64,
     /// Writes refused after end-of-life capacity degradation (the
@@ -146,7 +152,6 @@ impl Simulation {
     /// Propagates configuration validation errors.
     pub fn new(kind: PlatformKind, cfg: &SimConfig) -> Result<Simulation> {
         cfg.validate()?;
-        let freq = cfg.gpu.freq;
         // rdopt platforms swap the L2 for the 4x STT-MRAM, read-only.
         let mut gpu_cfg: GpuConfig = cfg.gpu;
         if kind.has_rdopt() {
@@ -157,13 +162,8 @@ impl Simulation {
         if kind.has_rdopt() {
             l2.set_read_only(true);
         }
-        let policy = if kind.has_rdopt() {
-            cfg.prefetch_policy
-        } else {
-            PrefetchPolicy::None
-        };
         let (hi, lo) = cfg.monitor_thresholds;
-        let mut backend = Backend::new(kind, cfg, freq)?;
+        let mut backend = Backend::new(kind, cfg, cfg.gpu.freq)?;
         if let Some(ch) = cfg.redundancy.link_fail {
             // A severed link is a boot-time condition: every transfer on
             // that channel detours for the whole run.
@@ -189,7 +189,6 @@ impl Simulation {
         Ok(Simulation {
             kind,
             cfg: *cfg,
-            freq,
             sms: (0..gpu_cfg.sms)
                 .map(|i| Sm::new(SmId(i as u16), &gpu_cfg))
                 .collect(),
@@ -199,30 +198,21 @@ impl Simulation {
             backend,
             predictor: Predictor::new(),
             monitor: AccessMonitor::new(hi, lo),
-            policy,
             page_mshr: Mshr::new(256),
-            page_bytes: cfg.flash.page_bytes,
-            app_blocked_until: FxHashMap::default(),
+            holds: FxHashMap::default(),
             redirected_writes: 0,
             write_probe: 0,
             thrash_mode: false,
-            pinned_dirty: 0,
             tasks,
             crash_summary: None,
             qos_retried: 0,
             qos_budget_exhausted: 0,
             pinned_overflow_stalls: 0,
             gc_credit_exhausted: 0,
-            gc_credits: FxHashMap::default(),
             poisoned_lines: 0,
             writes_refused: 0,
             retry_lane: true,
         })
-    }
-
-    /// The platform being simulated.
-    pub fn kind(&self) -> PlatformKind {
-        self.kind
     }
 
     /// Runs `mix` to completion and returns the metrics.
@@ -262,25 +252,24 @@ impl Simulation {
             queue.schedule(Cycle::ZERO, Cycle::ZERO, i);
         }
         // Exact latency percentiles store every sample; only pay for
-        // them when a bounded QoS policy will report them.
-        let mut read_pct = (!self.cfg.qos.is_unbounded()).then(Percentiles::new);
-        let mut write_pct = (!self.cfg.qos.is_unbounded()).then(Percentiles::new);
+        // them when a bounded QoS policy will report them. Indexed by
+        // access kind.
+        let mut pct: [Option<Percentiles>; 2] =
+            std::array::from_fn(|_| (!self.cfg.qos.is_unbounded()).then(Percentiles::new));
 
         let mut last_cycle = Cycle::ZERO;
         let mut requests: u64 = 0;
-        let (mut read_lat_sum, mut read_lat_n) = (0u64, 0u64);
-        let (mut write_lat_sum, mut write_lat_n) = (0u64, 0u64);
-        // Per-app accumulators, indexed by app id; apps of the mix have
-        // a series, and only they issue requests.
+        // Each serviced request is tallied once, as a latency `(sum, n)`
+        // per app and access kind; the result's latency means and
+        // per-app request counts all derive from it. Indexed by app id;
+        // apps of the mix have a series, and only they issue requests.
         let app_slots = mix
             .apps
             .iter()
             .map(|(_, app, _)| app.index() + 1)
             .max()
             .unwrap_or(0);
-        let mut per_app_read_lat = vec![(0u64, 0u64); app_slots];
-        let mut per_app_write_lat = vec![(0u64, 0u64); app_slots];
-        let mut per_app_requests = vec![0u64; app_slots];
+        let mut tally = vec![[(0u64, 0u64); 2]; app_slots];
         let mut series: Vec<Option<TimeSeries>> = vec![None; app_slots];
         for (_, app, _) in &mix.apps {
             series[app.index()] = Some(TimeSeries::new(SERIES_INTERVAL));
@@ -331,14 +320,17 @@ impl Simulation {
                     // The round's first event would check the watchdog and
                     // poll maintenance before anything else; do both now, so
                     // the skip sees the state that event would.
-                    Self::watchdog_check(self.cfg.watchdog, now, last_progress)?;
-                    if requests != polled_requests {
-                        polled_requests = requests;
-                        self.poll_maintenance(now, requests, mix, &mut perf_maint)?;
-                    }
-                    let held = &self.app_blocked_until;
+                    self.poll(
+                        now,
+                        last_progress,
+                        requests,
+                        &mut polled_requests,
+                        mix,
+                        &mut perf_maint,
+                    )?;
+                    let holds = &self.holds;
                     if queue.all_retry_apps(|app| {
-                        held.get(&app).is_none_or(|&until| until <= now)
+                        holds.get(&app).is_none_or(|h| h.until <= now)
                             && f.still_closed(app, &self.cfg.qos, self.cfg.qos.fair_window)
                     }) {
                         // The watchdog trips on the first cycle more than
@@ -360,11 +352,14 @@ impl Simulation {
             queue.pop_round(now, &mut batch);
             for &idx in &batch {
                 perf_events += 1;
-                Self::watchdog_check(self.cfg.watchdog, now, last_progress)?;
-                if requests != polled_requests {
-                    polled_requests = requests;
-                    self.poll_maintenance(now, requests, mix, &mut perf_maint)?;
-                }
+                self.poll(
+                    now,
+                    last_progress,
+                    requests,
+                    &mut polled_requests,
+                    mix,
+                    &mut perf_maint,
+                )?;
                 if warps[idx].is_done() {
                     perf_skipped += 1;
                     continue;
@@ -375,30 +370,25 @@ impl Simulation {
                 // thread finishes. Blocking at the event level (rather than
                 // deferring the request to a future timestamp) keeps shared
                 // resources causally reserved.
-                if let Some(&until) = self.app_blocked_until.get(&app.raw()) {
-                    if until > now && matches!(warps[idx].current_op(), Some(WarpOp::Mem { .. })) {
+                if let Some(hold) = self.holds.get_mut(&app.raw()) {
+                    if hold.until > now
+                        && matches!(warps[idx].current_op(), Some(WarpOp::Mem { .. }))
+                    {
                         // GC pacing credit: every stalled foreground event
                         // burns one of the merge's credits; when they run out
                         // the victim is released early rather than waiting
-                        // for the whole merge (crash-resume blocking carries
-                        // no credit entry and always waits in full).
-                        match self.gc_credits.get_mut(&app.raw()) {
-                            Some(credit) if *credit == 0 => {
-                                self.app_blocked_until.remove(&app.raw());
-                                self.gc_credits.remove(&app.raw());
-                                self.gc_credit_exhausted += 1;
-                            }
-                            Some(credit) => {
+                        // for the whole merge (a hold without credit always
+                        // waits in full).
+                        if hold.credit == Some(0) {
+                            self.holds.remove(&app.raw());
+                            self.gc_credit_exhausted += 1;
+                        } else {
+                            if let Some(credit) = hold.credit.as_mut() {
                                 *credit -= 1;
-                                perf_blocked += 1;
-                                queue.schedule(now, until, idx);
-                                continue;
                             }
-                            None => {
-                                perf_blocked += 1;
-                                queue.schedule(now, until, idx);
-                                continue;
-                            }
+                            perf_blocked += 1;
+                            queue.schedule(now, hold.until, idx);
+                            continue;
                         }
                     }
                 }
@@ -416,20 +406,10 @@ impl Simulation {
                     }
                 }
                 let sm_idx = idx % sm_count;
-                let op = warps[idx].current_op().expect("warp not done");
-                match op {
+                let done = match warps[idx].current_op().expect("warp not done") {
                     WarpOp::Compute(n) => {
                         perf_compute += 1;
-                        let t = self.sms[sm_idx].issue(now, n);
-                        warps[idx].retire_op();
-                        if warps[idx].is_done() {
-                            if let Some(f) = fair.as_mut() {
-                                f.warp_done(app.raw());
-                            }
-                        }
-                        warps[idx].ready_at = t;
-                        last_cycle = last_cycle.max(t);
-                        queue.schedule(now, t, idx);
+                        self.sms[sm_idx].issue(now, n)
                     }
                     WarpOp::Mem {
                         base,
@@ -447,27 +427,11 @@ impl Simulation {
                             let t =
                                 self.service(t_issue, sm_idx, sector, kind, app, pc, warp_id)?;
                             let lat = t.saturating_since(t_issue).raw();
-                            match kind {
-                                AccessKind::Read => {
-                                    read_lat_sum += lat;
-                                    read_lat_n += 1;
-                                    let e = &mut per_app_read_lat[app.index()];
-                                    e.0 += lat;
-                                    e.1 += 1;
-                                    if let Some(p) = read_pct.as_mut() {
-                                        p.record(lat);
-                                    }
-                                }
-                                AccessKind::Write => {
-                                    write_lat_sum += lat;
-                                    write_lat_n += 1;
-                                    let e = &mut per_app_write_lat[app.index()];
-                                    e.0 += lat;
-                                    e.1 += 1;
-                                    if let Some(p) = write_pct.as_mut() {
-                                        p.record(lat);
-                                    }
-                                }
+                            let e = &mut tally[app.index()][kind as usize];
+                            e.0 += lat;
+                            e.1 += 1;
+                            if let Some(p) = pct[kind as usize].as_mut() {
+                                p.record(lat);
                             }
                             if let Some(f) = fair.as_mut() {
                                 f.record(app.raw());
@@ -475,22 +439,22 @@ impl Simulation {
                             done = done.max(t);
                             requests += 1;
                             last_progress = last_progress.max(t);
-                            per_app_requests[app.index()] += 1;
                             if let Some(s) = series[app.index()].as_mut() {
                                 s.record(t_issue, 1);
                             }
                         }
-                        warps[idx].retire_op();
-                        if warps[idx].is_done() {
-                            if let Some(f) = fair.as_mut() {
-                                f.warp_done(app.raw());
-                            }
-                        }
-                        warps[idx].ready_at = done;
-                        last_cycle = last_cycle.max(done);
-                        queue.schedule(now, done, idx);
+                        done
+                    }
+                };
+                warps[idx].retire_op();
+                if warps[idx].is_done() {
+                    if let Some(f) = fair.as_mut() {
+                        f.warp_done(app.raw());
                     }
                 }
+                warps[idx].ready_at = done;
+                last_cycle = last_cycle.max(done);
+                queue.schedule(now, done, idx);
             }
         }
 
@@ -521,19 +485,25 @@ impl Simulation {
         let stats = device.map(|d| d.stats());
         let zng = self.backend.zng_ftl();
 
-        // Apps with at least one sample, as the ordered maps of the result.
-        let mean = |m: &[(u64, u64)]| -> BTreeMap<u16, f64> {
+        // Latency means of `kind`: per app with at least one sample, as
+        // the ordered map of the result, and over all apps.
+        let per_app_mean = |kind: AccessKind| -> BTreeMap<u16, f64> {
             (0u16..)
-                .zip(m)
-                .filter(|(_, &(_, n))| n > 0)
-                .map(|(a, &(sum, n))| (a, sum as f64 / n as f64))
+                .zip(&tally)
+                .map(|(a, t)| (a, t[kind as usize]))
+                .filter(|&(_, (_, n))| n > 0)
+                .map(|(a, (sum, n))| (a, sum as f64 / n as f64))
                 .collect()
         };
-        let per_app_requests: BTreeMap<u16, u64> = (0u16..)
-            .zip(&series)
-            .filter(|(_, s)| s.is_some())
-            .map(|(a, _)| (a, per_app_requests[a as usize]))
-            .collect();
+        let mean = |kind: AccessKind| {
+            let (sum, n) = tally
+                .iter()
+                .map(|t| t[kind as usize])
+                .fold((0, 0), |(s, n), (ds, dn)| (s + ds, n + dn));
+            sum as f64 / n.max(1) as f64
+        };
+        let mut percentile =
+            |kind: AccessKind, q: f64| pct[kind as usize].as_mut().map_or(0, |p| p.percentile(q));
         let qos = (!self.cfg.qos.is_unbounded()).then(|| QosSummary {
             rejected: self.backend.qos_rejections(),
             retried: self.qos_retried,
@@ -547,12 +517,12 @@ impl Simulation {
             fairness_throttles: fair.as_ref().map(FairShare::throttles).unwrap_or(0),
             max_service_lag: fair.as_ref().map(FairShare::max_lag).unwrap_or(0),
             max_queue_occupancy: self.backend.qos_max_occupancy(),
-            read_p50: read_pct.as_mut().map(|p| p.percentile(0.50)).unwrap_or(0),
-            read_p95: read_pct.as_mut().map(|p| p.percentile(0.95)).unwrap_or(0),
-            read_p99: read_pct.as_mut().map(|p| p.percentile(0.99)).unwrap_or(0),
-            write_p50: write_pct.as_mut().map(|p| p.percentile(0.50)).unwrap_or(0),
-            write_p95: write_pct.as_mut().map(|p| p.percentile(0.95)).unwrap_or(0),
-            write_p99: write_pct.as_mut().map(|p| p.percentile(0.99)).unwrap_or(0),
+            read_p50: percentile(AccessKind::Read, 0.50),
+            read_p95: percentile(AccessKind::Read, 0.95),
+            read_p99: percentile(AccessKind::Read, 0.99),
+            write_p50: percentile(AccessKind::Write, 0.50),
+            write_p95: percentile(AccessKind::Write, 0.95),
+            write_p99: percentile(AccessKind::Write, 0.99),
         });
         let redundancy = self.cfg.redundancy.enabled.then(|| {
             let c = ftl
@@ -680,7 +650,7 @@ impl Simulation {
             instructions,
             requests,
             ipc: instructions as f64 / cycles.raw() as f64,
-            flash_array_gbps: stats.map_or(0.0, |s| s.array_gbps(cycles, self.freq)),
+            flash_array_gbps: stats.map_or(0.0, |s| s.array_gbps(cycles, self.cfg.gpu.freq)),
             flash_reads_per_page: stats.map_or(0.0, |s| s.mean_reads_per_page()),
             flash_programs_per_page: stats.map_or(0.0, |s| s.mean_programs_per_page()),
             l1_hit_rate: self.sms.iter().map(|s| s.l1_hit_rate()).sum::<f64>()
@@ -691,13 +661,19 @@ impl Simulation {
             gcs: ftl.map_or(0, |f| f.gcs()),
             register_migrations: device.map_or(0, |d| d.total_migrations()),
             redirected_writes: self.redirected_writes,
-            avg_read_latency: read_lat_sum as f64 / read_lat_n.max(1) as f64,
-            avg_write_latency: write_lat_sum as f64 / write_lat_n.max(1) as f64,
-            per_app_read_latency: mean(&per_app_read_lat),
-            per_app_write_latency: mean(&per_app_write_lat),
+            avg_read_latency: mean(AccessKind::Read),
+            avg_write_latency: mean(AccessKind::Write),
+            per_app_read_latency: per_app_mean(AccessKind::Read),
+            per_app_write_latency: per_app_mean(AccessKind::Write),
             per_app_instructions,
             per_app_cycles,
-            per_app_requests,
+            // Apps of the mix (those with a series), reads plus writes.
+            per_app_requests: (0u16..)
+                .zip(&series)
+                .zip(&tally)
+                .filter(|((_, s), _)| s.is_some())
+                .map(|((a, _), t)| (a, t[0].1 + t[1].1))
+                .collect(),
             per_app_series: (0u16..)
                 .zip(series)
                 .filter_map(|(a, s)| s.map(|s| (a, s.samples())))
@@ -729,23 +705,36 @@ impl Simulation {
             .map_or(0, |(_, trigger)| trigger.ticks())
     }
 
-    /// Polls the maintenance tasks in order and runs each that fires,
-    /// counting it in `perf_maint`. Every step is device-wide, so all
-    /// apps are held until the step lets the foreground resume.
-    fn poll_maintenance(
+    /// The step each event takes first (and a bulk skip in its place):
+    /// the watchdog check, then the maintenance poll. The poll runs each
+    /// task that fires, in order, counting it in `perf_maint`. Every step
+    /// is device-wide, so all apps are held until the step lets the
+    /// foreground resume. Triggers fire only when the request count
+    /// crosses a threshold, so the poll is skipped while `requests`
+    /// equals `polled`, the count at the last poll.
+    fn poll(
         &mut self,
         now: Cycle,
+        last_progress: Cycle,
         requests: u64,
+        polled: &mut u64,
         mix: &MultiApp,
         perf_maint: &mut u64,
     ) -> Result<()> {
+        Self::watchdog_check(self.cfg.watchdog, now, last_progress)?;
+        if requests == *polled {
+            return Ok(());
+        }
+        *polled = requests;
         for i in 0..self.tasks.len() {
             let (task, trigger) = &mut self.tasks[i];
             if trigger.poll(requests) {
                 let task = *task;
                 *perf_maint += 1;
                 let resume = self.run_task(task, now, requests)?;
-                self.block_all_apps(mix, resume);
+                for (_, app, _) in &mix.apps {
+                    self.hold(*app, resume, None);
+                }
             }
         }
         Ok(())
@@ -802,17 +791,13 @@ impl Simulation {
         }
     }
 
-    /// Holds every app's memory requests until `until` (device-wide
-    /// maintenance: crash recovery, die fencing, a scrub step).
-    fn block_all_apps(&mut self, mix: &MultiApp, until: Cycle) {
-        for (_, app, _) in &mix.apps {
-            let blocked = self
-                .app_blocked_until
-                .get(&app.raw())
-                .copied()
-                .unwrap_or(Cycle::ZERO)
-                .max(until);
-            self.app_blocked_until.insert(app.raw(), blocked);
+    /// Holds `app`'s memory requests until at least `until`; a `credit`
+    /// (a paced GC's) replaces the hold's stall credit.
+    fn hold(&mut self, app: AppId, until: Cycle, credit: Option<u64>) {
+        let hold = self.holds.entry(app.raw()).or_default();
+        hold.until = hold.until.max(until);
+        if credit.is_some() {
+            hold.credit = credit;
         }
     }
 
@@ -821,7 +806,6 @@ impl Simulation {
     /// with the SRAM), L1s, MSHRs, TLB and in-flight page fills.
     fn power_cut_gpu(&mut self) {
         self.l2.power_loss();
-        self.pinned_dirty = 0;
         self.thrash_mode = false;
         self.mmu.tlb_mut().flush_all();
         for sm in &mut self.sms {
@@ -897,7 +881,7 @@ impl Simulation {
         }
         // L2 miss: fetch from the backend.
         let (bytes, prefetch) = self.read_granule(pc);
-        let data_at = match self.backend_read(acc.done, sector, vpn, bytes) {
+        let data_at = match self.retrying(acc.done, |b, t| b.read(t, sector, vpn, bytes)) {
             Ok(t) => t,
             Err(e @ Error::IntegrityViolation { .. }) => {
                 // Poison containment: the unverifiable data still lands
@@ -920,7 +904,7 @@ impl Simulation {
             self.monitor.on_eviction(e.prefetch, e.accessed);
         }
         if prefetch && bytes > 128 {
-            let page_base = sector & !(self.page_bytes as u64 - 1);
+            let page_base = sector & !(self.cfg.flash.page_bytes as u64 - 1);
             let (evicted, _) = self.l2.fill_span(data_at, page_base, bytes, true, app);
             for e in evicted {
                 self.monitor.on_eviction(e.prefetch, e.accessed);
@@ -947,7 +931,7 @@ impl Simulation {
 
         // Thrashing redirection (full ZnG): absorb the write in pinned L2.
         if self.kind.has_redirection() && self.thrash_mode {
-            if self.pinned_dirty < REDIRECT_CAP {
+            if self.l2.pinned() < REDIRECT_CAP {
                 self.write_probe += 1;
                 if !self.write_probe.is_multiple_of(REDIRECT_PROBE) {
                     let (ev, done) = self.l2.fill_line(t, sector, false, app);
@@ -956,7 +940,6 @@ impl Simulation {
                     }
                     if self.l2.pin_dirty(sector) {
                         self.redirected_writes += 1;
-                        self.pinned_dirty += 1;
                         return Ok(done);
                     }
                     // The set was fully pinned: fall through to the
@@ -978,21 +961,9 @@ impl Simulation {
         // The L2 copy of this line is now stale.
         self.l2.invalidate(sector);
         self.sms[sm_idx].l1_invalidate(sector);
-        // Graceful end of life: a capacity-degraded device refuses the
-        // program but the workload keeps running — the refusal is
-        // counted and the op completes without touching the media.
-        let w = match self.backend_write(t, sector, vpn) {
-            Err(Error::CapacityDegraded { .. }) => {
-                self.writes_refused += 1;
-                WriteResult {
-                    done: t,
-                    ..WriteResult::default()
-                }
-            }
-            other => other?,
-        };
+        let w = self.write_line(t, sector, vpn)?;
         self.thrash_mode = self.kind.has_redirection() && w.thrashing;
-        if !w.thrashing && self.pinned_dirty > 0 {
+        if !w.thrashing && self.l2.pinned() > 0 {
             self.drain_pinned(w.done)?;
         }
         if let Some(gc) = w.gc {
@@ -1009,21 +980,29 @@ impl Simulation {
     /// would reserve far-future link/plane slots and falsely stall every
     /// later demand access.
     fn drain_pinned(&mut self, now: Cycle) -> Result<()> {
-        let dirty = self.l2.unpin_up_to(DRAIN_CHUNK);
-        self.pinned_dirty = self.pinned_dirty.saturating_sub(dirty.len() as u64);
-        for line in dirty {
-            let w = match self.backend_write(now, line, line >> 12) {
-                Err(Error::CapacityDegraded { .. }) => {
-                    self.writes_refused += 1;
-                    continue;
-                }
-                other => other?,
-            };
-            if let Some(gc) = w.gc {
+        for line in self.l2.unpin_up_to(DRAIN_CHUNK) {
+            if let Some(gc) = self.write_line(now, line, line >> 12)?.gc {
                 self.handle_gc(&gc);
             }
         }
         Ok(())
+    }
+
+    /// Writes one line to the backend at `now`. Graceful end of life: a
+    /// capacity-degraded device refuses the program but the workload
+    /// keeps running — the refusal is counted and the write completes at
+    /// `now` without touching the media.
+    fn write_line(&mut self, now: Cycle, sector: u64, vpn: u64) -> Result<WriteResult> {
+        match self.retrying(now, |b, t| b.write(t, sector, vpn)) {
+            Err(Error::CapacityDegraded { .. }) => {
+                self.writes_refused += 1;
+                Ok(WriteResult {
+                    done: now,
+                    ..WriteResult::default()
+                })
+            }
+            other => other,
+        }
     }
 
     /// The no-forward-progress watchdog: fails with [`Error::Stalled`]
@@ -1039,56 +1018,37 @@ impl Simulation {
         }
     }
 
-    /// Calls the backend read, absorbing [`Error::Backpressure`]: a
-    /// bounded exponential backoff (at most `retry_budget` re-issues),
-    /// then one forced wait at the rejecting queue's hinted `retry_at`,
-    /// which is guaranteed to admit in the sequential model. Unbounded
-    /// configurations never see a rejection, so this is a pass-through.
-    fn backend_read(&mut self, now: Cycle, sector: u64, vpn: u64, bytes: usize) -> Result<Cycle> {
+    /// Issues a backend read or write at `now`, absorbing
+    /// [`Error::Backpressure`]: a bounded exponential backoff (at most
+    /// `retry_budget` re-issues), then one forced wait at the rejecting
+    /// queue's hinted `retry_at`, which is guaranteed to admit in the
+    /// sequential model. Rejections happen before any FTL state changes,
+    /// so a re-issue is idempotent. Time strictly advances on every retry
+    /// (the backoff base is validated positive and `retry_at > t` by
+    /// construction), so the loop terminates. Unbounded configurations
+    /// never see a rejection, so this is a pass-through.
+    fn retrying<T>(
+        &mut self,
+        now: Cycle,
+        mut op: impl FnMut(&mut Backend, Cycle) -> Result<T>,
+    ) -> Result<T> {
         let mut t = now;
         let mut attempt = 0u32;
         loop {
-            match self.backend.read(t, sector, vpn, bytes) {
-                Err(Error::Backpressure { retry_at }) => {
-                    t = self.next_retry_at(t, retry_at, &mut attempt);
-                }
+            let retry_at = match op(&mut self.backend, t) {
+                Err(Error::Backpressure { retry_at }) => retry_at,
                 other => return other,
-            }
-        }
-    }
-
-    /// Write-side twin of [`Simulation::backend_read`]. Rejections happen
-    /// before any FTL state changes, so a re-issue is idempotent.
-    fn backend_write(&mut self, now: Cycle, sector: u64, vpn: u64) -> Result<WriteResult> {
-        let mut t = now;
-        let mut attempt = 0u32;
-        loop {
-            match self.backend.write(t, sector, vpn) {
-                Err(Error::Backpressure { retry_at }) => {
-                    t = self.next_retry_at(t, retry_at, &mut attempt);
+            };
+            if attempt < self.cfg.qos.retry_budget {
+                self.qos_retried += 1;
+                t += self.cfg.qos.backoff_delay(attempt);
+            } else {
+                if attempt == self.cfg.qos.retry_budget {
+                    self.qos_budget_exhausted += 1;
                 }
-                other => return other,
+                t = t.max(retry_at);
             }
-        }
-    }
-
-    /// The shared backoff policy: exponential delays while the retry
-    /// budget lasts, then a single wait at the queue's hinted `retry_at`.
-    /// Time strictly advances on every path (the backoff base is
-    /// validated positive and `retry_at > t` by construction), so the
-    /// retry loops terminate.
-    fn next_retry_at(&mut self, t: Cycle, retry_at: Cycle, attempt: &mut u32) -> Cycle {
-        if *attempt < self.cfg.qos.retry_budget {
-            self.qos_retried += 1;
-            let delayed = t + self.cfg.qos.backoff_delay(*attempt);
-            *attempt += 1;
-            delayed
-        } else {
-            if *attempt == self.cfg.qos.retry_budget {
-                self.qos_budget_exhausted += 1;
-            }
-            *attempt += 1;
-            t.max(retry_at)
+            attempt += 1;
         }
     }
 
@@ -1100,25 +1060,18 @@ impl Simulation {
         let Some(&vpn0) = gc.flushed_vpns.first() else {
             return;
         };
-        // app_base = app << 34, so vpn = addr >> 12 carries app at bit 22.
-        let victim = (vpn0 >> 22) as u16;
-        let blocked = self
-            .app_blocked_until
-            .get(&victim)
-            .copied()
-            .unwrap_or(Cycle::ZERO)
-            .max(gc.blocking_done);
-        self.app_blocked_until.insert(victim, blocked);
-        if self.cfg.qos.gc_stall_budget.is_some() {
-            // Arm the pacing credit for this merge: each foreground event
-            // the victim stalls on burns one credit (see the run loop).
-            self.gc_credits
-                .insert(victim, self.cfg.qos.gc_credit_writes);
-        }
+        // A paced merge arms its credit: each foreground event the victim
+        // stalls on burns one (see the run loop).
+        let credit = self
+            .cfg
+            .qos
+            .gc_stall_budget
+            .map(|_| self.cfg.qos.gc_credit_writes);
+        self.hold(app_of(vpn0 << 12), gc.blocking_done, credit);
         for &vpn in &gc.flushed_vpns {
             self.mmu.tlb_mut().invalidate(vpn);
             self.page_mshr.cancel(vpn);
-            for s in 0..(self.page_bytes / self.l2.line_bytes()) as u64 {
+            for s in 0..(self.cfg.flash.page_bytes / self.l2.line_bytes()) as u64 {
                 let sector = (vpn << 12) + s * self.l2.line_bytes() as u64;
                 if self.l2.invalidate(sector).is_some() {
                     for sm in &mut self.sms {
@@ -1134,12 +1087,12 @@ impl Simulation {
         if !self.kind.has_rdopt() {
             return (128, false);
         }
-        match self.policy {
+        match self.cfg.prefetch_policy {
             PrefetchPolicy::None => (128, false),
             PrefetchPolicy::Fixed(n) => (n.max(128), n > 128),
             PrefetchPolicy::Predicted4K => {
                 if self.predictor.should_prefetch(pc) {
-                    (self.page_bytes, true)
+                    (self.cfg.flash.page_bytes, true)
                 } else {
                     (128, false)
                 }

@@ -18,7 +18,7 @@ use zng_gpu::{AccessPattern, WarpOp, WarpTrace};
 use zng_sim::rng::{derive_seed, seeded, Zipf};
 use zng_types::{
     ids::{AppId, Pc},
-    AccessKind, VirtAddr,
+    AccessKind, Error, Result, VirtAddr,
 };
 
 use crate::table2::{Class, WorkloadSpec};
@@ -58,11 +58,39 @@ impl TraceParams {
             seed: 7,
         }
     }
+
+    /// Checks that the warp, op and footprint counts are non-zero, as
+    /// [`generate`] requires.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] naming the first zero count.
+    pub fn validate(&self) -> Result<()> {
+        let counts = [
+            ("trace.total_warps", self.total_warps),
+            ("trace.mem_ops_per_warp", self.mem_ops_per_warp),
+            ("trace.footprint_pages", self.footprint_pages),
+        ];
+        match counts.into_iter().find(|&(_, n)| n == 0) {
+            Some((what, _)) => Err(Error::invalid_config(what, "must be at least 1")),
+            None => Ok(()),
+        }
+    }
 }
+
+/// Each application's addresses sit in their own 16 GB window: the
+/// address bits from this one up name the application.
+const APP_WINDOW_SHIFT: u32 = 34;
 
 /// Address-space base for an application (disjoint 16 GB windows).
 pub fn app_base(app: AppId) -> u64 {
-    (app.index() as u64) << 34
+    (app.index() as u64) << APP_WINDOW_SHIFT
+}
+
+/// The application whose address window holds `addr` (the inverse of
+/// [`app_base`]).
+pub fn app_of(addr: u64) -> AppId {
+    AppId((addr >> APP_WINDOW_SHIFT) as u16)
 }
 
 /// Generates one trace per warp for `spec` under `params`.
@@ -304,6 +332,16 @@ mod tests {
         let a = generate(&spec, AppId(0), &p);
         let b = generate(&spec, AppId(0), &p);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn app_of_inverts_app_base() {
+        for app in [0u16, 1, 7, u16::MAX] {
+            let base = app_base(AppId(app));
+            for offset in [0, 4096, (1 << APP_WINDOW_SHIFT) - 1] {
+                assert_eq!(app_of(base + offset), AppId(app), "{app} + {offset}");
+            }
+        }
     }
 
     #[test]

@@ -27,8 +27,11 @@ impl MultiApp {
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown workload names.
+    /// Returns an error for unknown workload names, and
+    /// [`zng_types::Error::InvalidConfig`] when `params` has zero warps,
+    /// ops or footprint.
     pub fn from_names(names: &[&str], params: &TraceParams) -> Result<MultiApp> {
+        params.validate()?;
         let mut apps = Vec::with_capacity(names.len());
         for (i, name) in names.iter().enumerate() {
             let spec = by_name(name)?;
@@ -102,6 +105,26 @@ mod tests {
     #[test]
     fn unknown_workload_propagates() {
         assert!(MultiApp::from_names(&["betw", "bogus"], &TraceParams::tiny()).is_err());
+    }
+
+    #[test]
+    fn zero_trace_counts_are_rejected() {
+        for what in [
+            "trace.total_warps",
+            "trace.mem_ops_per_warp",
+            "trace.footprint_pages",
+        ] {
+            let mut params = TraceParams::tiny();
+            match what {
+                "trace.total_warps" => params.total_warps = 0,
+                "trace.mem_ops_per_warp" => params.mem_ops_per_warp = 0,
+                _ => params.footprint_pages = 0,
+            }
+            match MultiApp::from_names(&["betw"], &params) {
+                Err(zng_types::Error::InvalidConfig { what: got, .. }) => assert_eq!(got, what),
+                other => panic!("{what}: expected InvalidConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]

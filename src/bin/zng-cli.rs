@@ -325,9 +325,17 @@ impl Opts {
                         .map(str::to_string)
                         .collect();
                 }
-                "--warps" => params.total_warps = parse_num(flag, &value(flag)?)?,
-                "--ops" => params.mem_ops_per_warp = parse_num(flag, &value(flag)?)?,
-                "--footprint" => params.footprint_pages = parse_num(flag, &value(flag)?)?,
+                "--warps" | "--ops" | "--footprint" => {
+                    let n = parse_num(flag, &value(flag)?)?;
+                    if n == 0 {
+                        return Err(format!("{flag} must be at least 1"));
+                    }
+                    match flag {
+                        "--warps" => params.total_warps = n,
+                        "--ops" => params.mem_ops_per_warp = n,
+                        _ => params.footprint_pages = n,
+                    }
+                }
                 "--seed" => params.seed = parse_num(flag, &value(flag)?)?,
                 "--faults" => {
                     cfg.fault.profile =

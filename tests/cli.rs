@@ -575,3 +575,28 @@ fn out_of_range_numbers_are_usage_errors() {
         );
     }
 }
+
+#[test]
+fn zero_trace_counts_are_usage_errors() {
+    // A run with no warps, no ops or no pages has nothing to generate:
+    // every subcommand that builds traces refuses the zero by flag name.
+    let out_file = std::env::temp_dir().join("zng_cli_zero_counts.json");
+    let out_file = out_file.to_str().unwrap();
+    let subcommands: [&[&str]; 3] = [
+        &["run", "-p", "zng", "-w", "betw"],
+        &["sweep", "-w", "betw"],
+        &["traces", "-w", "betw", "--out", out_file],
+    ];
+    for args in subcommands {
+        for flag in ["--warps", "--ops", "--footprint"] {
+            let out = cli().args(args).args([flag, "0"]).output().expect("spawn");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?} {flag} 0: {err}");
+            assert!(
+                err.contains(&format!("{flag} must be at least 1")) && !err.contains("panicked"),
+                "{args:?} {flag} 0: {err}"
+            );
+        }
+    }
+    assert!(!std::path::Path::new(out_file).exists());
+}
