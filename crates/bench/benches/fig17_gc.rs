@@ -4,7 +4,7 @@
 //! −73 %, betw +5 %). 17b — per-app memory-request time series showing
 //! back's requests collapsing to zero once GC starts.
 
-use zng::{Experiment, PlatformKind, Table, TraceParams};
+use zng::{Experiment, PlatformKind, Table, TimeSeries, TraceParams};
 use zng_bench::{quick, report};
 
 fn main() {
@@ -79,7 +79,7 @@ fn main() {
         "betw reqs/10us".into(),
         "back reqs/10us".into(),
     ]);
-    let empty = Vec::new();
+    let empty = TimeSeries::new(with_gc.series_interval);
     let betw = with_gc.per_app_series.get(&0).unwrap_or(&empty);
     let back = with_gc.per_app_series.get(&1).unwrap_or(&empty);
     // The paper's Fig. 17b window covers the first ~1.3 ms around the
@@ -94,8 +94,8 @@ fn main() {
     for i in (0..buckets).step_by(step) {
         t.row(vec![
             format!("{}", i as u64 * with_gc.series_interval.raw() / 1200),
-            betw.get(i).copied().unwrap_or(0).to_string(),
-            back.get(i).copied().unwrap_or(0).to_string(),
+            betw.get(i).to_string(),
+            back.get(i).to_string(),
         ]);
     }
     let gc_windows: Vec<(u64, u64)> = with_gc

@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 
 use zng_flash::RETRY_DEPTH_BUCKETS;
 use zng_json::Value;
+use zng_sim::TimeSeries;
 use zng_types::Cycle;
 
 use crate::config::PlatformKind;
@@ -287,7 +288,7 @@ pub struct RunResult {
     pub per_app_requests: BTreeMap<u16, u64>,
     /// Per-app request time series (Fig. 17b), bucketed by
     /// `series_interval`.
-    pub per_app_series: BTreeMap<u16, Vec<u64>>,
+    pub per_app_series: BTreeMap<u16, TimeSeries>,
     /// Time-series bucket width.
     pub series_interval: Cycle,
     /// (start, end) of each garbage collection.
@@ -418,7 +419,12 @@ impl RunResult {
                 Value::object(
                     self.per_app_series
                         .iter()
-                        .map(|(k, v)| (k.to_string(), Value::from(v.clone())))
+                        .map(|(k, v)| {
+                            (
+                                k.to_string(),
+                                Value::Array(v.dense().map(Value::from).collect()),
+                            )
+                        })
                         .collect(),
                 ),
             ),
@@ -702,6 +708,44 @@ mod tests {
         let sum = r.app_ipc(0) + r.app_ipc(1);
         assert!((sum - r.ipc).abs() < 1e-12);
         assert_eq!(r.app_ipc(9), 0.0);
+    }
+
+    #[test]
+    fn series_serialise_densely() {
+        let mut r = result();
+        let mut busy = TimeSeries::new(r.series_interval);
+        busy.record(Cycle(100_000 * 12_000 + 5), 3);
+        busy.record(Cycle(7), 2);
+        r.per_app_series = [(0, busy), (1, TimeSeries::new(r.series_interval))].into();
+        let json = r.to_json_value();
+        let series = json.get("per_app_series").unwrap();
+        let dense = series.get("0").and_then(Value::as_array).unwrap();
+        assert_eq!(dense.len(), 100_001);
+        assert_eq!(dense[0].as_u64(), Some(2));
+        assert_eq!(dense[100_000].as_u64(), Some(3));
+        assert!(dense[1..100_000].iter().all(|v| v.as_u64() == Some(0)));
+        assert_eq!(series.get("1").and_then(Value::as_array), Some(&[][..]));
+        // `series_interval` stays right after the series.
+        let keys: Vec<&str> = json
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        let at = keys.iter().position(|&k| k == "per_app_series").unwrap();
+        assert_eq!(
+            keys[at - 1..=at + 2],
+            [
+                "per_app_requests",
+                "per_app_series",
+                "series_interval",
+                "read_retries"
+            ]
+        );
+        assert_eq!(
+            json.get("series_interval").and_then(Value::as_u64),
+            Some(12_000)
+        );
     }
 
     #[test]

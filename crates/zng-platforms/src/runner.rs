@@ -676,7 +676,7 @@ impl Simulation {
                 .collect(),
             per_app_series: (0u16..)
                 .zip(series)
-                .filter_map(|(a, s)| s.map(|s| (a, s.samples())))
+                .filter_map(|(a, s)| s.map(|s| (a, s)))
                 .collect(),
             series_interval: SERIES_INTERVAL,
             gc_events: zng.map(|f| f.gc_events().to_vec()).unwrap_or_default(),
@@ -1227,8 +1227,39 @@ mod tests {
         let r = run(PlatformKind::Zng);
         let sum: u64 = r.per_app_requests.values().sum();
         assert_eq!(sum, r.requests);
-        let series_sum: u64 = r.per_app_series.values().flatten().sum();
+        let series_sum: u64 = r
+            .per_app_series
+            .values()
+            .flat_map(|s| s.iter().map(|(_, n)| n))
+            .sum();
         assert_eq!(series_sum, r.requests);
+    }
+
+    #[test]
+    fn series_storage_follows_requests_not_cycles() {
+        use crate::config::{CheckpointConfig, EnduranceConfig};
+        // Checkpoint and refresh work stretches the run's clock and
+        // leaves long gaps between requests, so most buckets are empty.
+        let mut cfg = SimConfig::tiny();
+        cfg.endurance = EnduranceConfig::on(25);
+        cfg.checkpoint = CheckpointConfig::on(25);
+        let mix = MultiApp::from_names(&["back"], &TraceParams::tiny()).unwrap();
+        let r = Simulation::new(PlatformKind::ZngBase, &cfg)
+            .unwrap()
+            .run(&mix)
+            .unwrap();
+        let stored: usize = r.per_app_series.values().map(TimeSeries::stored).sum();
+        let len: usize = r.per_app_series.values().map(TimeSeries::len).sum();
+        assert!(
+            len as u64 > 4 * r.requests,
+            "{len} buckets, {} requests",
+            r.requests
+        );
+        assert!(
+            stored as u64 <= r.requests,
+            "{stored} entries for {} requests",
+            r.requests
+        );
     }
 
     #[test]

@@ -76,7 +76,10 @@ impl Percentiles {
 /// A fixed-interval time series: counts events per time bucket.
 ///
 /// Used for the paper's Fig. 17b (memory requests generated over time
-/// during garbage collection).
+/// during garbage collection). Only non-empty buckets are stored, so a
+/// long, mostly idle run costs memory in proportion to the events it
+/// recorded rather than to the cycles it simulated; [`TimeSeries::dense`]
+/// reads the series back with every empty bucket in place.
 ///
 /// # Examples
 ///
@@ -84,14 +87,19 @@ impl Percentiles {
 /// use zng_types::Cycle;
 /// let mut ts = zng_sim::TimeSeries::new(Cycle(100));
 /// ts.record(Cycle(10), 1);
-/// ts.record(Cycle(150), 2);
+/// ts.record(Cycle(350), 2);
 /// ts.record(Cycle(160), 1);
-/// assert_eq!(ts.samples(), vec![1, 3]);
+/// assert_eq!(ts.dense().collect::<Vec<_>>(), vec![1, 1, 0, 2]);
+/// assert_eq!(ts.len(), 4);
+/// assert_eq!(ts.stored(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimeSeries {
     interval: Cycle,
-    buckets: Vec<u64>,
+    /// `(bucket, count)` of every non-empty bucket, sorted by bucket.
+    buckets: Vec<(u64, u64)>,
+    /// Buckets up to and including the latest one recorded, empty or not.
+    len: u64,
 }
 
 impl TimeSeries {
@@ -108,16 +116,31 @@ impl TimeSeries {
         TimeSeries {
             interval,
             buckets: Vec::new(),
+            len: 0,
         }
     }
 
-    /// Adds `weight` events at time `at`.
+    /// Adds `weight` events at time `at`. A zero weight still extends
+    /// the series to `at`'s bucket.
+    ///
+    /// Recording in time order is O(1); an earlier bucket than the
+    /// latest one stored costs a binary search and an insert.
     pub fn record(&mut self, at: Cycle, weight: u64) {
-        let idx = (at.raw() / self.interval.raw()) as usize;
-        if self.buckets.len() <= idx {
-            self.buckets.resize(idx + 1, 0);
+        let bucket = at.raw() / self.interval.raw();
+        self.len = self.len.max(bucket + 1);
+        if weight == 0 {
+            return;
         }
-        self.buckets[idx] += weight;
+        match self.buckets.last_mut() {
+            Some((last, count)) if *last == bucket => *count += weight,
+            Some(&mut (last, _)) if last > bucket => {
+                match self.buckets.binary_search_by_key(&bucket, |&(b, _)| b) {
+                    Ok(i) => self.buckets[i].1 += weight,
+                    Err(i) => self.buckets.insert(i, (bucket, weight)),
+                }
+            }
+            _ => self.buckets.push((bucket, weight)),
+        }
     }
 
     /// The bucket width.
@@ -125,17 +148,46 @@ impl TimeSeries {
         self.interval
     }
 
-    /// The per-bucket event counts, in time order.
-    pub fn samples(&self) -> Vec<u64> {
-        self.buckets.clone()
+    /// Number of buckets, empty ones included: one past the latest
+    /// bucket recorded.
+    pub fn len(&self) -> usize {
+        self.len as usize
     }
 
-    /// Iterates `(bucket_start_time, count)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (Cycle, u64)> + '_ {
+    /// Whether nothing was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of non-empty buckets, which is what the series stores.
+    pub fn stored(&self) -> usize {
+        self.buckets.len()
+    }
+
+    /// The event count of bucket `i` (0 for an empty or out-of-range
+    /// bucket).
+    pub fn get(&self, i: usize) -> u64 {
+        self.buckets
+            .binary_search_by_key(&(i as u64), |&(b, _)| b)
+            .map_or(0, |j| self.buckets[j].1)
+    }
+
+    /// Every bucket's event count in time order, empty buckets included.
+    pub fn dense(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        let mut stored = self.buckets.iter().peekable();
+        (0..self.len()).map(move |i| {
+            stored
+                .next_if(|&&(b, _)| b == i as u64)
+                .map_or(0, |&(_, count)| count)
+        })
+    }
+
+    /// Iterates `(bucket_start_time, count)` over the non-empty buckets,
+    /// in time order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (Cycle, u64)> + '_ {
         self.buckets
             .iter()
-            .enumerate()
-            .map(move |(i, &c)| (Cycle(i as u64 * self.interval.raw()), c))
+            .map(move |&(b, count)| (Cycle(b * self.interval.raw()), count))
     }
 }
 
@@ -195,9 +247,10 @@ mod tests {
         ts.record(Cycle(9), 1);
         ts.record(Cycle(10), 5);
         ts.record(Cycle(35), 2);
-        assert_eq!(ts.samples(), vec![2, 5, 0, 2]);
+        assert_eq!(ts.dense().collect::<Vec<_>>(), vec![2, 5, 0, 2]);
         let pairs: Vec<_> = ts.iter().collect();
-        assert_eq!(pairs[1], (Cycle(10), 5));
+        assert_eq!(pairs, vec![(Cycle(0), 2), (Cycle(10), 5), (Cycle(30), 2)]);
+        assert_eq!((ts.get(1), ts.get(2), ts.get(9)), (5, 0, 0));
         assert_eq!(ts.interval(), Cycle(10));
     }
 

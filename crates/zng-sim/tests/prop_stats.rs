@@ -4,6 +4,43 @@ use proptest::prelude::*;
 use zng_sim::TimeSeries;
 use zng_types::Cycle;
 
+/// The reference model: every bucket stored densely, grown on demand.
+#[derive(Default)]
+struct DenseSeries {
+    buckets: Vec<u64>,
+}
+
+impl DenseSeries {
+    fn record(&mut self, at: u64, interval: u64, weight: u64) {
+        let idx = (at / interval) as usize;
+        if self.buckets.len() <= idx {
+            self.buckets.resize(idx + 1, 0);
+        }
+        self.buckets[idx] += weight;
+    }
+}
+
+/// Turns `(kind, step, weight)` draws into record times and weights: a
+/// step of at most ±2 000 cycles from the previous time (either side, as
+/// issue times are across SMs), or, for one draw in four, a jump of
+/// 100 000 plus the step forward (kind 6) or back (kind 7). A weight
+/// of 0 happens one draw in five.
+fn walk(steps: &[(u8, i64, u64)]) -> Vec<(u64, u64)> {
+    let mut t = 0i64;
+    steps
+        .iter()
+        .map(|&(kind, step, w)| {
+            let jump = match kind {
+                6 => 100_000,
+                7 => -100_000,
+                _ => 0,
+            };
+            t = (t + jump + step).max(0);
+            (t as u64, w)
+        })
+        .collect()
+}
+
 proptest! {
     #[test]
     fn time_series_conserves_events(
@@ -16,10 +53,40 @@ proptest! {
             ts.record(Cycle(at), w);
             total += w;
         }
-        prop_assert_eq!(ts.samples().iter().sum::<u64>(), total);
+        prop_assert_eq!(ts.dense().sum::<u64>(), total);
         // Every event landed in the right bucket.
         for (start, _) in ts.iter() {
             prop_assert_eq!(start.raw() % interval, 0);
         }
+    }
+
+    #[test]
+    fn sparse_series_matches_dense_reference(
+        steps in prop::collection::vec((0u8..8, -2_000i64..2_000, 0u64..5), 0..200),
+        interval in 1u64..3_000,
+    ) {
+        let events = walk(&steps);
+        let mut ts = TimeSeries::new(Cycle(interval));
+        let mut reference = DenseSeries::default();
+        for &(at, w) in &events {
+            ts.record(Cycle(at), w);
+            reference.record(at, interval, w);
+        }
+        let want = &reference.buckets;
+        prop_assert_eq!(ts.len(), want.len());
+        prop_assert_eq!(ts.is_empty(), want.is_empty());
+        prop_assert_eq!(ts.dense().collect::<Vec<_>>(), want.clone());
+        let non_empty: Vec<(Cycle, u64)> = want
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(i, &n)| (Cycle(i as u64 * interval), n))
+            .collect();
+        prop_assert_eq!(ts.stored(), non_empty.len());
+        prop_assert_eq!(ts.iter().collect::<Vec<_>>(), non_empty);
+        for (i, &n) in want.iter().enumerate() {
+            prop_assert_eq!(ts.get(i), n);
+        }
+        prop_assert_eq!(ts.get(want.len()), 0);
     }
 }

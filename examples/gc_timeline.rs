@@ -6,7 +6,7 @@
 //! cargo run --release --example gc_timeline
 //! ```
 
-use zng::{Experiment, PlatformKind, Table, TraceParams};
+use zng::{Experiment, PlatformKind, Table, TimeSeries, TraceParams};
 
 fn main() -> zng::Result<()> {
     // A write-hot configuration so the log blocks fill and GC fires:
@@ -60,7 +60,7 @@ fn main() -> zng::Result<()> {
         "betw reqs".into(),
         "back reqs".into(),
     ]);
-    let empty = Vec::new();
+    let empty = TimeSeries::new(with_gc.series_interval);
     let betw = with_gc.per_app_series.get(&0).unwrap_or(&empty);
     let back = with_gc.per_app_series.get(&1).unwrap_or(&empty);
     let buckets = betw.len().max(back.len());
@@ -68,8 +68,8 @@ fn main() -> zng::Result<()> {
     for i in (0..buckets).step_by(step) {
         ts.row(vec![
             format!("{}", i as u64 * with_gc.series_interval.raw() / 1200),
-            betw.get(i).copied().unwrap_or(0).to_string(),
-            back.get(i).copied().unwrap_or(0).to_string(),
+            betw.get(i).to_string(),
+            back.get(i).to_string(),
         ]);
     }
     ts.print("Memory requests over time (Fig. 17b)");

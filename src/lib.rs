@@ -47,6 +47,7 @@ pub use zng_platforms::{
     IntegritySummary, PlatformKind, QosConfig, QosSummary, RedundancyConfig, RedundancySummary,
     RunResult, SimConfig, Simulation, MAX_QOS_APPS,
 };
+pub use zng_sim::TimeSeries;
 pub use zng_types::{Cycle, Error, Result};
 pub use zng_workloads::{
     by_name, mixes, standard_mix_names, table2, trace_stats, Class, MultiApp, Suite, TraceParams,

@@ -170,6 +170,10 @@ fn request_accounting_is_consistent() {
         "per-app requests must partition the total"
     );
     assert_eq!(r.per_app_instructions.values().sum::<u64>(), r.instructions);
-    let series_total: u64 = r.per_app_series.values().flatten().sum();
+    let series_total: u64 = r
+        .per_app_series
+        .values()
+        .flat_map(|s| s.iter().map(|(_, n)| n))
+        .sum();
     assert_eq!(series_total, r.requests);
 }
