@@ -37,7 +37,17 @@
 //!     --ops 60 --footprint 16384 --qos --json > tests/golden/run_qos.json
 //! ./target/release/zng-cli run -p hybrid -w back,gaus,FDT,gram --warps 32 \
 //!     --ops 60 --footprint 16384 --qos --json > tests/golden/run_qos_hybrid.json
+//! ./target/release/zng-cli run -p zng -w betw,back --warps 16 --ops 40 \
+//!     --footprint 64 --qos --redundancy --scrub-every 64 --integrity \
+//!     --endurance --refresh-every 64 --checkpoint --checkpoint-every 25 \
+//!     --health 64 --crash-at 300 > tests/golden/table_all.txt
+//! ./target/release/zng-cli run -p zng -w betw --warps 8 --ops 40 \
+//!     --footprint 128 --crash-at 100 > tests/golden/table_crash.txt
+//! ZNG_BLESS=1 cargo test --test golden perf_table_matches_golden
 //! ```
+//!
+//! The `table_*.txt` goldens pin `zng-cli run`'s table output (no
+//! `--json`): every row label, its order and each value's format.
 
 use std::path::Path;
 use std::process::Command;
@@ -59,6 +69,13 @@ const RUN_ARGS: &[&str] = &[
 
 fn run_cli(extra: &[&str]) -> Vec<u8> {
     cli(&[RUN_ARGS, extra].concat())
+}
+
+/// The default golden command without `--json`: the table output.
+fn table_cli(extra: &[&str]) -> Vec<u8> {
+    let (json, args) = RUN_ARGS.split_last().expect("RUN_ARGS is not empty");
+    assert_eq!(*json, "--json");
+    cli(&[args, extra].concat())
 }
 
 fn cli(args: &[&str]) -> Vec<u8> {
@@ -245,6 +262,92 @@ fn qos_run_perf_counters_are_pinned() {
     ] {
         assert_eq!(counter(key), want, "{key}");
     }
+}
+
+/// CI's paced-maintenance perf smoke on HybridGPU: a GC stall budget,
+/// every maintenance step on a short cadence and a degrading die. Its
+/// event counters are deterministic, so they are pinned here as
+/// measured; the many blocked events are GC and maintenance holds.
+#[test]
+fn paced_hybrid_perf_counters_are_pinned() {
+    let args = "run -p hybrid -w back,gaus --warps 16 --ops 200 --footprint 256 \
+                --gc-stall-budget 200 --redundancy --scrub-every 64 --endurance \
+                --refresh-every 64 --disturb-threshold 50 --checkpoint --checkpoint-every 128 \
+                --health 64 --evacuate --health-window 16 --suspect-threshold 0.02 \
+                --degrading-die 0:0:100000:90000000 --json --perf";
+    let got = cli(&args.split_whitespace().collect::<Vec<_>>());
+    let v = zng_json::Value::parse(&String::from_utf8(got).expect("utf8 json")).expect("json");
+    let counter = |key: &str| v[key].as_u64().unwrap_or_else(|| panic!("{key} missing"));
+    for (key, want) in [
+        ("perf_events", 642_502),
+        ("perf_blocked_events", 629_670),
+        ("perf_compute_events", 6_400),
+        ("perf_mem_events", 6_400),
+        ("perf_skipped_events", 32),
+        ("perf_maintenance_events", 548),
+        ("perf_peak_queue_depth", 32),
+    ] {
+        assert_eq!(counter(key), want, "{key}");
+    }
+}
+
+/// Every subsystem's table rows at once: QoS (with the per-app latency
+/// rows), redundancy, a crash that takes the checkpoint fast path with
+/// the integrity- and checkpoint-gated recovery rows, integrity,
+/// endurance, checkpoint and health with its per-die rows.
+#[test]
+fn full_table_matches_golden() {
+    let args = "run -p zng -w betw,back --warps 16 --ops 40 --footprint 64 --qos --redundancy \
+                --scrub-every 64 --integrity --endurance --refresh-every 64 --checkpoint \
+                --checkpoint-every 25 --health 64 --crash-at 300";
+    let args: Vec<&str> = args.split_whitespace().collect();
+    let first = cli(&args);
+    assert_eq!(
+        first,
+        cli(&args),
+        "two identical runs printed different tables"
+    );
+    assert_bytes_match(&first, &golden("table_all.txt"), "every-subsystem table");
+}
+
+/// A crash with integrity and checkpointing off: the recovery rows
+/// those two subsystems gate are absent.
+#[test]
+fn crash_table_matches_golden() {
+    let got = table_cli(&["--crash-at", "100"]);
+    assert_bytes_match(&got, &golden("table_crash.txt"), "crash table");
+}
+
+/// The default golden command's table with `--perf`. The wall-clock
+/// rows are masked, and since their widths set the value column's,
+/// trailing padding and the rule's length are ignored.
+#[test]
+fn perf_table_matches_golden() {
+    let text = String::from_utf8(table_cli(&["--perf"])).expect("utf8 table");
+    let mut got = String::new();
+    for line in text.lines().map(str::trim_end) {
+        let line = if !line.is_empty() && line.chars().all(|c| c == '-') {
+            "-"
+        } else {
+            line
+        };
+        if ["sim wall seconds", "sim events/sec"]
+            .iter()
+            .any(|label| line.starts_with(label))
+        {
+            let value_at = line.rfind(' ').map_or(0, |i| i + 1);
+            got.push_str(&line[..value_at]);
+            got.push_str("<masked>");
+        } else {
+            got.push_str(line);
+        }
+        got.push('\n');
+    }
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/table_perf.txt");
+    if std::env::var_os("ZNG_BLESS").is_some() {
+        std::fs::write(&path, &got).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    }
+    assert_bytes_match(got.as_bytes(), &golden("table_perf.txt"), "--perf table");
 }
 
 /// Fairness-gate configurations the CLI cannot express: unequal
