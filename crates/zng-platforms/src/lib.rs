@@ -29,7 +29,7 @@ pub use config::{
 };
 pub use metrics::{
     CheckpointSummary, CrashRecoverySummary, DieBreakdown, EnduranceSummary, HealthSummary,
-    IntegritySummary, PerfSummary, RedundancySummary, RunResult,
+    IntegritySummary, PerfSummary, QosSummary, RedundancySummary, RunResult,
 };
-pub use qos::{FairShare, QosConfig, QosSummary, MAX_QOS_APPS};
+pub use qos::{FairShare, QosConfig, MAX_QOS_APPS};
 pub use runner::Simulation;

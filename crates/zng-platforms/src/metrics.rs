@@ -8,232 +8,454 @@ use zng_sim::TimeSeries;
 use zng_types::Cycle;
 
 use crate::config::PlatformKind;
-use crate::qos::QosSummary;
 
-/// What a mid-run power cut and recovery looked like (`--crash-at`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashRecoverySummary {
-    /// Completed requests when the power cut fired.
-    pub at_requests: u64,
-    /// Simulation time of the cut.
-    pub at_cycle: Cycle,
-    /// Programmed pages whose OOB metadata was scanned.
-    pub pages_scanned: u64,
-    /// Torn (mid-program) pages discarded.
-    pub torn_discarded: u64,
-    /// Superseded page versions dropped during winner resolution.
-    pub stale_dropped: u64,
-    /// Dead blocks erased back into the free pool.
-    pub blocks_erased: u64,
-    /// Modelled cost of the recovery scan.
-    pub scan_cycles: Cycle,
-    /// Corrupt page copies quarantined by the scan (integrity mode).
-    pub corrupt_quarantined: u64,
-    /// The recovery took the checkpoint fast path (loaded the newest
-    /// verified checkpoint, replayed the journal tail and rescanned only
-    /// the blocks touched since).
-    pub fast_path: bool,
-    /// Checkpointing was on but the fast path was unusable (torn or
-    /// aborted checkpoint, journal overflow or gap) and the recovery
-    /// fell back to the full out-of-band scan.
-    pub fallback: bool,
-    /// Journal records replayed on the fast path.
-    pub journal_replayed: u64,
-    /// Blocks the fast path rescanned from the media (the rest came
-    /// from the checkpoint image).
-    pub blocks_rescanned: u64,
-    /// Scan cycles the fast path saved versus the estimated full scan.
-    pub cycles_saved: Cycle,
+/// How a summary field reads as a JSON value and as a table cell, unless
+/// its declaration gives the cell a formatter.
+trait Field {
+    fn json(&self) -> Value;
+    fn cell(&self) -> String;
 }
 
-/// What the checkpoint writer did over the run (`--checkpoint`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CheckpointSummary {
-    /// Checkpoint steps the runner scheduled.
-    pub checkpoint_ticks: u64,
-    /// Checkpoints committed (payload chain + commit page verified).
-    pub checkpoints: u64,
-    /// Checkpoint payload/commit pages programmed.
-    pub checkpoint_pages: u64,
-    /// Delta-journal records appended between checkpoints.
-    pub journal_records: u64,
-    /// Journal pages programmed into the checkpoint namespace.
-    pub journal_pages: u64,
-    /// Checkpoint writes that outlived their pacing deadline.
-    pub overruns: u64,
-    /// Epochs whose journal outgrew the cap (fast path disabled until
-    /// the next checkpoint).
-    pub journal_overflows: u64,
-    /// Checkpoint writes aborted by media failures or pool exhaustion
-    /// (the previous epoch stayed in force).
-    pub aborted: u64,
+macro_rules! plain_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn json(&self) -> Value {
+                Value::from(*self)
+            }
+            fn cell(&self) -> String {
+                self.to_string()
+            }
+        }
+    )*};
+}
+plain_field!(u64, bool, f64);
+
+impl Field for Cycle {
+    fn json(&self) -> Value {
+        Value::from(self.raw())
+    }
+    fn cell(&self) -> String {
+        self.raw().to_string()
+    }
 }
 
-/// What the end-to-end integrity subsystem did (`--integrity`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IntegritySummary {
-    /// Pages the media silently corrupted below the ECC model.
-    pub silent_corruptions: u64,
-    /// Checksum mismatches caught on the read path.
-    pub detected: u64,
-    /// Charged re-reads issued after a mismatch.
-    pub rereads: u64,
-    /// Corrupt pages rebuilt from RAIN parity.
-    pub reconstructed: u64,
-    /// Corrupt copies quarantined (scrub + recovery, never resurrected).
-    pub quarantined: u64,
-    /// L2 lines poisoned after an unrecoverable integrity violation.
-    pub poisoned_lines: u64,
+impl<const N: usize> Field for [u64; N] {
+    fn json(&self) -> Value {
+        Value::from(self.to_vec())
+    }
+    fn cell(&self) -> String {
+        self.map(|n| n.to_string()).join("/")
+    }
 }
 
-/// What the redundancy & self-healing subsystem did (`--redundancy`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RedundancySummary {
-    /// Pages rebuilt from surviving stripe members on the read path.
-    pub reconstructions: u64,
-    /// Member senses issued by those reconstructions.
-    pub reconstruction_reads: u64,
-    /// Parity pages flushed from helper-thread SRAM to flash.
-    pub parity_pages: u64,
-    /// Pages the patrol scrubber sensed.
-    pub scrub_scanned: u64,
-    /// Scrubbed pages proactively rewritten to fresh cells.
-    pub scrub_rewrites: u64,
-    /// Scrub steps whose media time overran the pacing budget.
-    pub scrub_overruns: u64,
-    /// Patrol-scrub steps the runner scheduled.
-    pub scrub_ticks: u64,
-    /// Pages re-created onto spares by the post-failure rebuild.
-    pub rebuild_pages: u64,
-    /// Reconstructions forced by a dead home die (degraded mode).
-    pub degraded_reads: u64,
-    /// Blocks fenced out of service on dead dies.
-    pub fenced_blocks: u64,
-    /// Reads that targeted a dead die.
-    pub dead_die_reads: u64,
-    /// Transfers that detoured around a severed network link.
-    pub rerouted_transfers: u64,
-    /// Reads by retry-ladder depth (`[0]` = clean first sense; the last
-    /// bucket also absorbs deeper retries).
-    pub retry_depth_histogram: [u64; RETRY_DEPTH_BUCKETS],
+/// Dies as `ch:die`.
+impl Field for Vec<(u16, u16)> {
+    fn json(&self) -> Value {
+        Value::from(
+            self.iter()
+                .map(|(c, d)| format!("{c}:{d}"))
+                .collect::<Vec<_>>(),
+        )
+    }
+    fn cell(&self) -> String {
+        let dies: Vec<String> = self.iter().map(|(c, d)| format!("{c}:{d}")).collect();
+        if dies.is_empty() {
+            "none".into()
+        } else {
+            dies.join(",")
+        }
+    }
 }
 
-/// What the device-lifetime endurance subsystem did (`--endurance`).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct EnduranceSummary {
-    /// Refresh-scheduler steps the runner scheduled.
-    pub refresh_ticks: u64,
-    /// Blocks rewritten to fresh cells by the refresh scheduler.
-    pub refreshes: u64,
-    /// Refreshes triggered by the read-disturb budget.
-    pub disturb_refreshes: u64,
-    /// Refreshes triggered by the retention-age budget.
-    pub retention_refreshes: u64,
-    /// Pages moved by those refreshes.
-    pub refreshed_pages: u64,
-    /// Static wear-levelling migrations (cold block → worn spare).
-    pub level_migrations: u64,
-    /// Pages moved by the static leveler.
-    pub leveled_pages: u64,
-    /// Refresh/levelling steps whose media time overran the pacing
-    /// budget.
-    pub refresh_overruns: u64,
-    /// End-of-life capacity shrink steps taken instead of the hard
-    /// worn-out cliff.
-    pub capacity_steps: u64,
-    /// Writes refused after capacity degraded (the device is read-only
-    /// for new data; the workload keeps running).
-    pub writes_refused: u64,
-    /// Array senses charged against block disturb counters.
-    pub disturb_reads: u64,
-    /// Read errors attributable to accumulated disturb exposure.
-    pub disturb_triggered_errors: u64,
-    /// The worst-worn block's erase fraction (of the P/E limit).
-    pub wear_max: f64,
-    /// Mean erase fraction across every block.
-    pub wear_mean: f64,
-    /// The least-worn block's erase fraction.
-    pub wear_min: f64,
-    /// Wear spread (max/mean; 1.0 = perfectly even).
-    pub wear_spread: f64,
+/// A run summary's output: its JSON entries and its table rows.
+trait Summary {
+    fn json_fields(&self, out: &mut Vec<(&'static str, Value)>);
+    fn table_rows(&self, out: &mut Vec<(String, String)>);
 }
 
-/// One die's lifetime telemetry rollup (the health monitor's raw feed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DieBreakdown {
-    /// Channel index of the die.
-    pub channel: u16,
-    /// Die index within the channel.
-    pub die: u16,
-    /// Array senses served by this die.
-    pub reads: u64,
-    /// Read-retry ladder steps burned by this die's senses.
-    pub retry_steps: u64,
-    /// Senses that stayed uncorrectable through the whole ladder.
-    pub uncorrectable_reads: u64,
-    /// Page programs attempted on this die.
-    pub programs: u64,
-    /// Programs that failed verification.
-    pub program_failures: u64,
-    /// Block erases completed on this die (the wear rollup).
-    pub erases: u64,
-    /// Erases that failed verification.
-    pub erase_failures: u64,
+/// A summary that did not run writes nothing.
+impl<S: Summary> Summary for Option<S> {
+    fn json_fields(&self, out: &mut Vec<(&'static str, Value)>) {
+        if let Some(s) = self {
+            s.json_fields(out);
+        }
+    }
+    fn table_rows(&self, out: &mut Vec<(String, String)>) {
+        if let Some(s) = self {
+            s.table_rows(out);
+        }
+    }
 }
 
-/// What the predictive health monitor did (`--health`).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct HealthSummary {
-    /// Monitor steps the runner scheduled.
-    pub health_ticks: u64,
-    /// Dies flagged as suspects (quarantined) over the run.
-    pub suspects_flagged: u64,
-    /// Live pages pre-emptively migrated off suspect dies.
-    pub pages_evacuated: u64,
-    /// Suspect dies fully drained of live data before dying.
-    pub evacuations_completed: u64,
-    /// Suspects whose telemetry recovered and were released.
-    pub rehabilitations: u64,
-    /// Evacuation steps whose media time overran the pacing budget.
-    pub evacuation_overruns: u64,
-    /// Dies that died under monitoring and were fenced by the monitor.
-    pub dead_dies_fenced: u64,
-    /// Dies still quarantined at the end of the run, sorted.
-    pub quarantined: Vec<(u16, u16)>,
-    /// Per-die telemetry rollups, sorted by (channel, die).
-    pub per_die: Vec<DieBreakdown>,
-}
-
-/// Simulator-throughput telemetry (`--perf`): how fast the *simulator
-/// itself* ran, not the simulated machine.
+/// Declares a run summary once: one line per field gives its name, type,
+/// JSON key and table label. It generates the struct and the summary's
+/// JSON entries and table rows, each in declaration order.
 ///
-/// The wall-clock numbers are host-dependent and nondeterministic, so
-/// they are only emitted when the flag is set — default output stays
-/// byte-identical to builds without this machinery. The event counters
-/// are deterministic.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PerfSummary {
-    /// Host wall-clock spent inside the event loop, in seconds.
-    pub wall_seconds: f64,
-    /// Events popped from the queue (every scheduled wake-up).
-    pub events: u64,
-    /// Events per host second (`events / wall_seconds`) — the headline
-    /// sim-throughput number.
-    pub events_per_sec: f64,
-    /// Largest pending-event population the queue ever held.
-    pub peak_queue_depth: u64,
-    /// Events that issued a compute segment.
-    pub compute_events: u64,
-    /// Events that issued a memory op (coalesced request batch).
-    pub mem_events: u64,
-    /// Events deferred because their app was blocked (GC / maintenance)
-    /// or throttled by the fairness gate.
-    pub blocked_events: u64,
-    /// Maintenance steps taken at event boundaries (crash recovery, die
-    /// fencing, scrub, refresh, checkpoint, health ticks).
-    pub maintenance_events: u64,
-    /// Events for warps that had already retired (no-op wake-ups).
-    pub skipped_events: u64,
+/// ```text
+/// field: Type;                                  // no output: written by hand
+/// field: Type => "json_key";                    // JSON only
+/// field: Type => "json_key", "table label";     // JSON and a table row
+/// field: Type => "json_key", "label" |s| cell;  // the row's cell from `s: &Self`
+/// ```
+///
+/// Values and cells come from [`Field`]; a formatter builds composite
+/// `a/b` cells (from fields declared without a label) and fixed-precision
+/// floats.
+macro_rules! summary {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $(
+                $(#[$fmeta:meta])*
+                $field:ident: $ty:ty $(=> $key:literal $(, $label:literal $(|$s:ident| $cell:expr)?)?)?;
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+
+        impl Summary for $name {
+            fn json_fields(&self, out: &mut Vec<(&'static str, Value)>) {
+                $($(out.push(($key, Field::json(&self.$field)));)?)*
+            }
+
+            fn table_rows(&self, out: &mut Vec<(String, String)>) {
+                $($($(
+                    let cell = summary!(@cell self, $field $(, $s $cell)?);
+                    out.push(($label.into(), cell));
+                )?)?)*
+            }
+        }
+    };
+    (@cell $this:expr, $field:ident) => {
+        Field::cell(&$this.$field)
+    };
+    (@cell $this:expr, $field:ident, $s:ident $cell:expr) => {{
+        let $s = $this;
+        $cell
+    }};
+}
+
+summary! {
+    /// Aggregated overload-control observations for one run. Present in
+    /// `RunResult` only when a non-default (bounded)
+    /// [`QosConfig`](crate::QosConfig) ran, so default output stays
+    /// byte-identical.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct QosSummary {
+        /// Admissions refused across flash channels, network links and the
+        /// SSD-module dispatcher.
+        rejected: u64 => "qos_rejected", "qos rejected";
+        /// Backoff retries the runner performed after rejections.
+        retried: u64 => "qos_retried", "qos retried";
+        /// Requests whose retry budget ran out (they then waited for the
+        /// queue's hinted `retry_at` instead of backing off again).
+        retry_budget_exhausted: u64 => "qos_retry_budget_exhausted", "qos budget exhausted";
+        /// MSHR-full structural hazards resolved by bounded backoff.
+        mshr_stalls: u64 => "qos_mshr_stalls", "qos MSHR stalls";
+        /// Pinned-L2 overflow events degraded gracefully to register writes.
+        pinned_overflow_stalls: u64 => "qos_pinned_overflow_stalls", "qos pinned overflows";
+        /// Log-block merges that overran their blocking deadline.
+        gc_deadline_misses: u64 => "qos_gc_deadline_misses", "qos GC deadline misses";
+        /// Log-block merges that ran under pacing.
+        paced_gcs: u64 => "qos_paced_gcs", "qos paced GCs";
+        /// Merges whose stall credit ran out, releasing the victim app early.
+        gc_credit_exhausted: u64 => "qos_gc_credit_exhausted", "qos GC credits exhausted";
+        /// Warp-issue throttles taken by the fairness gate.
+        fairness_throttles: u64 => "qos_fairness_throttles", "qos fairness throttles";
+        /// Largest weighted service lead observed between apps.
+        max_service_lag: u64 => "qos_max_service_lag", "qos max service lag";
+        /// Largest in-flight population admitted to any bounded queue.
+        max_queue_occupancy: u64 => "qos_max_queue_occupancy", "qos max queue occupancy";
+        /// Exact read-latency percentiles (cycles) across all sectors.
+        read_p50: u64 => "qos_read_p50", "read p50/p95/p99"
+            |s| format!("{}/{}/{}", s.read_p50, s.read_p95, s.read_p99);
+        /// 95th percentile read latency (cycles).
+        read_p95: u64 => "qos_read_p95";
+        /// 99th percentile read latency (cycles).
+        read_p99: u64 => "qos_read_p99";
+        /// Exact write-latency percentiles (cycles) across all sectors.
+        write_p50: u64 => "qos_write_p50", "write p50/p95/p99"
+            |s| format!("{}/{}/{}", s.write_p50, s.write_p95, s.write_p99);
+        /// 95th percentile write latency (cycles).
+        write_p95: u64 => "qos_write_p95";
+        /// 99th percentile write latency (cycles).
+        write_p99: u64 => "qos_write_p99";
+    }
+}
+
+summary! {
+    /// What a mid-run power cut and recovery looked like (`--crash-at`).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct CrashRecoverySummary {
+        /// Completed requests when the power cut fired.
+        at_requests: u64 => "crash_at_requests", "crash at request";
+        /// Simulation time of the cut.
+        at_cycle: Cycle => "crash_at_cycle", "crash at cycle";
+        /// Programmed pages whose OOB metadata was scanned.
+        pages_scanned: u64 => "crash_pages_scanned", "recovery pages scanned";
+        /// Torn (mid-program) pages discarded.
+        torn_discarded: u64 => "crash_torn_discarded", "recovery torn discarded";
+        /// Superseded page versions dropped during winner resolution.
+        stale_dropped: u64 => "crash_stale_dropped", "recovery stale dropped";
+        /// Dead blocks erased back into the free pool.
+        blocks_erased: u64 => "crash_blocks_erased", "recovery blocks erased";
+        /// Modelled cost of the recovery scan.
+        scan_cycles: Cycle => "crash_scan_cycles", "recovery scan cycles";
+        // The rest is written by `RunResult`, and only beside the
+        // integrity or checkpoint summary.
+        /// Corrupt page copies quarantined by the scan (integrity mode).
+        corrupt_quarantined: u64;
+        /// The recovery took the checkpoint fast path (loaded the newest
+        /// verified checkpoint, replayed the journal tail and rescanned only
+        /// the blocks touched since).
+        fast_path: bool;
+        /// Checkpointing was on but the fast path was unusable (torn or
+        /// aborted checkpoint, journal overflow or gap) and the recovery
+        /// fell back to the full out-of-band scan.
+        fallback: bool;
+        /// Journal records replayed on the fast path.
+        journal_replayed: u64;
+        /// Blocks the fast path rescanned from the media (the rest came
+        /// from the checkpoint image).
+        blocks_rescanned: u64;
+        /// Scan cycles the fast path saved versus the estimated full scan.
+        cycles_saved: Cycle;
+    }
+}
+
+impl CrashRecoverySummary {
+    /// The recovery path taken, as a table cell.
+    pub fn path(&self) -> &'static str {
+        if self.fast_path {
+            "fast (checkpoint+journal)"
+        } else if self.fallback {
+            "fallback (full scan)"
+        } else {
+            "full scan"
+        }
+    }
+}
+
+summary! {
+    /// What the checkpoint writer did over the run (`--checkpoint`).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct CheckpointSummary {
+        /// Checkpoint steps the runner scheduled.
+        checkpoint_ticks: u64 => "checkpoint_ticks", "checkpoint ticks/taken"
+            |s| format!("{}/{}", s.checkpoint_ticks, s.checkpoints);
+        /// Checkpoints committed (payload chain + commit page verified).
+        checkpoints: u64 => "checkpoints";
+        /// Checkpoint payload/commit pages programmed.
+        checkpoint_pages: u64 => "checkpoint_pages", "checkpoint pages";
+        /// Delta-journal records appended between checkpoints.
+        journal_records: u64 => "journal_records", "journal records/pages"
+            |s| format!("{}/{}", s.journal_records, s.journal_pages);
+        /// Journal pages programmed into the checkpoint namespace.
+        journal_pages: u64 => "journal_pages";
+        /// Checkpoint writes that outlived their pacing deadline.
+        overruns: u64 => "checkpoint_overruns", "checkpoint overruns";
+        /// Epochs whose journal outgrew the cap (fast path disabled until
+        /// the next checkpoint).
+        journal_overflows: u64 => "journal_overflows", "journal overflows";
+        /// Checkpoint writes aborted by media failures or pool exhaustion
+        /// (the previous epoch stayed in force).
+        aborted: u64 => "checkpoints_aborted", "checkpoints aborted";
+    }
+}
+
+summary! {
+    /// What the end-to-end integrity subsystem did (`--integrity`).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct IntegritySummary {
+        /// Pages the media silently corrupted below the ECC model.
+        silent_corruptions: u64 => "integrity_silent_corruptions", "silent corruptions";
+        /// Checksum mismatches caught on the read path.
+        detected: u64 => "integrity_detected", "integrity detected";
+        /// Charged re-reads issued after a mismatch.
+        rereads: u64 => "integrity_rereads", "integrity re-reads";
+        /// Corrupt pages rebuilt from RAIN parity.
+        reconstructed: u64 => "integrity_reconstructed", "integrity reconstructed";
+        /// Corrupt copies quarantined (scrub + recovery, never resurrected).
+        quarantined: u64 => "integrity_quarantined", "integrity quarantined";
+        /// L2 lines poisoned after an unrecoverable integrity violation.
+        poisoned_lines: u64 => "integrity_poisoned_lines", "poisoned L2 lines";
+    }
+}
+
+summary! {
+    /// What the redundancy & self-healing subsystem did (`--redundancy`).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct RedundancySummary {
+        /// Pages rebuilt from surviving stripe members on the read path.
+        reconstructions: u64 => "rain_reconstructions", "rain reconstructions";
+        /// Member senses issued by those reconstructions.
+        reconstruction_reads: u64 => "rain_reconstruction_reads", "rain member reads";
+        /// Parity pages flushed from helper-thread SRAM to flash.
+        parity_pages: u64 => "rain_parity_pages", "rain parity pages";
+        /// Patrol-scrub steps the runner scheduled.
+        scrub_ticks: u64 => "scrub_ticks", "scrub ticks/scanned"
+            |s| format!("{}/{}", s.scrub_ticks, s.scrub_scanned);
+        /// Pages the patrol scrubber sensed.
+        scrub_scanned: u64 => "scrub_scanned";
+        /// Scrubbed pages proactively rewritten to fresh cells.
+        scrub_rewrites: u64 => "scrub_rewrites", "scrub rewrites";
+        /// Scrub steps whose media time overran the pacing budget.
+        scrub_overruns: u64 => "scrub_overruns", "scrub overruns";
+        /// Pages re-created onto spares by the post-failure rebuild.
+        rebuild_pages: u64 => "rebuild_pages", "rebuild pages";
+        /// Reconstructions forced by a dead home die (degraded mode).
+        degraded_reads: u64 => "degraded_reads", "degraded reads";
+        /// Blocks fenced out of service on dead dies.
+        fenced_blocks: u64 => "fenced_blocks", "fenced blocks";
+        /// Reads that targeted a dead die.
+        dead_die_reads: u64 => "dead_die_reads", "dead-die reads";
+        /// Transfers that detoured around a severed network link.
+        rerouted_transfers: u64 => "rerouted_transfers", "rerouted transfers";
+        /// Reads by retry-ladder depth (`[0]` = clean first sense; the last
+        /// bucket also absorbs deeper retries).
+        retry_depth_histogram: [u64; RETRY_DEPTH_BUCKETS]
+            => "retry_depth_histogram", "retry depth 0..4+";
+    }
+}
+
+summary! {
+    /// What the device-lifetime endurance subsystem did (`--endurance`).
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct EnduranceSummary {
+        /// Refresh-scheduler steps the runner scheduled.
+        refresh_ticks: u64 => "endurance_refresh_ticks", "refresh ticks/refreshes"
+            |s| format!("{}/{}", s.refresh_ticks, s.refreshes);
+        /// Blocks rewritten to fresh cells by the refresh scheduler.
+        refreshes: u64 => "endurance_refreshes";
+        /// Refreshes triggered by the read-disturb budget.
+        disturb_refreshes: u64 => "endurance_disturb_refreshes", "refresh disturb/retention"
+            |s| format!("{}/{}", s.disturb_refreshes, s.retention_refreshes);
+        /// Refreshes triggered by the retention-age budget.
+        retention_refreshes: u64 => "endurance_retention_refreshes";
+        /// Pages moved by those refreshes.
+        refreshed_pages: u64 => "endurance_refreshed_pages", "refreshed pages";
+        /// Static wear-levelling migrations (cold block → worn spare).
+        level_migrations: u64 => "endurance_level_migrations", "level migrations";
+        /// Pages moved by the static leveler.
+        leveled_pages: u64 => "endurance_leveled_pages", "leveled pages";
+        /// Refresh/levelling steps whose media time overran the pacing
+        /// budget.
+        refresh_overruns: u64 => "endurance_refresh_overruns", "refresh overruns";
+        /// End-of-life capacity shrink steps taken instead of the hard
+        /// worn-out cliff.
+        capacity_steps: u64 => "endurance_capacity_steps", "capacity steps";
+        /// Writes refused after capacity degraded (the device is read-only
+        /// for new data; the workload keeps running).
+        writes_refused: u64 => "endurance_writes_refused", "writes refused";
+        /// Array senses charged against block disturb counters.
+        disturb_reads: u64 => "endurance_disturb_reads", "disturb reads";
+        /// Read errors attributable to accumulated disturb exposure.
+        disturb_triggered_errors: u64 => "endurance_disturb_errors", "disturb-triggered errors";
+        /// The worst-worn block's erase fraction (of the P/E limit).
+        wear_max: f64 => "wear_max_fraction", "wear min/mean/max"
+            |s| format!("{:.6}/{:.6}/{:.6}", s.wear_min, s.wear_mean, s.wear_max);
+        /// Mean erase fraction across every block.
+        wear_mean: f64 => "wear_mean_fraction";
+        /// The least-worn block's erase fraction.
+        wear_min: f64 => "wear_min_fraction";
+        /// Wear spread (max/mean; 1.0 = perfectly even).
+        wear_spread: f64 => "wear_spread", "wear spread" |s| format!("{:.2}", s.wear_spread);
+    }
+}
+
+summary! {
+    /// One die's lifetime telemetry rollup (the health monitor's raw feed).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct DieBreakdown {
+        /// Channel index of the die.
+        channel: u16;
+        /// Die index within the channel.
+        die: u16;
+        /// Array senses served by this die.
+        reads: u64 => "reads", "rd/retry/unc" |s| format!(
+            "{}/{}/{} pgm {} (fail {}) erase {} (fail {})",
+            s.reads, s.retry_steps, s.uncorrectable_reads, s.programs, s.program_failures,
+            s.erases, s.erase_failures
+        );
+        /// Read-retry ladder steps burned by this die's senses.
+        retry_steps: u64 => "retry_steps";
+        /// Senses that stayed uncorrectable through the whole ladder.
+        uncorrectable_reads: u64 => "uncorrectable_reads";
+        /// Page programs attempted on this die.
+        programs: u64 => "programs";
+        /// Programs that failed verification.
+        program_failures: u64 => "program_failures";
+        /// Block erases completed on this die (the wear rollup).
+        erases: u64 => "erases";
+        /// Erases that failed verification.
+        erase_failures: u64 => "erase_failures";
+    }
+}
+
+summary! {
+    /// What the predictive health monitor did (`--health`).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct HealthSummary {
+        /// Monitor steps the runner scheduled.
+        health_ticks: u64 => "health_ticks", "health ticks";
+        /// Dies flagged as suspects (quarantined) over the run.
+        suspects_flagged: u64 => "health_suspects_flagged", "suspects flagged";
+        /// Live pages pre-emptively migrated off suspect dies.
+        pages_evacuated: u64 => "health_pages_evacuated", "pages evacuated";
+        /// Suspect dies fully drained of live data before dying.
+        evacuations_completed: u64 => "health_evacuations_completed", "evacuations completed";
+        /// Suspects whose telemetry recovered and were released.
+        rehabilitations: u64 => "health_rehabilitations", "rehabilitations";
+        /// Evacuation steps whose media time overran the pacing budget.
+        evacuation_overruns: u64 => "health_evacuation_overruns", "evacuation overruns";
+        /// Dies that died under monitoring and were fenced by the monitor.
+        dead_dies_fenced: u64 => "health_dead_dies_fenced", "dead dies fenced";
+        /// Dies still quarantined at the end of the run, sorted.
+        quarantined: Vec<(u16, u16)> => "health_quarantined", "quarantined dies";
+        /// Per-die telemetry rollups, sorted by (channel, die).
+        per_die: Vec<DieBreakdown>;
+    }
+}
+
+summary! {
+    /// Simulator-throughput telemetry (`--perf`): how fast the *simulator
+    /// itself* ran, not the simulated machine.
+    ///
+    /// The wall-clock numbers are host-dependent and nondeterministic, so
+    /// they are only emitted when the flag is set — default output stays
+    /// byte-identical to builds without this machinery. The event counters
+    /// are deterministic.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct PerfSummary {
+        /// Host wall-clock spent inside the event loop, in seconds.
+        wall_seconds: f64 => "perf_wall_seconds", "sim wall seconds"
+            |s| format!("{:.3}", s.wall_seconds);
+        /// Events popped from the queue (every scheduled wake-up).
+        events: u64 => "perf_events", "sim events";
+        /// Events per host second (`events / wall_seconds`) — the headline
+        /// sim-throughput number.
+        events_per_sec: f64 => "perf_events_per_sec", "sim events/sec"
+            |s| format!("{:.0}", s.events_per_sec);
+        /// Largest pending-event population the queue ever held.
+        peak_queue_depth: u64 => "perf_peak_queue_depth", "sim peak queue depth";
+        /// Events that issued a compute segment.
+        compute_events: u64 => "perf_compute_events", "sim compute/mem events"
+            |s| format!("{}/{}", s.compute_events, s.mem_events);
+        /// Events that issued a memory op (coalesced request batch).
+        mem_events: u64 => "perf_mem_events";
+        /// Events deferred because their app was blocked (GC / maintenance)
+        /// or throttled by the fairness gate.
+        blocked_events: u64 => "perf_blocked_events", "sim blocked/maint/skipped"
+            |s| format!("{}/{}/{}", s.blocked_events, s.maintenance_events, s.skipped_events);
+        /// Maintenance steps taken at event boundaries (crash recovery, die
+        /// fencing, scrub, refresh, checkpoint, health ticks).
+        maintenance_events: u64 => "perf_maintenance_events";
+        /// Events for warps that had already retired (no-op wake-ups).
+        skipped_events: u64 => "perf_skipped_events";
+    }
 }
 
 /// The outcome of one simulation run.
@@ -371,48 +593,33 @@ impl RunResult {
     /// variant name, and per-app maps to objects keyed by the decimal
     /// app id.
     pub fn to_json_value(&self) -> Value {
-        fn app_map<T: Clone + Into<Value>>(m: &BTreeMap<u16, T>) -> Value {
-            Value::object(
-                m.iter()
-                    .map(|(k, v)| (k.to_string(), v.clone().into()))
-                    .collect(),
-            )
+        fn app_map<T: Field>(m: &BTreeMap<u16, T>) -> Value {
+            Value::object(m.iter().map(|(k, v)| (k.to_string(), v.json())).collect())
         }
         let mut fields = vec![
             ("platform", Value::from(format!("{:?}", self.platform))),
             ("workload", Value::from(self.workload.as_str())),
-            ("cycles", Value::from(self.cycles.raw())),
-            ("instructions", Value::from(self.instructions)),
-            ("requests", Value::from(self.requests)),
-            ("ipc", Value::from(self.ipc)),
-            ("flash_array_gbps", Value::from(self.flash_array_gbps)),
-            (
-                "flash_reads_per_page",
-                Value::from(self.flash_reads_per_page),
-            ),
+            ("cycles", self.cycles.json()),
+            ("instructions", self.instructions.json()),
+            ("requests", self.requests.json()),
+            ("ipc", self.ipc.json()),
+            ("flash_array_gbps", self.flash_array_gbps.json()),
+            ("flash_reads_per_page", self.flash_reads_per_page.json()),
             (
                 "flash_programs_per_page",
-                Value::from(self.flash_programs_per_page),
+                self.flash_programs_per_page.json(),
             ),
-            ("l1_hit_rate", Value::from(self.l1_hit_rate)),
-            ("l2_hit_rate", Value::from(self.l2_hit_rate)),
-            ("tlb_hit_rate", Value::from(self.tlb_hit_rate)),
-            ("predictor_accuracy", Value::from(self.predictor_accuracy)),
-            ("gcs", Value::from(self.gcs)),
-            ("register_migrations", Value::from(self.register_migrations)),
-            ("redirected_writes", Value::from(self.redirected_writes)),
-            ("avg_read_latency", Value::from(self.avg_read_latency)),
-            ("avg_write_latency", Value::from(self.avg_write_latency)),
+            ("l1_hit_rate", self.l1_hit_rate.json()),
+            ("l2_hit_rate", self.l2_hit_rate.json()),
+            ("tlb_hit_rate", self.tlb_hit_rate.json()),
+            ("predictor_accuracy", self.predictor_accuracy.json()),
+            ("gcs", self.gcs.json()),
+            ("register_migrations", self.register_migrations.json()),
+            ("redirected_writes", self.redirected_writes.json()),
+            ("avg_read_latency", self.avg_read_latency.json()),
+            ("avg_write_latency", self.avg_write_latency.json()),
             ("per_app_instructions", app_map(&self.per_app_instructions)),
-            (
-                "per_app_cycles",
-                Value::object(
-                    self.per_app_cycles
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), Value::from(v.raw())))
-                        .collect(),
-                ),
-            ),
+            ("per_app_cycles", app_map(&self.per_app_cycles)),
             ("per_app_requests", app_map(&self.per_app_requests)),
             (
                 "per_app_series",
@@ -428,55 +635,25 @@ impl RunResult {
                         .collect(),
                 ),
             ),
-            ("series_interval", Value::from(self.series_interval.raw())),
-            ("read_retries", Value::from(self.read_retries)),
-            ("uncorrectable_reads", Value::from(self.uncorrectable_reads)),
-            ("program_failures", Value::from(self.program_failures)),
-            ("erase_failures", Value::from(self.erase_failures)),
-            ("blocks_retired", Value::from(self.blocks_retired)),
-            ("write_redrives", Value::from(self.write_redrives)),
+            ("series_interval", self.series_interval.json()),
+            ("read_retries", self.read_retries.json()),
+            ("uncorrectable_reads", self.uncorrectable_reads.json()),
+            ("program_failures", self.program_failures.json()),
+            ("erase_failures", self.erase_failures.json()),
+            ("blocks_retired", self.blocks_retired.json()),
+            ("write_redrives", self.write_redrives.json()),
             (
                 "gc_events",
                 Value::Array(
                     self.gc_events
                         .iter()
-                        .map(|&(s, e)| {
-                            Value::Array(vec![Value::from(s.raw()), Value::from(e.raw())])
-                        })
+                        .map(|(s, e)| Value::Array(vec![s.json(), e.json()]))
                         .collect(),
                 ),
             ),
         ];
         if let Some(q) = &self.qos {
-            fields.push(("qos_rejected", Value::from(q.rejected)));
-            fields.push(("qos_retried", Value::from(q.retried)));
-            fields.push((
-                "qos_retry_budget_exhausted",
-                Value::from(q.retry_budget_exhausted),
-            ));
-            fields.push(("qos_mshr_stalls", Value::from(q.mshr_stalls)));
-            fields.push((
-                "qos_pinned_overflow_stalls",
-                Value::from(q.pinned_overflow_stalls),
-            ));
-            fields.push(("qos_gc_deadline_misses", Value::from(q.gc_deadline_misses)));
-            fields.push(("qos_paced_gcs", Value::from(q.paced_gcs)));
-            fields.push((
-                "qos_gc_credit_exhausted",
-                Value::from(q.gc_credit_exhausted),
-            ));
-            fields.push(("qos_fairness_throttles", Value::from(q.fairness_throttles)));
-            fields.push(("qos_max_service_lag", Value::from(q.max_service_lag)));
-            fields.push((
-                "qos_max_queue_occupancy",
-                Value::from(q.max_queue_occupancy),
-            ));
-            fields.push(("qos_read_p50", Value::from(q.read_p50)));
-            fields.push(("qos_read_p95", Value::from(q.read_p95)));
-            fields.push(("qos_read_p99", Value::from(q.read_p99)));
-            fields.push(("qos_write_p50", Value::from(q.write_p50)));
-            fields.push(("qos_write_p95", Value::from(q.write_p95)));
-            fields.push(("qos_write_p99", Value::from(q.write_p99)));
+            q.json_fields(&mut fields);
             // Per-app latency breakdowns ride with the QoS summary so the
             // default output stays byte-stable across versions.
             fields.push(("per_app_read_latency", app_map(&self.per_app_read_latency)));
@@ -486,170 +663,121 @@ impl RunResult {
             ));
         }
         if let Some(cr) = &self.crash_recovery {
-            fields.push(("crash_at_requests", Value::from(cr.at_requests)));
-            fields.push(("crash_at_cycle", Value::from(cr.at_cycle.raw())));
-            fields.push(("crash_pages_scanned", Value::from(cr.pages_scanned)));
-            fields.push(("crash_torn_discarded", Value::from(cr.torn_discarded)));
-            fields.push(("crash_stale_dropped", Value::from(cr.stale_dropped)));
-            fields.push(("crash_blocks_erased", Value::from(cr.blocks_erased)));
-            fields.push(("crash_scan_cycles", Value::from(cr.scan_cycles.raw())));
+            cr.json_fields(&mut fields);
             // Gated on the integrity summary so integrity-off crash runs
             // stay byte-identical to builds without this machinery.
             if self.integrity.is_some() {
-                fields.push((
-                    "crash_corrupt_quarantined",
-                    Value::from(cr.corrupt_quarantined),
-                ));
+                fields.push(("crash_corrupt_quarantined", cr.corrupt_quarantined.json()));
             }
             // Fast-path accounting rides with the checkpoint summary so
             // checkpoint-off crash runs stay byte-identical too.
             if self.checkpoint.is_some() {
-                fields.push(("crash_fast_path", Value::from(cr.fast_path)));
-                fields.push(("crash_fallback", Value::from(cr.fallback)));
-                fields.push(("crash_journal_replayed", Value::from(cr.journal_replayed)));
-                fields.push(("crash_blocks_rescanned", Value::from(cr.blocks_rescanned)));
-                fields.push(("crash_cycles_saved", Value::from(cr.cycles_saved.raw())));
+                fields.push(("crash_fast_path", cr.fast_path.json()));
+                fields.push(("crash_fallback", cr.fallback.json()));
+                fields.push(("crash_journal_replayed", cr.journal_replayed.json()));
+                fields.push(("crash_blocks_rescanned", cr.blocks_rescanned.json()));
+                fields.push(("crash_cycles_saved", cr.cycles_saved.json()));
             }
         }
-        if let Some(rd) = &self.redundancy {
-            fields.push(("rain_reconstructions", Value::from(rd.reconstructions)));
-            fields.push((
-                "rain_reconstruction_reads",
-                Value::from(rd.reconstruction_reads),
-            ));
-            fields.push(("rain_parity_pages", Value::from(rd.parity_pages)));
-            fields.push(("scrub_ticks", Value::from(rd.scrub_ticks)));
-            fields.push(("scrub_scanned", Value::from(rd.scrub_scanned)));
-            fields.push(("scrub_rewrites", Value::from(rd.scrub_rewrites)));
-            fields.push(("scrub_overruns", Value::from(rd.scrub_overruns)));
-            fields.push(("rebuild_pages", Value::from(rd.rebuild_pages)));
-            fields.push(("degraded_reads", Value::from(rd.degraded_reads)));
-            fields.push(("fenced_blocks", Value::from(rd.fenced_blocks)));
-            fields.push(("dead_die_reads", Value::from(rd.dead_die_reads)));
-            fields.push(("rerouted_transfers", Value::from(rd.rerouted_transfers)));
-            fields.push((
-                "retry_depth_histogram",
-                Value::from(rd.retry_depth_histogram.to_vec()),
-            ));
-        }
-        if let Some(i) = &self.integrity {
-            fields.push((
-                "integrity_silent_corruptions",
-                Value::from(i.silent_corruptions),
-            ));
-            fields.push(("integrity_detected", Value::from(i.detected)));
-            fields.push(("integrity_rereads", Value::from(i.rereads)));
-            fields.push(("integrity_reconstructed", Value::from(i.reconstructed)));
-            fields.push(("integrity_quarantined", Value::from(i.quarantined)));
-            fields.push(("integrity_poisoned_lines", Value::from(i.poisoned_lines)));
-        }
-        if let Some(e) = &self.endurance {
-            fields.push(("endurance_refresh_ticks", Value::from(e.refresh_ticks)));
-            fields.push(("endurance_refreshes", Value::from(e.refreshes)));
-            fields.push((
-                "endurance_disturb_refreshes",
-                Value::from(e.disturb_refreshes),
-            ));
-            fields.push((
-                "endurance_retention_refreshes",
-                Value::from(e.retention_refreshes),
-            ));
-            fields.push(("endurance_refreshed_pages", Value::from(e.refreshed_pages)));
-            fields.push((
-                "endurance_level_migrations",
-                Value::from(e.level_migrations),
-            ));
-            fields.push(("endurance_leveled_pages", Value::from(e.leveled_pages)));
-            fields.push((
-                "endurance_refresh_overruns",
-                Value::from(e.refresh_overruns),
-            ));
-            fields.push(("endurance_capacity_steps", Value::from(e.capacity_steps)));
-            fields.push(("endurance_writes_refused", Value::from(e.writes_refused)));
-            fields.push(("endurance_disturb_reads", Value::from(e.disturb_reads)));
-            fields.push((
-                "endurance_disturb_errors",
-                Value::from(e.disturb_triggered_errors),
-            ));
-            fields.push(("wear_max_fraction", Value::from(e.wear_max)));
-            fields.push(("wear_mean_fraction", Value::from(e.wear_mean)));
-            fields.push(("wear_min_fraction", Value::from(e.wear_min)));
-            fields.push(("wear_spread", Value::from(e.wear_spread)));
-        }
-        if let Some(c) = &self.checkpoint {
-            fields.push(("checkpoint_ticks", Value::from(c.checkpoint_ticks)));
-            fields.push(("checkpoints", Value::from(c.checkpoints)));
-            fields.push(("checkpoint_pages", Value::from(c.checkpoint_pages)));
-            fields.push(("journal_records", Value::from(c.journal_records)));
-            fields.push(("journal_pages", Value::from(c.journal_pages)));
-            fields.push(("checkpoint_overruns", Value::from(c.overruns)));
-            fields.push(("journal_overflows", Value::from(c.journal_overflows)));
-            fields.push(("checkpoints_aborted", Value::from(c.aborted)));
-        }
+        self.redundancy.json_fields(&mut fields);
+        self.integrity.json_fields(&mut fields);
+        self.endurance.json_fields(&mut fields);
+        self.checkpoint.json_fields(&mut fields);
         if let Some(h) = &self.health {
-            fields.push(("health_ticks", Value::from(h.health_ticks)));
-            fields.push(("health_suspects_flagged", Value::from(h.suspects_flagged)));
-            fields.push(("health_pages_evacuated", Value::from(h.pages_evacuated)));
-            fields.push((
-                "health_evacuations_completed",
-                Value::from(h.evacuations_completed),
-            ));
-            fields.push(("health_rehabilitations", Value::from(h.rehabilitations)));
-            fields.push((
-                "health_evacuation_overruns",
-                Value::from(h.evacuation_overruns),
-            ));
-            fields.push(("health_dead_dies_fenced", Value::from(h.dead_dies_fenced)));
-            fields.push((
-                "health_quarantined",
-                Value::Array(
-                    h.quarantined
-                        .iter()
-                        .map(|&(c, d)| Value::from(format!("{c}:{d}")))
-                        .collect(),
-                ),
-            ));
-            fields.push((
-                "per_die_health",
-                Value::object(
-                    h.per_die
-                        .iter()
-                        .map(|d| {
-                            (
-                                format!("{}:{}", d.channel, d.die),
-                                Value::object(vec![
-                                    ("reads".to_string(), Value::from(d.reads)),
-                                    ("retry_steps".to_string(), Value::from(d.retry_steps)),
-                                    (
-                                        "uncorrectable_reads".to_string(),
-                                        Value::from(d.uncorrectable_reads),
-                                    ),
-                                    ("programs".to_string(), Value::from(d.programs)),
-                                    (
-                                        "program_failures".to_string(),
-                                        Value::from(d.program_failures),
-                                    ),
-                                    ("erases".to_string(), Value::from(d.erases)),
-                                    ("erase_failures".to_string(), Value::from(d.erase_failures)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ));
+            h.json_fields(&mut fields);
+            let per_die = h.per_die.iter().map(|d| {
+                let mut counters = Vec::new();
+                d.json_fields(&mut counters);
+                (format!("{}:{}", d.channel, d.die), Value::object(counters))
+            });
+            fields.push(("per_die_health", Value::object(per_die.collect())));
         }
-        if let Some(p) = &self.perf {
-            fields.push(("perf_wall_seconds", Value::from(p.wall_seconds)));
-            fields.push(("perf_events", Value::from(p.events)));
-            fields.push(("perf_events_per_sec", Value::from(p.events_per_sec)));
-            fields.push(("perf_peak_queue_depth", Value::from(p.peak_queue_depth)));
-            fields.push(("perf_compute_events", Value::from(p.compute_events)));
-            fields.push(("perf_mem_events", Value::from(p.mem_events)));
-            fields.push(("perf_blocked_events", Value::from(p.blocked_events)));
-            fields.push(("perf_maintenance_events", Value::from(p.maintenance_events)));
-            fields.push(("perf_skipped_events", Value::from(p.skipped_events)));
-        }
+        self.perf.json_fields(&mut fields);
         Value::object(fields)
+    }
+
+    /// The result as `(metric, value)` rows (what `zng-cli run` prints):
+    /// the headline metrics, then each summary that ran.
+    pub fn table_rows(&self) -> Vec<(String, String)> {
+        let mut rows: Vec<(String, String)> = [
+            ("platform", self.platform.to_string()),
+            ("workload", self.workload.clone()),
+            ("IPC", format!("{:.4}", self.ipc)),
+            ("instructions", self.instructions.to_string()),
+            ("requests", self.requests.to_string()),
+            ("cycles", self.cycles.raw().to_string()),
+            ("simulated us", format!("{:.0}", self.simulated_us())),
+            ("L1 hit", format!("{:.3}", self.l1_hit_rate)),
+            ("L2 hit", format!("{:.3}", self.l2_hit_rate)),
+            ("TLB hit", format!("{:.3}", self.tlb_hit_rate)),
+            ("flash array GB/s", format!("{:.2}", self.flash_array_gbps)),
+            (
+                "flash reads/page",
+                format!("{:.2}", self.flash_reads_per_page),
+            ),
+            (
+                "flash programs/page",
+                format!("{:.2}", self.flash_programs_per_page),
+            ),
+            (
+                "predictor accuracy",
+                format!("{:.3}", self.predictor_accuracy),
+            ),
+            ("GCs", self.gcs.to_string()),
+            ("register migrations", self.register_migrations.to_string()),
+            ("read retries", self.read_retries.to_string()),
+            ("uncorrectable reads", self.uncorrectable_reads.to_string()),
+            ("program failures", self.program_failures.to_string()),
+            ("erase failures", self.erase_failures.to_string()),
+            ("blocks retired", self.blocks_retired.to_string()),
+            ("write re-drives", self.write_redrives.to_string()),
+        ]
+        .into_iter()
+        .map(|(label, value)| (label.to_string(), value))
+        .collect();
+        if let Some(q) = &self.qos {
+            q.table_rows(&mut rows);
+            for (app, lat) in &self.per_app_read_latency {
+                rows.push((format!("app{app} avg read lat"), format!("{lat:.0}")));
+            }
+            for (app, lat) in &self.per_app_write_latency {
+                rows.push((format!("app{app} avg write lat"), format!("{lat:.0}")));
+            }
+        }
+        self.redundancy.table_rows(&mut rows);
+        if let Some(cr) = &self.crash_recovery {
+            cr.table_rows(&mut rows);
+            if self.integrity.is_some() {
+                let quarantined = cr.corrupt_quarantined.cell();
+                rows.push(("recovery corrupt quarantined".into(), quarantined));
+            }
+            if self.checkpoint.is_some() {
+                rows.push(("recovery path".into(), cr.path().into()));
+                rows.push((
+                    "journal records replayed".into(),
+                    cr.journal_replayed.cell(),
+                ));
+                rows.push(("blocks rescanned".into(), cr.blocks_rescanned.cell()));
+                rows.push(("scan cycles saved".into(), cr.cycles_saved.cell()));
+            }
+        }
+        self.integrity.table_rows(&mut rows);
+        self.endurance.table_rows(&mut rows);
+        self.checkpoint.table_rows(&mut rows);
+        self.perf.table_rows(&mut rows);
+        if let Some(h) = &self.health {
+            h.table_rows(&mut rows);
+            for d in &h.per_die {
+                let mut die = Vec::new();
+                d.table_rows(&mut die);
+                let at = format!("die {}:{}", d.channel, d.die);
+                rows.extend(
+                    die.into_iter()
+                        .map(|(label, v)| (format!("{at} {label}"), v)),
+                );
+            }
+        }
+        rows
     }
 }
 
@@ -700,6 +828,95 @@ mod tests {
             health: None,
             perf: None,
         }
+    }
+
+    fn crash() -> CrashRecoverySummary {
+        CrashRecoverySummary {
+            at_requests: 100,
+            at_cycle: Cycle(500_000),
+            pages_scanned: 64,
+            torn_discarded: 2,
+            stale_dropped: 5,
+            blocks_erased: 3,
+            scan_cycles: Cycle(28_800),
+            corrupt_quarantined: 1,
+            fast_path: true,
+            fallback: false,
+            journal_replayed: 12,
+            blocks_rescanned: 4,
+            cycles_saved: Cycle(90_000),
+        }
+    }
+
+    /// Every summary is declared on its own, so nothing else stops two of
+    /// them from claiming the same JSON key or table label.
+    #[test]
+    fn keys_and_labels_are_unique_with_every_summary_on() {
+        let die = |channel, die| DieBreakdown {
+            channel,
+            die,
+            ..DieBreakdown::default()
+        };
+        let r = RunResult {
+            crash_recovery: Some(crash()),
+            qos: Some(QosSummary::default()),
+            redundancy: Some(RedundancySummary::default()),
+            integrity: Some(IntegritySummary::default()),
+            endurance: Some(EnduranceSummary::default()),
+            checkpoint: Some(CheckpointSummary::default()),
+            health: Some(HealthSummary {
+                per_die: vec![die(0, 1), die(2, 0)],
+                ..HealthSummary::default()
+            }),
+            perf: Some(PerfSummary::default()),
+            ..result()
+        };
+        let json = r.to_json_value();
+        let object = json.as_object().unwrap();
+        let keys: Vec<&str> = object.iter().map(|(k, _)| k.as_str()).collect();
+        let rows = r.table_rows();
+        let labels: Vec<&str> = rows.iter().map(|(l, _)| l.as_str()).collect();
+        for (what, names) in [("JSON key", keys), ("table label", labels)] {
+            let mut seen = std::collections::BTreeSet::new();
+            for name in &names {
+                assert!(seen.insert(name), "{what} `{name}` is emitted twice");
+            }
+        }
+        // Every summary, and each gated or hand-written part, is present.
+        for key in [
+            "qos_rejected",
+            "per_app_write_latency",
+            "crash_at_requests",
+            "crash_corrupt_quarantined",
+            "crash_cycles_saved",
+            "rain_reconstructions",
+            "integrity_detected",
+            "wear_spread",
+            "checkpoints_aborted",
+            "health_quarantined",
+            "per_die_health",
+            "perf_skipped_events",
+        ] {
+            assert!(json.get(key).is_some(), "{key} missing");
+        }
+        for label in [
+            "app1 avg write lat",
+            "recovery corrupt quarantined",
+            "scan cycles saved",
+            "die 2:0 rd/retry/unc",
+        ] {
+            assert!(rows.iter().any(|(l, _)| l == label), "{label} missing");
+        }
+    }
+
+    #[test]
+    fn recovery_path_names_the_fallback() {
+        let mut cr = crash();
+        assert_eq!(cr.path(), "fast (checkpoint+journal)");
+        cr.fast_path = false;
+        assert_eq!(cr.path(), "full scan");
+        cr.fallback = true;
+        assert_eq!(cr.path(), "fallback (full scan)");
     }
 
     #[test]
@@ -759,21 +976,7 @@ mod tests {
         let mut r = result();
         let clean = r.to_json_value().to_string();
         assert!(!clean.contains("crash_"), "no crash keys in a clean run");
-        r.crash_recovery = Some(CrashRecoverySummary {
-            at_requests: 100,
-            at_cycle: Cycle(500_000),
-            pages_scanned: 64,
-            torn_discarded: 2,
-            stale_dropped: 5,
-            blocks_erased: 3,
-            scan_cycles: Cycle(28_800),
-            corrupt_quarantined: 1,
-            fast_path: true,
-            fallback: false,
-            journal_replayed: 12,
-            blocks_rescanned: 4,
-            cycles_saved: Cycle(90_000),
-        });
+        r.crash_recovery = Some(crash());
         let crashed = r.to_json_value().to_string();
         assert!(crashed.contains("\"crash_at_requests\":100"));
         assert!(crashed.contains("\"crash_torn_discarded\":2"));

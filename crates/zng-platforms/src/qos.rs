@@ -367,49 +367,6 @@ impl FairShare {
     }
 }
 
-/// Aggregated overload-control observations for one run. Present in
-/// `RunResult` only when a non-default (bounded) [`QosConfig`] ran, so
-/// default output stays byte-identical.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct QosSummary {
-    /// Admissions refused across flash channels, network links and the
-    /// SSD-module dispatcher.
-    pub rejected: u64,
-    /// Backoff retries the runner performed after rejections.
-    pub retried: u64,
-    /// Requests whose retry budget ran out (they then waited for the
-    /// queue's hinted `retry_at` instead of backing off again).
-    pub retry_budget_exhausted: u64,
-    /// MSHR-full structural hazards resolved by bounded backoff.
-    pub mshr_stalls: u64,
-    /// Pinned-L2 overflow events degraded gracefully to register writes.
-    pub pinned_overflow_stalls: u64,
-    /// Log-block merges that overran their blocking deadline.
-    pub gc_deadline_misses: u64,
-    /// Log-block merges that ran under pacing.
-    pub paced_gcs: u64,
-    /// Merges whose stall credit ran out, releasing the victim app early.
-    pub gc_credit_exhausted: u64,
-    /// Warp-issue throttles taken by the fairness gate.
-    pub fairness_throttles: u64,
-    /// Largest weighted service lead observed between apps.
-    pub max_service_lag: u64,
-    /// Largest in-flight population admitted to any bounded queue.
-    pub max_queue_occupancy: u64,
-    /// Exact read-latency percentiles (cycles) across all sectors.
-    pub read_p50: u64,
-    /// 95th percentile read latency (cycles).
-    pub read_p95: u64,
-    /// 99th percentile read latency (cycles).
-    pub read_p99: u64,
-    /// Exact write-latency percentiles (cycles) across all sectors.
-    pub write_p50: u64,
-    /// 95th percentile write latency (cycles).
-    pub write_p95: u64,
-    /// 99th percentile write latency (cycles).
-    pub write_p99: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,9 +29,9 @@ use crate::config::{PlatformKind, SimConfig};
 use crate::lane::WarpQueue;
 use crate::metrics::{
     CheckpointSummary, CrashRecoverySummary, DieBreakdown, EnduranceSummary, HealthSummary,
-    IntegritySummary, PerfSummary, RedundancySummary, RunResult,
+    IntegritySummary, PerfSummary, QosSummary, RedundancySummary, RunResult,
 };
-use crate::qos::{FairShare, QosSummary};
+use crate::qos::FairShare;
 
 /// Time-series bucket width for Fig. 17b (10 µs at 1.2 GHz).
 const SERIES_INTERVAL: Cycle = Cycle(12_000);

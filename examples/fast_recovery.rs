@@ -62,13 +62,6 @@ fn main() -> zng::Result<()> {
         full_cr.scan_cycles.raw(),
     );
 
-    let path = |cr: &zng::CrashRecoverySummary| {
-        if cr.fast_path {
-            "fast (checkpoint + journal)"
-        } else {
-            "full OOB scan"
-        }
-    };
     let mut t = Table::new(vec![
         "recovery metric".into(),
         "full scan".into(),
@@ -76,8 +69,8 @@ fn main() -> zng::Result<()> {
     ]);
     t.row(vec![
         "path taken".into(),
-        path(&full_cr).into(),
-        path(&fast_cr).into(),
+        full_cr.path().into(),
+        fast_cr.path().into(),
     ]);
     t.row(vec![
         "pages scanned".into(),

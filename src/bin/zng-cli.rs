@@ -534,342 +534,8 @@ fn flag_name(p: PlatformKind) -> &'static str {
 
 fn print_result(r: &RunResult) {
     let mut t = Table::new(vec!["metric".into(), "value".into()]);
-    t.row(vec!["platform".into(), r.platform.to_string()]);
-    t.row(vec!["workload".into(), r.workload.clone()]);
-    t.row(vec!["IPC".into(), format!("{:.4}", r.ipc)]);
-    t.row(vec!["instructions".into(), r.instructions.to_string()]);
-    t.row(vec!["requests".into(), r.requests.to_string()]);
-    t.row(vec!["cycles".into(), r.cycles.raw().to_string()]);
-    t.row(vec![
-        "simulated us".into(),
-        format!("{:.0}", r.simulated_us()),
-    ]);
-    t.row(vec!["L1 hit".into(), format!("{:.3}", r.l1_hit_rate)]);
-    t.row(vec!["L2 hit".into(), format!("{:.3}", r.l2_hit_rate)]);
-    t.row(vec!["TLB hit".into(), format!("{:.3}", r.tlb_hit_rate)]);
-    t.row(vec![
-        "flash array GB/s".into(),
-        format!("{:.2}", r.flash_array_gbps),
-    ]);
-    t.row(vec![
-        "flash reads/page".into(),
-        format!("{:.2}", r.flash_reads_per_page),
-    ]);
-    t.row(vec![
-        "flash programs/page".into(),
-        format!("{:.2}", r.flash_programs_per_page),
-    ]);
-    t.row(vec![
-        "predictor accuracy".into(),
-        format!("{:.3}", r.predictor_accuracy),
-    ]);
-    t.row(vec!["GCs".into(), r.gcs.to_string()]);
-    t.row(vec![
-        "register migrations".into(),
-        r.register_migrations.to_string(),
-    ]);
-    t.row(vec!["read retries".into(), r.read_retries.to_string()]);
-    t.row(vec![
-        "uncorrectable reads".into(),
-        r.uncorrectable_reads.to_string(),
-    ]);
-    t.row(vec![
-        "program failures".into(),
-        r.program_failures.to_string(),
-    ]);
-    t.row(vec!["erase failures".into(), r.erase_failures.to_string()]);
-    t.row(vec!["blocks retired".into(), r.blocks_retired.to_string()]);
-    t.row(vec!["write re-drives".into(), r.write_redrives.to_string()]);
-    if let Some(q) = &r.qos {
-        t.row(vec!["qos rejected".into(), q.rejected.to_string()]);
-        t.row(vec!["qos retried".into(), q.retried.to_string()]);
-        t.row(vec![
-            "qos budget exhausted".into(),
-            q.retry_budget_exhausted.to_string(),
-        ]);
-        t.row(vec!["qos MSHR stalls".into(), q.mshr_stalls.to_string()]);
-        t.row(vec![
-            "qos pinned overflows".into(),
-            q.pinned_overflow_stalls.to_string(),
-        ]);
-        t.row(vec![
-            "qos GC deadline misses".into(),
-            q.gc_deadline_misses.to_string(),
-        ]);
-        t.row(vec!["qos paced GCs".into(), q.paced_gcs.to_string()]);
-        t.row(vec![
-            "qos GC credits exhausted".into(),
-            q.gc_credit_exhausted.to_string(),
-        ]);
-        t.row(vec![
-            "qos fairness throttles".into(),
-            q.fairness_throttles.to_string(),
-        ]);
-        t.row(vec![
-            "qos max service lag".into(),
-            q.max_service_lag.to_string(),
-        ]);
-        t.row(vec![
-            "qos max queue occupancy".into(),
-            q.max_queue_occupancy.to_string(),
-        ]);
-        t.row(vec![
-            "read p50/p95/p99".into(),
-            format!("{}/{}/{}", q.read_p50, q.read_p95, q.read_p99),
-        ]);
-        t.row(vec![
-            "write p50/p95/p99".into(),
-            format!("{}/{}/{}", q.write_p50, q.write_p95, q.write_p99),
-        ]);
-        for (app, lat) in &r.per_app_read_latency {
-            t.row(vec![format!("app{app} avg read lat"), format!("{lat:.0}")]);
-        }
-        for (app, lat) in &r.per_app_write_latency {
-            t.row(vec![format!("app{app} avg write lat"), format!("{lat:.0}")]);
-        }
-    }
-    if let Some(rd) = &r.redundancy {
-        t.row(vec![
-            "rain reconstructions".into(),
-            rd.reconstructions.to_string(),
-        ]);
-        t.row(vec![
-            "rain member reads".into(),
-            rd.reconstruction_reads.to_string(),
-        ]);
-        t.row(vec![
-            "rain parity pages".into(),
-            rd.parity_pages.to_string(),
-        ]);
-        t.row(vec![
-            "scrub ticks/scanned".into(),
-            format!("{}/{}", rd.scrub_ticks, rd.scrub_scanned),
-        ]);
-        t.row(vec!["scrub rewrites".into(), rd.scrub_rewrites.to_string()]);
-        t.row(vec!["scrub overruns".into(), rd.scrub_overruns.to_string()]);
-        t.row(vec!["rebuild pages".into(), rd.rebuild_pages.to_string()]);
-        t.row(vec!["degraded reads".into(), rd.degraded_reads.to_string()]);
-        t.row(vec!["fenced blocks".into(), rd.fenced_blocks.to_string()]);
-        t.row(vec!["dead-die reads".into(), rd.dead_die_reads.to_string()]);
-        t.row(vec![
-            "rerouted transfers".into(),
-            rd.rerouted_transfers.to_string(),
-        ]);
-        let hist: Vec<String> = rd
-            .retry_depth_histogram
-            .iter()
-            .map(u64::to_string)
-            .collect();
-        t.row(vec!["retry depth 0..4+".into(), hist.join("/")]);
-    }
-    if let Some(cr) = &r.crash_recovery {
-        t.row(vec!["crash at request".into(), cr.at_requests.to_string()]);
-        t.row(vec!["crash at cycle".into(), cr.at_cycle.raw().to_string()]);
-        t.row(vec![
-            "recovery pages scanned".into(),
-            cr.pages_scanned.to_string(),
-        ]);
-        t.row(vec![
-            "recovery torn discarded".into(),
-            cr.torn_discarded.to_string(),
-        ]);
-        t.row(vec![
-            "recovery stale dropped".into(),
-            cr.stale_dropped.to_string(),
-        ]);
-        t.row(vec![
-            "recovery blocks erased".into(),
-            cr.blocks_erased.to_string(),
-        ]);
-        t.row(vec![
-            "recovery scan cycles".into(),
-            cr.scan_cycles.raw().to_string(),
-        ]);
-        if r.integrity.is_some() {
-            t.row(vec![
-                "recovery corrupt quarantined".into(),
-                cr.corrupt_quarantined.to_string(),
-            ]);
-        }
-        if r.checkpoint.is_some() {
-            t.row(vec![
-                "recovery path".into(),
-                if cr.fast_path {
-                    "fast (checkpoint+journal)".into()
-                } else if cr.fallback {
-                    "fallback (full scan)".into()
-                } else {
-                    "full scan".into()
-                },
-            ]);
-            t.row(vec![
-                "journal records replayed".into(),
-                cr.journal_replayed.to_string(),
-            ]);
-            t.row(vec![
-                "blocks rescanned".into(),
-                cr.blocks_rescanned.to_string(),
-            ]);
-            t.row(vec![
-                "scan cycles saved".into(),
-                cr.cycles_saved.raw().to_string(),
-            ]);
-        }
-    }
-    if let Some(i) = &r.integrity {
-        t.row(vec![
-            "silent corruptions".into(),
-            i.silent_corruptions.to_string(),
-        ]);
-        t.row(vec!["integrity detected".into(), i.detected.to_string()]);
-        t.row(vec!["integrity re-reads".into(), i.rereads.to_string()]);
-        t.row(vec![
-            "integrity reconstructed".into(),
-            i.reconstructed.to_string(),
-        ]);
-        t.row(vec![
-            "integrity quarantined".into(),
-            i.quarantined.to_string(),
-        ]);
-        t.row(vec![
-            "poisoned L2 lines".into(),
-            i.poisoned_lines.to_string(),
-        ]);
-    }
-    if let Some(e) = &r.endurance {
-        t.row(vec![
-            "refresh ticks/refreshes".into(),
-            format!("{}/{}", e.refresh_ticks, e.refreshes),
-        ]);
-        t.row(vec![
-            "refresh disturb/retention".into(),
-            format!("{}/{}", e.disturb_refreshes, e.retention_refreshes),
-        ]);
-        t.row(vec![
-            "refreshed pages".into(),
-            e.refreshed_pages.to_string(),
-        ]);
-        t.row(vec![
-            "level migrations".into(),
-            e.level_migrations.to_string(),
-        ]);
-        t.row(vec!["leveled pages".into(), e.leveled_pages.to_string()]);
-        t.row(vec![
-            "refresh overruns".into(),
-            e.refresh_overruns.to_string(),
-        ]);
-        t.row(vec!["capacity steps".into(), e.capacity_steps.to_string()]);
-        t.row(vec!["writes refused".into(), e.writes_refused.to_string()]);
-        t.row(vec!["disturb reads".into(), e.disturb_reads.to_string()]);
-        t.row(vec![
-            "disturb-triggered errors".into(),
-            e.disturb_triggered_errors.to_string(),
-        ]);
-        t.row(vec![
-            "wear min/mean/max".into(),
-            format!("{:.6}/{:.6}/{:.6}", e.wear_min, e.wear_mean, e.wear_max),
-        ]);
-        t.row(vec!["wear spread".into(), format!("{:.2}", e.wear_spread)]);
-    }
-    if let Some(c) = &r.checkpoint {
-        t.row(vec![
-            "checkpoint ticks/taken".into(),
-            format!("{}/{}", c.checkpoint_ticks, c.checkpoints),
-        ]);
-        t.row(vec![
-            "checkpoint pages".into(),
-            c.checkpoint_pages.to_string(),
-        ]);
-        t.row(vec![
-            "journal records/pages".into(),
-            format!("{}/{}", c.journal_records, c.journal_pages),
-        ]);
-        t.row(vec!["checkpoint overruns".into(), c.overruns.to_string()]);
-        t.row(vec![
-            "journal overflows".into(),
-            c.journal_overflows.to_string(),
-        ]);
-        t.row(vec!["checkpoints aborted".into(), c.aborted.to_string()]);
-    }
-    if let Some(p) = &r.perf {
-        t.row(vec![
-            "sim wall seconds".into(),
-            format!("{:.3}", p.wall_seconds),
-        ]);
-        t.row(vec!["sim events".into(), p.events.to_string()]);
-        t.row(vec![
-            "sim events/sec".into(),
-            format!("{:.0}", p.events_per_sec),
-        ]);
-        t.row(vec![
-            "sim peak queue depth".into(),
-            p.peak_queue_depth.to_string(),
-        ]);
-        t.row(vec![
-            "sim compute/mem events".into(),
-            format!("{}/{}", p.compute_events, p.mem_events),
-        ]);
-        t.row(vec![
-            "sim blocked/maint/skipped".into(),
-            format!(
-                "{}/{}/{}",
-                p.blocked_events, p.maintenance_events, p.skipped_events
-            ),
-        ]);
-    }
-    if let Some(h) = &r.health {
-        t.row(vec!["health ticks".into(), h.health_ticks.to_string()]);
-        t.row(vec![
-            "suspects flagged".into(),
-            h.suspects_flagged.to_string(),
-        ]);
-        t.row(vec![
-            "pages evacuated".into(),
-            h.pages_evacuated.to_string(),
-        ]);
-        t.row(vec![
-            "evacuations completed".into(),
-            h.evacuations_completed.to_string(),
-        ]);
-        t.row(vec![
-            "rehabilitations".into(),
-            h.rehabilitations.to_string(),
-        ]);
-        t.row(vec![
-            "evacuation overruns".into(),
-            h.evacuation_overruns.to_string(),
-        ]);
-        t.row(vec![
-            "dead dies fenced".into(),
-            h.dead_dies_fenced.to_string(),
-        ]);
-        t.row(vec![
-            "quarantined dies".into(),
-            if h.quarantined.is_empty() {
-                "none".into()
-            } else {
-                h.quarantined
-                    .iter()
-                    .map(|(c, d)| format!("{c}:{d}"))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            },
-        ]);
-        for d in &h.per_die {
-            t.row(vec![
-                format!("die {}:{} rd/retry/unc", d.channel, d.die),
-                format!(
-                    "{}/{}/{} pgm {} (fail {}) erase {} (fail {})",
-                    d.reads,
-                    d.retry_steps,
-                    d.uncorrectable_reads,
-                    d.programs,
-                    d.program_failures,
-                    d.erases,
-                    d.erase_failures
-                ),
-            ]);
-        }
+    for (label, value) in r.table_rows() {
+        t.row(vec![label, value]);
     }
     t.print("run result");
 }
