@@ -51,11 +51,8 @@ impl<const N: usize> Field for [u64; N] {
 /// Dies as `ch:die`.
 impl Field for Vec<(u16, u16)> {
     fn json(&self) -> Value {
-        Value::from(
-            self.iter()
-                .map(|(c, d)| format!("{c}:{d}"))
-                .collect::<Vec<_>>(),
-        )
+        let dies: Vec<String> = self.iter().map(|(c, d)| format!("{c}:{d}")).collect();
+        Value::from(dies)
     }
     fn cell(&self) -> String {
         let dies: Vec<String> = self.iter().map(|(c, d)| format!("{c}:{d}")).collect();
@@ -599,25 +596,28 @@ impl RunResult {
         let mut fields = vec![
             ("platform", Value::from(format!("{:?}", self.platform))),
             ("workload", Value::from(self.workload.as_str())),
-            ("cycles", self.cycles.json()),
-            ("instructions", self.instructions.json()),
-            ("requests", self.requests.json()),
-            ("ipc", self.ipc.json()),
-            ("flash_array_gbps", self.flash_array_gbps.json()),
-            ("flash_reads_per_page", self.flash_reads_per_page.json()),
+            ("cycles", Value::from(self.cycles.raw())),
+            ("instructions", Value::from(self.instructions)),
+            ("requests", Value::from(self.requests)),
+            ("ipc", Value::from(self.ipc)),
+            ("flash_array_gbps", Value::from(self.flash_array_gbps)),
+            (
+                "flash_reads_per_page",
+                Value::from(self.flash_reads_per_page),
+            ),
             (
                 "flash_programs_per_page",
-                self.flash_programs_per_page.json(),
+                Value::from(self.flash_programs_per_page),
             ),
-            ("l1_hit_rate", self.l1_hit_rate.json()),
-            ("l2_hit_rate", self.l2_hit_rate.json()),
-            ("tlb_hit_rate", self.tlb_hit_rate.json()),
-            ("predictor_accuracy", self.predictor_accuracy.json()),
-            ("gcs", self.gcs.json()),
-            ("register_migrations", self.register_migrations.json()),
-            ("redirected_writes", self.redirected_writes.json()),
-            ("avg_read_latency", self.avg_read_latency.json()),
-            ("avg_write_latency", self.avg_write_latency.json()),
+            ("l1_hit_rate", Value::from(self.l1_hit_rate)),
+            ("l2_hit_rate", Value::from(self.l2_hit_rate)),
+            ("tlb_hit_rate", Value::from(self.tlb_hit_rate)),
+            ("predictor_accuracy", Value::from(self.predictor_accuracy)),
+            ("gcs", Value::from(self.gcs)),
+            ("register_migrations", Value::from(self.register_migrations)),
+            ("redirected_writes", Value::from(self.redirected_writes)),
+            ("avg_read_latency", Value::from(self.avg_read_latency)),
+            ("avg_write_latency", Value::from(self.avg_write_latency)),
             ("per_app_instructions", app_map(&self.per_app_instructions)),
             ("per_app_cycles", app_map(&self.per_app_cycles)),
             ("per_app_requests", app_map(&self.per_app_requests)),
@@ -635,19 +635,21 @@ impl RunResult {
                         .collect(),
                 ),
             ),
-            ("series_interval", self.series_interval.json()),
-            ("read_retries", self.read_retries.json()),
-            ("uncorrectable_reads", self.uncorrectable_reads.json()),
-            ("program_failures", self.program_failures.json()),
-            ("erase_failures", self.erase_failures.json()),
-            ("blocks_retired", self.blocks_retired.json()),
-            ("write_redrives", self.write_redrives.json()),
+            ("series_interval", Value::from(self.series_interval.raw())),
+            ("read_retries", Value::from(self.read_retries)),
+            ("uncorrectable_reads", Value::from(self.uncorrectable_reads)),
+            ("program_failures", Value::from(self.program_failures)),
+            ("erase_failures", Value::from(self.erase_failures)),
+            ("blocks_retired", Value::from(self.blocks_retired)),
+            ("write_redrives", Value::from(self.write_redrives)),
             (
                 "gc_events",
                 Value::Array(
                     self.gc_events
                         .iter()
-                        .map(|(s, e)| Value::Array(vec![s.json(), e.json()]))
+                        .map(|&(s, e)| {
+                            Value::Array(vec![Value::from(s.raw()), Value::from(e.raw())])
+                        })
                         .collect(),
                 ),
             ),
