@@ -14,10 +14,18 @@
 //!   textual fixtures are stable.
 //! * Index by `&str` and `usize` plus `as_*` accessors, mirroring the
 //!   ergonomics tests expect from a JSON value type.
+//! * [`Value::Sparse`] — an array of non-negative integers that stores
+//!   only its length and non-zero elements ([`SparseU64`]), for long,
+//!   mostly-zero series such as the Fig. 17 request timelines. It
+//!   prints exactly as the dense [`Value::Array`] of [`Number::U64`]s
+//!   it stands for, and `v[i]` reads what it would read on that array
+//!   (`0` for a zero element, `Null` past the end). It is built, never
+//!   parsed: the parser returns the dense array, and since `==` on
+//!   [`Value`] is structural the two are not equal. Compare their text.
 //!
 //! [`RunResult`]: ../zng_platforms/struct.RunResult.html
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::ops::Index;
 
 /// A JSON number: integers are kept exact, everything else is `f64`.
@@ -99,9 +107,84 @@ pub enum Value {
     Array(Vec<Value>),
     /// An object as ordered key/value pairs.
     Object(Vec<(String, Value)>),
+    /// An array of non-negative integers stored sparsely. It prints as
+    /// the dense `Array` of `Num(U64)`s it stands for but is not `==`
+    /// to that array, which is what parsing its text gives back.
+    Sparse(SparseU64),
 }
 
 static NULL: Value = Value::Null;
+const STRING_WRITE: &str = "writing into a String cannot fail";
+static ZERO: Value = Value::Num(Number::U64(0));
+
+/// An array of `len` non-negative integers, stored as the ascending
+/// indices and values of its non-zero elements (see [`Value::Sparse`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SparseU64 {
+    len: usize,
+    /// `(index, Num(U64(v)))` for every non-zero `v`, by index; kept as
+    /// `Value`s so that `v[i]` can lend them.
+    nonzero: Vec<(usize, Value)>,
+}
+
+impl SparseU64 {
+    /// An array of `len` elements, zero except at the `(index, value)`
+    /// pairs given.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the indices are not strictly ascending, an index is
+    /// not below `len`, or a value is zero.
+    pub fn new(len: usize, nonzero: impl IntoIterator<Item = (usize, u64)>) -> SparseU64 {
+        let mut next = 0;
+        let nonzero = nonzero
+            .into_iter()
+            .map(|(i, v)| {
+                assert!(
+                    i >= next && i < len,
+                    "sparse index {i} out of order or not below {len}"
+                );
+                assert!(v != 0, "sparse element {i} is zero");
+                next = i + 1;
+                (i, Value::from(v))
+            })
+            .collect();
+        SparseU64 { len, nonzero }
+    }
+
+    /// Number of elements, zeros included.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the array has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of non-zero elements, which is what the array stores.
+    pub fn stored(&self) -> usize {
+        self.nonzero.len()
+    }
+
+    /// Element `i` (`None` past the end).
+    fn get(&self, i: usize) -> Option<&Value> {
+        if i >= self.len {
+            return None;
+        }
+        Some(
+            self.nonzero
+                .binary_search_by_key(&i, |&(j, _)| j)
+                .map_or(&ZERO, |k| &self.nonzero[k].1),
+        )
+    }
+
+    /// Every element in order, zeros included.
+    fn elements(&self) -> impl Iterator<Item = &Value> {
+        let mut stored = self.nonzero.iter().peekable();
+        (0..self.len).map(move |i| stored.next_if(|&&(j, _)| j == i).map_or(&ZERO, |(_, v)| v))
+    }
+}
 
 impl Value {
     /// Builds an object from `(key, value)` pairs.
@@ -141,10 +224,20 @@ impl Value {
         }
     }
 
-    /// The element list, if this is an array.
+    /// The element list, if this is a dense array. A
+    /// [`Value::Sparse`] holds no such list and gives `None`; index it
+    /// or use [`Value::as_sparse`].
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
             Value::Array(a) => Some(a),
+            _ => None,
+        }
+    }
+
+    /// The sparse array, if this is a [`Value::Sparse`].
+    pub fn as_sparse(&self) -> Option<&SparseU64> {
+        match self {
+            Value::Sparse(a) => Some(a),
             _ => None,
         }
     }
@@ -173,6 +266,7 @@ impl Value {
     /// including trailing garbage after the document.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -201,51 +295,54 @@ impl Value {
     }
 
     fn write(&self, out: &mut String, indent: Option<usize>, level: usize) {
+        let item = |out: &mut String, v: &Value| v.write(out, indent, level + 1);
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
-            Value::Num(n) => out.push_str(&n.to_string()),
+            Value::Num(n) => write!(out, "{n}").expect(STRING_WRITE),
             Value::Str(s) => write_escaped(out, s),
-            Value::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent, level + 1);
-                    item.write(out, indent, level + 1);
-                }
-                newline_indent(out, indent, level);
-                out.push(']');
-            }
+            Value::Array(items) => write_list(out, indent, level, ['[', ']'], items, item),
+            Value::Sparse(a) => write_list(out, indent, level, ['[', ']'], a.elements(), item),
             Value::Object(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent, level + 1);
+                write_list(out, indent, level, ['{', '}'], pairs, |out, (k, v)| {
                     write_escaped(out, k);
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
                     }
-                    v.write(out, indent, level + 1);
-                }
-                newline_indent(out, indent, level);
-                out.push('}');
+                    item(out, v);
+                })
             }
         }
     }
+}
+
+/// Writes `items` between `open` and `close`, comma separated, each on
+/// its own indented line when printing pretty (an empty list prints as
+/// the bare brackets). Arrays, sparse arrays and objects share it.
+fn write_list<T>(
+    out: &mut String,
+    indent: Option<usize>,
+    level: usize,
+    [open, close]: [char; 2],
+    items: impl IntoIterator<Item = T>,
+    mut write_item: impl FnMut(&mut String, T),
+) {
+    out.push(open);
+    let mut empty = true;
+    for x in items {
+        if !empty {
+            out.push(',');
+        }
+        empty = false;
+        newline_indent(out, indent, level + 1);
+        write_item(out, x);
+    }
+    if !empty {
+        newline_indent(out, indent, level);
+    }
+    out.push(close);
 }
 
 fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
@@ -266,9 +363,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\t' => out.push_str("\\t"),
             '\u{08}' => out.push_str("\\b"),
             '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).expect(STRING_WRITE),
             c => out.push(c),
         }
     }
@@ -293,9 +388,15 @@ impl Index<&str> for Value {
 impl Index<usize> for Value {
     type Output = Value;
 
-    /// `value[i]` — yields `Null` out of bounds or on non-arrays.
+    /// `value[i]` — yields `Null` out of bounds or on non-arrays. On a
+    /// [`Value::Sparse`] it yields what the dense array would.
     fn index(&self, i: usize) -> &Value {
-        self.as_array().and_then(|a| a.get(i)).unwrap_or(&NULL)
+        match self {
+            Value::Array(a) => a.get(i),
+            Value::Sparse(a) => a.get(i),
+            _ => None,
+        }
+        .unwrap_or(&NULL)
     }
 }
 
@@ -366,6 +467,7 @@ impl<T: Into<Value>> From<Vec<T>> for Value {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -525,14 +627,16 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Re-decode from the byte position to keep UTF-8 intact.
+                    // Copy the run up to the next quote or backslash in
+                    // one go. Both are ASCII, so the run ends on a
+                    // character boundary of the (valid UTF-8) input.
                     let start = self.pos - 1;
-                    let rest = &self.bytes[start..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| JsonError("invalid UTF-8 in string".into()))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos = start + c.len_utf8();
+                    let end = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| start + n);
+                    out.push_str(&self.text[start..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -675,6 +779,61 @@ mod tests {
         ] {
             assert!(Value::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn multibyte_characters_parse_at_string_and_document_end() {
+        for c in ['é', '€', '😀'] {
+            let want = Value::from(format!("a{c}"));
+            assert_eq!(Value::parse(&format!(r#""a{c}""#)).unwrap(), want);
+            assert_eq!(Value::parse(&format!(r#" "a{c}" "#)).unwrap(), want);
+            let doc = Value::parse(&format!(r#"{{"{c}":["{c}\n{c}"]}}"#)).unwrap();
+            assert_eq!(doc[c.to_string().as_str()][0], format!("{c}\n{c}").as_str());
+            let err = Value::parse(&format!(r#""a{c}"#)).unwrap_err();
+            assert_eq!(err.0, "unterminated string", "{c}");
+        }
+    }
+
+    #[test]
+    fn sparse_prints_and_indexes_as_its_dense_array() {
+        let sparse = Value::Sparse(SparseU64::new(5, [(0, 7), (3, 1)]));
+        let dense = Value::from(vec![7u64, 0, 0, 1, 0]);
+        assert_eq!(sparse.to_string_compact(), "[7,0,0,1,0]");
+        assert_eq!(sparse.to_string_pretty(), dense.to_string_pretty());
+        assert_eq!(Value::parse(&sparse.to_string_compact()).unwrap(), dense);
+        for i in 0..6 {
+            assert_eq!(sparse[i], dense[i], "{i}");
+        }
+        assert_eq!(sparse.as_array(), None);
+        assert_ne!(sparse, dense, "equality is structural");
+        let a = sparse.as_sparse().unwrap();
+        assert_eq!((a.len(), a.stored(), a.is_empty()), (5, 2, false));
+        let empty = Value::Sparse(SparseU64::new(0, []));
+        assert_eq!(empty.to_string_pretty(), "[]");
+        assert_eq!(empty[0], Value::Null);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn sparse_rejects_unordered_indices() {
+        let _ = SparseU64::new(4, [(2, 1), (1, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not below 4")]
+    fn sparse_rejects_indices_past_the_end() {
+        let _ = SparseU64::new(4, [(4, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "is zero")]
+    fn sparse_rejects_stored_zeros() {
+        let _ = SparseU64::new(4, [(1, 0)]);
+    }
+
+    #[test]
+    fn value_stays_32_bytes() {
+        assert_eq!(std::mem::size_of::<Value>(), 32);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use zng_flash::RETRY_DEPTH_BUCKETS;
-use zng_json::Value;
+use zng_json::{SparseU64, Value};
 use zng_sim::TimeSeries;
 use zng_types::Cycle;
 
@@ -629,7 +629,7 @@ impl RunResult {
                         .map(|(k, v)| {
                             (
                                 k.to_string(),
-                                Value::Array(v.dense().map(Value::from).collect()),
+                                Value::Sparse(SparseU64::new(v.len(), v.buckets())),
                             )
                         })
                         .collect(),
@@ -937,13 +937,19 @@ mod tests {
         busy.record(Cycle(7), 2);
         r.per_app_series = [(0, busy), (1, TimeSeries::new(r.series_interval))].into();
         let json = r.to_json_value();
-        let series = json.get("per_app_series").unwrap();
-        let dense = series.get("0").and_then(Value::as_array).unwrap();
-        assert_eq!(dense.len(), 100_001);
-        assert_eq!(dense[0].as_u64(), Some(2));
-        assert_eq!(dense[100_000].as_u64(), Some(3));
-        assert!(dense[1..100_000].iter().all(|v| v.as_u64() == Some(0)));
-        assert_eq!(series.get("1").and_then(Value::as_array), Some(&[][..]));
+        let series = &json["per_app_series"];
+        // The text is the dense array, every empty bucket included.
+        let zeros = "0,".repeat(99_999);
+        assert_eq!(
+            series.to_string_compact(),
+            format!(r#"{{"0":[2,{zeros}3],"1":[]}}"#)
+        );
+        assert_eq!(series["0"][0].as_u64(), Some(2));
+        assert_eq!(series["0"][1].as_u64(), Some(0));
+        assert_eq!(series["0"][99_999].as_u64(), Some(0));
+        assert_eq!(series["0"][100_000].as_u64(), Some(3));
+        assert_eq!(series["0"][100_001], Value::Null);
+        assert_eq!(series["1"][0], Value::Null);
         // `series_interval` stays right after the series.
         let keys: Vec<&str> = json
             .as_object()

@@ -1260,6 +1260,14 @@ mod tests {
             "{stored} entries for {} requests",
             r.requests
         );
+        // The JSON tree holds the same entries, not one per bucket.
+        let json = r.to_json_value();
+        for (app, ts) in &r.per_app_series {
+            let entry = json["per_app_series"][app.to_string().as_str()]
+                .as_sparse()
+                .expect("sparse series");
+            assert_eq!((entry.len(), entry.stored()), (ts.len(), ts.stored()));
+        }
     }
 
     #[test]

@@ -182,6 +182,12 @@ impl TimeSeries {
         })
     }
 
+    /// Iterates `(bucket index, count)` over the non-empty buckets, in
+    /// time order: what the series stores.
+    pub fn buckets(&self) -> impl ExactSizeIterator<Item = (usize, u64)> + '_ {
+        self.buckets.iter().map(|&(b, count)| (b as usize, count))
+    }
+
     /// Iterates `(bucket_start_time, count)` over the non-empty buckets,
     /// in time order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (Cycle, u64)> + '_ {
@@ -251,6 +257,10 @@ mod tests {
         let pairs: Vec<_> = ts.iter().collect();
         assert_eq!(pairs, vec![(Cycle(0), 2), (Cycle(10), 5), (Cycle(30), 2)]);
         assert_eq!((ts.get(1), ts.get(2), ts.get(9)), (5, 0, 0));
+        assert_eq!(
+            ts.buckets().collect::<Vec<_>>(),
+            vec![(0, 2), (1, 5), (3, 2)]
+        );
         assert_eq!(ts.interval(), Cycle(10));
     }
 

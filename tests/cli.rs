@@ -108,6 +108,39 @@ fn traces_roundtrip_through_disk() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A bundle at the CLI's default volume (128 warps × 650 ops, about
+/// 7 MB of JSON) loads back op for op. Parsing used to re-validate the
+/// rest of the document at every string character, which made loading
+/// a bundle of this size take minutes.
+#[test]
+fn default_volume_traces_roundtrip() {
+    let path = std::env::temp_dir().join("zng_cli_traces_default_test.json");
+    let out = cli()
+        .args(["traces", "-w", "betw", "--out", path.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let bundle = zng_workloads::TraceBundle::load(&path).expect("load");
+    let _ = std::fs::remove_file(&path);
+    let params = zng_workloads::TraceParams {
+        total_warps: 128,
+        mem_ops_per_warp: 650,
+        footprint_pages: 2048,
+        seed: 42,
+    };
+    let spec = zng_workloads::by_name("betw").unwrap();
+    let want = zng_workloads::generate(&spec, zng_types::AppId(0), &params);
+    assert_eq!((bundle.workload.as_str(), bundle.seed), ("betw", 42));
+    assert_eq!(bundle.traces.len(), want.len());
+    for (got, want) in bundle.traces.iter().zip(&want) {
+        assert_eq!(got.ops(), want.ops());
+    }
+}
+
 #[test]
 fn qos_flags_add_overload_metrics() {
     let out = cli()
