@@ -46,7 +46,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use zng_flash::{BlockKind, FlashDevice, PageOob};
-use zng_types::{BlockAddr, Cycle};
+use zng_types::{BlockAddr, Cycle, FlashAddr, Result};
 
 use crate::maint::FtlCore;
 use crate::rain::Claim;
@@ -353,6 +353,31 @@ impl CheckpointState {
             cycles_saved: Cycle(full_estimate.0.saturating_sub(base.0)),
         })
     }
+}
+
+/// One array sense of `addr` through [`FlashDevice::read`]. A sense can
+/// miscorrect the page (silent corruption injected on reads), which
+/// changes the media image of a block that may be closed and untouched
+/// since the last capture; the sense then journals the block `Touched`,
+/// so the next capture and the recovery fast path rescan it. Without
+/// checkpointing (`ck` is `None`) this is a plain read.
+pub(crate) fn sense(
+    ck: Option<&mut CheckpointState>,
+    device: &mut FlashDevice,
+    now: Cycle,
+    addr: FlashAddr,
+    key: u64,
+    bytes: usize,
+) -> Result<Cycle> {
+    let Some(ck) = ck else {
+        return device.read(now, addr, key, bytes);
+    };
+    let clean = !device.page_is_corrupt(addr);
+    let r = device.read(now, addr, key, bytes);
+    if clean && device.page_is_corrupt(addr) {
+        ck.note_touched(device.geometry().index_for_block(addr.block));
+    }
+    r
 }
 
 /// Whether a checkpoint/journal page survives on media exactly as

@@ -155,18 +155,45 @@ impl FtlCore {
         let budget = GC_READ_ATTEMPTS + self.quarantine_extra(addr.block);
         let mut attempt = 0;
         loop {
-            match device.read(now, addr, key, bytes) {
+            match self.sense(device, now, addr, key, bytes) {
                 Ok(t) => return Ok(t),
                 Err(Error::UncorrectableRead { .. }) if attempt + 1 < budget => attempt += 1,
                 Err(e @ Error::UncorrectableRead { .. }) => {
-                    return match self.rain.as_mut() {
-                        Some(rain) => rain.reconstruct(now, device, addr, bytes),
+                    return match self.rain {
+                        Some(_) => self.reconstruct(now, device, addr, bytes),
                         None => Err(e),
                     };
                 }
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    /// One array sense of `addr` (see [`checkpoint::sense`]).
+    pub(crate) fn sense(
+        &mut self,
+        device: &mut FlashDevice,
+        now: Cycle,
+        addr: FlashAddr,
+        key: u64,
+        bytes: usize,
+    ) -> Result<Cycle> {
+        checkpoint::sense(self.checkpoint.as_mut(), device, now, addr, key, bytes)
+    }
+
+    /// Rebuilds `addr`'s page from its surviving stripe members;
+    /// redundancy is on.
+    pub(crate) fn reconstruct(
+        &mut self,
+        now: Cycle,
+        device: &mut FlashDevice,
+        addr: FlashAddr,
+        bytes: usize,
+    ) -> Result<Cycle> {
+        self.rain
+            .as_mut()
+            .expect("reconstruction requires redundancy")
+            .reconstruct(now, device, addr, bytes, self.checkpoint.as_mut())
     }
 
     /// Flushes pending journal records at the end of a mutating entry
@@ -294,13 +321,13 @@ impl FtlCore {
         self.icounters.detected += 1;
         let t = device.read(done, addr, key, bytes).unwrap_or(done);
         self.icounters.rereads += 1;
-        let Some(rain) = self.rain.as_mut() else {
+        if self.rain.is_none() {
             return Err(Error::IntegrityViolation {
                 block: addr.block.block as u64,
                 page: addr.page,
             });
-        };
-        let t = rain.reconstruct(t, device, addr, bytes)?;
+        }
+        let t = self.reconstruct(t, device, addr, bytes)?;
         self.icounters.reconstructed += 1;
         Ok(Some(t))
     }
@@ -331,10 +358,10 @@ impl FtlCore {
         match planned {
             Some(f) => {
                 #[cfg(debug_assertions)]
-                debug_assert_eq!(
-                    f.scan.blocks,
-                    recovery::scan_device(device).blocks,
-                    "fast-path image must equal a full scan of the same media"
+                recovery::assert_same_image(
+                    &f.scan.blocks,
+                    &recovery::scan_device(device).blocks,
+                    "fast-path image",
                 );
                 RecoveryScan {
                     scan: f.scan,
@@ -721,11 +748,7 @@ pub trait Ftl: Primitives {
             if corrupt {
                 let core = self.core_mut();
                 core.icounters.detected += 1;
-                t = core
-                    .rain
-                    .as_mut()
-                    .expect("checked above")
-                    .reconstruct(t, device, addr, page_bytes)?;
+                t = core.reconstruct(t, device, addr, page_bytes)?;
                 core.icounters.reconstructed += 1;
                 core.icounters.quarantined += 1;
             }

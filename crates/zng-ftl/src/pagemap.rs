@@ -638,12 +638,7 @@ impl Primitives for PageMapFtl {
         let mut t = now;
         let mut pages = 0u64;
         for (lpn, old) in lost {
-            t = self
-                .core
-                .rain
-                .as_mut()
-                .expect("rebuild requires redundancy")
-                .reconstruct(t, device, old, page_bytes)?;
+            t = self.core.reconstruct(t, device, old, page_bytes)?;
             t = match self.migrate_page(t, device, old, lpn, None, false, "rebuild") {
                 Ok(done) => done,
                 Err(Error::DeviceWornOut { .. } | Error::OutOfSpace) => break,

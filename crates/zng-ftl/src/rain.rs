@@ -29,6 +29,7 @@ use std::collections::BTreeSet;
 use zng_flash::{BlockKind, FlashDevice, PageOob};
 use zng_types::{BlockAddr, Cycle, Error, FlashAddr, Result};
 
+use crate::checkpoint::{self, CheckpointState};
 use crate::GC_READ_ATTEMPTS;
 
 /// Cost of XOR-combining a stripe's surviving members in the helper
@@ -276,7 +277,8 @@ impl RainState {
     /// every programmed member page is sensed (fan-out in parallel across
     /// channels, each with the bounded retry ladder) and the results are
     /// XOR-combined in helper-thread SRAM. Returns the combine's
-    /// completion time.
+    /// completion time. Member senses journal what they miscorrect into
+    /// `journal` (see [`checkpoint::sense`]).
     ///
     /// # Errors
     ///
@@ -289,6 +291,7 @@ impl RainState {
         device: &mut FlashDevice,
         addr: FlashAddr,
         _transfer_bytes: usize,
+        mut journal: Option<&mut CheckpointState>,
     ) -> Result<Cycle> {
         let lost = Error::UncorrectableRead {
             block: addr.block.block as u64,
@@ -327,7 +330,14 @@ impl RainState {
                 .unwrap_or(PARITY_KEY_BASE + sb * self.pages_per_block + addr.page as u64);
             let mut landed = None;
             for _ in 0..GC_READ_ATTEMPTS {
-                match device.read(now, member, key, self.page_bytes) {
+                match checkpoint::sense(
+                    journal.as_deref_mut(),
+                    device,
+                    now,
+                    member,
+                    key,
+                    self.page_bytes,
+                ) {
                     Ok(t) => {
                         landed = Some(t);
                         break;
@@ -490,7 +500,7 @@ mod tests {
         }
         let lost = geo.block_for_index(4).unwrap();
         let t = r
-            .reconstruct(Cycle(1_000_000), &mut d, FlashAddr::new(lost, 0), 128)
+            .reconstruct(Cycle(1_000_000), &mut d, FlashAddr::new(lost, 0), 128, None)
             .unwrap();
         assert!(t > Cycle(1_000_000) + RAIN_XOR_CYCLES);
         let c = r.counters();
@@ -507,7 +517,7 @@ mod tests {
         d.fail_die(ChannelId(2), DieId(1)); // member 6 of superblock 1
         let lost = geo.block_for_index(4).unwrap();
         assert!(matches!(
-            r.reconstruct(Cycle(0), &mut d, FlashAddr::new(lost, 0), 128),
+            r.reconstruct(Cycle(0), &mut d, FlashAddr::new(lost, 0), 128, None),
             Err(Error::UncorrectableRead { .. })
         ));
     }

@@ -189,6 +189,28 @@ pub(crate) fn scan_blocks(device: &FlashDevice, indices: impl IntoIterator<Item 
     }
 }
 
+/// Panics unless `image` equals `full`, a full scan of the same media,
+/// naming the first block where they differ: the debug cross-check of
+/// every image built from a checkpoint instead of a full scan.
+#[cfg(debug_assertions)]
+pub(crate) fn assert_same_image<'a>(
+    image: impl IntoIterator<Item = &'a ScannedBlock>,
+    full: &[ScannedBlock],
+    what: &str,
+) {
+    let mut image = image.into_iter();
+    let mut full = full.iter();
+    loop {
+        match (image.next(), full.next()) {
+            (None, None) => return,
+            (a, b) if a == b => {}
+            (a, b) => panic!(
+                "{what} must equal a full scan of the same media:\n  image: {a:?}\n  scan:  {b:?}"
+            ),
+        }
+    }
+}
+
 /// Resolves every logical page to its newest intact copy: the winner is
 /// the highest program stamp among non-torn pages. Returns
 /// `lpn -> (stamp, location)` in logical-page order.

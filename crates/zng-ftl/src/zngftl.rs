@@ -299,15 +299,10 @@ impl ZngFtl {
         let extra = self.core.quarantine_extra(addr.block);
         let mut attempt = 0;
         loop {
-            match device.read(now, addr, vpn, transfer_bytes) {
+            match self.core.sense(device, now, addr, vpn, transfer_bytes) {
                 Err(Error::UncorrectableRead { .. }) if attempt < extra => attempt += 1,
                 Err(Error::UncorrectableRead { .. }) if self.core.rain.is_some() => {
-                    return self.core.rain.as_mut().expect("checked above").reconstruct(
-                        now,
-                        device,
-                        addr,
-                        transfer_bytes,
-                    )
+                    return self.core.reconstruct(now, device, addr, transfer_bytes)
                 }
                 r => return r,
             }
@@ -628,11 +623,7 @@ impl ZngFtl {
                 let vpn = vbn * self.pages_per_block + offset;
                 let src = source(vpn, offset as u32);
                 read = if reconstruct {
-                    self.core
-                        .rain
-                        .as_mut()
-                        .expect("rebuild requires redundancy")
-                        .reconstruct(read, device, src, page_bytes)?
+                    self.core.reconstruct(read, device, src, page_bytes)?
                 } else {
                     // Stale register copies are folded into the copy.
                     device.discard_register(old.channel, vpn);
@@ -1073,12 +1064,7 @@ impl Primitives for ZngFtl {
             let mut pages = 0u64;
             for (vpn, slot) in live {
                 let src = FlashAddr::new(lb.addr, slot);
-                let r = self
-                    .core
-                    .rain
-                    .as_mut()
-                    .expect("fencing requires redundancy")
-                    .reconstruct(t, device, src, page_bytes)?;
+                let r = self.core.reconstruct(t, device, src, page_bytes)?;
                 t = self.program_log_page(r, device, vpn, group)?;
                 pages += 1;
             }

@@ -334,6 +334,44 @@ fn integrity_violation_exits_one() {
     assert!(err.contains("integrity"), "names the violation: {err}");
 }
 
+/// Read-time silent corruption between checkpoints, then a power cut:
+/// every miscorrected block is journalled, so the fast-path image equals
+/// a full scan (a debug build asserts it) and the run ends with a result
+/// or a named error, never a panic.
+#[test]
+fn read_corruption_between_checkpoints_then_a_crash_does_not_panic() {
+    let out = cli()
+        .args([
+            "run",
+            "-p",
+            "zng",
+            "-w",
+            "back,gaus",
+            "--faults",
+            "nominal",
+            "--redundancy",
+            "--sdc-rate",
+            "0.1",
+            "--checkpoint",
+            "--checkpoint-every",
+            "1024",
+            "--crash-at",
+            "8000",
+            "--warps",
+            "32",
+            "--ops",
+            "400",
+        ])
+        .output()
+        .expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        matches!(out.status.code(), Some(0 | 1)) && !err.contains("panicked"),
+        "exit {:?}: {err}",
+        out.status.code()
+    );
+}
+
 /// A silent corruption plus a dead die in the same stripe is a real
 /// double fault: the die-failure rebuild cannot reconstruct the page,
 /// and the error reaches the CLI as exit 1 on both page-map platforms.
