@@ -74,6 +74,20 @@ impl RowDecoder {
         self.map.get(&logical_page).copied()
     }
 
+    /// The physical log page holding `logical_page`, if any, without a
+    /// CAM activation (nothing is counted).
+    pub fn mapping(&self, logical_page: u64) -> Option<u32> {
+        self.map.get(&logical_page).copied()
+    }
+
+    /// The logical pages with a live mapping, in no particular order and
+    /// without allocating: for order-independent questions such as "is
+    /// any page of this data block logged?". [`RowDecoder::mappings`]
+    /// gives the sorted pairs.
+    pub fn logical_pages(&self) -> impl Iterator<Item = u64> + '_ {
+        self.map.keys().copied()
+    }
+
     /// Records a write of `logical_page` into the next free log page and
     /// returns that page's index. A previous mapping for the same logical
     /// page becomes stale (counted in [`RowDecoder::stale`]).
@@ -124,7 +138,9 @@ impl RowDecoder {
     }
 
     /// Live mappings (logical page -> log page), sorted by logical page
-    /// for deterministic GC merges.
+    /// for deterministic GC merges. Allocates and sorts; see
+    /// [`RowDecoder::mapping`] and [`RowDecoder::logical_pages`] for the
+    /// non-allocating queries.
     pub fn mappings(&self) -> Vec<(u64, u32)> {
         let mut v: Vec<_> = self.map.iter().map(|(&k, &p)| (k, p)).collect();
         v.sort_unstable();
@@ -216,6 +232,21 @@ mod tests {
         assert_eq!(d.lookup(10), Some(0), "acked data stays reachable");
         assert_eq!(d.stale(), 1, "only the burned slot is stale");
         assert_eq!(d.mappings(), vec![(10, 0)]);
+    }
+
+    #[test]
+    fn queries_match_mappings_and_count_no_searches() {
+        let mut d = RowDecoder::new(8);
+        for k in [5u64, 1, 9, 5] {
+            d.record(k).unwrap();
+        }
+        assert_eq!(d.mapping(5), Some(3));
+        assert_eq!(d.mapping(2), None);
+        let mut keys: Vec<u64> = d.logical_pages().collect();
+        keys.sort_unstable();
+        let sorted: Vec<u64> = d.mappings().iter().map(|&(k, _)| k).collect();
+        assert_eq!(keys, sorted);
+        assert_eq!(d.searches(), 0, "queries are not CAM activations");
     }
 
     #[test]

@@ -42,8 +42,20 @@
 //! the touched set plus the open set is exactly the set of blocks whose
 //! media may differ from the checkpointed image; everything else is
 //! restored from the checkpoint without a scan.
+//!
+//! # How a capture is built
+//!
+//! The writer trusts the same set between two of its own captures: a
+//! capture is the previous epoch's images with that *rescan set*
+//! re-imaged from media and dead-die blocks dropped. Unchanged block
+//! images are shared between epochs (`Arc`), so a capture copies no OOB
+//! records and costs the blocks that changed, not the device. With no
+//! epoch yet, an invalidated epoch or an overflowed journal the writer
+//! scans the whole device instead, and debug builds check every capture
+//! against that full scan.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use zng_flash::{BlockKind, FlashDevice, PageOob};
 use zng_types::{BlockAddr, Cycle, FlashAddr, Result};
@@ -136,11 +148,14 @@ struct MediaPage {
 /// One committed checkpoint epoch.
 #[derive(Debug, Clone)]
 struct Epoch {
-    /// Per-block media images at capture time.
-    images: Vec<ScannedBlock>,
+    /// Per-block media images at capture time, in ascending index order;
+    /// an image a later capture finds unchanged is shared with it.
+    images: Vec<Arc<ScannedBlock>>,
     /// Blocks that could still change without journal evidence: kind
     /// assigned and not full, or holding in-flight demand programs.
     open: BTreeSet<u64>,
+    /// When the images were captured.
+    captured_at: Cycle,
     /// Serialised payload pages, verified at recovery.
     payload: Vec<MediaPage>,
     /// The generation-stamped commit page, programmed last: torn ⇒ the
@@ -283,6 +298,57 @@ impl CheckpointState {
         self.overflowed = false;
     }
 
+    /// The blocks whose media may differ from `ep`'s images: those open
+    /// at its capture, the checkpoint blocks written since, and every
+    /// block `records` journal `Touched`.
+    fn rescan_set(&self, ep: &Epoch, records: &[JournalRecord]) -> BTreeSet<u64> {
+        let mut rescan = ep.open.clone();
+        rescan.extend(self.epoch_blocks.iter().copied());
+        rescan.extend(records.iter().filter_map(|rec| match *rec {
+            JournalRecord::Touched { idx } => Some(idx),
+            JournalRecord::Remap { .. } => None,
+        }));
+        rescan
+    }
+
+    /// The media image a checkpoint written at `now` serialises, and its
+    /// open set: the previous epoch's images with the rescan set
+    /// re-imaged, or a full-device scan when there is no trusted epoch
+    /// to start from (none yet, invalidated, overflowed journal).
+    fn capture(&self, device: &FlashDevice, now: Cycle) -> (Vec<Arc<ScannedBlock>>, BTreeSet<u64>) {
+        let prev = self
+            .epoch
+            .as_ref()
+            .filter(|ep| self.valid && !self.overflowed && ep.captured_at <= now);
+        let (images, open) = match prev {
+            Some(ep) => {
+                let rescan = self.rescan_set(ep, &self.journal);
+                let fresh = recovery::scan_blocks(device, rescan.iter().copied()).blocks;
+                // A block outside the rescan set was not open at the last
+                // capture and nothing touched it since, so it is not open
+                // now either.
+                let open = open_blocks(device, &fresh, now);
+                (merge_images(device, &ep.images, &rescan, fresh), open)
+            }
+            None => {
+                let blocks = recovery::scan_device(device).blocks;
+                let open = open_blocks(device, &blocks, now);
+                (blocks.into_iter().map(Arc::new).collect(), open)
+            }
+        };
+        #[cfg(debug_assertions)]
+        {
+            let full = recovery::scan_device(device).blocks;
+            recovery::assert_same_image(images.iter().map(|b| &**b), &full, "checkpoint capture");
+            debug_assert_eq!(
+                open,
+                open_blocks(device, &full, now),
+                "a capture's open set must equal the full scan's"
+            );
+        }
+        (images, open)
+    }
+
     /// Plans the fast-path recovery scan, or `None` when the fallback
     /// ladder demands the full scan: no committed epoch, an invalidated
     /// or overflowed epoch, an unflushed critical record, or any
@@ -304,27 +370,14 @@ impl CheckpointState {
             }
             replayed = *end as u64;
         }
-        // The rescan set: open at capture, touched since (journalled),
-        // plus the checkpoint namespace itself.
-        let mut rescan: BTreeSet<u64> = ep.open.clone();
-        rescan.extend(self.epoch_blocks.iter().copied());
-        for rec in &self.journal[..self.flushed] {
-            if let JournalRecord::Touched { idx } = rec {
-                rescan.insert(*idx);
-            }
-        }
-        let sub = recovery::scan_blocks(device, rescan.iter().copied());
+        let rescan = self.rescan_set(ep, &self.journal[..self.flushed]);
+        let mut sub = recovery::scan_blocks(device, rescan.iter().copied());
         let blocks_rescanned = sub.blocks.len() as u64;
-        let mut merged: BTreeMap<u64, ScannedBlock> = ep
-            .images
-            .iter()
-            .filter(|b| !rescan.contains(&b.idx) && !device.die_is_dead(b.addr.channel, b.addr.die))
-            .map(|b| (b.idx, b.clone()))
+        let fresh = std::mem::take(&mut sub.blocks);
+        let blocks: Vec<ScannedBlock> = merge_images(device, &ep.images, &rescan, fresh)
+            .into_iter()
+            .map(Arc::unwrap_or_clone)
             .collect();
-        for b in sub.blocks {
-            merged.insert(b.idx, b);
-        }
-        let blocks: Vec<ScannedBlock> = merged.into_values().collect();
         let torn: u64 = blocks.iter().map(|b| b.torn as u64).sum();
         let corrupt: u64 = blocks.iter().map(|b| b.corrupt as u64).sum();
         let load_pages = (ep.payload.len() + 1 + self.journal_pages.len()) as u64;
@@ -398,6 +451,37 @@ fn page_intact(device: &FlashDevice, mp: &MediaPage) -> bool {
             m.lpn == mp.key && m.tag == BlockKind::Checkpoint && !b.is_corrupt(mp.page)
         }
         _ => false,
+    }
+}
+
+/// `images` with every block in `rescan` replaced by its `fresh` image
+/// (ascending, as [`recovery::scan_blocks`] returns them) and dead-die
+/// blocks dropped, in ascending index order. Unchanged images are shared,
+/// not copied.
+fn merge_images(
+    device: &FlashDevice,
+    images: &[Arc<ScannedBlock>],
+    rescan: &BTreeSet<u64>,
+    fresh: Vec<ScannedBlock>,
+) -> Vec<Arc<ScannedBlock>> {
+    let mut kept = images
+        .iter()
+        .filter(|b| !rescan.contains(&b.idx) && !device.die_is_dead(b.addr.channel, b.addr.die))
+        .peekable();
+    let mut fresh = fresh.into_iter().peekable();
+    let mut out = Vec::with_capacity(images.len() + fresh.len());
+    loop {
+        let from_kept = match (kept.peek(), fresh.peek()) {
+            (Some(k), Some(f)) => k.idx < f.idx,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => return out,
+        };
+        if from_kept {
+            out.extend(kept.next().cloned());
+        } else {
+            out.extend(fresh.next().map(Arc::new));
+        }
     }
 }
 
@@ -558,9 +642,7 @@ pub(crate) fn write_checkpoint(
 ) -> Cycle {
     ck.tick(now);
     let mut t = flush_journal(ck, core, device, now);
-    let scan = recovery::scan_device(device);
-    let open = open_blocks(device, &scan.blocks, now);
-    let images = scan.blocks;
+    let (images, open) = ck.capture(device, now);
     let entries: u64 =
         images.len() as u64 + images.iter().map(|b| b.entries.len() as u64).sum::<u64>();
     let pages = entries.div_ceil(CKPT_ENTRIES_PER_PAGE).max(1);
@@ -596,6 +678,7 @@ pub(crate) fn write_checkpoint(
             ck.epoch = Some(Epoch {
                 images,
                 open,
+                captured_at: now,
                 payload,
                 commit: mp,
             });

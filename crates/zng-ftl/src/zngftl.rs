@@ -77,10 +77,9 @@ pub struct ZngFtl {
     group_size: u64,
     pages_per_block: u64,
     mode: WriteMode,
-    /// DBMT: vbn -> physical data block. Direct-indexed ([`DenseMap`]):
-    /// vbns are dense within an app's segment, every hot-path resolve is
-    /// an array index, and iteration is ascending-vbn by construction.
-    dbmt: DenseMap<BlockAddr>,
+    /// DBMT: vbn -> physical data block, with a wear-ordered index for
+    /// the static leveller.
+    dbmt: Dbmt,
     /// LBMT: group -> log block (+ its row-decoder LPMT). Same
     /// direct-indexed layout as the DBMT.
     lbmt: DenseMap<LogBlock>,
@@ -129,7 +128,7 @@ impl ZngFtl {
             group_size,
             pages_per_block: g.pages_per_block as u64,
             mode,
-            dbmt: DenseMap::new(),
+            dbmt: Dbmt::default(),
             lbmt: DenseMap::new(),
             core: FtlCore::new(crate::allocator::BlockAllocator::with_policy(
                 g.total_blocks() as u64,
@@ -182,7 +181,7 @@ impl ZngFtl {
     /// any log write of the same pages, so its stamps are outranked by
     /// every later demand write.
     fn ensure_data_block(&mut self, device: &mut FlashDevice, vbn: u64) -> Result<BlockAddr> {
-        if let Some(&addr) = self.dbmt.get(vbn) {
+        if let Some(addr) = self.dbmt.get(vbn) {
             return Ok(addr);
         }
         let addr = self.alloc_block(device, BlockKind::Data)?;
@@ -194,7 +193,7 @@ impl ZngFtl {
             // too: flush it outside the timing model.
             rain.note_preload(device, addr)?;
         }
-        self.dbmt.insert(vbn, addr);
+        self.dbmt.insert(device, vbn, addr);
         self.core.note_remap(vbn);
         Ok(addr)
     }
@@ -528,7 +527,6 @@ impl ZngFtl {
             let old_data = self
                 .dbmt
                 .get(vbn)
-                .copied()
                 .expect("logged vpn's data block was ensured at write time");
             let logged_map: FxHashMap<u64, u32> = logged.into_iter().collect();
             // Merge all pages of the block, newest version of each.
@@ -547,7 +545,7 @@ impl ZngFtl {
             // Retire the old data block.
             self.invalidate_whole_block(device, old_data)?;
             done = done.max(self.erase_or_fence(copy.read, device, old_data, &mut erased)?);
-            self.dbmt.insert(vbn, copy.fresh);
+            self.dbmt.insert(device, vbn, copy.fresh);
             self.core.note_remap(vbn);
         }
 
@@ -705,10 +703,61 @@ impl ZngFtl {
     fn group_has_logged_pages(&self, vbn: u64) -> bool {
         self.lbmt.get(self.group_of_vbn(vbn)).is_some_and(|lb| {
             lb.decoder
-                .mappings()
-                .iter()
-                .any(|&(vpn, _)| self.vbn_of(vpn) == vbn)
+                .logical_pages()
+                .any(|vpn| self.vbn_of(vpn) == vbn)
         })
+    }
+
+    /// The static leveller's victim: the coldest mapped data block
+    /// (lowest erase count, then lowest vbn) on a live die, not failed
+    /// and with no logged sibling pages, as `(vbn, false)`. When every
+    /// such block's group still holds logged pages, the coldest of them
+    /// as `(vbn, true)`: its group must be merged first. The walk follows
+    /// the DBMT's wear index, so it stops at the first block that passes.
+    fn level_victim(&self, device: &FlashDevice) -> Option<(u64, bool)> {
+        let mut merge = None;
+        for (vbn, a) in self.dbmt.coldest_first() {
+            if device.die_is_dead(a.channel, a.die) || device.block(a).is_none_or(|b| b.is_failed())
+            {
+                continue;
+            }
+            if !self.group_has_logged_pages(vbn) {
+                return Some((vbn, false));
+            }
+            merge.get_or_insert((vbn, true));
+        }
+        merge
+    }
+
+    /// [`ZngFtl::level_victim`] by a linear walk of the whole DBMT with
+    /// each log block's sorted mappings: the reference the indexed pick
+    /// is checked against.
+    #[cfg(any(test, debug_assertions))]
+    fn level_victim_linear(&self, device: &FlashDevice) -> Option<(u64, bool)> {
+        let coldest = |candidates: &mut dyn Iterator<Item = (u64, BlockAddr)>| {
+            candidates
+                .filter(|&(_, a)| {
+                    !device.die_is_dead(a.channel, a.die)
+                        && device.block(a).is_some_and(|b| !b.is_failed())
+                })
+                .min_by_key(|&(vbn, a)| {
+                    let wear = device.block(a).map(|b| b.erase_count()).unwrap_or(0);
+                    (wear, vbn)
+                })
+                .map(|(vbn, _)| vbn)
+        };
+        let logged = |vbn: u64| {
+            self.lbmt.get(self.group_of_vbn(vbn)).is_some_and(|lb| {
+                lb.decoder
+                    .mappings()
+                    .iter()
+                    .any(|&(vpn, _)| self.vbn_of(vpn) == vbn)
+            })
+        };
+        match coldest(&mut self.dbmt.iter().filter(|&(vbn, _)| !logged(vbn))) {
+            Some(vbn) => Some((vbn, false)),
+            None => coldest(&mut self.dbmt.iter()).map(|vbn| (vbn, true)),
+        }
     }
 
     /// Rewrites `vbn`'s data block to a newly allocated block (the
@@ -723,7 +772,7 @@ impl ZngFtl {
         vbn: u64,
         most_worn: bool,
     ) -> Result<(Cycle, u64)> {
-        let old = *self.dbmt.get(vbn).expect("caller verified the mapping");
+        let old = self.dbmt.get(vbn).expect("caller verified the mapping");
         let copy = self.copy_block(now, device, vbn, old, most_worn, false, |_, offset| {
             FlashAddr::new(old, offset)
         })?;
@@ -732,7 +781,7 @@ impl ZngFtl {
         let done = copy
             .programmed
             .max(self.erase_or_fence(copy.read, device, old, &mut erased)?);
-        self.dbmt.insert(vbn, copy.fresh);
+        self.dbmt.insert(device, vbn, copy.fresh);
         self.core.note_remap(vbn);
         Ok((done, self.pages_per_block))
     }
@@ -753,6 +802,60 @@ struct BlockCopy {
     programmed: Cycle,
     /// Pages programmed, abandoned attempts included.
     pages: u64,
+}
+
+/// The DBMT (vbn -> physical data block) with a wear-ordered index
+/// beside it, so the static leveller finds the coldest mapped block
+/// without walking the table. The map is direct-indexed ([`DenseMap`]):
+/// vbns are dense within an app's segment, every hot-path resolve is an
+/// array index, and iteration is ascending-vbn by construction.
+///
+/// Every mapping goes through [`Dbmt::insert`], which keys the index by
+/// the block's erase count at that moment. A mapped block is never
+/// erased (a merge, migration or rebuild erases the old block, then maps
+/// the new one), so the key stays the block's erase count while mapped.
+#[derive(Debug, Clone, Default)]
+struct Dbmt {
+    /// vbn -> (data block, its erase count when mapped).
+    map: DenseMap<(BlockAddr, u32)>,
+    /// `(erase count, vbn)` of every mapping.
+    by_wear: BTreeSet<(u32, u64)>,
+}
+
+impl Dbmt {
+    fn get(&self, vbn: u64) -> Option<BlockAddr> {
+        self.map.get(vbn).map(|&(addr, _)| addr)
+    }
+
+    /// Maps `vbn` to `addr`, replacing any previous mapping.
+    fn insert(&mut self, device: &FlashDevice, vbn: u64, addr: BlockAddr) {
+        let wear = device.block(addr).map_or(0, |b| b.erase_count());
+        if let Some((_, old)) = self.map.insert(vbn, (addr, wear)) {
+            self.by_wear.remove(&(old, vbn));
+        }
+        self.by_wear.insert((wear, vbn));
+    }
+
+    fn clear(&mut self) {
+        self.map.clear();
+        self.by_wear.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Every mapping in ascending vbn order.
+    fn iter(&self) -> impl Iterator<Item = (u64, BlockAddr)> + '_ {
+        self.map.iter().map(|(vbn, &(addr, _))| (vbn, addr))
+    }
+
+    /// Every mapping, coldest first: ascending `(erase count, vbn)`.
+    fn coldest_first(&self) -> impl Iterator<Item = (u64, BlockAddr)> + '_ {
+        self.by_wear
+            .iter()
+            .map(|&(_, vbn)| (vbn, self.get(vbn).expect("indexed vbns are mapped")))
+    }
 }
 
 impl Ftl for ZngFtl {
@@ -830,7 +933,7 @@ impl Ftl for ZngFtl {
         let mut referenced: BTreeSet<u64> = BTreeSet::new();
         for (&vbn, blk) in &data_choice {
             referenced.insert(blk.idx);
-            self.dbmt.insert(vbn, blk.addr);
+            self.dbmt.insert(device, vbn, blk.addr);
             let b = device.block_mut(blk.addr)?;
             b.set_kind(BlockKind::Data);
             // Data pages stay valid until their block is merged away,
@@ -882,13 +985,12 @@ impl Ftl for ZngFtl {
     /// (when that exists). Counts no CAM search.
     fn locate(&self, vpn: u64) -> Option<FlashAddr> {
         let group = self.group_of(vpn);
-        if let Some(lb) = self.lbmt.get(group) {
-            if let Some((_, slot)) = lb.decoder.mappings().iter().find(|&&(k, _)| k == vpn) {
-                return Some(FlashAddr::new(lb.addr, *slot));
-            }
+        if let Some(slot) = self.lbmt.get(group).and_then(|lb| lb.decoder.mapping(vpn)) {
+            let lb = self.lbmt.get(group).expect("mapping found above");
+            return Some(FlashAddr::new(lb.addr, slot));
         }
         let data = self.dbmt.get(self.vbn_of(vpn))?;
-        Some(FlashAddr::new(*data, (vpn % self.pages_per_block) as u32))
+        Some(FlashAddr::new(data, (vpn % self.pages_per_block) as u32))
     }
 }
 
@@ -939,7 +1041,7 @@ impl Primitives for ZngFtl {
             // page into fresh data blocks and erases the log block).
             Some(group) => self.merge(now, device, group)?,
             None => {
-                let Some((vbn, _)) = self.dbmt.iter().find(|(_, &a)| a == addr) else {
+                let Some((vbn, _)) = self.dbmt.iter().find(|&(_, a)| a == addr) else {
                     // Neither mapped nor logged (e.g. a block drained
                     // between the scan and now): nothing live to preserve.
                     return Ok(Some(now));
@@ -975,33 +1077,20 @@ impl Primitives for ZngFtl {
     /// is merged, folding its logged pages away so a later step can
     /// migrate it.
     fn level_block(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<Cycle> {
-        fn coldest<'a>(
-            device: &FlashDevice,
-            candidates: impl Iterator<Item = (u64, &'a BlockAddr)>,
-        ) -> Option<u64> {
-            candidates
-                .filter(|(_, &a)| {
-                    !device.die_is_dead(a.channel, a.die)
-                        && device.block(a).is_some_and(|b| !b.is_failed())
-                })
-                .min_by_key(|&(vbn, &a)| {
-                    let wear = device.block(a).map(|b| b.erase_count()).unwrap_or(0);
-                    (wear, vbn)
-                })
-                .map(|(vbn, _)| vbn)
-        }
-        let victim = coldest(
-            device,
-            self.dbmt
-                .iter()
-                .filter(|&(vbn, _)| !self.group_has_logged_pages(vbn)),
+        let victim = self.level_victim(device);
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            victim,
+            self.level_victim_linear(device),
+            "the indexed levelling pick must equal the linear walk's"
         );
-        let Some(vbn) = victim else {
-            let Some(vbn) = coldest(device, self.dbmt.iter()) else {
-                return Ok(now);
-            };
-            let group = self.group_of_vbn(vbn);
-            return Ok(self.gc_group(now, device, group)?.done);
+        let vbn = match victim {
+            None => return Ok(now),
+            Some((vbn, true)) => {
+                let group = self.group_of_vbn(vbn);
+                return Ok(self.gc_group(now, device, group)?.done);
+            }
+            Some((vbn, false)) => vbn,
         };
         let (done, pages) = self.migrate_data_block(now, device, vbn, true)?;
         if let Some(st) = self.core.endurance.as_mut() {
@@ -1086,7 +1175,6 @@ impl Primitives for ZngFtl {
             .dbmt
             .iter()
             .filter(|(_, a)| device.die_is_dead(a.channel, a.die))
-            .map(|(v, &a)| (v, a))
             .collect();
         let mut t = now;
         let mut pages = 0u64;
@@ -1101,7 +1189,7 @@ impl Primitives for ZngFtl {
             t = t.max(copy.programmed);
             self.invalidate_whole_block(device, old)?;
             self.core.fence(device.geometry().index_for_block(old));
-            self.dbmt.insert(vbn, copy.fresh);
+            self.dbmt.insert(device, vbn, copy.fresh);
             self.core.note_remap(vbn);
         }
         Ok((t, pages))
@@ -1560,7 +1648,7 @@ mod tests {
         let mut t = t;
         let mut stranded = 0;
         for &vbn in &lost {
-            let a = *f.dbmt.get(vbn).expect("lost vbn stays mapped");
+            let a = f.dbmt.get(vbn).expect("lost vbn stays mapped");
             if d.die_is_dead(a.channel, a.die) {
                 stranded += 1;
             }
@@ -1574,7 +1662,7 @@ mod tests {
         let (_, more) = f.rebuild_dead_die(t, &mut d).unwrap();
         assert!(more > 0, "the resumed rebuild must make progress");
         assert!(
-            f.dbmt.values().all(|a| !d.die_is_dead(a.channel, a.die)),
+            f.dbmt.iter().all(|(_, a)| !d.die_is_dead(a.channel, a.die)),
             "a resumed rebuild moves everything off the dead die"
         );
     }
@@ -1778,5 +1866,67 @@ mod tests {
         let c = f.health_counters().unwrap();
         assert_eq!(c.rehabilitations, 1, "{c:?}");
         assert_eq!(c.pages_evacuated, 0, "no data moved for a false positive");
+    }
+
+    proptest::proptest! {
+        /// The wear-indexed levelling pick equals the linear walk over the
+        /// whole DBMT after every step of random traffic: remaps (writes
+        /// and the merges they trigger), erases (merges and levelling
+        /// migrations), blocks burned mid-program (end-of-life faults), a
+        /// die failure with fencing and rebuild, and finally mapped blocks
+        /// on a dead die and mapped blocks that fail, with no traffic after.
+        #[test]
+        fn indexed_level_pick_matches_the_linear_walk(
+            seed in 0u64..64,
+            eol in proptest::prelude::any::<bool>(),
+            ops in proptest::collection::vec((0u8..4, 0u64..160), 1..240),
+            fail_die_at in 0usize..480,
+            burn in proptest::collection::vec(0usize..64, 0..4),
+        ) {
+            use crate::refresh::RefreshPolicy;
+            use zng_types::ids::{ChannelId, DieId};
+            let (mut d, mut f) = setup(WriteMode::Direct);
+            if eol {
+                d.set_fault_config(&FaultConfig::end_of_life().with_seed(seed));
+            }
+            f.set_redundancy(&d, Some(RainConfig::default()));
+            f.set_endurance(Some(RefreshPolicy {
+                disturb_threshold: 0,
+                retention_threshold: 0,
+                wear_spread: 1.0,
+            }));
+            let mut t = Cycle(0);
+            for (i, &(kind, key)) in ops.iter().enumerate() {
+                if i == fail_die_at {
+                    d.fail_die(ChannelId(1), DieId(0));
+                    if let Ok(done) = f.fence_dead_die(t, &mut d) {
+                        t = done;
+                    }
+                    if let Ok((done, _)) = f.rebuild_dead_die(t, &mut d) {
+                        t = done;
+                    }
+                }
+                if kind == 0 {
+                    if let Ok(done) = f.refresh_step(t, &mut d) {
+                        t = t.max(done);
+                    }
+                } else if let Ok(w) = f.write(t, &mut d, key) {
+                    t = w.done;
+                }
+                proptest::prop_assert_eq!(f.level_victim(&d), f.level_victim_linear(&d));
+            }
+            if fail_die_at >= ops.len() {
+                d.fail_die(ChannelId(2), DieId(1));
+                proptest::prop_assert_eq!(f.level_victim(&d), f.level_victim_linear(&d));
+            }
+            for k in burn {
+                let mapped: Vec<BlockAddr> = f.dbmt.iter().map(|(_, a)| a).collect();
+                if let Some(&a) = mapped.get(k % mapped.len().max(1)) {
+                    d.block_mut(a).unwrap().mark_failed();
+                }
+                proptest::prop_assert_eq!(f.level_victim(&d), f.level_victim_linear(&d));
+            }
+            proptest::prop_assert!(f.dbmt.len() > 0);
+        }
     }
 }
