@@ -816,21 +816,25 @@ struct BlockCopy {
 /// the new one), so the key stays the block's erase count while mapped.
 #[derive(Debug, Clone, Default)]
 struct Dbmt {
-    /// vbn -> (data block, its erase count when mapped).
-    map: DenseMap<(BlockAddr, u32)>,
+    map: DenseMap<BlockAddr>,
+    /// vbn -> the erase count its block was mapped with: the index key
+    /// to remove when the mapping is replaced. Kept apart from `map`,
+    /// whose slots exist for every vbn of a touched segment.
+    wear: BTreeMap<u64, u32>,
     /// `(erase count, vbn)` of every mapping.
     by_wear: BTreeSet<(u32, u64)>,
 }
 
 impl Dbmt {
     fn get(&self, vbn: u64) -> Option<BlockAddr> {
-        self.map.get(vbn).map(|&(addr, _)| addr)
+        self.map.get(vbn).copied()
     }
 
     /// Maps `vbn` to `addr`, replacing any previous mapping.
     fn insert(&mut self, device: &FlashDevice, vbn: u64, addr: BlockAddr) {
         let wear = device.block(addr).map_or(0, |b| b.erase_count());
-        if let Some((_, old)) = self.map.insert(vbn, (addr, wear)) {
+        self.map.insert(vbn, addr);
+        if let Some(old) = self.wear.insert(vbn, wear) {
             self.by_wear.remove(&(old, vbn));
         }
         self.by_wear.insert((wear, vbn));
@@ -838,6 +842,7 @@ impl Dbmt {
 
     fn clear(&mut self) {
         self.map.clear();
+        self.wear.clear();
         self.by_wear.clear();
     }
 
@@ -847,7 +852,7 @@ impl Dbmt {
 
     /// Every mapping in ascending vbn order.
     fn iter(&self) -> impl Iterator<Item = (u64, BlockAddr)> + '_ {
-        self.map.iter().map(|(vbn, &(addr, _))| (vbn, addr))
+        self.map.iter().map(|(vbn, &addr)| (vbn, addr))
     }
 
     /// Every mapping, coldest first: ascending `(erase count, vbn)`.
