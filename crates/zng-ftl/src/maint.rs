@@ -159,9 +159,10 @@ impl FtlCore {
                 Ok(t) => return Ok(t),
                 Err(Error::UncorrectableRead { .. }) if attempt + 1 < budget => attempt += 1,
                 Err(e @ Error::UncorrectableRead { .. }) => {
-                    return match self.rain {
-                        Some(_) => self.reconstruct(now, device, addr, bytes),
-                        None => Err(e),
+                    return if self.rain.is_some() {
+                        self.reconstruct(now, device, addr, bytes)
+                    } else {
+                        Err(e)
                     };
                 }
                 Err(e) => return Err(e),

@@ -990,9 +990,10 @@ impl Ftl for ZngFtl {
     /// (when that exists). Counts no CAM search.
     fn locate(&self, vpn: u64) -> Option<FlashAddr> {
         let group = self.group_of(vpn);
-        if let Some(slot) = self.lbmt.get(group).and_then(|lb| lb.decoder.mapping(vpn)) {
-            let lb = self.lbmt.get(group).expect("mapping found above");
-            return Some(FlashAddr::new(lb.addr, slot));
+        if let Some(lb) = self.lbmt.get(group) {
+            if let Some(slot) = lb.decoder.mapping(vpn) {
+                return Some(FlashAddr::new(lb.addr, slot));
+            }
         }
         let data = self.dbmt.get(self.vbn_of(vpn))?;
         Some(FlashAddr::new(data, (vpn % self.pages_per_block) as u32))
