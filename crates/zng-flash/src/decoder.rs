@@ -37,8 +37,8 @@ pub struct RowDecoder {
     /// has at most `pages` live rows, so the index is pre-sized to
     /// `pages` and hashed with the deterministic Fx hasher: lookups are
     /// the hottest FTL operation and never rehash mid-run. Iteration
-    /// order is never observed directly — [`RowDecoder::mappings`]
-    /// sorts before anything consumes it.
+    /// order is never observed: [`RowDecoder::mappings`] sorts, and
+    /// [`RowDecoder::logical_pages`] serves order-independent questions.
     map: FxHashMap<u64, u32>,
     /// In-order next-free-page register.
     next_free: u32,
