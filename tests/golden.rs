@@ -291,6 +291,27 @@ fn paced_hybrid_perf_counters_are_pinned() {
     }
 }
 
+/// CI's first perf smoke, the default golden command with `--perf`: no
+/// hold, throttle or maintenance step, so every event is a compute or
+/// memory op or a retired warp's last wake-up.
+#[test]
+fn default_run_perf_counters_are_pinned() {
+    let got = run_cli(&["--perf"]);
+    let v = zng_json::Value::parse(&String::from_utf8(got).expect("utf8 json")).expect("json");
+    let counter = |key: &str| v[key].as_u64().unwrap_or_else(|| panic!("{key} missing"));
+    for (key, want) in [
+        ("perf_events", 648),
+        ("perf_blocked_events", 0),
+        ("perf_compute_events", 320),
+        ("perf_mem_events", 320),
+        ("perf_skipped_events", 8),
+        ("perf_maintenance_events", 0),
+        ("perf_peak_queue_depth", 8),
+    ] {
+        assert_eq!(counter(key), want, "{key}");
+    }
+}
+
 /// Every subsystem's table rows at once: QoS (with the per-app latency
 /// rows), redundancy, a crash that takes the checkpoint fast path with
 /// the integrity- and checkpoint-gated recovery rows, integrity,
@@ -552,6 +573,85 @@ fn maint_library_runs_match_golden() {
     );
 }
 
+/// The mix every `paced_maint_library_runs_match_golden` case runs.
+const PACED_MIX: &[&str] = &["back", "gaus"];
+/// A short run of [`PACED_MIX`].
+const PACED_LIGHT: zng::TraceParams = zng::TraceParams {
+    total_warps: 8,
+    mem_ops_per_warp: 16,
+    footprint_pages: 512,
+    seed: 42,
+};
+/// A run of [`PACED_MIX`] long enough to merge log blocks.
+const PACED_CHURN: zng::TraceParams = zng::TraceParams {
+    total_warps: 16,
+    mem_ops_per_warp: 120,
+    footprint_pages: 512,
+    seed: 42,
+};
+
+/// `SimConfig::tiny()` with a GC stall budget, so every merge is paced.
+fn paced_config() -> zng::SimConfig {
+    let mut cfg = zng::SimConfig::tiny();
+    cfg.qos.gc_stall_budget = Some(zng::Cycle(200));
+    cfg
+}
+
+/// A crash on the same request count as a checkpoint and a scrub tick.
+fn crash_on_tick_config() -> zng::SimConfig {
+    let mut cfg = zng::SimConfig::tiny();
+    cfg.redundancy = zng::RedundancyConfig::rain(50);
+    cfg.checkpoint = zng::CheckpointConfig::on(50);
+    cfg.crash_at = Some(50);
+    cfg
+}
+
+/// Two `paced_maint_library_runs_match_golden` cases with `perf` on,
+/// their event counters pinned as measured: `paced_gc_zng_base` runs out
+/// of GC credit 22 times, so it takes the credit hold's early release,
+/// and `crash_on_tick_zng` holds every app for the crash's recovery scan.
+#[test]
+fn paced_library_perf_counters_are_pinned() {
+    use zng::{Experiment, PlatformKind};
+
+    // events, blocked, compute, mem, skipped, maintenance, peak depth
+    let cases = [
+        (
+            "paced_gc_zng_base",
+            PlatformKind::ZngBase,
+            paced_config(),
+            PACED_CHURN,
+            [7_712, 0, 3_840, 3_840, 32, 0, 32],
+        ),
+        (
+            "crash_on_tick_zng",
+            PlatformKind::Zng,
+            crash_on_tick_config(),
+            PACED_LIGHT,
+            [640, 112, 256, 256, 16, 17, 16],
+        ),
+    ];
+    for (name, platform, mut cfg, params, want) in cases {
+        cfg.perf = true;
+        let r = Experiment::quick()
+            .with_config(cfg)
+            .with_params(params)
+            .run(platform, PACED_MIX)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let p = r.perf.expect("perf requested");
+        let got = [
+            p.events,
+            p.blocked_events,
+            p.compute_events,
+            p.mem_events,
+            p.skipped_events,
+            p.maintenance_events,
+            p.peak_queue_depth,
+        ];
+        assert_eq!(got, want, "{name}");
+    }
+}
+
 /// The maintenance paths under a pacing contract, on flashless
 /// platforms, and in poll order. No other golden reaches these: every
 /// `*_overruns` key of `run_maint_library.json` is 0, both QoS goldens
@@ -575,19 +675,14 @@ fn maint_library_runs_match_golden() {
 #[test]
 fn paced_maint_library_runs_match_golden() {
     use zng::{
-        CheckpointConfig, Cycle, DegradingDie, EnduranceConfig, Experiment, FaultConfig,
-        HealthConfig, PlatformKind, RedundancyConfig, RunResult, SimConfig, TraceParams,
+        CheckpointConfig, DegradingDie, EnduranceConfig, Experiment, FaultConfig, HealthConfig,
+        PlatformKind, RedundancyConfig, RunResult, SimConfig, TraceParams,
     };
     use zng_json::Value;
 
     type Check = fn(&RunResult) -> bool;
-    let paced = || {
-        let mut cfg = SimConfig::tiny();
-        cfg.qos.gc_stall_budget = Some(Cycle(200));
-        cfg
-    };
     let all_on = || {
-        let mut cfg = paced();
+        let mut cfg = paced_config();
         // A small page buffer sends HybridGPU's reads to the flash.
         cfg.buffer_pages = 8;
         cfg.fault = FaultConfig::none().with_degrading(DegradingDie {
@@ -611,13 +706,6 @@ fn paced_maint_library_runs_match_golden() {
         let mut cfg = all_on();
         cfg.crash_at = Some(100);
         cfg.redundancy.die_fail_at = Some(200);
-        cfg
-    };
-    let crash_on_tick = || {
-        let mut cfg = SimConfig::tiny();
-        cfg.redundancy = RedundancyConfig::rain(50);
-        cfg.checkpoint = CheckpointConfig::on(50);
-        cfg.crash_at = Some(50);
         cfg
     };
     let overran: Check = |r| {
@@ -650,41 +738,40 @@ fn paced_maint_library_runs_match_golden() {
                 .is_some_and(|c| c.fallback && !c.fast_path)
     };
 
-    let light = TraceParams {
-        total_warps: 8,
-        mem_ops_per_warp: 16,
-        footprint_pages: 512,
-        seed: 42,
-    };
-    let churn = TraceParams {
-        total_warps: 16,
-        mem_ops_per_warp: 120,
-        footprint_pages: 512,
-        seed: 42,
-    };
-    let write_mix: &[&str] = &["back", "gaus"];
     let cases: [(&str, PlatformKind, SimConfig, TraceParams, Check); 5] = [
-        ("paced_all_zng", PlatformKind::Zng, all_on(), light, overran),
+        (
+            "paced_all_zng",
+            PlatformKind::Zng,
+            all_on(),
+            PACED_LIGHT,
+            overran,
+        ),
         (
             "paced_all_hybrid",
             PlatformKind::HybridGpu,
             all_on(),
-            light,
+            PACED_LIGHT,
             overran,
         ),
         (
             "paced_gc_zng_base",
             PlatformKind::ZngBase,
-            paced(),
-            churn,
+            paced_config(),
+            PACED_CHURN,
             paced_gc,
         ),
-        ("all_optane", PlatformKind::Optane, optane(), light, ticked),
+        (
+            "all_optane",
+            PlatformKind::Optane,
+            optane(),
+            PACED_LIGHT,
+            ticked,
+        ),
         (
             "crash_on_tick_zng",
             PlatformKind::Zng,
-            crash_on_tick(),
-            light,
+            crash_on_tick_config(),
+            PACED_LIGHT,
             crash_first,
         ),
     ];
@@ -694,7 +781,7 @@ fn paced_maint_library_runs_match_golden() {
             let r = Experiment::quick()
                 .with_config(cfg)
                 .with_params(params)
-                .run(platform, write_mix)
+                .run(platform, PACED_MIX)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(worked(&r), "{name}: the path under test did no work");
             (name, r.to_json_value())
