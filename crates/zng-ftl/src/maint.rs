@@ -323,10 +323,7 @@ impl FtlCore {
         let t = device.read(done, addr, key, bytes).unwrap_or(done);
         self.icounters.rereads += 1;
         if self.rain.is_none() {
-            return Err(Error::IntegrityViolation {
-                block: addr.block.block as u64,
-                page: addr.page,
-            });
+            return Err(Error::IntegrityViolation { addr });
         }
         let t = self.reconstruct(t, device, addr, bytes)?;
         self.icounters.reconstructed += 1;

@@ -353,10 +353,7 @@ impl RainState {
                 // A silently corrupted member poisons the XOR combine:
                 // single parity cannot tell which contribution is wrong,
                 // so the reconstruction must not be served as clean data.
-                return Err(Error::IntegrityViolation {
-                    block: addr.block.block as u64,
-                    page: addr.page,
-                });
+                return Err(Error::IntegrityViolation { addr });
             }
             reads += 1;
             done = done.max(t);

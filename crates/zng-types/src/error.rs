@@ -3,6 +3,7 @@
 use std::error::Error as StdError;
 use std::fmt;
 
+use crate::addr::FlashAddr;
 use crate::time::Cycle;
 
 /// Errors surfaced by the ZnG simulator's public API.
@@ -75,10 +76,8 @@ pub enum Error {
     /// the ECC engine silently miscorrected the data and the integrity
     /// layer refused to serve it.
     IntegrityViolation {
-        /// Physical block index within the plane.
-        block: u64,
-        /// Page offset within the block.
-        page: u32,
+        /// The page that failed.
+        addr: FlashAddr,
     },
     /// The device's advertised capacity shrank: end-of-life block
     /// retirement exhausted the spare pool, and the endurance subsystem
@@ -140,10 +139,9 @@ impl fmt::Display for Error {
                 f,
                 "torn page at block {block} page {page} (program interrupted by power loss)"
             ),
-            Error::IntegrityViolation { block, page } => write!(
+            Error::IntegrityViolation { addr } => write!(
                 f,
-                "integrity violation at block {block} page {page} \
-                 (payload checksum mismatch, ECC miscorrection)"
+                "integrity violation at {addr} (payload checksum mismatch, ECC miscorrection)"
             ),
             Error::CapacityDegraded { remaining_pages } => write!(
                 f,
@@ -178,6 +176,8 @@ impl Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::BlockAddr;
+    use crate::ids::{ChannelId, DieId, PlaneId};
 
     #[test]
     fn error_is_send_sync_static() {
@@ -219,11 +219,12 @@ mod tests {
             e.to_string(),
             "backpressure: queue full, retry at cycle 4096"
         );
-        let e = Error::IntegrityViolation { block: 5, page: 2 };
+        let e = Error::IntegrityViolation {
+            addr: BlockAddr::new(ChannelId(1), DieId(0), PlaneId(2), 5).page(2),
+        };
         assert_eq!(
             e.to_string(),
-            "integrity violation at block 5 page 2 \
-             (payload checksum mismatch, ECC miscorrection)"
+            "integrity violation at ch1/d0/p2/b5/pg2 (payload checksum mismatch, ECC miscorrection)"
         );
         let e = Error::CapacityDegraded {
             remaining_pages: 640,

@@ -29,8 +29,8 @@ fn main() -> zng::Result<()> {
     let mut bare = Experiment::quick();
     bare.config_mut().integrity = shot;
     match bare.run(PlatformKind::ZngBase, &mix) {
-        Err(Error::IntegrityViolation { block, page }) => {
-            println!("without redundancy: read of block {block} page {page} failed loudly");
+        Err(Error::IntegrityViolation { addr }) => {
+            println!("without redundancy: read of {addr} failed loudly");
         }
         Err(e) => return Err(e),
         Ok(_) => {

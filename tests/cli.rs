@@ -408,7 +408,7 @@ fn double_fault_rebuild_exits_one() {
         );
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            err.contains("integrity violation at block 0 page 3"),
+            err.contains("integrity violation at ch1/d0/p0/b0/pg3"),
             "{platform}: names the unrecoverable page: {err}"
         );
     }
