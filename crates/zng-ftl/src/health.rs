@@ -74,8 +74,6 @@ impl Default for HealthPolicy {
 /// A snapshot of the health subsystem's event counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthCounters {
-    /// Maintenance ticks executed.
-    pub ticks: u64,
     /// Dies flagged as suspects (each flagging counts, including a
     /// re-flag after rehabilitation).
     pub suspects_flagged: u64,

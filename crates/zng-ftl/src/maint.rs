@@ -841,7 +841,6 @@ pub trait Ftl: Primitives {
         // A quiet device never reaches its own lazy death check: advance
         // the degrading-die clock here so the monitor sees the death.
         device.degrade_tick(now);
-        self.core_mut().health_mut().counters.ticks += 1;
         let mut t = now;
 
         // Dies that died since the last tick: fence + rebuild, once each.
