@@ -113,7 +113,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         Some("list") => {
             println!("platforms:");
             for p in PlatformKind::PAPER_PLATFORMS {
-                println!("  {}", flag_name(p));
+                println!("  {}", p.to_string().to_lowercase());
             }
             println!("  ideal");
             println!("\nworkloads (Table II):");
@@ -517,19 +517,6 @@ fn parse_platform(s: &str) -> Result<PlatformKind, String> {
         "ideal" => PlatformKind::Ideal,
         other => return Err(format!("unknown platform `{other}`")),
     })
-}
-
-fn flag_name(p: PlatformKind) -> &'static str {
-    match p {
-        PlatformKind::Hetero => "hetero",
-        PlatformKind::HybridGpu => "hybridgpu",
-        PlatformKind::Optane => "optane",
-        PlatformKind::ZngBase => "zng-base",
-        PlatformKind::ZngRdopt => "zng-rdopt",
-        PlatformKind::ZngWropt => "zng-wropt",
-        PlatformKind::Zng => "zng",
-        PlatformKind::Ideal => "ideal",
-    }
 }
 
 fn print_result(r: &RunResult) {
