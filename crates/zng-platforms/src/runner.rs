@@ -98,6 +98,157 @@ struct Hold {
     credit: Option<u64>,
 }
 
+/// One 128 B request of a warp's memory op.
+#[derive(Debug, Clone, Copy)]
+struct Request {
+    /// The issuing warp's SM.
+    sm: usize,
+    sector: u64,
+    vpn: u64,
+    kind: AccessKind,
+    app: AppId,
+    /// The memory op's program counter (the prefetch predictor's key).
+    pc: Pc,
+    warp: WarpId,
+}
+
+/// What one [`Simulation::run`] keeps between events.
+#[derive(Debug)]
+struct RunState<'m> {
+    mix: &'m MultiApp,
+    warps: Vec<Warp>,
+    /// The event queue, with the fairness gate's retry lane beside it.
+    queue: WarpQueue,
+    /// The fairness gate, built only when a fairness window is configured
+    /// (`None` keeps the event loop bit-identical to the pre-QoS runner).
+    fair: Option<FairShare>,
+    /// Each serviced request is tallied once, as a latency `(sum, n)`
+    /// per app and access kind; the result's latency means and per-app
+    /// request counts all derive from it. Indexed by app id.
+    tally: Vec<[(u64, u64); 2]>,
+    /// The Fig. 17b request series, indexed by app id; apps of the mix
+    /// have one, and only they issue requests.
+    series: Vec<Option<TimeSeries>>,
+    /// Exact latency percentiles by access kind: they store every sample,
+    /// so they are kept only when a bounded QoS policy reports them.
+    pct: [Option<Percentiles>; 2],
+    /// Requests serviced so far.
+    requests: u64,
+    /// The latest op completion: the run's cycle count.
+    last_cycle: Cycle,
+    /// Watchdog mark: the newest request completion. Completions are
+    /// recorded ahead of event pop time, so a healthy run never trips; a
+    /// run that stops retiring requests while the clock runs on aborts.
+    last_progress: Cycle,
+    /// Poll mark: the request count at the last maintenance poll.
+    polled: u64,
+    /// The power cut and its recovery, once `crash_at` fired.
+    crash: Option<CrashRecoverySummary>,
+    /// The event counters; `wall_seconds` and `events_per_sec` are filled
+    /// in when the run ends, and only when telemetry was requested.
+    perf: PerfSummary,
+    wall_start: Instant,
+    /// Scratch for the coalescer's output: a warp op touches at most 32
+    /// sectors.
+    sectors: Vec<u64>,
+}
+
+impl<'m> RunState<'m> {
+    /// The state before the first event: every warp queued at cycle 0.
+    fn new(mix: &'m MultiApp, warps: Vec<Warp>, cfg: &SimConfig, retry_lane: bool) -> Self {
+        let fair = (cfg.qos.fair_window > 0).then(|| {
+            let mut warps_per_app: BTreeMap<u16, u64> = BTreeMap::new();
+            for w in &warps {
+                *warps_per_app.entry(w.app().raw()).or_insert(0) += 1;
+            }
+            FairShare::new(&warps_per_app)
+        });
+        // The gate's throttle retries get their own phase-slot lane.
+        let mut queue = WarpQueue::new(
+            warps.iter().map(|w| w.app().raw()).collect(),
+            cfg.qos.backoff_base,
+            retry_lane && fair.is_some(),
+        );
+        for i in 0..warps.len() {
+            queue.schedule(Cycle::ZERO, Cycle::ZERO, i);
+        }
+        let app_slots = mix
+            .apps
+            .iter()
+            .map(|(_, app, _)| app.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut series = vec![None; app_slots];
+        for (_, app, _) in &mix.apps {
+            series[app.index()] = Some(TimeSeries::new(SERIES_INTERVAL));
+        }
+        RunState {
+            mix,
+            queue,
+            fair,
+            tally: vec![[(0, 0); 2]; app_slots],
+            series,
+            pct: std::array::from_fn(|_| (!cfg.qos.is_unbounded()).then(Percentiles::new)),
+            requests: 0,
+            last_cycle: Cycle::ZERO,
+            last_progress: Cycle::ZERO,
+            // No poll has run: the first one always does.
+            polled: u64::MAX,
+            crash: None,
+            perf: PerfSummary::default(),
+            wall_start: Instant::now(),
+            sectors: Vec::with_capacity(32),
+            warps,
+        }
+    }
+
+    /// The mean latency of `kind` over every app.
+    fn mean(&self, kind: AccessKind) -> f64 {
+        let (sum, n) = self
+            .tally
+            .iter()
+            .map(|t| t[kind as usize])
+            .fold((0, 0), |(s, n), (ds, dn)| (s + ds, n + dn));
+        sum as f64 / n.max(1) as f64
+    }
+
+    /// The mean latency of `kind` per app with at least one sample.
+    fn per_app_mean(&self, kind: AccessKind) -> BTreeMap<u16, f64> {
+        (0u16..)
+            .zip(&self.tally)
+            .map(|(a, t)| (a, t[kind as usize]))
+            .filter(|&(_, (_, n))| n > 0)
+            .map(|(a, (sum, n))| (a, sum as f64 / n as f64))
+            .collect()
+    }
+
+    /// The `q` quantile of `kind`'s latencies (0 when they are not kept).
+    fn percentile(&mut self, kind: AccessKind, q: f64) -> u64 {
+        self.pct[kind as usize]
+            .as_mut()
+            .map_or(0, |p| p.percentile(q))
+    }
+
+    /// Records a request of `app` issued at `issued` and done at `done`.
+    fn complete(&mut self, app: AppId, kind: AccessKind, issued: Cycle, done: Cycle) {
+        let lat = done.saturating_since(issued).raw();
+        let e = &mut self.tally[app.index()][kind as usize];
+        e.0 += lat;
+        e.1 += 1;
+        if let Some(p) = self.pct[kind as usize].as_mut() {
+            p.record(lat);
+        }
+        if let Some(f) = self.fair.as_mut() {
+            f.record(app.raw());
+        }
+        self.requests += 1;
+        self.last_progress = self.last_progress.max(done);
+        if let Some(s) = self.series[app.index()].as_mut() {
+            s.record(issued, 1);
+        }
+    }
+}
+
 /// One platform instance ready to run workloads.
 #[derive(Debug)]
 pub struct Simulation {
@@ -121,23 +272,11 @@ pub struct Simulation {
     /// The configured maintenance steps, in poll order, each with its
     /// trigger.
     tasks: Vec<(Task, Trigger)>,
-    crash_summary: Option<CrashRecoverySummary>,
-    /// Backoff retries performed after [`Error::Backpressure`] rejections.
-    qos_retried: u64,
-    /// Requests whose backoff budget ran out (they then waited for the
-    /// rejecting queue's hinted `retry_at`, which is guaranteed to admit
-    /// in the sequential model).
-    qos_budget_exhausted: u64,
-    /// Redirected writes that found the pinned-L2 region full and
-    /// degraded gracefully to the register path.
-    pinned_overflow_stalls: u64,
-    /// Paced GCs whose stall credit ran out, releasing the victim early.
-    gc_credit_exhausted: u64,
-    /// L2 lines poisoned after unrecoverable integrity violations.
-    poisoned_lines: u64,
-    /// Writes refused after end-of-life capacity degradation (the
-    /// workload keeps running; the device is read-only for new data).
-    writes_refused: u64,
+    /// The QoS fields the runner counts itself; the rest are read when
+    /// the run ends, as are those of the next two.
+    qos: QosSummary,
+    integrity: IntegritySummary,
+    endurance: EnduranceSummary,
     /// Queue the fairness gate's throttle retries in the phase-slot lane
     /// (always on; tests turn it off to compare against the plain event
     /// queue).
@@ -204,13 +343,9 @@ impl Simulation {
             write_probe: 0,
             thrash_mode: false,
             tasks,
-            crash_summary: None,
-            qos_retried: 0,
-            qos_budget_exhausted: 0,
-            pinned_overflow_stalls: 0,
-            gc_credit_exhausted: 0,
-            poisoned_lines: 0,
-            writes_refused: 0,
+            qos: QosSummary::default(),
+            integrity: IntegritySummary::default(),
+            endurance: EnduranceSummary::default(),
             retry_lane: true,
         })
     }
@@ -228,233 +363,23 @@ impl Simulation {
                 warps.push(Warp::new(id, *app, trace.clone()));
             }
         }
-        let sm_count = self.sms.len();
-
-        // Fairness gate: only built when a fairness window is configured;
-        // `None` keeps the scheduling loop bit-identical to the
-        // pre-QoS runner.
-        let mut fair = if self.cfg.qos.fair_window > 0 {
-            let mut warps_per_app: BTreeMap<u16, u64> = BTreeMap::new();
-            for w in &warps {
-                *warps_per_app.entry(w.app().raw()).or_insert(0) += 1;
+        let mut state = RunState::new(mix, warps, &self.cfg, self.retry_lane);
+        let mut batch = Vec::with_capacity(state.warps.len());
+        while let Some(now) = state.queue.next_time() {
+            state.perf.peak_queue_depth = state.perf.peak_queue_depth.max(state.queue.len() as u64);
+            if self.skip_closed_retries(&mut state, now)? {
+                continue;
             }
-            Some(FairShare::new(&warps_per_app))
-        } else {
-            None
-        };
-        // The gate's throttle retries get their own phase-slot lane.
-        let mut queue = WarpQueue::new(
-            warps.iter().map(|w| w.app().raw()).collect(),
-            self.cfg.qos.backoff_base,
-            self.retry_lane && fair.is_some(),
-        );
-        for i in 0..warps.len() {
-            queue.schedule(Cycle::ZERO, Cycle::ZERO, i);
-        }
-        // Exact latency percentiles store every sample; only pay for
-        // them when a bounded QoS policy will report them. Indexed by
-        // access kind.
-        let mut pct: [Option<Percentiles>; 2] =
-            std::array::from_fn(|_| (!self.cfg.qos.is_unbounded()).then(Percentiles::new));
-
-        let mut last_cycle = Cycle::ZERO;
-        let mut requests: u64 = 0;
-        // Each serviced request is tallied once, as a latency `(sum, n)`
-        // per app and access kind; the result's latency means and
-        // per-app request counts all derive from it. Indexed by app id;
-        // apps of the mix have a series, and only they issue requests.
-        let app_slots = mix
-            .apps
-            .iter()
-            .map(|(_, app, _)| app.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut tally = vec![[(0u64, 0u64); 2]; app_slots];
-        let mut series: Vec<Option<TimeSeries>> = vec![None; app_slots];
-        for (_, app, _) in &mix.apps {
-            series[app.index()] = Some(TimeSeries::new(SERIES_INTERVAL));
-        }
-
-        // Watchdog: the newest completion time across serviced requests.
-        // Completions are recorded ahead of event pop time, so a healthy
-        // run never trips; a run that stops retiring memory requests
-        // while the clock advances past the budget aborts loudly.
-        let mut last_progress = Cycle::ZERO;
-
-        // Sim-throughput counters: unconditional integer adds, with the
-        // wall-clock summary attached only when telemetry was requested.
-        let wall_start = Instant::now();
-        let mut perf_events: u64 = 0;
-        let mut perf_peak_depth: u64 = 0;
-        let mut perf_compute: u64 = 0;
-        let mut perf_mem: u64 = 0;
-        let mut perf_blocked: u64 = 0;
-        let mut perf_maint: u64 = 0;
-        let mut perf_skipped: u64 = 0;
-
-        // The request count at the last maintenance poll. The maintenance
-        // triggers fire only when the count crosses a threshold, so a
-        // poll with an unchanged count is a no-op and is skipped.
-        let mut polled_requests = u64::MAX;
-
-        // Same-cycle batch drain: pull every event sharing the front
-        // timestamp with one `pop_round` into a reusable scratch buffer
-        // instead of round-tripping the queue per event. Events scheduled
-        // mid-batch at the same cycle come after everything already
-        // drained, so the next `pop_round` picks them up in exactly the
-        // one-at-a-time total order.
-        let mut batch: Vec<usize> = Vec::with_capacity(warps.len());
-        // Reusable coalescer output: a warp op touches at most 32 sectors.
-        let mut sector_scratch: Vec<u64> = Vec::with_capacity(32);
-        while let Some(now) = queue.next_time() {
-            perf_peak_depth = perf_peak_depth.max(queue.len() as u64);
-            // Bulk skip: a round of nothing but throttle retries whose
-            // gates are all still closed would only re-queue each warp
-            // where it was and count one event, one blocked event and one
-            // throttle apiece. Nothing those rounds read can change while
-            // they are passed over: no request completes, so no poll fires
-            // and no gate opens, and no app with retries is held (a hold
-            // only ends, and its warps wait in the main queue).
-            if let Some(f) = fair.as_mut() {
-                if queue.only_retries_at(now) {
-                    // The round's first event would check the watchdog and
-                    // poll maintenance before anything else; do both now, so
-                    // the skip sees the state that event would.
-                    self.poll(
-                        now,
-                        last_progress,
-                        requests,
-                        &mut polled_requests,
-                        mix,
-                        &mut perf_maint,
-                    )?;
-                    let holds = &self.holds;
-                    if queue.all_retry_apps(|app| {
-                        holds.get(&app).is_none_or(|h| h.until <= now)
-                            && f.still_closed(app, &self.cfg.qos, self.cfg.qos.fair_window)
-                    }) {
-                        // The watchdog trips on the first cycle more than
-                        // its budget past the last progress.
-                        let horizon = self.cfg.watchdog.map_or(Cycle(u64::MAX), |b| {
-                            Cycle(last_progress.raw().saturating_add(b).saturating_add(1))
-                        });
-                        let skipped = queue.skip_retries(horizon);
-                        if skipped > 0 {
-                            perf_events += skipped;
-                            perf_blocked += skipped;
-                            f.add_throttles(skipped);
-                            continue;
-                        }
-                    }
-                }
-            }
+            // Same-cycle batch drain: pull every event sharing the front
+            // timestamp with one `pop_round` into a reusable scratch
+            // buffer instead of round-tripping the queue per event.
+            // Events scheduled mid-batch at the same cycle come after
+            // everything already drained, so the next `pop_round` picks
+            // them up in exactly the one-at-a-time total order.
             batch.clear();
-            queue.pop_round(now, &mut batch);
+            state.queue.pop_round(now, &mut batch);
             for &idx in &batch {
-                perf_events += 1;
-                self.poll(
-                    now,
-                    last_progress,
-                    requests,
-                    &mut polled_requests,
-                    mix,
-                    &mut perf_maint,
-                )?;
-                if warps[idx].is_done() {
-                    perf_skipped += 1;
-                    continue;
-                }
-                let app = warps[idx].app();
-                // During a GC of this app's blocks the MMU holds its memory
-                // requests (paper SV-D): the warp re-tries once the helper
-                // thread finishes. Blocking at the event level (rather than
-                // deferring the request to a future timestamp) keeps shared
-                // resources causally reserved.
-                if let Some(hold) = self.holds.get_mut(&app.raw()) {
-                    if hold.until > now
-                        && matches!(warps[idx].current_op(), Some(WarpOp::Mem { .. }))
-                    {
-                        // GC pacing credit: every stalled foreground event
-                        // burns one of the merge's credits; when they run out
-                        // the victim is released early rather than waiting
-                        // for the whole merge (a hold without credit always
-                        // waits in full).
-                        if hold.credit == Some(0) {
-                            self.holds.remove(&app.raw());
-                            self.gc_credit_exhausted += 1;
-                        } else {
-                            if let Some(credit) = hold.credit.as_mut() {
-                                *credit -= 1;
-                            }
-                            perf_blocked += 1;
-                            queue.schedule(now, hold.until, idx);
-                            continue;
-                        }
-                    }
-                }
-                // Fair-share gate: a memory op from an app that has run more
-                // than a window ahead of the furthest-behind active app is
-                // deferred one backoff quantum, bounding any app's service
-                // lag (starvation freedom).
-                if let Some(f) = fair.as_mut() {
-                    if matches!(warps[idx].current_op(), Some(WarpOp::Mem { .. }))
-                        && f.should_throttle(app.raw(), &self.cfg.qos, self.cfg.qos.fair_window)
-                    {
-                        perf_blocked += 1;
-                        queue.retry(now, idx);
-                        continue;
-                    }
-                }
-                let sm_idx = idx % sm_count;
-                let done = match warps[idx].current_op().expect("warp not done") {
-                    WarpOp::Compute(n) => {
-                        perf_compute += 1;
-                        self.sms[sm_idx].issue(now, n)
-                    }
-                    WarpOp::Mem {
-                        base,
-                        kind,
-                        pattern,
-                        pc,
-                    } => {
-                        perf_mem += 1;
-                        let t_issue = self.sms[sm_idx].issue(now, 1);
-                        let warp_id = warps[idx].id();
-                        let mut done = t_issue;
-                        sector_scratch.clear();
-                        pattern.sectors_into(base.raw(), &mut sector_scratch);
-                        for &sector in &sector_scratch {
-                            let t =
-                                self.service(t_issue, sm_idx, sector, kind, app, pc, warp_id)?;
-                            let lat = t.saturating_since(t_issue).raw();
-                            let e = &mut tally[app.index()][kind as usize];
-                            e.0 += lat;
-                            e.1 += 1;
-                            if let Some(p) = pct[kind as usize].as_mut() {
-                                p.record(lat);
-                            }
-                            if let Some(f) = fair.as_mut() {
-                                f.record(app.raw());
-                            }
-                            done = done.max(t);
-                            requests += 1;
-                            last_progress = last_progress.max(t);
-                            if let Some(s) = series[app.index()].as_mut() {
-                                s.record(t_issue, 1);
-                            }
-                        }
-                        done
-                    }
-                };
-                warps[idx].retire_op();
-                if warps[idx].is_done() {
-                    if let Some(f) = fair.as_mut() {
-                        f.warp_done(app.raw());
-                    }
-                }
-                warps[idx].ready_at = done;
-                last_cycle = last_cycle.max(done);
-                queue.schedule(now, done, idx);
+                self.step(&mut state, now, idx)?;
             }
         }
 
@@ -463,192 +388,192 @@ impl Simulation {
         // healthy spare blocks (maintenance time, not charged to the
         // run's cycle count).
         if self.ticks(Task::DieFailure) > 0 {
-            self.backend.rebuild_dead_die(last_cycle)?;
+            self.backend.rebuild_dead_die(state.last_cycle)?;
         }
+        Ok(self.summarize(state))
+    }
 
-        let instructions: u64 = warps.iter().map(|w| w.instructions_done()).sum();
+    /// Bulk skip: a round of nothing but throttle retries whose gates are
+    /// all still closed would only re-queue each warp where it was and
+    /// count one event, one blocked event and one throttle apiece.
+    /// Nothing those rounds read can change while they are passed over:
+    /// no request completes, so no poll fires and no gate opens, and no
+    /// app with retries is held (a hold only ends, and its warps wait in
+    /// the main queue). Returns whether rounds were skipped.
+    fn skip_closed_retries(&mut self, state: &mut RunState, now: Cycle) -> Result<bool> {
+        if !state.queue.only_retries_at(now) {
+            return Ok(false);
+        }
+        // The round's first event would check the watchdog and poll
+        // maintenance before anything else; do both now, so the skip
+        // sees the state that event would.
+        self.poll(state, now)?;
+        let Some(f) = state.fair.as_mut() else {
+            return Ok(false);
+        };
+        let (holds, qos) = (&self.holds, &self.cfg.qos);
+        if !state.queue.all_retry_apps(|app| {
+            holds.get(&app).is_none_or(|h| h.until <= now)
+                && f.still_closed(app, qos, qos.fair_window)
+        }) {
+            return Ok(false);
+        }
+        // The watchdog trips on the first cycle more than its budget past
+        // the last progress.
+        let progress = state.last_progress.raw();
+        let horizon = self.cfg.watchdog.map_or(Cycle(u64::MAX), |b| {
+            Cycle(progress.saturating_add(b).saturating_add(1))
+        });
+        let skipped = state.queue.skip_retries(horizon);
+        state.perf.events += skipped;
+        state.perf.blocked_events += skipped;
+        f.add_throttles(skipped);
+        Ok(skipped > 0)
+    }
+
+    /// One event: warp `idx` wakes at `now`. After the watchdog check and
+    /// the maintenance poll, a memory op of a held or throttled app is
+    /// deferred; any other op issues, and the warp wakes again when it
+    /// completes.
+    fn step(&mut self, state: &mut RunState, now: Cycle, idx: usize) -> Result<()> {
+        state.perf.events += 1;
+        self.poll(state, now)?;
+        let warp = &state.warps[idx];
+        let Some(op) = warp.current_op() else {
+            state.perf.skipped_events += 1;
+            return Ok(());
+        };
+        let app = warp.app();
+        let is_mem = matches!(op, WarpOp::Mem { .. });
+        // During a GC of this app's blocks the MMU holds its memory
+        // requests (paper SV-D): the warp re-tries once the helper thread
+        // finishes. Blocking at the event level (rather than deferring
+        // the request to a future timestamp) keeps shared resources
+        // causally reserved.
+        if let Some(hold) = self.holds.get_mut(&app.raw()) {
+            if hold.until > now && is_mem {
+                // GC pacing credit: every stalled foreground event burns
+                // one of the merge's credits; when they run out the
+                // victim is released early rather than waiting for the
+                // whole merge (a hold without credit always waits in
+                // full).
+                if hold.credit == Some(0) {
+                    self.holds.remove(&app.raw());
+                    self.qos.gc_credit_exhausted += 1;
+                } else {
+                    if let Some(credit) = hold.credit.as_mut() {
+                        *credit -= 1;
+                    }
+                    state.perf.blocked_events += 1;
+                    state.queue.schedule(now, hold.until, idx);
+                    return Ok(());
+                }
+            }
+        }
+        // Fair-share gate: a memory op from an app that has run more than
+        // a window ahead of the furthest-behind active app is deferred
+        // one backoff quantum, bounding any app's service lag
+        // (starvation freedom).
+        if let Some(f) = state.fair.as_mut() {
+            if is_mem && f.should_throttle(app.raw(), &self.cfg.qos, self.cfg.qos.fair_window) {
+                state.perf.blocked_events += 1;
+                state.queue.retry(now, idx);
+                return Ok(());
+            }
+        }
+        let sm = idx % self.sms.len();
+        let done = match op {
+            WarpOp::Compute(n) => {
+                state.perf.compute_events += 1;
+                self.sms[sm].issue(now, n)
+            }
+            WarpOp::Mem {
+                base,
+                kind,
+                pattern,
+                pc,
+            } => {
+                state.perf.mem_events += 1;
+                let issued = self.sms[sm].issue(now, 1);
+                let id = warp.id();
+                let mut sectors = std::mem::take(&mut state.sectors);
+                sectors.clear();
+                pattern.sectors_into(base.raw(), &mut sectors);
+                let mut done = issued;
+                for &sector in &sectors {
+                    let req = Request {
+                        sm,
+                        sector,
+                        vpn: sector >> 12,
+                        kind,
+                        app,
+                        pc,
+                        warp: id,
+                    };
+                    let t = self.service(issued, req)?;
+                    state.complete(app, kind, issued, t);
+                    done = done.max(t);
+                }
+                state.sectors = sectors;
+                done
+            }
+        };
+        let warp = &mut state.warps[idx];
+        warp.retire_op();
+        if warp.is_done() {
+            if let Some(f) = state.fair.as_mut() {
+                f.warp_done(app.raw());
+            }
+        }
+        warp.ready_at = done;
+        state.last_cycle = state.last_cycle.max(done);
+        state.queue.schedule(now, done, idx);
+        Ok(())
+    }
+
+    /// Assembles the finished run's result from its state and the
+    /// platform's counters.
+    fn summarize(&self, mut state: RunState) -> RunResult {
+        let instructions: u64 = state.warps.iter().map(|w| w.instructions_done()).sum();
         let mut per_app_instructions: BTreeMap<u16, u64> = BTreeMap::new();
         let mut per_app_cycles: BTreeMap<u16, Cycle> = BTreeMap::new();
-        for w in &warps {
+        for w in &state.warps {
             *per_app_instructions.entry(w.app().raw()).or_insert(0) += w.instructions_done();
             let c = per_app_cycles.entry(w.app().raw()).or_insert(Cycle::ZERO);
             *c = (*c).max(w.ready_at);
         }
-        let cycles = last_cycle.max(Cycle(1));
+        let cycles = state.last_cycle.max(Cycle(1));
 
         // Every flash counter is read through the backend's flash view;
         // platforms without flash report zeros (and enabled subsystems
         // still report their tick counts).
-        let flash = self.backend.flash();
-        let ftl = flash.map(|(ftl, _)| ftl);
-        let device = flash.map(|(_, device)| device);
+        let (ftl, device) = self.backend.flash().unzip();
         let stats = device.map(|d| d.stats());
         let zng = self.backend.zng_ftl();
 
-        // Latency means of `kind`: per app with at least one sample, as
-        // the ordered map of the result, and over all apps.
-        let per_app_mean = |kind: AccessKind| -> BTreeMap<u16, f64> {
-            (0u16..)
-                .zip(&tally)
-                .map(|(a, t)| (a, t[kind as usize]))
-                .filter(|&(_, (_, n))| n > 0)
-                .map(|(a, (sum, n))| (a, sum as f64 / n as f64))
-                .collect()
-        };
-        let mean = |kind: AccessKind| {
-            let (sum, n) = tally
-                .iter()
-                .map(|t| t[kind as usize])
-                .fold((0, 0), |(s, n), (ds, dn)| (s + ds, n + dn));
-            sum as f64 / n.max(1) as f64
-        };
-        let mut percentile =
-            |kind: AccessKind, q: f64| pct[kind as usize].as_mut().map_or(0, |p| p.percentile(q));
         let qos = (!self.cfg.qos.is_unbounded()).then(|| QosSummary {
             rejected: self.backend.qos_rejections(),
-            retried: self.qos_retried,
-            retry_budget_exhausted: self.qos_budget_exhausted,
             mshr_stalls: self.sms.iter().map(|s| s.mshr().full_stalls()).sum::<u64>()
                 + self.page_mshr.full_stalls(),
-            pinned_overflow_stalls: self.pinned_overflow_stalls,
             gc_deadline_misses: zng.map_or(0, |f| f.gc_deadline_misses()),
             paced_gcs: zng.map_or(0, |f| f.paced_gcs()),
-            gc_credit_exhausted: self.gc_credit_exhausted,
-            fairness_throttles: fair.as_ref().map(FairShare::throttles).unwrap_or(0),
-            max_service_lag: fair.as_ref().map(FairShare::max_lag).unwrap_or(0),
+            fairness_throttles: state.fair.as_ref().map_or(0, FairShare::throttles),
+            max_service_lag: state.fair.as_ref().map_or(0, FairShare::max_lag),
             max_queue_occupancy: self.backend.qos_max_occupancy(),
-            read_p50: percentile(AccessKind::Read, 0.50),
-            read_p95: percentile(AccessKind::Read, 0.95),
-            read_p99: percentile(AccessKind::Read, 0.99),
-            write_p50: percentile(AccessKind::Write, 0.50),
-            write_p95: percentile(AccessKind::Write, 0.95),
-            write_p99: percentile(AccessKind::Write, 0.99),
+            read_p50: state.percentile(AccessKind::Read, 0.50),
+            read_p95: state.percentile(AccessKind::Read, 0.95),
+            read_p99: state.percentile(AccessKind::Read, 0.99),
+            write_p50: state.percentile(AccessKind::Write, 0.50),
+            write_p95: state.percentile(AccessKind::Write, 0.95),
+            write_p99: state.percentile(AccessKind::Write, 0.99),
+            ..self.qos.clone()
         });
-        let redundancy = self.cfg.redundancy.enabled.then(|| {
-            let c = ftl
-                .and_then(|f| f.redundancy())
-                .map(|r| r.counters())
-                .unwrap_or_default();
-            RedundancySummary {
-                reconstructions: c.reconstructions,
-                reconstruction_reads: c.reconstruction_reads,
-                parity_pages: c.parity_pages,
-                scrub_scanned: c.scrub_scanned,
-                scrub_rewrites: c.scrub_rewrites,
-                scrub_overruns: c.scrub_overruns,
-                scrub_ticks: self.ticks(Task::Scrub),
-                rebuild_pages: c.rebuild_pages,
-                degraded_reads: c.degraded_reads,
-                fenced_blocks: c.fenced_blocks,
-                dead_die_reads: device.map_or(0, |d| d.dead_die_reads()),
-                rerouted_transfers: device.map_or(0, |d| d.network().rerouted()),
-                retry_depth_histogram: stats.map(|s| s.retry_depth_histogram()).unwrap_or_default(),
-            }
-        });
-        let integrity = self.cfg.integrity.enabled.then(|| {
-            let c = ftl
-                .filter(|f| f.integrity_enabled())
-                .map(|f| f.integrity_counters())
-                .unwrap_or_default();
-            IntegritySummary {
-                silent_corruptions: stats.map_or(0, |s| s.silent_corruptions()),
-                detected: c.detected,
-                rereads: c.rereads,
-                reconstructed: c.reconstructed,
-                quarantined: c.quarantined,
-                poisoned_lines: self.poisoned_lines,
-            }
-        });
-        let endurance = self.cfg.endurance.enabled.then(|| {
-            let c = ftl.and_then(|f| f.endurance_counters()).unwrap_or_default();
-            let rep = device.map(|d| d.endurance());
-            EnduranceSummary {
-                refresh_ticks: self.ticks(Task::Refresh),
-                refreshes: c.refreshes,
-                disturb_refreshes: c.disturb_refreshes,
-                retention_refreshes: c.retention_refreshes,
-                refreshed_pages: c.refreshed_pages,
-                level_migrations: c.level_migrations,
-                leveled_pages: c.leveled_pages,
-                refresh_overruns: c.refresh_overruns,
-                capacity_steps: c.capacity_steps,
-                writes_refused: self.writes_refused,
-                disturb_reads: stats.map_or(0, |s| s.disturb_reads()),
-                disturb_triggered_errors: stats.map_or(0, |s| s.disturb_triggered_errors()),
-                wear_max: rep.map(|r| r.worst_wear_fraction()).unwrap_or(0.0),
-                wear_mean: rep.map(|r| r.mean_wear_fraction()).unwrap_or(0.0),
-                wear_min: rep.map(|r| r.min_wear_fraction()).unwrap_or(0.0),
-                wear_spread: rep.map(|r| r.wear_spread()).unwrap_or(1.0),
-            }
-        });
-        let checkpoint = self.cfg.checkpoint.enabled.then(|| {
-            let c = ftl
-                .and_then(|f| f.checkpoint_counters())
-                .unwrap_or_default();
-            CheckpointSummary {
-                checkpoint_ticks: self.ticks(Task::Checkpoint),
-                checkpoints: c.checkpoints,
-                checkpoint_pages: c.checkpoint_pages,
-                journal_records: c.journal_records,
-                journal_pages: c.journal_pages,
-                overruns: c.overruns,
-                journal_overflows: c.journal_overflows,
-                aborted: c.aborted,
-            }
-        });
-        let perf = self.cfg.perf.then(|| {
-            let wall = wall_start.elapsed().as_secs_f64();
-            PerfSummary {
-                wall_seconds: wall,
-                events: perf_events,
-                events_per_sec: perf_events as f64 / wall.max(1e-9),
-                peak_queue_depth: perf_peak_depth,
-                compute_events: perf_compute,
-                mem_events: perf_mem,
-                blocked_events: perf_blocked,
-                maintenance_events: perf_maint,
-                skipped_events: perf_skipped,
-            }
-        });
-        let health = self.cfg.health.enabled.then(|| {
-            let c = ftl.and_then(|f| f.health_counters()).unwrap_or_default();
-            let per_die = stats
-                .map(|s| {
-                    s.die_health_sorted()
-                        .iter()
-                        .map(|&((channel, die), h)| DieBreakdown {
-                            channel,
-                            die,
-                            reads: h.reads,
-                            retry_steps: h.retry_steps,
-                            uncorrectable_reads: h.uncorrectable_reads,
-                            programs: h.programs,
-                            program_failures: h.program_failures,
-                            erases: h.erases,
-                            erase_failures: h.erase_failures,
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-            HealthSummary {
-                health_ticks: self.ticks(Task::Health),
-                suspects_flagged: c.suspects_flagged,
-                pages_evacuated: c.pages_evacuated,
-                evacuations_completed: c.evacuations_completed,
-                rehabilitations: c.rehabilitations,
-                evacuation_overruns: c.evacuation_overruns,
-                dead_dies_fenced: c.dead_dies_fenced,
-                quarantined: ftl.map(|f| f.quarantined_dies()).unwrap_or_default(),
-                per_die,
-            }
-        });
-
-        Ok(RunResult {
+        RunResult {
             platform: self.kind,
-            workload: mix.name.clone(),
+            workload: state.mix.name.clone(),
             cycles,
             instructions,
-            requests,
+            requests: state.requests,
             ipc: instructions as f64 / cycles.raw() as f64,
             flash_array_gbps: stats.map_or(0.0, |s| s.array_gbps(cycles, self.cfg.gpu.freq)),
             flash_reads_per_page: stats.map_or(0.0, |s| s.mean_reads_per_page()),
@@ -661,21 +586,21 @@ impl Simulation {
             gcs: ftl.map_or(0, |f| f.gcs()),
             register_migrations: device.map_or(0, |d| d.total_migrations()),
             redirected_writes: self.redirected_writes,
-            avg_read_latency: mean(AccessKind::Read),
-            avg_write_latency: mean(AccessKind::Write),
-            per_app_read_latency: per_app_mean(AccessKind::Read),
-            per_app_write_latency: per_app_mean(AccessKind::Write),
+            avg_read_latency: state.mean(AccessKind::Read),
+            avg_write_latency: state.mean(AccessKind::Write),
+            per_app_read_latency: state.per_app_mean(AccessKind::Read),
+            per_app_write_latency: state.per_app_mean(AccessKind::Write),
             per_app_instructions,
             per_app_cycles,
             // Apps of the mix (those with a series), reads plus writes.
             per_app_requests: (0u16..)
-                .zip(&series)
-                .zip(&tally)
+                .zip(&state.series)
+                .zip(&state.tally)
                 .filter(|((_, s), _)| s.is_some())
                 .map(|((a, _), t)| (a, t[0].1 + t[1].1))
                 .collect(),
             per_app_series: (0u16..)
-                .zip(series)
+                .zip(state.series)
                 .filter_map(|(a, s)| s.map(|s| (a, s)))
                 .collect(),
             series_interval: SERIES_INTERVAL,
@@ -686,15 +611,123 @@ impl Simulation {
             erase_failures: stats.map_or(0, |s| s.erase_failures()),
             blocks_retired: ftl.map_or(0, |f| f.blocks_retired()),
             write_redrives: ftl.map_or(0, |f| f.write_redrives()),
-            crash_recovery: self.crash_summary.take(),
+            crash_recovery: state.crash,
             qos,
-            redundancy,
-            integrity,
-            endurance,
-            checkpoint,
-            health,
-            perf,
-        })
+            redundancy: self.cfg.redundancy.enabled.then(|| {
+                let c = ftl
+                    .and_then(|f| f.redundancy())
+                    .map(|r| r.counters())
+                    .unwrap_or_default();
+                RedundancySummary {
+                    reconstructions: c.reconstructions,
+                    reconstruction_reads: c.reconstruction_reads,
+                    parity_pages: c.parity_pages,
+                    scrub_scanned: c.scrub_scanned,
+                    scrub_rewrites: c.scrub_rewrites,
+                    scrub_overruns: c.scrub_overruns,
+                    scrub_ticks: self.ticks(Task::Scrub),
+                    rebuild_pages: c.rebuild_pages,
+                    degraded_reads: c.degraded_reads,
+                    fenced_blocks: c.fenced_blocks,
+                    dead_die_reads: device.map_or(0, |d| d.dead_die_reads()),
+                    rerouted_transfers: device.map_or(0, |d| d.network().rerouted()),
+                    retry_depth_histogram: stats
+                        .map(|s| s.retry_depth_histogram())
+                        .unwrap_or_default(),
+                }
+            }),
+            integrity: self.cfg.integrity.enabled.then(|| {
+                let c = ftl
+                    .filter(|f| f.integrity_enabled())
+                    .map(|f| f.integrity_counters())
+                    .unwrap_or_default();
+                IntegritySummary {
+                    silent_corruptions: stats.map_or(0, |s| s.silent_corruptions()),
+                    detected: c.detected,
+                    rereads: c.rereads,
+                    reconstructed: c.reconstructed,
+                    quarantined: c.quarantined,
+                    ..self.integrity
+                }
+            }),
+            endurance: self.cfg.endurance.enabled.then(|| {
+                let c = ftl.and_then(|f| f.endurance_counters()).unwrap_or_default();
+                let rep = device.map(|d| d.endurance());
+                EnduranceSummary {
+                    refresh_ticks: self.ticks(Task::Refresh),
+                    refreshes: c.refreshes,
+                    disturb_refreshes: c.disturb_refreshes,
+                    retention_refreshes: c.retention_refreshes,
+                    refreshed_pages: c.refreshed_pages,
+                    level_migrations: c.level_migrations,
+                    leveled_pages: c.leveled_pages,
+                    refresh_overruns: c.refresh_overruns,
+                    capacity_steps: c.capacity_steps,
+                    disturb_reads: stats.map_or(0, |s| s.disturb_reads()),
+                    disturb_triggered_errors: stats.map_or(0, |s| s.disturb_triggered_errors()),
+                    wear_max: rep.map(|r| r.worst_wear_fraction()).unwrap_or(0.0),
+                    wear_mean: rep.map(|r| r.mean_wear_fraction()).unwrap_or(0.0),
+                    wear_min: rep.map(|r| r.min_wear_fraction()).unwrap_or(0.0),
+                    wear_spread: rep.map(|r| r.wear_spread()).unwrap_or(1.0),
+                    ..self.endurance
+                }
+            }),
+            checkpoint: self.cfg.checkpoint.enabled.then(|| {
+                let c = ftl
+                    .and_then(|f| f.checkpoint_counters())
+                    .unwrap_or_default();
+                CheckpointSummary {
+                    checkpoint_ticks: self.ticks(Task::Checkpoint),
+                    checkpoints: c.checkpoints,
+                    checkpoint_pages: c.checkpoint_pages,
+                    journal_records: c.journal_records,
+                    journal_pages: c.journal_pages,
+                    overruns: c.overruns,
+                    journal_overflows: c.journal_overflows,
+                    aborted: c.aborted,
+                }
+            }),
+            health: self.cfg.health.enabled.then(|| {
+                let c = ftl.and_then(|f| f.health_counters()).unwrap_or_default();
+                let per_die = stats
+                    .map(|s| {
+                        s.die_health_sorted()
+                            .iter()
+                            .map(|&((channel, die), h)| DieBreakdown {
+                                channel,
+                                die,
+                                reads: h.reads,
+                                retry_steps: h.retry_steps,
+                                uncorrectable_reads: h.uncorrectable_reads,
+                                programs: h.programs,
+                                program_failures: h.program_failures,
+                                erases: h.erases,
+                                erase_failures: h.erase_failures,
+                            })
+                            .collect()
+                    })
+                    .unwrap_or_default();
+                HealthSummary {
+                    health_ticks: self.ticks(Task::Health),
+                    suspects_flagged: c.suspects_flagged,
+                    pages_evacuated: c.pages_evacuated,
+                    evacuations_completed: c.evacuations_completed,
+                    rehabilitations: c.rehabilitations,
+                    evacuation_overruns: c.evacuation_overruns,
+                    dead_dies_fenced: c.dead_dies_fenced,
+                    quarantined: ftl.map(|f| f.quarantined_dies()).unwrap_or_default(),
+                    per_die,
+                }
+            }),
+            perf: self.cfg.perf.then(|| {
+                let wall = state.wall_start.elapsed().as_secs_f64();
+                PerfSummary {
+                    wall_seconds: wall,
+                    events_per_sec: state.perf.events as f64 / wall.max(1e-9),
+                    ..state.perf
+                }
+            }),
+        }
     }
 
     /// How often `task` has fired (0 when it is not configured).
@@ -707,32 +740,24 @@ impl Simulation {
 
     /// The step each event takes first (and a bulk skip in its place):
     /// the watchdog check, then the maintenance poll. The poll runs each
-    /// task that fires, in order, counting it in `perf_maint`. Every step
-    /// is device-wide, so all apps are held until the step lets the
-    /// foreground resume. Triggers fire only when the request count
-    /// crosses a threshold, so the poll is skipped while `requests`
-    /// equals `polled`, the count at the last poll.
-    fn poll(
-        &mut self,
-        now: Cycle,
-        last_progress: Cycle,
-        requests: u64,
-        polled: &mut u64,
-        mix: &MultiApp,
-        perf_maint: &mut u64,
-    ) -> Result<()> {
-        Self::watchdog_check(self.cfg.watchdog, now, last_progress)?;
-        if requests == *polled {
+    /// task that fires, in order, counting it as a maintenance event.
+    /// Every step is device-wide, so all apps are held until the step
+    /// lets the foreground resume. Triggers fire only when the request
+    /// count crosses a threshold, so the poll is skipped while the count
+    /// equals the one at the last poll.
+    fn poll(&mut self, state: &mut RunState, now: Cycle) -> Result<()> {
+        Self::watchdog_check(self.cfg.watchdog, now, state.last_progress)?;
+        if state.requests == state.polled {
             return Ok(());
         }
-        *polled = requests;
+        state.polled = state.requests;
         for i in 0..self.tasks.len() {
             let (task, trigger) = &mut self.tasks[i];
-            if trigger.poll(requests) {
+            if trigger.poll(state.requests) {
                 let task = *task;
-                *perf_maint += 1;
-                let resume = self.run_task(task, now, requests)?;
-                for (_, app, _) in &mix.apps {
+                state.perf.maintenance_events += 1;
+                let resume = self.run_task(task, now, state)?;
+                for (_, app, _) in &state.mix.apps {
                     self.hold(*app, resume, None);
                 }
             }
@@ -740,11 +765,11 @@ impl Simulation {
         Ok(())
     }
 
-    /// Runs one maintenance step at `now`, after `requests` completed
-    /// requests; returns when the foreground may resume. The background
+    /// Runs one maintenance step of `state`'s run at `now`; returns when
+    /// the foreground may resume. The background
     /// steps' media work always completes, but their stall is capped by
     /// the pacing contract when one is set.
-    fn run_task(&mut self, task: Task, now: Cycle, requests: u64) -> Result<Cycle> {
+    fn run_task(&mut self, task: Task, now: Cycle, state: &mut RunState) -> Result<Cycle> {
         match task {
             // Power cut: the storage side loses its volatile state and
             // recovers from the OOB scan; the GPU side reboots with cold
@@ -753,8 +778,8 @@ impl Simulation {
                 let report = self.backend.crash_recover(now)?;
                 self.power_cut_gpu();
                 let r = report.unwrap_or_default();
-                self.crash_summary = Some(CrashRecoverySummary {
-                    at_requests: requests,
+                state.crash = Some(CrashRecoverySummary {
+                    at_requests: state.requests,
                     at_cycle: now,
                     pages_scanned: r.pages_scanned,
                     torn_discarded: r.torn_discarded,
@@ -815,41 +840,21 @@ impl Simulation {
     }
 
     /// Services one 128 B request; returns its completion time.
-    #[allow(clippy::too_many_arguments)]
-    fn service(
-        &mut self,
-        now: Cycle,
-        sm_idx: usize,
-        sector: u64,
-        kind: AccessKind,
-        app: AppId,
-        pc: Pc,
-        warp: WarpId,
-    ) -> Result<Cycle> {
-        let vpn = sector >> 12;
-        let t = self.mmu.translate(now, vpn)?;
-        match kind {
-            AccessKind::Read => self.service_read(t, sm_idx, sector, vpn, app, pc, warp),
-            AccessKind::Write => self.service_write(t, sm_idx, sector, vpn, app),
+    fn service(&mut self, now: Cycle, req: Request) -> Result<Cycle> {
+        let t = self.mmu.translate(now, req.vpn)?;
+        match req.kind {
+            AccessKind::Read => self.service_read(t, req),
+            AccessKind::Write => self.service_write(t, req),
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn service_read(
-        &mut self,
-        now: Cycle,
-        sm_idx: usize,
-        sector: u64,
-        vpn: u64,
-        app: AppId,
-        pc: Pc,
-        warp: WarpId,
-    ) -> Result<Cycle> {
-        let (l1_hit, t) = self.sms[sm_idx].l1_access(now, sector, false);
+    fn service_read(&mut self, now: Cycle, req: Request) -> Result<Cycle> {
+        let (sm, sector, vpn, app) = (req.sm, req.sector, req.vpn, req.app);
+        let (l1_hit, t) = self.sms[sm].l1_access(now, sector, false);
         if l1_hit {
             return Ok(t);
         }
-        if let Some(done) = self.sms[sm_idx].mshr_mut().inflight(t, sector) {
+        if let Some(done) = self.sms[sm].mshr_mut().inflight(t, sector) {
             return Ok(done);
         }
         // Bounded mode: a full MSHR file is a structural hazard. Instead
@@ -857,30 +862,27 @@ impl Simulation {
         // the warp backs off until the earliest fill frees a slot — one
         // bounded retry, surfaced as an `mshr_stalls` count.
         let t = if self.cfg.qos.queue_depth.is_some() {
-            self.sms[sm_idx]
-                .mshr_mut()
-                .full_until(t, sector)
-                .unwrap_or(t)
+            self.sms[sm].mshr_mut().full_until(t, sector).unwrap_or(t)
         } else {
             t
         };
         if self.kind.has_rdopt() {
-            self.predictor.observe(pc, warp, vpn);
+            self.predictor.observe(req.pc, req.warp, vpn);
         }
         let bank = self.l2.bank_of(sector);
         let t = self.icnt.transfer(t, bank, 128);
         // A whole-page fill may already be in flight.
         if let Some(done) = self.page_mshr.inflight(t, vpn) {
-            self.sms[sm_idx].l1_fill(sector, app);
+            self.sms[sm].l1_fill(sector, app);
             return Ok(done);
         }
         let acc = self.l2.access(t, sector, false);
         if acc.hit {
-            self.sms[sm_idx].l1_fill(sector, app);
+            self.sms[sm].l1_fill(sector, app);
             return Ok(acc.done);
         }
         // L2 miss: fetch from the backend.
-        let (bytes, prefetch) = self.read_granule(pc);
+        let (bytes, prefetch) = self.read_granule(req.pc);
         let data_at = match self.retrying(acc.done, |b, t| b.read(t, sector, vpn, bytes)) {
             Ok(t) => t,
             Err(e @ Error::IntegrityViolation { .. }) => {
@@ -893,7 +895,7 @@ impl Simulation {
                     self.monitor.on_eviction(ev.prefetch, ev.accessed);
                 }
                 self.l2.poison_line(sector);
-                self.poisoned_lines += 1;
+                self.integrity.poisoned_lines += 1;
                 return Err(e);
             }
             Err(e) => return Err(e),
@@ -911,21 +913,15 @@ impl Simulation {
             }
             self.page_mshr.register(vpn, data_at);
         }
-        self.sms[sm_idx].mshr_mut().register(sector, data_at);
-        self.sms[sm_idx].l1_fill(sector, app);
+        self.sms[sm].mshr_mut().register(sector, data_at);
+        self.sms[sm].l1_fill(sector, app);
         Ok(data_at)
     }
 
-    fn service_write(
-        &mut self,
-        now: Cycle,
-        sm_idx: usize,
-        sector: u64,
-        vpn: u64,
-        app: AppId,
-    ) -> Result<Cycle> {
+    fn service_write(&mut self, now: Cycle, req: Request) -> Result<Cycle> {
+        let (sm, sector, vpn, app) = (req.sm, req.sector, req.vpn, req.app);
         // Write-through, no L1 allocation.
-        let (_, t) = self.sms[sm_idx].l1_access(now, sector, true);
+        let (_, t) = self.sms[sm].l1_access(now, sector, true);
         let bank = self.l2.bank_of(sector);
         let mut t = self.icnt.transfer(t, bank, 128);
 
@@ -946,21 +942,21 @@ impl Simulation {
                     // registers, gracefully. Bounded mode pays (and
                     // counts) one backoff quantum for the failed pin.
                     if !self.cfg.qos.is_unbounded() {
-                        self.pinned_overflow_stalls += 1;
+                        self.qos.pinned_overflow_stalls += 1;
                         t += self.cfg.qos.backoff_delay(0);
                     }
                 }
             } else if !self.cfg.qos.is_unbounded() {
                 // The pinned region is at its cap: same graceful
                 // degradation to the register path.
-                self.pinned_overflow_stalls += 1;
+                self.qos.pinned_overflow_stalls += 1;
                 t += self.cfg.qos.backoff_delay(0);
             }
         }
 
         // The L2 copy of this line is now stale.
         self.l2.invalidate(sector);
-        self.sms[sm_idx].l1_invalidate(sector);
+        self.sms[sm].l1_invalidate(sector);
         let w = self.write_line(t, sector, vpn)?;
         self.thrash_mode = self.kind.has_redirection() && w.thrashing;
         if !w.thrashing && self.l2.pinned() > 0 {
@@ -995,7 +991,7 @@ impl Simulation {
     fn write_line(&mut self, now: Cycle, sector: u64, vpn: u64) -> Result<WriteResult> {
         match self.retrying(now, |b, t| b.write(t, sector, vpn)) {
             Err(Error::CapacityDegraded { .. }) => {
-                self.writes_refused += 1;
+                self.endurance.writes_refused += 1;
                 Ok(WriteResult {
                     done: now,
                     ..WriteResult::default()
@@ -1040,11 +1036,11 @@ impl Simulation {
                 other => return other,
             };
             if attempt < self.cfg.qos.retry_budget {
-                self.qos_retried += 1;
+                self.qos.retried += 1;
                 t += self.cfg.qos.backoff_delay(attempt);
             } else {
                 if attempt == self.cfg.qos.retry_budget {
-                    self.qos_budget_exhausted += 1;
+                    self.qos.retry_budget_exhausted += 1;
                 }
                 t = t.max(retry_at);
             }
@@ -1090,20 +1086,9 @@ impl Simulation {
         match self.cfg.prefetch_policy {
             PrefetchPolicy::None => (128, false),
             PrefetchPolicy::Fixed(n) => (n.max(128), n > 128),
-            PrefetchPolicy::Predicted4K => {
-                if self.predictor.should_prefetch(pc) {
-                    (self.cfg.flash.page_bytes, true)
-                } else {
-                    (128, false)
-                }
-            }
-            PrefetchPolicy::Dynamic => {
-                if self.predictor.should_prefetch(pc) {
-                    (self.monitor.granularity(), true)
-                } else {
-                    (128, false)
-                }
-            }
+            _ if !self.predictor.should_prefetch(pc) => (128, false),
+            PrefetchPolicy::Predicted4K => (self.cfg.flash.page_bytes, true),
+            PrefetchPolicy::Dynamic => (self.monitor.granularity(), true),
         }
     }
 
@@ -1573,7 +1558,7 @@ mod tests {
             other => panic!("expected an integrity violation, got {other:?}"),
         }
         // The fetched line was contained: poisoned in the L2, never dirty.
-        assert_eq!(sim.poisoned_lines, 1);
+        assert_eq!(sim.integrity.poisoned_lines, 1);
         assert_eq!(sim.l2.poisoned(), 1);
     }
 
