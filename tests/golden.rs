@@ -264,7 +264,7 @@ fn qos_run_perf_counters_are_pinned() {
     }
 }
 
-/// CI's paced-maintenance perf smoke on HybridGPU: a GC stall budget,
+/// The paced-maintenance perf run on HybridGPU: a GC stall budget,
 /// every maintenance step on a short cadence and a degrading die. Its
 /// event counters are deterministic, so they are pinned here as
 /// measured; the many blocked events are GC and maintenance holds.
@@ -291,9 +291,9 @@ fn paced_hybrid_perf_counters_are_pinned() {
     }
 }
 
-/// CI's first perf smoke, the default golden command with `--perf`: no
-/// hold, throttle or maintenance step, so every event is a compute or
-/// memory op or a retired warp's last wake-up.
+/// The default golden command with `--perf`: no hold, throttle or
+/// maintenance step, so every event is a compute or memory op or a
+/// retired warp's last wake-up.
 #[test]
 fn default_run_perf_counters_are_pinned() {
     let got = run_cli(&["--perf"]);
