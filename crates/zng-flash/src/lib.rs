@@ -20,6 +20,8 @@
 //! * [`FlashDevice`] — the facade tying packages, network and statistics
 //!   together; platforms drive this.
 
+#![deny(unsafe_code)]
+
 pub mod block;
 pub mod decoder;
 pub mod device;

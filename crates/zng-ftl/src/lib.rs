@@ -13,6 +13,8 @@
 //!   data-block groups to over-provisioned log blocks, and a GPU
 //!   helper-thread **garbage collector** with wear levelling.
 
+#![deny(unsafe_code)]
+
 /// Backstop on write re-drives after repeated program failures. Failed
 /// programs burn slots and eventually exhaust the free pool into
 /// [`zng_types::Error::DeviceWornOut`]; this bound only catches a broken

@@ -138,6 +138,13 @@ impl SetAssocCache {
         set * self.geo.ways..(set + 1) * self.geo.ways
     }
 
+    /// Hints the host to load `addr`'s set, so a later access to it
+    /// does not wait on host memory. Changes no line, tick or counter.
+    #[inline]
+    pub fn prefetch(&self, addr: u64) {
+        zng_sim::prefetch(&self.lines[self.slot_range(self.set_of(addr))]);
+    }
+
     /// Demand lookup: returns whether `addr`'s line is resident; on hit,
     /// refreshes LRU, sets the accessed bit, and ORs in `write` dirtiness.
     pub fn lookup(&mut self, addr: u64, write: bool) -> bool {

@@ -29,6 +29,8 @@ pub struct L2Cache {
     tech: L2Technology,
     read_only: bool,
     line_bytes: usize,
+    /// `log2(line_bytes)`: [`L2Cache::bank_of`] shifts instead of dividing.
+    line_shift: u32,
     fills: u64,
     prefetch_fills: u64,
 }
@@ -47,6 +49,7 @@ impl L2Cache {
             tech: cfg.l2_tech,
             read_only: false,
             line_bytes: cfg.line_bytes,
+            line_shift: cfg.line_bytes.trailing_zeros(),
             fills: 0,
             prefetch_fills: 0,
         }
@@ -60,7 +63,14 @@ impl L2Cache {
 
     /// The bank an address maps to (line-interleaved).
     pub fn bank_of(&self, addr: u64) -> BankId {
-        BankId(((addr / self.line_bytes as u64) % self.banks.len() as u64) as u16)
+        BankId(((addr >> self.line_shift) % self.banks.len() as u64) as u16)
+    }
+
+    /// Hints the host to load the set `addr` maps to (see
+    /// [`SetAssocCache::prefetch`]). Changes no line, port or counter.
+    #[inline]
+    pub fn prefetch(&self, addr: u64) {
+        self.banks[self.bank_of(addr).index()].prefetch(addr);
     }
 
     fn port_latency(&self, write: bool) -> Cycle {
@@ -122,8 +132,14 @@ impl L2Cache {
         let mut evicted = Vec::new();
         let mut done = now;
         let lines = (bytes / self.line_bytes).max(1);
-        for i in 0..lines {
-            let addr = base + (i * self.line_bytes) as u64;
+        let line_bytes = self.line_bytes as u64;
+        let addrs = (0..lines as u64).map(|i| base + i * line_bytes);
+        // Hint every set first, so their host misses overlap instead of
+        // each fill waiting on its own.
+        for addr in addrs.clone() {
+            self.prefetch(addr);
+        }
+        for addr in addrs {
             let (ev, t) = self.fill_line(now, addr, prefetch, app);
             if let Some(e) = ev {
                 evicted.push(e);
@@ -243,6 +259,23 @@ mod tests {
         assert_eq!(c.bank_of(0), BankId(0));
         assert_eq!(c.bank_of(128), BankId(1));
         assert_eq!(c.bank_of(256), BankId(0));
+    }
+
+    #[test]
+    fn bank_shift_matches_the_division_form() {
+        for cfg in [
+            GpuConfig::table1(),
+            GpuConfig::table1_stt_mram(),
+            GpuConfig::tiny(),
+        ] {
+            let c = L2Cache::new(&cfg);
+            let banks = cfg.l2_banks as u64;
+            for i in 0..10_000 {
+                let addr = zng_sim::rng::derive_seed(42, i);
+                let by_division = (addr / cfg.line_bytes as u64) % banks;
+                assert_eq!(c.bank_of(addr), BankId(by_division as u16), "{addr:#x}");
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,8 @@
 //!   serialized issue port.
 //! * [`Interconnect`] — the GPU crossbar between SMs and L2 banks.
 
+#![deny(unsafe_code)]
+
 pub mod cache;
 pub mod coalesce;
 pub mod config;

@@ -144,6 +144,10 @@ pub enum WarpOp {
 
 const _: () = assert!(std::mem::size_of::<WarpOp>() == 16);
 
+/// How far ahead of the cursor [`Warp::retire_op`] hints the trace: one
+/// 64 B host line of ops, so each line is loaded before it is read.
+const OP_LOOKAHEAD: usize = 64 / std::mem::size_of::<WarpOp>();
+
 impl WarpOp {
     /// Instructions this op contributes to IPC (a memory op is one
     /// instruction).
@@ -256,7 +260,8 @@ impl Warp {
         self.trace.ops().get(self.cursor).copied()
     }
 
-    /// Retires the current op, crediting its instructions.
+    /// Retires the current op, crediting its instructions, and hints the
+    /// host to load the op one host line ahead.
     ///
     /// # Panics
     ///
@@ -267,6 +272,9 @@ impl Warp {
             .expect("retire_op called on a finished warp");
         self.instructions_done += op.instructions();
         self.cursor += 1;
+        if let Some(ahead) = self.trace.ops().get(self.cursor + OP_LOOKAHEAD) {
+            zng_sim::prefetch(std::slice::from_ref(ahead));
+        }
     }
 
     /// Whether the trace is exhausted.

@@ -25,6 +25,8 @@
 //!
 //! [`RunResult`]: ../zng_platforms/struct.RunResult.html
 
+#![deny(unsafe_code)]
+
 use std::fmt::{self, Write as _};
 use std::ops::Index;
 

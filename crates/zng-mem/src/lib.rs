@@ -12,6 +12,8 @@
 //! * [`PcieLink`] — the host interconnect used by the discrete
 //!   GPU-SSD (`Hetero`) platform.
 
+#![deny(unsafe_code)]
+
 pub mod devices;
 pub mod pcie;
 pub mod subsystem;

@@ -15,6 +15,8 @@
 //! Drive a run with [`Simulation::new`] + [`Simulation::run`]; the
 //! [`RunResult`] carries every metric the paper's figures plot.
 
+#![deny(unsafe_code)]
+
 pub mod backend;
 pub mod config;
 mod lane;

@@ -281,6 +281,8 @@ pub struct Simulation {
     /// (always on; tests turn it off to compare against the plain event
     /// queue).
     retry_lane: bool,
+    /// Whether [`Simulation::run`] was called: a simulation runs once.
+    ran: bool,
 }
 
 impl Simulation {
@@ -347,6 +349,7 @@ impl Simulation {
             integrity: IntegritySummary::default(),
             endurance: EnduranceSummary::default(),
             retry_lane: true,
+            ran: false,
         })
     }
 
@@ -354,8 +357,12 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Propagates backend/FTL errors (e.g. flash out of space).
+    /// Propagates backend/FTL errors (e.g. flash out of space), and
+    /// returns [`Error::AlreadyRan`] if this simulation ran before.
     pub fn run(&mut self, mix: &MultiApp) -> Result<RunResult> {
+        if std::mem::replace(&mut self.ran, true) {
+            return Err(Error::AlreadyRan);
+        }
         let mut warps: Vec<Warp> = Vec::new();
         for (_, app, traces) in &mix.apps {
             for trace in traces {
@@ -499,6 +506,11 @@ impl Simulation {
                 let mut sectors = std::mem::take(&mut state.sectors);
                 sectors.clear();
                 pattern.sectors_into(base.raw(), &mut sectors);
+                // Start loading every sector's L2 set now: the misses
+                // overlap the MMU, L1 and MSHR work that comes first.
+                for &sector in &sectors {
+                    self.l2.prefetch(sector);
+                }
                 let mut done = issued;
                 for &sector in &sectors {
                     let req = Request {
@@ -1205,6 +1217,18 @@ mod tests {
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.instructions, b.instructions);
         assert_eq!(a.requests, b.requests);
+    }
+
+    #[test]
+    fn a_simulation_runs_once() {
+        let cfg = SimConfig::tiny();
+        let mix = MultiApp::from_names(&["back", "gaus"], &TraceParams::tiny()).unwrap();
+        let fresh = || Simulation::new(PlatformKind::Zng, &cfg).unwrap();
+        let mut sim = fresh();
+        let first = sim.run(&mix).unwrap().to_json_value().to_string();
+        let other = fresh().run(&mix).unwrap().to_json_value().to_string();
+        assert_eq!(first, other, "the first run is an ordinary run");
+        assert!(matches!(sim.run(&mix), Err(Error::AlreadyRan)));
     }
 
     #[test]

@@ -16,11 +16,16 @@
 //!   regenerate the paper's figures.
 //! * [`CrashSwitch`] — a one-shot power-cut trigger for the
 //!   crash-consistency experiments.
+//! * [`prefetch`] — a host cache hint for state the request path is
+//!   about to read; the simulator's only `unsafe` code.
 //!
 //! Determinism: all randomness must flow through [`rng::seeded`]; the event
 //! queue breaks timestamp ties by insertion order.
 
+#![deny(unsafe_code)]
+
 pub mod event;
+pub mod hint;
 pub mod parallel;
 pub mod power;
 pub mod resource;
@@ -28,6 +33,7 @@ pub mod rng;
 pub mod stats;
 
 pub use event::EventQueue;
+pub use hint::prefetch;
 pub use parallel::parallel_map;
 pub use power::{CrashSwitch, PatrolTicker};
 pub use resource::{AdmissionQueue, Link, Resource};

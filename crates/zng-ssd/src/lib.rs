@@ -9,6 +9,8 @@
 //! * [`NvmeSsd`] — the discrete SSD of the Hetero platform, serving 4 KB
 //!   page faults with NVMe command overheads.
 
+#![deny(unsafe_code)]
+
 pub mod buffer;
 pub mod module;
 pub mod nvme;

@@ -101,6 +101,11 @@ pub enum Error {
         /// The last cycle at which a request completed.
         last_progress: Cycle,
     },
+    /// A simulation was asked to run a second time. A run leaves its
+    /// caches, holds, backend and counters behind, so a second run would
+    /// start warm and report its counts on top of the first's; build a
+    /// new simulation for each run.
+    AlreadyRan,
 }
 
 impl fmt::Display for Error {
@@ -156,6 +161,10 @@ impl fmt::Display for Error {
                 "simulation stalled: no forward progress since cycle {} (watchdog fired at {})",
                 last_progress.raw(),
                 cycle.raw()
+            ),
+            Error::AlreadyRan => write!(
+                f,
+                "simulation already ran: build a new simulation for each run"
             ),
         }
     }
@@ -240,6 +249,10 @@ mod tests {
         assert_eq!(
             e.to_string(),
             "simulation stalled: no forward progress since cycle 1000 (watchdog fired at 9000)"
+        );
+        assert_eq!(
+            Error::AlreadyRan.to_string(),
+            "simulation already ran: build a new simulation for each run"
         );
     }
 

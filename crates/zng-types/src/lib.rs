@@ -21,6 +21,8 @@
 //! assert_eq!(block.page(4), FlashAddr::new(block, 4));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod addr;
 pub mod error;
 pub mod ids;

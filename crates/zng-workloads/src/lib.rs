@@ -8,6 +8,8 @@
 //! ratio, page reuse, spatial locality, write redundancy) match that
 //! characterisation — see `DESIGN.md` §2 for the substitution argument.
 
+#![deny(unsafe_code)]
+
 pub mod generator;
 pub mod io;
 pub mod multiapp;

@@ -33,6 +33,8 @@
 //! * [`zng_workloads`] — Table II specs and trace synthesis.
 //! * [`zng_platforms`] — the seven platforms + Ideal, and the runner.
 
+#![deny(unsafe_code)]
+
 pub mod experiment;
 pub mod report;
 
