@@ -13,6 +13,20 @@
 //! at all; determinism of the hasher is defence in depth, not a
 //! license.)
 //!
+//! # The finish
+//!
+//! A multiply leaves its best-mixed bits at the top of the word: bit `i`
+//! of `key × SEED` depends only on bits `0..=i` of the key. The standard
+//! `HashMap` (hashbrown) takes the bucket index from the *low* bits of
+//! the hash, so a finish that returned the product unchanged would send
+//! every key that shares its low bits to the same bucket. The
+//! simulator's keys are exactly that shape: 128 B-aligned sector
+//! addresses have seven zero low bits, so `key × SEED` does too, and all
+//! of them landed in bucket 0 of a 128-bucket table, with every probe
+//! walking one long cluster. [`FxHasher::finish`] therefore rotates the
+//! product left by 26 bits (the `rustc-hash` 2 finish), which brings the
+//! well-mixed high bits down to the bucket index.
+//!
 //! Same API surface as the real `fxhash` crate: [`FxHasher`],
 //! [`FxBuildHasher`], [`FxHashMap`], [`FxHashSet`] and the [`hash64`]
 //! convenience.
@@ -34,6 +48,9 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 /// Left-rotation applied after every multiply (the rustc value).
 const ROTATE: u32 = 5;
+/// Left-rotation applied by [`FxHasher::finish`]: moves the product's
+/// well-mixed high bits into the low bits a hash table indexes by.
+const FINISH_ROTATE: u32 = 26;
 
 /// The Fx multiply-rotate hasher: not cryptographic, not DoS-resistant,
 /// but extremely fast on short keys and fully deterministic (no
@@ -53,7 +70,7 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(FINISH_ROTATE)
     }
 
     #[inline]
@@ -131,9 +148,18 @@ mod tests {
         // No per-process seeding: two fresh hashers agree, and the
         // value is pinned so a behaviour change is loud.
         assert_eq!(hash64(&0xdead_beefu64), hash64(&0xdead_beefu64));
+        assert_eq!(hash64(&0xdead_beefu64), 0xdca5_4ddc_6d9f_cf00);
         let a = hash64(&1u64);
         let b = hash64(&2u64);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn aligned_keys_spread_over_the_low_bits() {
+        // 64 sector keys, 128 B apart, indexed as a 128-bucket table
+        // indexes them: without the finish rotation all share bucket 0.
+        let buckets: FxHashSet<u64> = (0..64u64).map(|k| hash64(&(k * 128)) & 127).collect();
+        assert!(buckets.len() >= 48, "{} distinct buckets", buckets.len());
     }
 
     #[test]

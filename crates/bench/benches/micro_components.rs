@@ -1,6 +1,7 @@
 //! Microbenchmarks for the simulator's hot components: event queue,
-//! set-associative cache, coalescer, row-decoder CAM, register cache,
-//! SSD page buffer, Zipf sampler and warp-trace generation.
+//! set-associative cache, MSHR file, server pool, coalescer, row-decoder
+//! CAM, register cache, SSD page buffer, Zipf sampler and warp-trace
+//! generation.
 //!
 //! Uses a self-contained timing harness (median of several timed rounds
 //! after warmup) instead of an external bench framework, matching the
@@ -10,9 +11,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use zng_flash::{RegisterCache, RowDecoder};
-use zng_gpu::{CacheGeometry, Coalescer, SetAssocCache};
+use zng_gpu::{CacheGeometry, Coalescer, Mshr, SetAssocCache};
 use zng_sim::rng::{seeded, Zipf};
-use zng_sim::EventQueue;
+use zng_sim::{EventQueue, Resource};
 use zng_ssd::PageBuffer;
 use zng_types::{ids::AppId, Cycle};
 use zng_workloads::{MultiApp, TraceParams};
@@ -91,6 +92,35 @@ fn main() {
             }
         }
         cache.occupancy()
+    });
+
+    // An SM's MSHR file kept full: 64 entries of 128 B-aligned sector
+    // keys, each step one merge probe and one fill that displaces the
+    // earliest-completing entry (the request path's miss pattern).
+    bench("mshr_churn_64", 50, || {
+        let mut mshr = Mshr::new(64);
+        let mut merged = 0u32;
+        for i in 0..20_000u64 {
+            let key = ((i * 2_654_435_761) % 4_096) * 128;
+            let now = Cycle(i * 4);
+            if mshr.inflight(now, key).is_some() {
+                merged += 1;
+            }
+            mshr.register(key, now + Cycle(200 + (i * 7) % 300));
+        }
+        merged
+    });
+
+    // The MMU's 32-thread page-table walker: walks of mixed lengths
+    // arriving a few cycles apart, so the pool stays busy.
+    const WALK_CYCLES: [u64; 8] = [40, 40, 80, 120, 40, 200, 80, 400];
+    bench("resource_walker_32", 50, || {
+        let mut walker = Resource::new(32);
+        let mut last = Cycle::ZERO;
+        for i in 0..20_000u64 {
+            last = walker.acquire(Cycle(i * 3), Cycle(WALK_CYCLES[(i % 8) as usize]));
+        }
+        last
     });
 
     bench("coalesce_strided_warp", 200, || {

@@ -1,6 +1,6 @@
 //! Device-level flash statistics behind Figures 5b/5c, 11, 12 and 13.
 
-use fxhash::FxHashMap;
+use fxhash::{FxHashMap, FxHashSet};
 use zng_types::{Cycle, Freq};
 
 use crate::fault::MAX_READ_RETRIES;
@@ -52,14 +52,18 @@ pub struct DieHealth {
 ///   programs per distinct logical page; register merging reduces it.
 /// * **array bandwidth** (Fig. 11) — bytes sensed/programmed over time.
 ///
-/// The per-page maps are on the device's hottest path (one update per
-/// array sense/program); they use the deterministic Fx hasher, and all
-/// consumers are either order-independent aggregates (sums, lens) or
-/// explicitly sorted ([`FlashStats::die_health_sorted`]).
+/// Both means need only a running total and the number of distinct
+/// pages, so the per-page state is a set of the pages seen. The sets are
+/// on the device's hottest path (one insert per array sense/program);
+/// they use the deterministic Fx hasher, and all consumers are either
+/// order-independent aggregates (lens) or explicitly sorted
+/// ([`FlashStats::die_health_sorted`]).
 #[derive(Debug, Clone, Default)]
 pub struct FlashStats {
-    page_reads: FxHashMap<u64, u32>,
-    page_programs: FxHashMap<u64, u32>,
+    pages_read: FxHashSet<u64>,
+    pages_programmed: FxHashSet<u64>,
+    reads: u64,
+    programs: u64,
     bytes_read: u64,
     bytes_programmed: u64,
     read_retries: u64,
@@ -83,13 +87,15 @@ impl FlashStats {
 
     /// Records one array read of logical page `key` moving `bytes`.
     pub fn record_read(&mut self, key: u64, bytes: usize) {
-        *self.page_reads.entry(key).or_insert(0) += 1;
+        self.pages_read.insert(key);
+        self.reads += 1;
         self.bytes_read += bytes as u64;
     }
 
     /// Records one array program of logical page `key` moving `bytes`.
     pub fn record_program(&mut self, key: u64, bytes: usize) {
-        *self.page_programs.entry(key).or_insert(0) += 1;
+        self.pages_programmed.insert(key);
+        self.programs += 1;
         self.bytes_programmed += bytes as u64;
     }
 
@@ -266,30 +272,22 @@ impl FlashStats {
 
     /// Average array reads per distinct page (paper's "read re-access").
     pub fn mean_reads_per_page(&self) -> f64 {
-        if self.page_reads.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = self.page_reads.values().map(|&c| c as u64).sum();
-        total as f64 / self.page_reads.len() as f64
+        per_page(self.reads, &self.pages_read)
     }
 
     /// Average array programs per distinct page ("write redundancy").
     pub fn mean_programs_per_page(&self) -> f64 {
-        if self.page_programs.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = self.page_programs.values().map(|&c| c as u64).sum();
-        total as f64 / self.page_programs.len() as f64
+        per_page(self.programs, &self.pages_programmed)
     }
 
     /// Total array reads.
     pub fn total_reads(&self) -> u64 {
-        self.page_reads.values().map(|&c| c as u64).sum()
+        self.reads
     }
 
     /// Total array programs.
     pub fn total_programs(&self) -> u64 {
-        self.page_programs.values().map(|&c| c as u64).sum()
+        self.programs
     }
 
     /// Bytes sensed from flash arrays.
@@ -310,6 +308,15 @@ impl FlashStats {
         }
         let secs = now.raw() as f64 / freq.hz();
         (self.bytes_read + self.bytes_programmed) as f64 / 1e9 / secs
+    }
+}
+
+/// `total` spread over the distinct `pages` (0 when none were touched).
+fn per_page(total: u64, pages: &FxHashSet<u64>) -> f64 {
+    if pages.is_empty() {
+        0.0
+    } else {
+        total as f64 / pages.len() as f64
     }
 }
 

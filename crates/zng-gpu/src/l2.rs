@@ -119,8 +119,8 @@ impl L2Cache {
     }
 
     /// Fills `bytes / line_bytes` consecutive lines starting at `base`
-    /// (a flash-page or prefetch-granule fill). Returns displaced lines
-    /// and the time the last line landed.
+    /// (a flash-page or prefetch-granule fill). Hands each displaced line
+    /// to `on_evict` and returns the time the last line landed.
     pub fn fill_span(
         &mut self,
         now: Cycle,
@@ -128,8 +128,8 @@ impl L2Cache {
         bytes: usize,
         prefetch: bool,
         app: AppId,
-    ) -> (Vec<EvictedLine>, Cycle) {
-        let mut evicted = Vec::new();
+        mut on_evict: impl FnMut(EvictedLine),
+    ) -> Cycle {
         let mut done = now;
         let lines = (bytes / self.line_bytes).max(1);
         let line_bytes = self.line_bytes as u64;
@@ -142,11 +142,11 @@ impl L2Cache {
         for addr in addrs {
             let (ev, t) = self.fill_line(now, addr, prefetch, app);
             if let Some(e) = ev {
-                evicted.push(e);
+                on_evict(e);
             }
             done = done.max(t);
         }
-        (evicted, done)
+        done
     }
 
     /// Non-destructive residency probe.
@@ -312,7 +312,7 @@ mod tests {
     #[test]
     fn fill_span_covers_page() {
         let mut c = l2();
-        let (_, done) = c.fill_span(Cycle(0), 0, 4096, false, AppId(0));
+        let done = c.fill_span(Cycle(0), 0, 4096, false, AppId(0), |_| {});
         assert!(done > Cycle(0));
         for i in 0..32u64 {
             assert!(c.probe(i * 128), "line {i} filled");
@@ -323,7 +323,7 @@ mod tests {
     #[test]
     fn prefetch_fills_counted_separately() {
         let mut c = l2();
-        c.fill_span(Cycle(0), 0, 1024, true, AppId(0));
+        c.fill_span(Cycle(0), 0, 1024, true, AppId(0), |_| {});
         assert_eq!(c.prefetch_fills(), 8);
     }
 

@@ -6,7 +6,8 @@
 //! an arbitrary key (line address or page number) with their completion
 //! times and merges joiners.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use fxhash::{FxBuildHasher, FxHashMap};
 use zng_types::Cycle;
@@ -33,15 +34,18 @@ pub struct Mshr {
     /// fully tie-broken on `(done, key)`, so iteration order is never
     /// observable.
     entries: FxHashMap<u64, Cycle>,
-    /// Ordered mirror of `entries` as `(done, key)` pairs. Victim
-    /// selection and expired-entry pruning are on the per-request hot
-    /// path; the ordered index makes both O(log n) instead of a full
-    /// scan of the file, with the same `(done, key)` tie-break.
-    by_done: BTreeSet<(Cycle, u64)>,
+    /// Min-heap of `(done, key)` pairs with lazy deletion. Every entry
+    /// has a matching pair; a pair whose key is gone from `entries`, or
+    /// maps to another time there, is stale and skipped when it reaches
+    /// the top. Victim selection and expired-entry pruning read the live
+    /// minimum `(done, key)` on the per-request hot path. The heap holds
+    /// at most `2 × capacity` pairs: it is rebuilt from `entries` rather
+    /// than grown past that.
+    by_done: BinaryHeap<Reverse<(Cycle, u64)>>,
     merges: u64,
     registrations: u64,
     /// Structural-hazard stalls observed through the bounded API
-    /// ([`Mshr::full_until`] / [`Mshr::try_register`]).
+    /// ([`Mshr::full_until`]).
     full_stalls: u64,
 }
 
@@ -56,18 +60,31 @@ impl Mshr {
         Mshr {
             capacity,
             entries: FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
-            by_done: BTreeSet::new(),
+            by_done: BinaryHeap::with_capacity(2 * capacity),
             merges: 0,
             registrations: 0,
             full_stalls: 0,
         }
     }
 
-    /// Removes `key` from both the map and the ordered index.
-    fn evict(&mut self, key: u64) {
-        if let Some(done) = self.entries.remove(&key) {
-            self.by_done.remove(&(done, key));
+    /// The live minimum `(done, key)`, after popping the stale pairs
+    /// above it.
+    fn earliest(&mut self) -> Option<(Cycle, u64)> {
+        while let Some(&Reverse((done, key))) = self.by_done.peek() {
+            if self.entries.get(&key) == Some(&done) {
+                return Some((done, key));
+            }
+            self.by_done.pop();
         }
+        None
+    }
+
+    /// Removes the live minimum `(done, key)` from the map and the heap.
+    fn pop_earliest(&mut self) -> Option<(Cycle, u64)> {
+        let first = self.earliest()?;
+        self.by_done.pop();
+        self.entries.remove(&first.1);
+        Some(first)
     }
 
     /// If a fill for `key` is still in flight at `now`, returns its
@@ -79,7 +96,7 @@ impl Mshr {
                 Some(done)
             }
             Some(_) => {
-                self.evict(key);
+                self.entries.remove(&key);
                 None
             }
             None => None,
@@ -95,15 +112,20 @@ impl Mshr {
         self.registrations += 1;
         if self.entries.len() >= self.capacity {
             // Reclaim the entry that completes earliest.
-            if let Some(&(d, victim)) = self.by_done.first() {
-                self.by_done.remove(&(d, victim));
-                self.entries.remove(&victim);
-            }
+            self.pop_earliest();
         }
-        if let Some(old) = self.entries.insert(key, done) {
-            self.by_done.remove(&(old, key));
+        if self.entries.insert(key, done) == Some(done) {
+            // Its pair is already in the heap.
+            return;
         }
-        self.by_done.insert((done, key));
+        if self.by_done.len() >= 2 * self.capacity {
+            // Mostly stale pairs: keep only the live ones.
+            self.by_done.clear();
+            self.by_done
+                .extend(self.entries.iter().map(|(&k, &d)| Reverse((d, k))));
+        } else {
+            self.by_done.push(Reverse((done, key)));
+        }
     }
 
     /// Bounded-mode structural-hazard check: if the file has no free
@@ -114,23 +136,15 @@ impl Mshr {
     ///
     /// Each `Some` result counts one MSHR-full stall.
     pub fn full_until(&mut self, now: Cycle, key: u64) -> Option<Cycle> {
-        // Prune landed fills in completion order from the index front.
-        while let Some(&(done, k)) = self.by_done.first() {
-            if done > now {
-                break;
-            }
-            self.by_done.remove(&(done, k));
-            self.entries.remove(&k);
+        // Prune landed fills in completion order from the heap top.
+        while self.earliest().is_some_and(|(done, _)| done <= now) {
+            self.pop_earliest();
         }
         if self.entries.len() < self.capacity || self.entries.contains_key(&key) {
             return None;
         }
         self.full_stalls += 1;
-        let earliest = self
-            .by_done
-            .first()
-            .map(|&(done, _)| done)
-            .expect("a full MSHR file has entries");
+        let (earliest, _) = self.earliest().expect("a full MSHR file has entries");
         Some(earliest.max(now + Cycle(1)))
     }
 
@@ -141,7 +155,7 @@ impl Mshr {
 
     /// Drops any record for `key` (e.g. the line was invalidated).
     pub fn cancel(&mut self, key: u64) {
-        self.evict(key);
+        self.entries.remove(&key);
     }
 
     /// Drops every tracked fill (power loss — nothing in flight survives).

@@ -77,10 +77,12 @@ proptest! {
                 3 => {
                     // Up to a 4 KiB page of lines from a page base.
                     let (base, bytes) = (addr & !4095, 128 << (line % 6));
+                    let (mut plain_evicted, mut hinted_evicted) = (Vec::new(), Vec::new());
                     prop_assert_eq!(
-                        plain.fill_span(now, base, bytes, flag, app),
-                        hinted.fill_span(now, base, bytes, flag, app)
+                        plain.fill_span(now, base, bytes, flag, app, |e| plain_evicted.push(e)),
+                        hinted.fill_span(now, base, bytes, flag, app, |e| hinted_evicted.push(e))
                     );
+                    prop_assert_eq!(plain_evicted, hinted_evicted);
                 }
                 4..=6 => prop_assert_eq!(
                     plain.access(now, addr, flag),

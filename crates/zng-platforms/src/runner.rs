@@ -919,10 +919,11 @@ impl Simulation {
         }
         if prefetch && bytes > 128 {
             let page_base = sector & !(self.cfg.flash.page_bytes as u64 - 1);
-            let (evicted, _) = self.l2.fill_span(data_at, page_base, bytes, true, app);
-            for e in evicted {
-                self.monitor.on_eviction(e.prefetch, e.accessed);
-            }
+            let monitor = &mut self.monitor;
+            self.l2
+                .fill_span(data_at, page_base, bytes, true, app, |e| {
+                    monitor.on_eviction(e.prefetch, e.accessed)
+                });
             self.page_mshr.register(vpn, data_at);
         }
         self.sms[sm].mshr_mut().register(sector, data_at);

@@ -6,6 +6,9 @@
 //! exactly the queueing behaviour that makes, e.g., HybridGPU's single
 //! request dispatcher or a 1 B ONFI bus a bottleneck.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use zng_types::Cycle;
 
 /// A pool of identical servers with reservation semantics.
@@ -37,8 +40,11 @@ use zng_types::Cycle;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Resource {
-    /// Next-free time per server.
-    servers: Vec<Cycle>,
+    /// Next-free time per server, earliest on top. The servers are
+    /// identical, so only the multiset of their free times is
+    /// observable: which of several equally free servers a request takes
+    /// changes no completion time.
+    servers: BinaryHeap<Reverse<Cycle>>,
 }
 
 impl Resource {
@@ -50,33 +56,28 @@ impl Resource {
     pub fn new(ports: usize) -> Resource {
         assert!(ports > 0, "a resource needs at least one server");
         Resource {
-            servers: vec![Cycle::ZERO; ports],
+            servers: vec![Reverse(Cycle::ZERO); ports].into(),
         }
     }
 
     /// Reserves the earliest-free server starting no earlier than `now` for
     /// `service` cycles and returns the completion time.
     pub fn acquire(&mut self, now: Cycle, service: Cycle) -> Cycle {
-        let slot = self
+        let mut free = self
             .servers
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, free)| **free)
-            .map(|(i, _)| i)
+            .peek_mut()
             .expect("resource has at least one server");
-        let start = now.max(self.servers[slot]);
-        let end = start + service;
-        self.servers[slot] = end;
+        let end = now.max(free.0) + service;
+        *free = Reverse(end);
         end
     }
 
     /// The earliest time any server becomes free.
     pub fn earliest_free(&self) -> Cycle {
         self.servers
-            .iter()
-            .copied()
-            .min()
+            .peek()
             .expect("resource has at least one server")
+            .0
     }
 }
 
