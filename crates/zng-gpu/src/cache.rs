@@ -6,8 +6,11 @@
 //! * an **accessed bit** — set on the first demand hit;
 //! * a **pin bit** — pinned lines are skipped by normal eviction (the
 //!   write-redirection space of paper §III-C);
-//! * an **app tag** — so GC can flush exactly the victim app's lines
-//!   (paper §V-D).
+//! * an **app tag** — the application that filled the line, reported in
+//!   [`EvictedLine::app`]. Nothing reads it: it is stored only because
+//!   the fill methods (`SetAssocCache::fill`, `Sm::l1_fill`,
+//!   `L2Cache::fill_line`) take an app, and the repository benchmark
+//!   calls them with one.
 //!
 //! The prefetch/accessed pair feeds the access monitor: a line evicted
 //! with `prefetch && !accessed` was a wasted prefetch (paper §IV-B).
@@ -63,7 +66,7 @@ pub struct EvictedLine {
     pub prefetch: bool,
     /// The accessed bit at eviction.
     pub accessed: bool,
-    /// The owning application.
+    /// The application that filled the line (stored, never read).
     pub app: AppId,
 }
 

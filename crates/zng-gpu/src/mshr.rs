@@ -80,11 +80,11 @@ impl Mshr {
     }
 
     /// Removes the live minimum `(done, key)` from the map and the heap.
-    fn pop_earliest(&mut self) -> Option<(Cycle, u64)> {
-        let first = self.earliest()?;
-        self.by_done.pop();
-        self.entries.remove(&first.1);
-        Some(first)
+    fn pop_earliest(&mut self) {
+        if let Some((_, key)) = self.earliest() {
+            self.by_done.pop();
+            self.entries.remove(&key);
+        }
     }
 
     /// If a fill for `key` is still in flight at `now`, returns its
