@@ -7,7 +7,6 @@
 //! paper's Table II / Fig. 5 statistics.
 
 use std::fmt;
-use std::sync::Arc;
 
 use zng_types::{
     ids::{AppId, Pc, WarpId},
@@ -144,7 +143,7 @@ pub enum WarpOp {
 
 const _: () = assert!(std::mem::size_of::<WarpOp>() == 16);
 
-/// How far ahead of the cursor [`Warp::retire_op`] hints the trace: one
+/// How far ahead of the next op [`Warp::retire_op`] hints the trace: one
 /// 64 B host line of ops, so each line is loaded before it is read.
 const OP_LOOKAHEAD: usize = 64 / std::mem::size_of::<WarpOp>();
 
@@ -161,20 +160,18 @@ impl WarpOp {
 
 /// An immutable warp trace.
 ///
-/// Ops live behind an [`Arc`] so cloning a trace (each simulated warp
-/// keeps its own handle) is a refcount bump, not a copy of the op list —
-/// at large volumes the op lists dominate the simulator's memory.
-/// `Arc<Vec<..>>` rather than `Arc<[..]>` so construction moves the
-/// generator's buffer instead of copying it.
+/// Simulated warps borrow their trace's ops (see [`Warp::new`]) and
+/// nothing in the simulator clones a trace, so the op list is a plain
+/// `Vec`: cloning a trace copies it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WarpTrace {
-    ops: Arc<Vec<WarpOp>>,
+    ops: Vec<WarpOp>,
 }
 
 impl WarpTrace {
     /// Wraps a list of ops.
     pub fn new(ops: Vec<WarpOp>) -> WarpTrace {
-        WarpTrace { ops: Arc::new(ops) }
+        WarpTrace { ops }
     }
 
     /// The ops in order.
@@ -221,27 +218,45 @@ impl FromIterator<WarpOp> for WarpTrace {
 }
 
 /// A warp's execution state.
+///
+/// The warp borrows its trace's ops and carries the op it executes next,
+/// read when the warp is built and whenever an op retires, so an event
+/// that only re-queues the warp reads nothing outside it.
 #[derive(Debug, Clone)]
-pub struct Warp {
-    id: WarpId,
-    app: AppId,
-    trace: WarpTrace,
-    cursor: usize,
+pub struct Warp<'a> {
+    /// The op to execute next; `None` once the trace is exhausted.
+    next: Option<WarpOp>,
+    /// The ops after `next`.
+    ops: &'a [WarpOp],
     /// When the warp can next issue.
     pub ready_at: Cycle,
     instructions_done: u64,
+    id: WarpId,
+    app: AppId,
 }
 
-impl Warp {
-    /// Creates a warp over `trace`, ready at time zero.
-    pub fn new(id: WarpId, app: AppId, trace: WarpTrace) -> Warp {
+// A warp fits one 64 B host line.
+const _: () = assert!(std::mem::size_of::<Warp<'_>>() <= 64);
+
+/// Splits `ops` into its first op, if any, and the ops after it.
+fn split_next(ops: &[WarpOp]) -> (Option<WarpOp>, &[WarpOp]) {
+    match ops {
+        [first, rest @ ..] => (Some(*first), rest),
+        [] => (None, ops),
+    }
+}
+
+impl<'a> Warp<'a> {
+    /// Creates a warp over `trace`'s ops, ready at time zero.
+    pub fn new(id: WarpId, app: AppId, trace: &'a WarpTrace) -> Warp<'a> {
+        let (next, ops) = split_next(trace.ops());
         Warp {
-            id,
-            app,
-            trace,
-            cursor: 0,
+            next,
+            ops,
             ready_at: Cycle::ZERO,
             instructions_done: 0,
+            id,
+            app,
         }
     }
 
@@ -256,30 +271,30 @@ impl Warp {
     }
 
     /// The next op to execute, if the trace is not exhausted.
+    #[inline]
     pub fn current_op(&self) -> Option<WarpOp> {
-        self.trace.ops().get(self.cursor).copied()
+        self.next
     }
 
-    /// Retires the current op, crediting its instructions, and hints the
-    /// host to load the op one host line ahead.
+    /// Retires the current op, crediting its instructions, reads the next
+    /// one and hints the host to load the op one host line ahead of it.
     ///
     /// # Panics
     ///
     /// Panics if the trace is already exhausted.
     pub fn retire_op(&mut self) {
-        let op = self
-            .current_op()
-            .expect("retire_op called on a finished warp");
+        let op = self.next.expect("retire_op called on a finished warp");
         self.instructions_done += op.instructions();
-        self.cursor += 1;
-        if let Some(ahead) = self.trace.ops().get(self.cursor + OP_LOOKAHEAD) {
+        (self.next, self.ops) = split_next(self.ops);
+        if let Some(ahead) = self.ops.get(OP_LOOKAHEAD - 1) {
             zng_sim::prefetch(std::slice::from_ref(ahead));
         }
     }
 
     /// Whether the trace is exhausted.
+    #[inline]
     pub fn is_done(&self) -> bool {
-        self.cursor >= self.trace.ops().len()
+        self.next.is_none()
     }
 
     /// Instructions retired so far.
@@ -324,7 +339,7 @@ mod tests {
     #[test]
     fn warp_lifecycle() {
         let t = WarpTrace::new(vec![WarpOp::Compute(3), mem(0, AccessKind::Read)]);
-        let mut w = Warp::new(WarpId(1), AppId(0), t);
+        let mut w = Warp::new(WarpId(1), AppId(0), &t);
         assert!(!w.is_done());
         assert!(matches!(w.current_op(), Some(WarpOp::Compute(3))));
         w.retire_op();
@@ -338,7 +353,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "finished warp")]
     fn retire_past_end_panics() {
-        let mut w = Warp::new(WarpId(0), AppId(0), WarpTrace::default());
+        let t = WarpTrace::default();
+        let mut w = Warp::new(WarpId(0), AppId(0), &t);
         w.retire_op();
     }
 

@@ -1,8 +1,9 @@
 //! Host prefetch hints change nothing the model computes: a cache that
 //! is hinted at random addresses between its operations returns the same
 //! value from every operation, and ends with the same counts and
-//! occupancy, as an unhinted twin. The warp's trace lookahead likewise
-//! leaves every trace length retiring to its end.
+//! occupancy, as an unhinted twin. A warp, which carries its next op and
+//! hints the trace one host line ahead, steps through a trace of any
+//! length op by op.
 
 use proptest::prelude::*;
 use zng_gpu::{
@@ -105,34 +106,54 @@ proptest! {
     }
 }
 
-/// Traces shorter than, equal to, one past and far longer than the
-/// warp's one-host-line lookahead (four 16 B ops) all retire every op.
-#[test]
-fn traces_retire_to_the_end_with_the_lookahead() {
-    for len in [1u32, 4, 5, 64] {
-        let ops: Vec<WarpOp> = (0..len)
-            .map(|i| {
-                if i % 2 == 0 {
-                    WarpOp::Compute(i + 1)
-                } else {
-                    WarpOp::Mem {
-                        base: VirtAddr(u64::from(i) * LINE),
-                        kind: AccessKind::Read,
-                        pattern: AccessPattern::sequential(),
-                        pc: Pc(i),
-                    }
-                }
-            })
-            .collect();
-        let trace = WarpTrace::new(ops.clone());
-        let mut w = Warp::new(WarpId(0), AppId(0), trace.clone());
-        for op in &ops {
-            assert!(!w.is_done(), "length {len}");
-            assert_eq!(w.current_op(), Some(*op), "length {len}");
-            w.retire_op();
+/// A warp op from a `(kind, n, line, read)` draw: a compute segment of
+/// `n` instructions for kind 0, else a memory op of any shape.
+fn warp_op((kind, n, line, read): (u8, u32, u64, bool)) -> WarpOp {
+    if kind == 0 {
+        return WarpOp::Compute(n);
+    }
+    WarpOp::Mem {
+        base: VirtAddr(line * LINE),
+        kind: if read {
+            AccessKind::Read
+        } else {
+            AccessKind::Write
+        },
+        pattern: match n % 3 {
+            0 => AccessPattern::sequential(),
+            1 => AccessPattern::strided(n % 300).unwrap(),
+            _ => AccessPattern::scatter(n as u8),
+        },
+        pc: Pc(n),
+    }
+}
+
+proptest! {
+    /// Every prefix of a random trace (length 0 included; shorter than,
+    /// equal to, one past and far longer than the warp's one-host-line
+    /// lookahead of four 16 B ops) steps through its ops in order: at
+    /// every step the warp reports the op, whether it is done and the
+    /// instructions retired so far, and it ends done with the trace's
+    /// instruction count.
+    #[test]
+    fn traces_retire_to_the_end_with_the_lookahead(
+        draws in prop::collection::vec((0u8..2, 0u32..1000, 0u64..1 << 20, any::<bool>()), 0..72),
+    ) {
+        let ops: Vec<WarpOp> = draws.into_iter().map(warp_op).collect();
+        for len in 0..=ops.len() {
+            let trace = WarpTrace::new(ops[..len].to_vec());
+            let mut w = Warp::new(WarpId(0), AppId(0), &trace);
+            let mut retired = 0;
+            for op in &ops[..len] {
+                prop_assert!(!w.is_done(), "length {}", len);
+                prop_assert_eq!(w.current_op(), Some(*op), "length {}", len);
+                prop_assert_eq!(w.instructions_done(), retired, "length {}", len);
+                w.retire_op();
+                retired += op.instructions();
+            }
+            prop_assert!(w.is_done(), "length {}", len);
+            prop_assert_eq!(w.current_op(), None, "length {}", len);
+            prop_assert_eq!(w.instructions_done(), trace.instructions(), "length {}", len);
         }
-        assert!(w.is_done(), "length {len}");
-        assert_eq!(w.current_op(), None, "length {len}");
-        assert_eq!(w.instructions_done(), trace.instructions(), "length {len}");
     }
 }

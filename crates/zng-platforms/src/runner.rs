@@ -116,7 +116,8 @@ struct Request {
 #[derive(Debug)]
 struct RunState<'m> {
     mix: &'m MultiApp,
-    warps: Vec<Warp>,
+    /// The mix's warps, each borrowing its trace from `mix`.
+    warps: Vec<Warp<'m>>,
     /// The event queue, with the fairness gate's retry lane beside it.
     queue: WarpQueue,
     /// The fairness gate, built only when a fairness window is configured
@@ -155,7 +156,7 @@ struct RunState<'m> {
 
 impl<'m> RunState<'m> {
     /// The state before the first event: every warp queued at cycle 0.
-    fn new(mix: &'m MultiApp, warps: Vec<Warp>, cfg: &SimConfig, retry_lane: bool) -> Self {
+    fn new(mix: &'m MultiApp, warps: Vec<Warp<'m>>, cfg: &SimConfig, retry_lane: bool) -> Self {
         let fair = (cfg.qos.fair_window > 0).then(|| {
             let mut warps_per_app: BTreeMap<u16, u64> = BTreeMap::new();
             for w in &warps {
@@ -367,7 +368,7 @@ impl Simulation {
         for (_, app, traces) in &mix.apps {
             for trace in traces {
                 let id = WarpId(warps.len() as u32);
-                warps.push(Warp::new(id, *app, trace.clone()));
+                warps.push(Warp::new(id, *app, trace));
             }
         }
         let mut state = RunState::new(mix, warps, &self.cfg, self.retry_lane);

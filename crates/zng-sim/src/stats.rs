@@ -22,7 +22,6 @@ use zng_types::Cycle;
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Percentiles {
     samples: Vec<u64>,
-    sorted: bool,
 }
 
 impl Percentiles {
@@ -34,7 +33,6 @@ impl Percentiles {
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
         self.samples.push(value);
-        self.sorted = false;
     }
 
     /// Number of samples.
@@ -59,17 +57,16 @@ impl Percentiles {
     /// Exact p-th percentile (0.0–1.0) by the nearest-rank method:
     /// the smallest sample such that at least `ceil(p * count)` samples
     /// are less than or equal to it. Returns 0 if empty.
+    ///
+    /// Each query selects its rank in linear time (and reorders the
+    /// stored samples), so a run's few queries never sort them.
     pub fn percentile(&mut self, p: f64) -> u64 {
         if self.samples.is_empty() {
             return 0;
         }
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
         let n = self.samples.len();
         let rank = (p.clamp(0.0, 1.0) * n as f64).ceil() as usize;
-        self.samples[rank.max(1) - 1]
+        *self.samples.select_nth_unstable(rank.max(1) - 1).1
     }
 }
 

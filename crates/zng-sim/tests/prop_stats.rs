@@ -1,7 +1,7 @@
 //! Property tests for the statistics primitives.
 
 use proptest::prelude::*;
-use zng_sim::TimeSeries;
+use zng_sim::{Percentiles, TimeSeries};
 use zng_types::Cycle;
 
 /// The reference model: every bucket stored densely, grown on demand.
@@ -41,7 +41,47 @@ fn walk(steps: &[(u8, i64, u64)]) -> Vec<(u64, u64)> {
         .collect()
 }
 
+/// The reference percentile: nearest rank over a sorted copy.
+fn sorted_percentile(samples: &[u64], p: f64) -> u64 {
+    if samples.is_empty() {
+        return 0;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    let rank = (p.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.max(1) - 1]
+}
+
+/// The run report's quantiles and both ends of [0, 1].
+const QUANTILES: [f64; 5] = [0.0, 0.5, 0.95, 0.99, 1.0];
+
 proptest! {
+    /// Queries interleaved with records, in any order and repeated,
+    /// return what a sort-based nearest rank returns. A `(kind, value,
+    /// q)` step records `value` (kinds 0–1), asks a report quantile
+    /// (kind 2) or asks `q / 1000`, anywhere in [0, 1] (kind 3).
+    #[test]
+    fn percentile_matches_a_sorted_reference(
+        steps in prop::collection::vec((0u8..4, 0u64..50, 0u32..1001), 0..300),
+    ) {
+        let mut pct = Percentiles::new();
+        let mut samples = Vec::new();
+        for (kind, value, q) in steps {
+            let p = match kind {
+                0 | 1 => {
+                    pct.record(value);
+                    samples.push(value);
+                    prop_assert_eq!(pct.count(), samples.len() as u64);
+                    continue;
+                }
+                2 => QUANTILES[value as usize % QUANTILES.len()],
+                _ => f64::from(q) / 1000.0,
+            };
+            prop_assert_eq!(pct.percentile(p), sorted_percentile(&samples, p), "p {}", p);
+            prop_assert_eq!(pct.max(), samples.iter().copied().max().unwrap_or(0));
+        }
+    }
+
     #[test]
     fn time_series_conserves_events(
         events in prop::collection::vec((0u64..10_000, 1u64..5), 0..200),
